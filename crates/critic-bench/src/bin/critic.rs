@@ -573,6 +573,21 @@ fn parse_sys_spec(value: &str) -> Result<SysFaultSpec, CliError> {
     Ok(SysFaultSpec { fault, at })
 }
 
+/// This process's peak resident set size in MiB, read from `VmHWM` in
+/// `/proc/self/status`; `None` where that file does not exist (off Linux).
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
 /// `critic campaign [--suite S] [--apps N] [--schemes a,b,..]
 /// [--trace-len N] [--journal FILE] [--resume] [--validate] [--stats]
 /// [--deadline-secs N] [--retries N] [--workers N]
@@ -587,7 +602,8 @@ fn parse_sys_spec(value: &str) -> Result<SysFaultSpec, CliError> {
 ///
 /// `--stats` forces telemetry on for this run (regardless of
 /// `CRITIC_TELEMETRY`): per-cell spans are journaled, and the summary ends
-/// with the campaign-wide telemetry table.
+/// with the campaign-wide telemetry table and, on Linux, the process's
+/// peak resident set (`peak_rss_mib: N`).
 ///
 /// `--store-dir DIR` puts a persistent artifact store under the campaign:
 /// profiles and baseline runs spill to checksummed entries in `DIR` and
@@ -676,7 +692,8 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
         }
         other => other.map(|n| n as usize),
     };
-    if args.iter().any(|a| a == "--stats") {
+    let show_stats = args.iter().any(|a| a == "--stats");
+    if show_stats {
         spec.telemetry = critic_obs::Telemetry::enabled();
     }
     if spec.resume && spec.journal.is_none() {
@@ -734,6 +751,11 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
 
     let summary = campaign::run_campaign(&spec)?;
     println!("{}", summary.render());
+    if show_stats {
+        if let Some(mib) = peak_rss_mib() {
+            println!("peak_rss_mib: {mib:.1}");
+        }
+    }
     if summary.interrupted {
         // Shed cells are expected bookkeeping here, not failures: the
         // journal is intact and --resume finishes them.

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use crate::perf::BenchError;
-use crate::serve::{parse_reply, Reply, SubmitBody, SubmitRequest};
+use crate::serve::{parse_reply, send_line, Reply, SubmitBody, SubmitRequest};
 
 /// One load-generation run's parameters.
 #[derive(Debug, Clone)]
@@ -219,15 +219,7 @@ fn send_submit(writer: &mut TcpStream, body: &SubmitBody) -> bool {
     let request = SubmitRequest {
         submit: body.clone(),
     };
-    let Ok(json) = serde_json::to_string(&request) else {
-        return false;
-    };
-    use std::io::Write;
-    writer
-        .write_all(json.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .is_ok()
+    send_line(writer, &request).is_ok()
 }
 
 /// Re-sends every retry whose delay has elapsed. Returns false when the

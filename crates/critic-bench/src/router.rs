@@ -44,8 +44,9 @@ use critic_core::ring::{placement_key, HashRing, DEFAULT_VNODES};
 use serde::{Deserialize, Serialize};
 
 use crate::serve::{
-    parse_reply, AcceptedReply, DoneBody, DoneReply, IdBody, PingRequest, PongReply, RejectedBody,
-    RejectedReply, Reply, ShutdownRequest, StatsRequest, SubmitBody, SubmitRequest,
+    encode_line, parse_reply, send_line, AcceptedReply, DoneBody, DoneReply, IdBody, PingRequest,
+    PongReply, RejectedBody, RejectedReply, Reply, ShutdownRequest, StatsRequest, SubmitBody,
+    SubmitRequest,
 };
 
 /// `{"router_stats":true}` — ask the router for shard status and routing
@@ -201,15 +202,13 @@ struct Fabric {
 /// Serialises `reply` as one line under the stream lock, swallowing write
 /// errors (a hung-up peer is the peer's problem).
 fn write_line<T: Serialize>(stream: &Arc<Mutex<TcpStream>>, reply: &T) -> bool {
-    let Ok(json) = serde_json::to_string(reply) else {
+    let Ok(line) = encode_line(reply) else {
         return false;
     };
     let mut guard = stream
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    guard.write_all(json.as_bytes()).is_ok()
-        && guard.write_all(b"\n").is_ok()
-        && guard.flush().is_ok()
+    guard.write_all(&line).is_ok() && guard.flush().is_ok()
 }
 
 impl Fabric {
@@ -847,11 +846,7 @@ pub fn fetch_router_stats(addr: &str) -> std::io::Result<RouterStats> {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let request = serde_json::to_string(&RouterStatsRequest { router_stats: true })
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(request.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    send_line(&mut writer, &RouterStatsRequest { router_stats: true })?;
     let mut line = String::new();
     loop {
         line.clear();

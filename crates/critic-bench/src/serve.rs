@@ -310,18 +310,43 @@ pub struct ServeSummary {
     pub responded: u64,
 }
 
+/// One wire line: `value`'s JSON and its terminating newline in one
+/// buffer. A line written as two writes (the JSON, then `\n`) leaves the
+/// newline behind Nagle's algorithm until the peer's delayed ACK arrives,
+/// which stalls every request-reply exchange by tens of milliseconds.
+///
+/// # Errors
+///
+/// Propagates a serialisation failure as `InvalidData`.
+pub fn encode_line<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
+    let json = serde_json::to_string(value)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let mut line = json.into_bytes();
+    line.push(b'\n');
+    Ok(line)
+}
+
+/// Writes `value` as one line with a single `write_all`, then flushes.
+///
+/// # Errors
+///
+/// Propagates serialisation and write errors.
+pub fn send_line<W: Write, T: Serialize>(writer: &mut W, value: &T) -> std::io::Result<()> {
+    writer.write_all(&encode_line(value)?)?;
+    writer.flush()
+}
+
 /// Serialises `reply` and writes it as one line under the stream lock.
 /// Write errors are swallowed: a client that hung up mid-reply is that
 /// client's problem, never the server's.
 fn write_line<T: Serialize>(stream: &Arc<Mutex<TcpStream>>, reply: &T) {
-    let Ok(json) = serde_json::to_string(reply) else {
+    let Ok(line) = encode_line(reply) else {
         return;
     };
     let mut guard = stream
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let _ = guard.write_all(json.as_bytes());
-    let _ = guard.write_all(b"\n");
+    let _ = guard.write_all(&line);
     let _ = guard.flush();
 }
 
@@ -768,11 +793,7 @@ pub fn request_reply<R: Read, T: Serialize>(
     mut want: impl FnMut(&Reply) -> bool,
     mut on_other: impl FnMut(Reply),
 ) -> std::io::Result<Reply> {
-    let json = serde_json::to_string(request)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(json.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    send_line(writer, request)?;
     let mut line = String::new();
     loop {
         line.clear();
@@ -831,6 +852,42 @@ mod tests {
         }
         assert!(matches!(parse_reply("{\"pong\":true}"), Some(Reply::Pong)));
         assert!(parse_reply("not json at all").is_none());
+    }
+
+    /// Counts the writes a line costs.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_is_one_newline_terminated_write() {
+        let ping = PingRequest { ping: true };
+        let line = encode_line(&ping).expect("encode");
+        assert_eq!(line.last(), Some(&b'\n'));
+        assert_eq!(line.iter().filter(|&&b| b == b'\n').count(), 1);
+        let text = std::str::from_utf8(&line).expect("utf-8");
+        let back: PingRequest = serde_json::from_str(text.trim_end()).expect("parses");
+        assert!(back.ping);
+
+        let mut writer = CountingWriter::default();
+        send_line(&mut writer, &ping).expect("send");
+        send_line(&mut writer, &ping).expect("send");
+        assert_eq!(writer.writes, 2, "one write per line");
+        assert_eq!(writer.bytes, [line.clone(), line].concat());
     }
 
     #[test]

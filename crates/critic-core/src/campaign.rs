@@ -1076,12 +1076,13 @@ fn run_batch_cell(
                 telemetry.time(SpanKind::WorldBuild, || ());
                 bench
             }
-            None => {
-                let world = telemetry.time(SpanKind::WorldBuild, || {
-                    store.world(&cell.app, spec.trace_len)
-                })?;
-                bench.insert(Workbench::from_world(&cell.app, world, Arc::clone(store)))
-            }
+            None => bench.insert(shared_bench(
+                &cell.app,
+                spec.trace_len,
+                spec.stream_window,
+                store,
+                &telemetry,
+            )?),
         };
         bench.set_telemetry(telemetry.clone());
         bench.set_stream_window(spec.stream_window);
@@ -1362,6 +1363,27 @@ fn checkpoint(cancel: &AtomicBool) -> Result<(), RunError> {
     }
 }
 
+/// A clean cell's store-backed workbench, timed as the world-build stage:
+/// over the app's trace-free recording when the cell streams, over its
+/// materialized world otherwise.
+fn shared_bench(
+    app: &AppSpec,
+    trace_len: usize,
+    stream_window: Option<usize>,
+    store: &Arc<ArtifactStore>,
+    telemetry: &Telemetry,
+) -> Result<Workbench, RunError> {
+    telemetry.time(SpanKind::WorldBuild, || {
+        let store_handle = Arc::clone(store);
+        Ok(match stream_window {
+            Some(_) => {
+                Workbench::from_recording(app, store.recording(app, trace_len)?, store_handle)
+            }
+            None => Workbench::from_world(app, store.world(app, trace_len)?, store_handle),
+        })
+    })
+}
+
 /// The cell proper: generate (or fetch the shared world), inject the
 /// planned fault (if any), validate, profile/compile/simulate baseline and
 /// scheme, reduce to metrics.
@@ -1384,7 +1406,9 @@ fn run_cell_body(
     // the streaming pipeline the attempt's expansion and simulation state
     // are rings sized to the window, not the trace, and the charges say so:
     // the same long-trace budget that kills a materialized attempt admits
-    // a streamed one (asserted by `tests/stream_memory.rs`).
+    // a streamed one (asserted by `tests/stream_memory.rs`). The charges
+    // model the attempt only; what the store holds across attempts is
+    // measured by the same test's counting allocator.
     let charge = |bytes: u64| -> Result<(), RunError> {
         match meter {
             Some(meter) => meter.charge(bytes),
@@ -1410,11 +1434,12 @@ fn run_cell_body(
     };
     let app = &cell.app;
     let mut bench = if cell.fault.is_none() {
-        // Clean cell: share the generated world (and downstream artifacts)
-        // with every sibling cell of the app through the store.
-        let world = telemetry.time(SpanKind::WorldBuild, || store.world(app, trace_len))?;
+        // Clean cell: share the generated world or recording (and
+        // downstream artifacts) with every sibling cell of the app through
+        // the store.
+        let bench = shared_bench(app, trace_len, stream_window, store, telemetry)?;
         checkpoint(cancel)?;
-        Workbench::from_world(app, world, Arc::clone(store))
+        bench
     } else {
         // Fault-injected cell: build everything privately. A corrupted
         // program/trace must never be published to the store, and even the

@@ -472,21 +472,24 @@ impl Journal {
     /// Appends one cell record (checksummed), updates the checkpoint
     /// state, and rolls the segment when full. Appends are best-effort by
     /// contract — a failed write costs at most a rerun of this cell on
-    /// resume, which is strictly better than failing the campaign.
-    pub fn append_cell(&self, record: &CellRecord, sys: Option<&Arc<SysInjector>>) {
+    /// resume, which is strictly better than failing the campaign. Returns
+    /// whether the whole line reached the file, so a caller that
+    /// acknowledges the record to someone can append it again first.
+    pub fn append_cell(&self, record: &CellRecord, sys: Option<&Arc<SysInjector>>) -> bool {
         let Ok(json) = serde_json::to_string(record) else {
-            return;
+            return false;
         };
         let line = checksum_line(&json);
         let mut active = lock_clean(&self.active);
         active
             .newest
             .insert((record.app.clone(), record.scheme.clone()), record.clone());
-        self.write_line(&mut active, &line, sys);
+        let written = self.write_line(&mut active, &line, sys);
         active.lines += 1;
         if self.segment_max_lines > 0 && active.lines >= self.segment_max_lines {
             self.roll(&mut active);
         }
+        written
     }
 
     /// Appends one trailer line (checksummed): a campaign-telemetry or
@@ -503,8 +506,8 @@ impl Journal {
     /// `JournalTorn` writes half of it with no newline, `JournalFsync`
     /// (at either tap) skips the durability sync, and a `Crash` planted on
     /// the append or sync op aborts the process — the kill-anywhere drill's
-    /// seeded crash points.
-    fn write_line(&self, active: &mut Active, line: &str, sys: Option<&Arc<SysInjector>>) {
+    /// seeded crash points. Returns whether the whole line was written.
+    fn write_line(&self, active: &mut Active, line: &str, sys: Option<&Arc<SysInjector>>) -> bool {
         let mut write_line = true;
         let mut fsync = true;
         let mut torn = false;
@@ -520,7 +523,7 @@ impl Journal {
             }
         }
         if !write_line {
-            return;
+            return false;
         }
         if torn {
             let mut half = line.len() / 2;
@@ -529,9 +532,9 @@ impl Journal {
             }
             let _ = active.file.write_all(&line.as_bytes()[..half]);
             let _ = active.file.flush();
-            return;
+            return false;
         }
-        let _ = writeln!(active.file, "{line}");
+        let written = writeln!(active.file, "{line}").is_ok();
         let _ = active.file.flush();
         if let Some(sys) = sys {
             for fault in sys.advance_or_crash(SysOp::JournalSync) {
@@ -544,6 +547,7 @@ impl Journal {
         if fsync {
             let _ = active.file.sync_all();
         }
+        written
     }
 
     /// Writes a durable checkpoint line into the active file without

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::design::{DesignPoint, Software};
 use crate::error::RunError;
-use crate::store::{ArtifactStore, World};
+use crate::store::{profile_stream, ArtifactStore, Recording, World};
 
 /// Per-run translation-validation accounting, journaled per campaign cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,23 +60,20 @@ pub struct RunOutcome {
 pub struct Workbench {
     /// The workload.
     pub app: AppSpec,
-    /// The original (baseline) binary.
-    pub program: Program,
+    /// The original (baseline) binary (shared with the store's recording
+    /// or world when store-backed).
+    pub program: Arc<Program>,
     /// The recorded block-level input.
-    pub path: ExecutionPath,
-    base_trace: Arc<Trace>,
-    /// `base_trace.compute_fanout()`, computed once at assembly and
-    /// threaded through every consumer (simulation, figures, training).
-    base_fanout: Arc<Vec<u32>>,
-    /// Lazily-computed ROB-cone fanout shared by every profiler config.
+    pub path: Arc<ExecutionPath>,
+    /// Where the baseline trace and the store-shared artifacts come from.
+    backing: Backing,
+    /// Lazily-computed ROB-cone fanout shared by every profiler config of
+    /// a privately backed workbench.
     cone_fanout: Option<Arc<Vec<u32>>>,
     energy_model: EnergyModel,
     profiles: HashMap<String, Arc<Profile>>,
     variants: HashMap<String, (Program, PassReport)>,
     variant_fault: Option<(Fault, u64)>,
-    /// Campaign-wide artifact store this workbench reads and feeds, plus
-    /// the shared world it was built over.
-    store: Option<(Arc<ArtifactStore>, Arc<World>)>,
     /// Shared-decode simulation context: the base trace is decoded once
     /// per workbench, every variant decode reuses its common prefix, and
     /// the simulator scratch (tables, queues, models) is recycled across
@@ -104,6 +101,26 @@ pub struct Workbench {
     /// Span/event sink; [`Telemetry::off`] by default, so the instrumented
     /// paths cost one branch per span when telemetry is disabled.
     telemetry: Telemetry,
+}
+
+/// Where a [`Workbench`]'s baseline trace and shared artifacts come from.
+#[derive(Debug)]
+enum Backing {
+    /// Built privately: the materialized baseline trace and its
+    /// direct-fanout vector (`trace.compute_fanout()`, computed once at
+    /// assembly and threaded through every consumer).
+    Private {
+        trace: Arc<Trace>,
+        fanout: Arc<Vec<u32>>,
+    },
+    /// A campaign store's shared world: profiles, cone fanouts, baseline
+    /// simulations, and oracle executions are served from — and
+    /// contributed to — the store.
+    World(Arc<ArtifactStore>, Arc<World>),
+    /// A campaign store's trace-free recording: every profile and run
+    /// streams, through the store's streamed builders. Swapped for the
+    /// app's world the first time a run needs the materialized trace.
+    Recording(Arc<ArtifactStore>, Arc<Recording>),
 }
 
 impl Workbench {
@@ -145,28 +162,17 @@ impl Workbench {
     ) -> Result<Workbench, RunError> {
         program.validate_encoding()?;
         base_trace.validate(&program)?;
-        let base_fanout = base_trace.compute_fanout();
-        Ok(Workbench {
-            app: app.clone(),
-            program,
-            path,
-            base_trace: Arc::new(base_trace),
-            base_fanout: Arc::new(base_fanout),
-            cone_fanout: None,
-            energy_model: EnergyModel::default(),
-            profiles: HashMap::new(),
-            variants: HashMap::new(),
-            variant_fault: None,
-            store: None,
-            batch: BatchSimulator::new(),
-            engine: SimEngine::default(),
-            variant_trace: Trace::default(),
-            variant_fanout: Vec::new(),
-            stream_window: None,
-            stream_scratch: StreamScratch::new(),
-            last_stream_stats: None,
-            telemetry: Telemetry::off(),
-        })
+        let fanout = base_trace.compute_fanout();
+        let backing = Backing::Private {
+            trace: Arc::new(base_trace),
+            fanout: Arc::new(fanout),
+        };
+        Ok(Workbench::with_backing(
+            app,
+            Arc::new(program),
+            Arc::new(path),
+            backing,
+        ))
     }
 
     /// Builds a workbench over a store-shared [`World`]: the generated
@@ -175,18 +181,41 @@ impl Workbench {
     /// baseline simulations, and baseline oracle executions are served
     /// from — and contributed to — `store`.
     pub fn from_world(app: &AppSpec, world: Arc<World>, store: Arc<ArtifactStore>) -> Workbench {
+        let (program, path) = (Arc::clone(&world.program), Arc::clone(&world.path));
+        Workbench::with_backing(app, program, path, Backing::World(store, world))
+    }
+
+    /// Builds a workbench over a store-shared [`Recording`] for streamed
+    /// runs ([`Workbench::set_stream_window`]): no trace is held, and
+    /// profiles, baseline simulations, and baseline oracle executions come
+    /// from `store`'s streamed builders. A run that needs the materialized
+    /// trace (no window set, or the reference engine) first fetches the
+    /// app's world from `store`.
+    pub fn from_recording(
+        app: &AppSpec,
+        recording: Arc<Recording>,
+        store: Arc<ArtifactStore>,
+    ) -> Workbench {
+        let (program, path) = (Arc::clone(&recording.program), Arc::clone(&recording.path));
+        Workbench::with_backing(app, program, path, Backing::Recording(store, recording))
+    }
+
+    fn with_backing(
+        app: &AppSpec,
+        program: Arc<Program>,
+        path: Arc<ExecutionPath>,
+        backing: Backing,
+    ) -> Workbench {
         Workbench {
             app: app.clone(),
-            program: (*world.program).clone(),
-            path: (*world.path).clone(),
-            base_trace: Arc::clone(&world.trace),
-            base_fanout: Arc::clone(&world.fanout),
+            program,
+            path,
+            backing,
             cone_fanout: None,
             energy_model: EnergyModel::default(),
             profiles: HashMap::new(),
             variants: HashMap::new(),
             variant_fault: None,
-            store: Some((store, world)),
             batch: BatchSimulator::new(),
             engine: SimEngine::default(),
             variant_trace: Trace::default(),
@@ -244,30 +273,50 @@ impl Workbench {
         self.variants.clear();
     }
 
+    /// The materialized baseline trace and its direct-fanout vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a recording backing: its trace exists only as a stream.
+    fn base(&self) -> (&Trace, &[u32]) {
+        match &self.backing {
+            Backing::Private { trace, fanout } => (trace, fanout),
+            Backing::World(_, world) => (&world.trace, &world.fanout),
+            Backing::Recording(..) => panic!(
+                "{}: a recording-backed workbench holds no materialized trace",
+                self.app.name
+            ),
+        }
+    }
+
     /// The baseline dynamic trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`Workbench::from_recording`] workbench that has not yet
+    /// fetched its world: its trace exists only as a stream.
     pub fn baseline_trace(&self) -> &Trace {
-        &self.base_trace
+        self.base().0
     }
 
     /// The baseline trace's direct-fanout vector
     /// ([`Trace::compute_fanout`]), computed once at assembly.
+    ///
+    /// # Panics
+    ///
+    /// As [`Workbench::baseline_trace`].
     pub fn baseline_fanout(&self) -> &[u32] {
-        &self.base_fanout
+        self.base().1
     }
 
-    /// The baseline trace's ROB-cone fanout (window 128), computed at
-    /// most once — campaign-wide when store-backed, per-workbench
-    /// otherwise.
-    fn cone(&mut self) -> Arc<Vec<u32>> {
-        if let Some(cone) = &self.cone_fanout {
-            return Arc::clone(cone);
+    /// Swaps a recording backing for the app's world, so the materialized
+    /// trace is at hand; a no-op for every other backing.
+    fn materialize(&mut self) -> Result<(), RunError> {
+        if let Backing::Recording(store, recording) = &self.backing {
+            let world = store.world(&self.app, recording.key.trace_len())?;
+            self.backing = Backing::World(Arc::clone(store), world);
         }
-        let cone = match &self.store {
-            Some((store, world)) => store.cone_fanout(world),
-            None => Arc::new(self.base_trace.compute_cone_fanout(128)),
-        };
-        self.cone_fanout = Some(Arc::clone(&cone));
-        cone
+        Ok(())
     }
 
     /// Builds (or returns the cached) profile for a profiler configuration.
@@ -294,37 +343,39 @@ impl Workbench {
         let key = format!("{config:?}");
         if !self.profiles.contains_key(&key) {
             let telemetry = self.telemetry.clone();
+            if self.stream_window.is_none() {
+                self.materialize()?;
+            }
             let profile = telemetry.time(SpanKind::Profile, || {
-                if let Some((store, world)) = self.store.clone() {
-                    store.profile(&world, config)
-                } else if let Some(window) = self.stream_window {
-                    // Streamed profiling: fold chain statistics over a
-                    // cone-enabled stream without materializing the trace
-                    // or the cone vector. Bit-identical to the
-                    // materialized build (the fold is order-preserving
-                    // integer sums; see `critic-profiler`'s tests).
-                    let mut stream = TraceStream::new(
-                        &self.program,
-                        &self.path,
-                        StreamConfig {
-                            window,
-                            lookahead: critic_workloads::DEFAULT_LOOKAHEAD,
-                            cone_window: Some(128),
-                        },
-                    );
-                    Ok(Arc::new(
-                        Profiler::new(config.clone())
-                            .try_build_profile_streamed(&self.program, &mut stream)?,
-                    ))
-                } else {
-                    let cone = self.cone();
-                    Ok(Arc::new(
-                        Profiler::new(config.clone()).try_build_profile_with_cone(
+                let profiler = Profiler::new(config.clone());
+                match (&self.backing, self.stream_window) {
+                    (Backing::World(store, world), _) => store.profile(world, config),
+                    (Backing::Recording(store, recording), Some(window)) => {
+                        store.profile_streamed(recording, config, window)
+                    }
+                    (Backing::Private { .. }, Some(window)) => {
+                        // Streamed profiling: fold chain statistics over a
+                        // cone-enabled stream without materializing the
+                        // trace or the cone vector. Bit-identical to the
+                        // materialized build (the fold is order-preserving
+                        // integer sums; see `critic-profiler`'s tests).
+                        let mut stream = profile_stream(&self.program, &self.path, window);
+                        Ok(Arc::new(
+                            profiler.try_build_profile_streamed(&self.program, &mut stream)?,
+                        ))
+                    }
+                    (Backing::Private { trace, .. }, None) => {
+                        let cone = Arc::clone(
+                            self.cone_fanout
+                                .get_or_insert_with(|| Arc::new(trace.compute_cone_fanout(128))),
+                        );
+                        Ok(Arc::new(profiler.try_build_profile_with_cone(
                             &self.program,
-                            &self.base_trace,
+                            trace,
                             &cone,
-                        )?,
-                    ))
+                        )?))
+                    }
+                    (Backing::Recording(..), None) => unreachable!("materialized above"),
                 }
             })?;
             self.profiles.insert(key.clone(), profile);
@@ -420,7 +471,7 @@ impl Workbench {
         let profile = self.software_profile(software)?;
         let telemetry = self.telemetry.clone();
         telemetry.time(SpanKind::Passes, || {
-            let mut program = self.program.clone();
+            let mut program = (*self.program).clone();
             let report = Self::apply_software(&mut program, software, profile.as_ref())?;
             if let Some((fault, seed)) = self.variant_fault {
                 if !matches!(software, Software::Baseline) {
@@ -495,9 +546,12 @@ impl Workbench {
         // The baseline's oracle execution is identical across demotion
         // iterations (and across every scheme of the app), so it is
         // captured once — from the campaign store when available.
-        let baseline_exec = match &self.store {
-            Some((store, world)) => store.baseline_execution(world, seed),
-            None => BaselineExecution::capture(&self.program, &self.path, seed)
+        let baseline_exec = match &self.backing {
+            Backing::World(store, world) => store.baseline_execution(world, seed),
+            Backing::Recording(store, recording) => {
+                store.recorded_baseline_execution(recording, seed)
+            }
+            Backing::Private { .. } => BaselineExecution::capture(&self.program, &self.path, seed)
                 .map(Arc::new)
                 .map_err(|e| RunError::Validation(e.to_string())),
         };
@@ -550,7 +604,7 @@ impl Workbench {
                             .map(|(_, c)| c.clone())
                             .collect();
                         filtered.chains = kept;
-                        let mut rebuilt = self.program.clone();
+                        let mut rebuilt = (*self.program).clone();
                         pass = Self::apply_software(&mut rebuilt, software, Some(&filtered))?;
                         pass.chains_demoted += demoted.len() as u64;
                         program = rebuilt;
@@ -562,6 +616,23 @@ impl Workbench {
         Ok((outcome, stats))
     }
 
+    /// The store's baseline outcome for `point`: simulated over the world,
+    /// or streamed over the recording with `window` (always set for a
+    /// recording, which [`Workbench::materialize`] swaps out otherwise).
+    fn shared_baseline(
+        &self,
+        point: &DesignPoint,
+        window: Option<usize>,
+    ) -> Result<Arc<RunOutcome>, RunError> {
+        match (&self.backing, window) {
+            (Backing::World(store, world), _) => store.baseline(world, point),
+            (Backing::Recording(store, recording), Some(window)) => {
+                store.baseline_streamed(recording, point, window)
+            }
+            _ => unreachable!("a private backing simulates its own baseline"),
+        }
+    }
+
     /// Simulates an already-built variant and assembles the outcome.
     fn simulate(
         &mut self,
@@ -571,47 +642,50 @@ impl Workbench {
     ) -> Result<RunOutcome, RunError> {
         let baseline = matches!(point.software, Software::Baseline);
         let telemetry = self.telemetry.clone();
-        if baseline {
-            // Baselines are hardware-keyed and variant-independent: a
-            // store-backed workbench shares one simulation per (world,
-            // cpu+mem config) with every sibling cell.
-            if let Some((store, world)) = self.store.clone() {
-                return telemetry.time(SpanKind::Sim, || {
-                    Ok((*store.baseline(&world, point)?).clone())
-                });
-            }
-        }
         let engine = self.engine;
-        if engine == SimEngine::DataOriented {
-            if let Some(window) = self.stream_window {
-                // Streaming route: expansion, fanout, decode, and the cycle
-                // loop all run window-at-a-time over (program, path) —
-                // nothing trace-length-sized is materialized. The stream is
-                // fully drained by the run, so the thumb fraction and
-                // dynamic length read back exactly what the materialized
-                // trace would report.
-                let prog: &Program = if baseline { &self.program } else { program };
-                let mut stream =
-                    TraceStream::new(prog, &self.path, StreamConfig::with_window(window));
-                let scratch = &mut self.stream_scratch;
-                let (sim, _, stream_stats) = telemetry.time(SpanKind::Sim, || {
-                    Simulator::new(point.cpu_config(), point.mem_config())
-                        .run_streamed(&mut stream, scratch)
-                });
-                let thumb_dyn_frac = stream.thumb_fraction();
-                let dyn_insns = stream.total_len();
-                drop(stream);
-                self.last_stream_stats = Some(stream_stats);
-                let energy = self.energy_model.evaluate(&sim);
-                return Ok(RunOutcome {
-                    design: point.label(),
-                    thumb_dyn_frac,
-                    dyn_insns,
-                    sim,
-                    energy,
-                    pass,
-                });
-            }
+        // Streaming covers data-oriented runs only; the reference engine
+        // stays materialized.
+        let window = self
+            .stream_window
+            .filter(|_| engine == SimEngine::DataOriented);
+        if window.is_none() {
+            self.materialize()?;
+        }
+        // Baselines are hardware-keyed and variant-independent: a
+        // store-backed workbench shares one simulation per (world,
+        // cpu+mem config) with every sibling cell.
+        if baseline && !matches!(self.backing, Backing::Private { .. }) {
+            return telemetry.time(SpanKind::Sim, || {
+                Ok((*self.shared_baseline(point, window)?).clone())
+            });
+        }
+        if let Some(window) = window {
+            // Streaming route: expansion, fanout, decode, and the cycle
+            // loop all run window-at-a-time over (program, path) —
+            // nothing trace-length-sized is materialized. The stream is
+            // fully drained by the run, so the thumb fraction and
+            // dynamic length read back exactly what the materialized
+            // trace would report.
+            let prog: &Program = if baseline { &self.program } else { program };
+            let mut stream = TraceStream::new(prog, &self.path, StreamConfig::with_window(window));
+            let scratch = &mut self.stream_scratch;
+            let (sim, _, stream_stats) = telemetry.time(SpanKind::Sim, || {
+                Simulator::new(point.cpu_config(), point.mem_config())
+                    .run_streamed(&mut stream, scratch)
+            });
+            let thumb_dyn_frac = stream.thumb_fraction();
+            let dyn_insns = stream.total_len();
+            drop(stream);
+            self.last_stream_stats = Some(stream_stats);
+            let energy = self.energy_model.evaluate(&sim);
+            return Ok(RunOutcome {
+                design: point.label(),
+                thumb_dyn_frac,
+                dyn_insns,
+                sim,
+                energy,
+                pass,
+            });
         }
         if !baseline {
             Trace::expand_into(program, &self.path, &mut self.variant_trace);
@@ -623,13 +697,17 @@ impl Workbench {
                     .compute_fanout_into(&mut self.variant_fanout);
             }
         }
+        let (base, base_fanout) = match &self.backing {
+            Backing::Private { trace, fanout } => (trace, fanout),
+            Backing::World(_, world) => (&world.trace, &world.fanout),
+            Backing::Recording(..) => unreachable!("materialized above"),
+        };
         let (trace, fanout): (&Trace, &[u32]) = if baseline {
-            (&self.base_trace, &self.base_fanout)
+            (base, base_fanout)
         } else {
             (&self.variant_trace, &self.variant_fanout)
         };
         let batch = &mut self.batch;
-        let base = &self.base_trace;
         let sim = telemetry.time(SpanKind::Sim, || {
             let simulator = Simulator::new(point.cpu_config(), point.mem_config());
             match engine {
@@ -758,6 +836,35 @@ mod tests {
             .try_run(&DesignPoint::critic())
             .expect("silent miscompile runs");
         assert!(outcome.pass.chains_applied > 0);
+    }
+
+    #[test]
+    fn recording_backed_workbench_streams_then_materializes_on_demand() {
+        let app = small_app();
+        let store = Arc::new(ArtifactStore::new());
+        let recording = store.recording(&app, SMOKE_TRACE_LEN).expect("recording");
+        let mut streamed = Workbench::from_recording(&app, recording, Arc::clone(&store));
+        streamed.set_stream_window(Some(512));
+        let mut private = Workbench::new(&app, SMOKE_TRACE_LEN);
+        for point in [DesignPoint::baseline(), DesignPoint::critic()] {
+            assert_eq!(streamed.run(&point), private.run(&point));
+        }
+        let (seed, point) = (app.path_seed(), DesignPoint::hoist());
+        assert_eq!(
+            streamed.try_run_validated(&point, seed).expect("validated"),
+            private.try_run_validated(&point, seed).expect("validated")
+        );
+        let stats = store.stats();
+        assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
+
+        // Without a window the workbench fetches the app's world first.
+        streamed.set_stream_window(None);
+        assert_eq!(
+            streamed.run(&DesignPoint::opp16()),
+            private.run(&DesignPoint::opp16())
+        );
+        assert_eq!(store.stats().worlds_built, 1);
+        assert_eq!(streamed.baseline_trace(), private.baseline_trace());
     }
 
     #[test]

@@ -678,9 +678,7 @@ impl CampaignService {
                     inner.config.run_tag,
                 );
                 telemetry.event(EventKind::Shed);
-                if let Some(journal) = &inner.journal {
-                    journal.append_cell(&record, inner.config.sys.as_ref());
-                }
+                journal_before_ack(inner, &record);
                 inner.accepted.fetch_add(1, Ordering::Relaxed);
                 respond(record);
                 inner.responded.fetch_add(1, Ordering::Relaxed);
@@ -832,14 +830,29 @@ fn run_submitted(
             }
         }
     }
-    // Journal (flush + fsync inside) strictly before the ack: a response
-    // the client saw is a record a restart will replay.
-    if let Some(journal) = &inner.journal {
-        journal.append_cell(&record, inner.config.sys.as_ref());
-    }
+    journal_before_ack(inner, &record);
     respond(record);
     inner.responded.fetch_add(1, Ordering::Relaxed);
     inner.windows.close(client);
+}
+
+/// Appends of one record a service makes before giving up on its line.
+const JOURNAL_ATTEMPTS: usize = 3;
+
+/// Journals `record` (flush + fsync inside) strictly before it is
+/// acknowledged: a response the client saw is a record a restart will
+/// replay. A line a write fault dropped is appended again — injected
+/// faults are consume-once, so the next attempt sees a healed journal.
+/// (After a torn write the retry merges with the fragment, so the torn
+/// record stays lost, but the record after it survives.)
+fn journal_before_ack(inner: &ServiceInner, record: &CellRecord) {
+    if let Some(journal) = &inner.journal {
+        for _ in 0..JOURNAL_ATTEMPTS {
+            if journal.append_cell(record, inner.config.sys.as_ref()) {
+                break;
+            }
+        }
+    }
 }
 
 /// The degradation level the current queue depth calls for: the highest
@@ -1069,6 +1082,39 @@ mod tests {
         // A drained service refuses new work.
         let outcome = service.submit(0, "Acrobat", "critic", None, |_| {});
         assert!(matches!(outcome, SubmitOutcome::Rejected { .. }));
+    }
+
+    /// Ack follows the journal even when a write fault drops the cell's
+    /// first line: the record is appended again before the client sees
+    /// it, so a replay taken the moment the ack arrives already has it.
+    #[test]
+    fn dropped_journal_line_is_rewritten_before_the_ack() {
+        let dir = std::env::temp_dir().join(format!("critic-service-ack-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let journal = dir.join("j.jsonl");
+        let config = ServiceConfig {
+            workers: 1,
+            journal: Some(journal.clone()),
+            sys: Some(Arc::new(SysInjector::new(vec![
+                critic_workloads::SysFaultSpec {
+                    fault: SysFault::JournalWrite,
+                    at: 0,
+                },
+            ]))),
+            ..ServiceConfig::new(4_000)
+        };
+        let service = CampaignService::open(config).expect("open");
+        let (tx, rx) = mpsc::channel();
+        let outcome = service.submit(0, "Acrobat", "critic", None, move |record| {
+            tx.send(record).expect("send");
+        });
+        assert_eq!(outcome, SubmitOutcome::Accepted);
+        let acked = rx.recv().expect("acked");
+        let replayed = Journal::replay(&journal, &Telemetry::off()).expect("replay");
+        assert_eq!(replayed.records, vec![acked]);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

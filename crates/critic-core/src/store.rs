@@ -7,7 +7,8 @@
 //! The store memoizes those stages *across* cells so each artifact is
 //! computed exactly once per campaign:
 //!
-//! * a [`World`] (program + path + trace + fanout) is keyed by the app
+//! * a [`Recording`] (program + path, no trace) and a [`World`] (the
+//!   recording plus its expanded trace and fanout) are keyed by the app
 //!   spec's content hash and the trace length;
 //! * a ROB-cone fanout vector is keyed by the world (it is profiler-config
 //!   independent);
@@ -23,6 +24,18 @@
 //! A failed computation leaves the slot empty: errors are never cached, so
 //! a faulted or cancelled attempt cannot poison siblings, and a retry
 //! recomputes from scratch.
+//!
+//! # Streamed cells
+//!
+//! A streamed cell never needs the trace: everything it consumes is
+//! re-expanded window by window from `(program, path)`. It asks for the
+//! app's [`Recording`] instead of its [`World`], and for profiles and
+//! baselines through the streamed builders ([`ArtifactStore::profile_streamed`],
+//! [`ArtifactStore::baseline_streamed`]). Those fill the *same* memo slots
+//! and disk keys as their materialized twins — sound because the two
+//! builds are bit-identical — so a store warmed in one mode serves the
+//! other, and a streamed campaign holds O(static program + path) per app
+//! instead of O(trace).
 //!
 //! # The persistent tier
 //!
@@ -47,9 +60,12 @@ use std::sync::{Arc, Mutex};
 use critic_compiler::BaselineExecution;
 use critic_energy::EnergyModel;
 use critic_obs::{EventKind, Telemetry};
-use critic_pipeline::Simulator;
+use critic_pipeline::{SimResult, Simulator, StreamScratch};
 use critic_profiler::{Profile, Profiler, ProfilerConfig};
-use critic_workloads::{AppSpec, ExecutionPath, Program, SysFault, SysInjector, SysOp, Trace};
+use critic_workloads::{
+    validate_stream, AppSpec, ExecutionPath, Program, StreamConfig, SysFault, SysInjector, SysOp,
+    Trace, TraceStream, DEFAULT_LOOKAHEAD,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::design::DesignPoint;
@@ -75,6 +91,25 @@ impl WorldKey {
             trace_len,
         }
     }
+
+    /// The requested trace length.
+    pub fn trace_len(&self) -> usize {
+        self.trace_len
+    }
+}
+
+/// The trace-free part of a [`World`]: the checked binary and the recorded
+/// input. Streamed cells need nothing more, so a streamed campaign holds
+/// this per app instead of the O(trace) world.
+#[derive(Debug)]
+pub struct Recording {
+    /// The store key this recording was built under (shared with the
+    /// app's world).
+    pub key: WorldKey,
+    /// The original (baseline) binary.
+    pub program: Arc<Program>,
+    /// The recorded block-level input.
+    pub path: Arc<ExecutionPath>,
 }
 
 /// Everything deterministic generation produces for one app: the binary,
@@ -150,6 +185,43 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         self.build_nanos.fetch_add(nanos, Ordering::Relaxed);
         Ok(value)
     }
+
+    /// The cached value for `key`, if one is resident and not being
+    /// (re)built right now. Never blocks on a slot and counts nothing, so
+    /// one memo's build may consult another's.
+    fn peek(&self, key: &K) -> Option<Arc<V>> {
+        let slot = lock_clean(&self.map).get(key).map(Arc::clone)?;
+        let value = slot.try_lock().ok()?.as_ref().map(Arc::clone);
+        value
+    }
+}
+
+/// Generates `app`'s binary and its `trace_len`-instruction input, with
+/// the binary checked structurally and for encodability: the part of a
+/// world's build its recording shares.
+fn generate(app: &AppSpec, trace_len: usize) -> Result<(Program, ExecutionPath), RunError> {
+    let program = app.generate_program();
+    // Validate before walking the CFG: path generation indexes blocks by id.
+    program.validate()?;
+    let path = ExecutionPath::generate(&program, app.path_seed(), trace_len);
+    program.validate_encoding()?;
+    Ok((program, path))
+}
+
+/// The stream a profile folds: `window`-entry windows with the cone
+/// fanout at the profiler's ROB horizon (the Table I ROB size, as for
+/// [`ArtifactStore::cone_fanout`]).
+pub(crate) fn profile_stream<'a>(
+    program: &'a Program,
+    path: &'a ExecutionPath,
+    window: usize,
+) -> TraceStream<'a> {
+    let config = StreamConfig {
+        window,
+        lookahead: DEFAULT_LOOKAHEAD,
+        cone_window: Some(128),
+    };
+    TraceStream::new(program, path, config)
 }
 
 /// Counters describing what a store computed and what it served from
@@ -157,6 +229,10 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
 /// bench harness read these to prove each artifact was built exactly once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
+    /// Recordings built (program + path, trace checked as a stream).
+    /// Absent in records written before recordings existed.
+    #[serde(default)]
+    pub recordings_built: u64,
     /// Worlds generated (program + path + trace + fanout).
     pub worlds_built: u64,
     /// ROB-cone fanout vectors computed.
@@ -167,6 +243,9 @@ pub struct StoreStats {
     pub baselines_built: u64,
     /// Baseline oracle executions captured (for translation validation).
     pub baseline_execs_built: u64,
+    /// Recording requests served from cache.
+    #[serde(default)]
+    pub recordings_hit: u64,
     /// World requests served from cache.
     pub worlds_hit: u64,
     /// Cone-fanout requests served from cache.
@@ -190,7 +269,8 @@ pub struct StoreStats {
 impl StoreStats {
     /// Total artifacts built across every class.
     pub fn built(&self) -> u64 {
-        self.worlds_built
+        self.recordings_built
+            + self.worlds_built
             + self.cones_built
             + self.profiles_built
             + self.baselines_built
@@ -221,6 +301,7 @@ impl StoreStats {
 /// The campaign-wide artifact store. Cheap to share: wrap in an [`Arc`]
 /// and clone the handle into every worker.
 pub struct ArtifactStore {
+    recordings: Memo<WorldKey, Recording>,
     worlds: Memo<WorldKey, World>,
     cones: Memo<WorldKey, Vec<u32>>,
     profiles: Memo<(WorldKey, u64), Profile>,
@@ -252,6 +333,7 @@ impl ArtifactStore {
     /// An empty in-memory store.
     pub fn new() -> ArtifactStore {
         ArtifactStore {
+            recordings: Memo::new(),
             worlds: Memo::new(),
             cones: Memo::new(),
             profiles: Memo::new(),
@@ -379,36 +461,100 @@ impl ArtifactStore {
     /// identity and the configuration's stable key, all through the
     /// canonical encoder, so the same logical artifact maps to the same
     /// file across processes and derive reorderings.
-    fn disk_key(&self, class: ArtifactClass, world: &World, config_key: u64) -> Option<u64> {
+    fn disk_key(&self, class: ArtifactClass, key: WorldKey, config_key: u64) -> Option<u64> {
         self.disk.as_ref()?;
         Some(stable_key(&(
             class.name(),
-            world.key.app,
-            world.key.trace_len as u64,
+            key.app,
+            key.trace_len as u64,
             config_key,
         )))
+    }
+
+    /// The memoized, disk-backed artifact of `class` for `(key,
+    /// config_key)`: served from memory, else from disk, else built with
+    /// `build` and saved. The slot and the disk key name only the world and
+    /// the configuration, never how the value is built, so the materialized
+    /// and streamed builders share them.
+    fn durable<V: Serialize + serde::Deserialize>(
+        &self,
+        memo: &Memo<(WorldKey, u64), V>,
+        class: ArtifactClass,
+        key: WorldKey,
+        config_key: u64,
+        build: impl FnOnce() -> Result<V, RunError>,
+    ) -> Result<Arc<V>, RunError> {
+        self.sys_tap()?;
+        let disk_key = self.disk_key(class, key, config_key);
+        memo.get_or_try_build((key, config_key), || {
+            if let Some(disk_key) = disk_key {
+                if let Some(value) = self.disk_load::<V>(class, disk_key) {
+                    return Ok(value);
+                }
+            }
+            let value = build()?;
+            if let Some(disk_key) = disk_key {
+                self.disk_save(class, disk_key, &value);
+            }
+            Ok(value)
+        })
+    }
+
+    /// The recording for `app` at `trace_len`, built at most once.
+    ///
+    /// The program is checked as for a world, and the trace check runs
+    /// entry by entry over a stream ([`validate_stream`]), so a recording
+    /// is as checked as a world without its trace ever being resident.
+    /// When the app's world is already resident its parts are shared
+    /// instead: its trace passed the same check materialized.
+    pub fn recording(&self, app: &AppSpec, trace_len: usize) -> Result<Arc<Recording>, RunError> {
+        self.sys_tap()?;
+        let key = WorldKey::new(app, trace_len);
+        self.recordings.get_or_try_build(key, || {
+            if let Some(world) = self.worlds.peek(&key) {
+                return Ok(Recording {
+                    key,
+                    program: Arc::clone(&world.program),
+                    path: Arc::clone(&world.path),
+                });
+            }
+            let (program, path) = generate(app, trace_len)?;
+            validate_stream(
+                &program,
+                &mut TraceStream::new(&program, &path, StreamConfig::default()),
+            )?;
+            Ok(Recording {
+                key,
+                program: Arc::new(program),
+                path: Arc::new(path),
+            })
+        })
     }
 
     /// The world for `app` at `trace_len`, generated at most once.
     ///
     /// Generation and validation mirror `Workbench::try_new` exactly, so a
     /// store-backed cell fails with the same typed error a store-less cell
-    /// would.
+    /// would. A resident recording of the app lends its (already checked)
+    /// program and path; the trace is still expanded and checked once.
     pub fn world(&self, app: &AppSpec, trace_len: usize) -> Result<Arc<World>, RunError> {
         self.sys_tap()?;
         let key = WorldKey::new(app, trace_len);
         self.worlds.get_or_try_build(key, || {
-            let program = app.generate_program();
-            program.validate()?;
-            let path = ExecutionPath::generate(&program, app.path_seed(), trace_len);
+            let (program, path) = match self.recordings.peek(&key) {
+                Some(recording) => (Arc::clone(&recording.program), Arc::clone(&recording.path)),
+                None => {
+                    let (program, path) = generate(app, trace_len)?;
+                    (Arc::new(program), Arc::new(path))
+                }
+            };
             let trace = Trace::expand(&program, &path);
-            program.validate_encoding()?;
             trace.validate(&program)?;
             let fanout = trace.compute_fanout();
             Ok(World {
                 key,
-                program: Arc::new(program),
-                path: Arc::new(path),
+                program,
+                path,
                 trace: Arc::new(trace),
                 fanout: Arc::new(fanout),
             })
@@ -435,28 +581,46 @@ impl ArtifactStore {
         world: &World,
         config: &ProfilerConfig,
     ) -> Result<Arc<Profile>, RunError> {
-        self.sys_tap()?;
-        let config_key = stable_key(config);
-        let disk_key = self.disk_key(ArtifactClass::Profile, world, config_key);
-        self.profiles.get_or_try_build((world.key, config_key), || {
-            if let Some(disk_key) = disk_key {
-                if let Some(profile) = self.disk_load::<Profile>(ArtifactClass::Profile, disk_key) {
-                    return Ok(profile);
-                }
-            }
-            let cone = self.cone_fanout(world);
-            // The world's program/trace pair was validated when the world
-            // was built, so the per-config re-validation walk is skipped.
-            let profile = Profiler::new(config.clone()).build_profile_prevalidated(
-                &world.program,
-                &world.trace,
-                &cone,
-            );
-            if let Some(disk_key) = disk_key {
-                self.disk_save(ArtifactClass::Profile, disk_key, &profile);
-            }
-            Ok(profile)
-        })
+        self.durable(
+            &self.profiles,
+            ArtifactClass::Profile,
+            world.key,
+            stable_key(config),
+            || {
+                let cone = self.cone_fanout(world);
+                // The world's program/trace pair was validated when the world
+                // was built, so the per-config re-validation walk is skipped.
+                Ok(Profiler::new(config.clone()).build_profile_prevalidated(
+                    &world.program,
+                    &world.trace,
+                    &cone,
+                ))
+            },
+        )
+    }
+
+    /// [`ArtifactStore::profile`] built from a recording: the chain
+    /// statistics are folded over a cone-enabled stream of `window`-entry
+    /// windows, bit-identical to the materialized build, into the same
+    /// memo slot and disk key.
+    pub fn profile_streamed(
+        &self,
+        recording: &Recording,
+        config: &ProfilerConfig,
+        window: usize,
+    ) -> Result<Arc<Profile>, RunError> {
+        self.durable(
+            &self.profiles,
+            ArtifactClass::Profile,
+            recording.key,
+            stable_key(config),
+            || {
+                let mut stream = profile_stream(&recording.program, &recording.path, window);
+                // The recording's program was validated when it was built.
+                Ok(Profiler::new(config.clone())
+                    .build_profile_streamed_prevalidated(&recording.program, &mut stream))
+            },
+        )
     }
 
     /// The baseline run outcome of a world under `point`'s hardware
@@ -467,35 +631,63 @@ impl ArtifactStore {
         world: &World,
         point: &DesignPoint,
     ) -> Result<Arc<RunOutcome>, RunError> {
-        self.sys_tap()?;
+        self.baseline_from(world.key, point, |simulator| {
+            let sim = simulator.run(&world.trace, &world.fanout);
+            (sim, world.trace.thumb_fraction(), world.trace.len())
+        })
+    }
+
+    /// [`ArtifactStore::baseline`] built from a recording: the baseline is
+    /// simulated over a stream of `window`-entry windows, bit-identical to
+    /// the materialized run, into the same memo slot and disk key.
+    pub fn baseline_streamed(
+        &self,
+        recording: &Recording,
+        point: &DesignPoint,
+        window: usize,
+    ) -> Result<Arc<RunOutcome>, RunError> {
+        self.baseline_from(recording.key, point, |simulator| {
+            let mut stream = TraceStream::new(
+                &recording.program,
+                &recording.path,
+                StreamConfig::with_window(window),
+            );
+            let (sim, _, _) = simulator.run_streamed(&mut stream, &mut StreamScratch::new());
+            // The run drained the stream, so these read back exactly what
+            // the materialized trace reports.
+            (sim, stream.thumb_fraction(), stream.total_len())
+        })
+    }
+
+    /// The shared body of the baseline builders: `run` simulates the
+    /// baseline and returns `(result, thumb fraction, dynamic length)`.
+    fn baseline_from(
+        &self,
+        key: WorldKey,
+        point: &DesignPoint,
+        run: impl FnOnce(&Simulator) -> (SimResult, f64, usize),
+    ) -> Result<Arc<RunOutcome>, RunError> {
         let cpu = point.cpu_config();
         let mem = point.mem_config();
         let config_key = stable_key(&(&cpu, &mem));
-        let disk_key = self.disk_key(ArtifactClass::Baseline, world, config_key);
-        self.baselines
-            .get_or_try_build((world.key, config_key), || {
-                if let Some(disk_key) = disk_key {
-                    if let Some(outcome) =
-                        self.disk_load::<RunOutcome>(ArtifactClass::Baseline, disk_key)
-                    {
-                        return Ok(outcome);
-                    }
-                }
-                let sim = Simulator::new(cpu, mem).run(&world.trace, &world.fanout);
+        self.durable(
+            &self.baselines,
+            ArtifactClass::Baseline,
+            key,
+            config_key,
+            || {
+                let (sim, thumb_dyn_frac, dyn_insns) = run(&Simulator::new(cpu, mem));
                 let energy = EnergyModel::default().evaluate(&sim);
-                let outcome = RunOutcome {
+                Ok(RunOutcome {
                     design: point.label(),
-                    thumb_dyn_frac: world.trace.thumb_fraction(),
-                    dyn_insns: world.trace.len(),
+                    thumb_dyn_frac,
+                    dyn_insns,
                     sim,
                     energy,
                     pass: Default::default(),
-                };
-                if let Some(disk_key) = disk_key {
-                    self.disk_save(ArtifactClass::Baseline, disk_key, &outcome);
-                }
-                Ok(outcome)
-            })
+                })
+            },
+        )
     }
 
     /// The captured baseline oracle execution of a world under `seed`,
@@ -506,33 +698,62 @@ impl ArtifactStore {
         world: &World,
         seed: u64,
     ) -> Result<Arc<BaselineExecution>, RunError> {
+        self.capture(world.key, &world.program, &world.path, seed)
+    }
+
+    /// [`ArtifactStore::baseline_execution`] of a recording: the capture
+    /// needs only the program and the path, and shares the world's slot.
+    pub fn recorded_baseline_execution(
+        &self,
+        recording: &Recording,
+        seed: u64,
+    ) -> Result<Arc<BaselineExecution>, RunError> {
+        self.capture(recording.key, &recording.program, &recording.path, seed)
+    }
+
+    fn capture(
+        &self,
+        key: WorldKey,
+        program: &Program,
+        path: &ExecutionPath,
+        seed: u64,
+    ) -> Result<Arc<BaselineExecution>, RunError> {
         self.sys_tap()?;
-        self.baseline_execs.get_or_try_build((world.key, seed), || {
-            BaselineExecution::capture(&world.program, &world.path, seed)
+        self.baseline_execs.get_or_try_build((key, seed), || {
+            BaselineExecution::capture(program, path, seed)
                 .map_err(|e| RunError::Validation(e.to_string()))
         })
     }
 
     /// Snapshot of the build/hit counters.
     pub fn stats(&self) -> StoreStats {
+        let recordings_hit = self.recordings.hits.load(Ordering::Relaxed);
         let worlds_hit = self.worlds.hits.load(Ordering::Relaxed);
         let cones_hit = self.cones.hits.load(Ordering::Relaxed);
         let profiles_hit = self.profiles.hits.load(Ordering::Relaxed);
         let baselines_hit = self.baselines.hits.load(Ordering::Relaxed);
         let baseline_execs_hit = self.baseline_execs.hits.load(Ordering::Relaxed);
         StoreStats {
+            recordings_built: self.recordings.computed.load(Ordering::Relaxed),
             worlds_built: self.worlds.computed.load(Ordering::Relaxed),
             cones_built: self.cones.computed.load(Ordering::Relaxed),
             profiles_built: self.profiles.computed.load(Ordering::Relaxed),
             baselines_built: self.baselines.computed.load(Ordering::Relaxed),
             baseline_execs_built: self.baseline_execs.computed.load(Ordering::Relaxed),
+            recordings_hit,
             worlds_hit,
             cones_hit,
             profiles_hit,
             baselines_hit,
             baseline_execs_hit,
-            hits: worlds_hit + cones_hit + profiles_hit + baselines_hit + baseline_execs_hit,
-            build_nanos: self.worlds.build_nanos.load(Ordering::Relaxed)
+            hits: recordings_hit
+                + worlds_hit
+                + cones_hit
+                + profiles_hit
+                + baselines_hit
+                + baseline_execs_hit,
+            build_nanos: self.recordings.build_nanos.load(Ordering::Relaxed)
+                + self.worlds.build_nanos.load(Ordering::Relaxed)
                 + self.cones.build_nanos.load(Ordering::Relaxed)
                 + self.profiles.build_nanos.load(Ordering::Relaxed)
                 + self.baselines.build_nanos.load(Ordering::Relaxed)
@@ -680,7 +901,8 @@ mod tests {
         assert_eq!(stats.profiles_hit, 1, "{stats:?}");
         assert_eq!(
             stats.hits,
-            stats.worlds_hit
+            stats.recordings_hit
+                + stats.worlds_hit
                 + stats.cones_hit
                 + stats.profiles_hit
                 + stats.baselines_hit
@@ -692,6 +914,75 @@ mod tests {
         assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0);
         assert!(stats.build_nanos > 0, "builds take measurable time");
         assert!(stats.disk.is_none(), "in-memory store has no disk tier");
+    }
+
+    #[test]
+    fn recordings_build_once_and_share_parts_with_the_world() {
+        let store = ArtifactStore::new();
+        let app = small_app(0);
+        let recording = store.recording(&app, 6_000).expect("recording");
+        let again = store.recording(&app, 6_000).expect("cached recording");
+        assert!(Arc::ptr_eq(&recording, &again));
+        let stats = store.stats();
+        assert_eq!(stats.recordings_built, 1, "{stats:?}");
+        assert_eq!(stats.recordings_hit, 1, "{stats:?}");
+        assert_eq!(stats.worlds_built, 0, "a recording holds no trace");
+
+        // The world borrows the recording's checked parts.
+        let world = store.world(&app, 6_000).expect("world");
+        assert_eq!(world.key, recording.key);
+        assert!(Arc::ptr_eq(&world.program, &recording.program));
+        assert!(Arc::ptr_eq(&world.path, &recording.path));
+
+        // And a recording built after a world borrows the world's.
+        let other = small_app(1);
+        let world = store.world(&other, 6_000).expect("world first");
+        let recording = store.recording(&other, 6_000).expect("recording second");
+        assert!(Arc::ptr_eq(&world.program, &recording.program));
+        assert!(Arc::ptr_eq(&world.path, &recording.path));
+    }
+
+    /// The streamed builders fill the materialized twins' slots: whichever
+    /// mode asks first builds, the other hits, and the values are equal.
+    #[test]
+    fn streamed_builders_share_the_materialized_slots() {
+        let store = ArtifactStore::new();
+        let app = small_app(0);
+        let recording = store.recording(&app, 8_000).expect("recording");
+        let config = ProfilerConfig::default();
+        let point = DesignPoint::baseline();
+        let streamed_profile = store
+            .profile_streamed(&recording, &config, 512)
+            .expect("streamed profile");
+        let streamed_base = store
+            .baseline_streamed(&recording, &point, 512)
+            .expect("streamed baseline");
+        let world = store.world(&app, 8_000).expect("world");
+        let profile = store.profile(&world, &config).expect("profile");
+        let base = store.baseline(&world, &point).expect("baseline");
+        assert!(Arc::ptr_eq(&streamed_profile, &profile));
+        assert!(Arc::ptr_eq(&streamed_base, &base));
+        let stats = store.stats();
+        assert_eq!(stats.profiles_built, 1, "{stats:?}");
+        assert_eq!(stats.baselines_built, 1, "{stats:?}");
+        assert_eq!(stats.cones_built, 0, "{stats:?}");
+
+        // Built fresh in the other mode, the values are bit-identical.
+        let fresh = ArtifactStore::new();
+        let world = fresh.world(&app, 8_000).expect("world");
+        assert_eq!(*fresh.profile(&world, &config).expect("profile"), *profile);
+        assert_eq!(*fresh.baseline(&world, &point).expect("baseline"), *base);
+    }
+
+    #[test]
+    fn stats_without_recording_counters_still_parse() {
+        let mut json = serde_json::to_string(&StoreStats::default()).expect("serialise");
+        for field in ["recordings_built", "recordings_hit"] {
+            json = json.replace(&format!("\"{field}\":0,"), "");
+        }
+        assert!(!json.contains("recordings"), "{json}");
+        let old: StoreStats = serde_json::from_str(&json).expect("old record parses");
+        assert_eq!(old, StoreStats::default());
     }
 
     /// The durable-warm guarantee at store level: a *fresh process* (here,

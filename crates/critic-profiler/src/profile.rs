@@ -266,6 +266,23 @@ impl Profiler {
         stream: &mut TraceStream<'_>,
     ) -> Result<Profile, ProfileError> {
         program.validate()?;
+        Ok(self.build_profile_streamed_prevalidated(program, stream))
+    }
+
+    /// Like [`Profiler::try_build_profile_streamed`] but skips the program
+    /// re-validation: the streamed twin of
+    /// [`Profiler::build_profile_prevalidated`], for a program a campaign
+    /// store already checked when it recorded it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Profiler::try_build_profile_streamed`], and (possibly) if the
+    /// program is malformed.
+    pub fn build_profile_streamed_prevalidated(
+        &self,
+        program: &Program,
+        stream: &mut TraceStream<'_>,
+    ) -> Profile {
         let cfg = &self.config;
         let window = ((stream.total_len() as f64) * cfg.profile_fraction.clamp(0.0, 1.0)) as usize;
         assert_eq!(stream.emitted(), 0, "profiling requires a fresh stream");
@@ -288,7 +305,7 @@ impl Profiler {
                 seen += 1;
             }
         }
-        Ok(self.score(program, &agg, window))
+        self.score(program, &agg, window)
     }
 
     /// The analysis proper; every trace-side reference is known to resolve.

@@ -62,4 +62,4 @@ pub use stream::{
 pub use suite::{AppSpec, Suite};
 pub use sysfault::{SysFault, SysFaultSpec, SysInjector, SysOp};
 pub use trace::{BranchOutcome, DynInsn, Trace, NO_DEP};
-pub use validate::{ProgramError, TraceError, MAX_TRACE_LEN};
+pub use validate::{validate_stream, ProgramError, TraceError, MAX_TRACE_LEN};

@@ -20,18 +20,18 @@
 //!   streamed fanout exact for every window and look-ahead, not just ones
 //!   larger than the observed spread.
 //! * **Cone fanout** ([`Trace::compute_cone_fanout`](crate::Trace::compute_cone_fanout)) is windowed by
-//!   definition (the ROB horizon, ≤ 128). The batch implementation walks
-//!   backwards propagating descendant masks; the stream walks forwards
-//!   propagating *ancestor* masks — `anc[j]` has bit `k` set iff `j`
-//!   transitively depends on `j-1-k` within the window — and increments
-//!   each ancestor's cone as it fills. Both compute pure windowed
-//!   reachability (any dependence chain between two instructions ≤ `w`
-//!   apart has every hop and every intermediate distance < `w`, so the
-//!   per-hop trims never drop a surviving bit), hence they agree exactly,
-//!   including at `dist == window` and the `dist == 128` shift boundary.
-//!   An entry's cone is final once `window` successors have been filled,
-//!   so a look-ahead ≥ the cone window suffices ([`TraceStream::new`]
-//!   clamps it).
+//!   definition (the ROB horizon `w` ≤ 128): an entry's cone counts its
+//!   transitive dependents among its next `w` successors. The stream runs
+//!   the batch algorithm itself — a backward pass propagating descendant
+//!   masks — over each emitted window plus the `w` successors after it.
+//!   Truncating the pass at that horizon only drops mask bits for
+//!   positions past it (a bit keeps its absolute position through every
+//!   hop's shift), and no emitted entry's cone reaches that far, so the
+//!   cones agree exactly, including at `dist == window` and the
+//!   `dist == 128` shift boundary. The `w` successors are in the ring
+//!   once a look-ahead ≥ the cone window is filled ([`TraceStream::new`]
+//!   clamps it); they are re-walked by the next window, `w` extra steps
+//!   per window.
 //!
 //! Peak memory is O(`lookahead` + `window` + static program), reported
 //! exactly by [`TraceStream::resident_bytes`]; the trace is never resident.
@@ -110,8 +110,9 @@ pub struct TraceStream<'a> {
     cap: usize,
     ring: Vec<DynInsn>,
     fanout_ring: Vec<u32>,
-    cone_ring: Vec<u32>,
-    anc_ring: Vec<u128>,
+    /// Descendant masks of the cone pass over the current window and its
+    /// horizon, indexed from the window's base.
+    cone_masks: Vec<u128>,
     /// Entries produced by the cursor so far (absolute).
     filled: u32,
     /// Next absolute index to emit.
@@ -172,12 +173,7 @@ impl<'a> TraceStream<'a> {
             cap,
             ring: Vec::with_capacity(cap),
             fanout_ring: vec![0; cap],
-            cone_ring: vec![0; cap],
-            anc_ring: if cfg.cone_window.is_some() {
-                vec![0; cap]
-            } else {
-                Vec::new()
-            },
+            cone_masks: Vec::new(),
             filled: 0,
             emit_pos: 0,
             finished: None,
@@ -236,8 +232,7 @@ impl<'a> TraceStream<'a> {
         use std::mem::size_of;
         self.ring.capacity() * size_of::<DynInsn>()
             + self.fanout_ring.capacity() * size_of::<u32>()
-            + self.cone_ring.capacity() * size_of::<u32>()
-            + self.anc_ring.capacity() * size_of::<u128>()
+            + self.cone_masks.capacity() * size_of::<u128>()
             + self.exceptions.capacity() * size_of::<(u32, u32)>()
             + self.cursor.resident_bytes()
             + self.win_entries.capacity() * size_of::<DynInsn>()
@@ -246,7 +241,7 @@ impl<'a> TraceStream<'a> {
     }
 
     /// Expands one more entry into the ring, wiring its dependence edges
-    /// into the pending fanout and cone accumulators.
+    /// into the pending fanout accumulators.
     fn fill_one(&mut self) {
         let Some(entry) = self.cursor.next() else {
             self.finished = Some(self.filled);
@@ -261,9 +256,7 @@ impl<'a> TraceStream<'a> {
             self.ring[slot] = entry;
         }
         self.fanout_ring[slot] = 0;
-        self.cone_ring[slot] = 0;
 
-        let mut anc: u128 = 0;
         for d in entry.deps_iter() {
             let dist = (j as u32 - d) as usize;
             if dist <= self.lookahead {
@@ -277,75 +270,46 @@ impl<'a> TraceStream<'a> {
                     self.fanout_ring[ds] += 1;
                 }
             }
-            if let Some(w) = self.cone_window {
-                if dist <= w {
-                    // At dist == 128 the producer's own ancestors shift
-                    // fully out of the horizon; only the direct bit remains
-                    // (mirrors the batch shift guard).
-                    let shifted = if dist < 128 {
-                        self.anc_ring[(d as usize) & self.mask] << dist
-                    } else {
-                        0
-                    };
-                    anc |= shifted | (1u128 << (dist - 1));
-                }
-            }
-        }
-        if self.cone_window.is_some() {
-            anc &= self.cone_keep;
-            self.anc_ring[slot] = anc;
-            // Each in-window ancestor gains this entry in its cone.
-            let mut bits = anc;
-            while bits != 0 {
-                let k = bits.trailing_zeros() as usize;
-                let ancestor = j - 1 - k;
-                self.cone_ring[ancestor & self.mask] += 1;
-                bits &= bits - 1;
-            }
         }
         self.filled += 1;
     }
 
-    /// Yields the next finalized `(entry, direct fanout, cone fanout)`.
-    pub fn next_emitted(&mut self) -> Option<(DynInsn, u32, u32)> {
-        // An entry is final once `lookahead` successors are visible (every
-        // in-ring consumer counted, every in-window cone member seen) or
-        // the stream has ended (no further consumers exist at all).
-        while self.finished.is_none()
-            && (self.filled as usize) < self.emit_pos as usize + self.lookahead + 1
-        {
-            self.fill_one();
-        }
-        if self.emit_pos == self.filled {
-            return None;
-        }
-        let p = self.emit_pos;
-        let slot = (p as usize) & self.mask;
-        let entry = self.ring[slot];
-        let fanout = match self.exceptions.front() {
-            Some(&(idx, count)) if idx == p => {
-                self.exceptions.pop_front();
-                count
+    /// Fills `win_cone` with the cones of `[base, emit_end)`: the batch
+    /// backward mask pass of [`Trace::compute_cone_fanout`](crate::Trace::compute_cone_fanout), run over the
+    /// window and the `w` ring entries after it (or up to the end of the
+    /// stream).
+    fn window_cones(&mut self, w: usize, base: usize, emit_end: usize) {
+        let horizon = (emit_end + w).min(self.filled as usize);
+        self.cone_masks.clear();
+        self.cone_masks.resize(horizon - base, 0);
+        self.win_cone.resize(emit_end - base, 0);
+        for c in (base..horizon).rev() {
+            let cmask = self.cone_masks[c - base] & self.cone_keep;
+            if c < emit_end {
+                self.win_cone[c - base] = cmask.count_ones();
             }
-            _ => self.fanout_ring[slot],
-        };
-        let cone = self.cone_ring[slot];
-        self.emit_pos += 1;
-        if entry.bytes == 2 {
-            self.thumb += 1;
+            for d in self.ring[c & self.mask].deps_iter() {
+                let dist = c - d as usize;
+                if dist <= w && d as usize >= base {
+                    // At dist == 128 the consumer's own cone shifts fully
+                    // out of the horizon; only the direct-dependent bit
+                    // remains.
+                    let shifted = if dist < 128 { cmask << dist } else { 0 };
+                    self.cone_masks[d as usize - base] |= shifted | (1u128 << (dist - 1));
+                }
+            }
         }
-        Some((entry, fanout, cone))
     }
 
     /// Yields the next window (up to [`StreamConfig::window`] entries), or
     /// `None` once the stream is drained. The returned view borrows the
     /// stream's reused window buffers.
     ///
-    /// The whole window is finalized in bulk — fill until `lookahead`
+    /// The whole window is finalized in bulk: fill until `lookahead`
     /// successors are visible past the window's end (so every entry's
-    /// fanout and cone are closed), then copy the ring span out with at
-    /// most two slice copies and patch the exception queue over it —
-    /// rather than emitting entry-at-a-time through [`Self::next_emitted`].
+    /// fanout and cone are closed), copy the ring span out with at most
+    /// two slice copies, patch the exception queue over it, and run the
+    /// cone pass over the window.
     pub fn next_window(&mut self) -> Option<StreamWindow<'_>> {
         self.win_entries.clear();
         self.win_fanout.clear();
@@ -377,11 +341,10 @@ impl<'a> TraceStream<'a> {
                 .extend_from_slice(&self.ring[slot..slot + run]);
             self.win_fanout
                 .extend_from_slice(&self.fanout_ring[slot..slot + run]);
-            if self.cone_window.is_some() {
-                self.win_cone
-                    .extend_from_slice(&self.cone_ring[slot..slot + run]);
-            }
             start += run;
+        }
+        if let Some(w) = self.cone_window {
+            self.window_cones(w, base, emit_end);
         }
         while let Some(&(idx, count)) = self.exceptions.front() {
             if (idx as usize) >= emit_end {

@@ -27,7 +27,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::{BlockId, FuncId, InsnRef, InsnUid};
 use crate::program::{Program, Terminator};
-use crate::trace::Trace;
+use crate::stream::TraceStream;
+use crate::trace::{DynInsn, Trace};
 
 /// Longest trace [`Trace::validate`] accepts; anything larger indicates a
 /// runaway expansion (a cyclic path or a corrupted journal), not a real
@@ -363,40 +364,77 @@ impl Trace {
     ///
     /// Returns the first [`TraceError`] found in stream order.
     pub fn validate(&self, program: &Program) -> Result<(), TraceError> {
-        if self.entries.is_empty() {
-            return Err(TraceError::Empty);
-        }
-        if self.entries.len() > MAX_TRACE_LEN {
-            return Err(TraceError::Oversized {
-                len: self.entries.len(),
-            });
-        }
+        check_len(self.entries.len())?;
         for (step, entry) in self.entries.iter().enumerate() {
-            let block =
-                program
-                    .blocks
-                    .get(entry.at.block.index())
-                    .ok_or(TraceError::BlockOutOfRange {
-                        step,
-                        block: entry.at.block,
-                    })?;
-            let tagged = block
-                .insns
-                .get(entry.at.index as usize)
-                .ok_or(TraceError::InsnOutOfRange { step, at: entry.at })?;
-            if tagged.uid != entry.uid {
-                return Err(TraceError::UidMismatch {
-                    step,
-                    found: entry.uid,
-                    expected: tagged.uid,
-                });
-            }
-            if let Some(dep) = entry.deps_iter().find(|&d| d as usize >= step) {
-                return Err(TraceError::ForwardDep { step, dep });
-            }
+            check_entry(program, step, entry)?;
         }
         Ok(())
     }
+}
+
+/// [`Trace::validate`] over a stream: the same checks, entry by entry, in
+/// the same order, so it returns the same first error the materialized
+/// trace would — without the trace ever being resident. Drains `stream`,
+/// which must be fresh (nothing emitted yet).
+///
+/// # Errors
+///
+/// Returns the first [`TraceError`] found in stream order.
+///
+/// # Panics
+///
+/// Panics if the stream has already emitted entries.
+pub fn validate_stream(program: &Program, stream: &mut TraceStream<'_>) -> Result<(), TraceError> {
+    assert_eq!(stream.emitted(), 0, "validation requires a fresh stream");
+    // The stream knows its length upfront, so the length checks still
+    // come first.
+    check_len(stream.total_len())?;
+    while let Some(window) = stream.next_window() {
+        for (i, entry) in window.entries.iter().enumerate() {
+            check_entry(program, window.base + i, entry)?;
+        }
+    }
+    Ok(())
+}
+
+/// The whole-trace checks: non-empty and within [`MAX_TRACE_LEN`].
+fn check_len(len: usize) -> Result<(), TraceError> {
+    if len == 0 {
+        return Err(TraceError::Empty);
+    }
+    if len > MAX_TRACE_LEN {
+        return Err(TraceError::Oversized { len });
+    }
+    Ok(())
+}
+
+/// The per-entry checks of the entry at position `step`: it resolves to a
+/// static instruction carrying its uid, and depends only on earlier
+/// entries.
+#[inline]
+fn check_entry(program: &Program, step: usize, entry: &DynInsn) -> Result<(), TraceError> {
+    let block = program
+        .blocks
+        .get(entry.at.block.index())
+        .ok_or(TraceError::BlockOutOfRange {
+            step,
+            block: entry.at.block,
+        })?;
+    let tagged = block
+        .insns
+        .get(entry.at.index as usize)
+        .ok_or(TraceError::InsnOutOfRange { step, at: entry.at })?;
+    if tagged.uid != entry.uid {
+        return Err(TraceError::UidMismatch {
+            step,
+            found: entry.uid,
+            expected: tagged.uid,
+        });
+    }
+    if let Some(dep) = entry.deps_iter().find(|&d| d as usize >= step) {
+        return Err(TraceError::ForwardDep { step, dep });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -432,6 +470,40 @@ mod tests {
         trace
             .validate(&program)
             .expect("expander output is well-formed");
+    }
+
+    #[test]
+    fn streamed_validation_agrees_with_materialized() {
+        use crate::stream::StreamConfig;
+        let program = generated();
+        let path = ExecutionPath::generate(&program, 3, 5_000);
+        for window in [1, 64, 4_096, 1 << 20] {
+            let mut stream = TraceStream::new(&program, &path, StreamConfig::with_window(window));
+            validate_stream(&program, &mut stream).expect("expander output is well-formed");
+            assert_eq!(
+                stream.emitted(),
+                stream.total_len(),
+                "the check drains the stream"
+            );
+        }
+        // Against the wrong program both checks fail, with the same first
+        // error.
+        let mut other = generated();
+        let block = other
+            .blocks
+            .iter()
+            .position(|b| !b.insns.is_empty())
+            .expect("some block has an instruction");
+        other.blocks[block].insns[0].uid = InsnUid(9_999_994);
+        let trace = Trace::expand(&program, &path);
+        let materialized = trace.validate(&other);
+        let mut stream = TraceStream::new(&program, &path, StreamConfig::with_window(64));
+        let streamed = validate_stream(&other, &mut stream);
+        if materialized.is_ok() {
+            assert_eq!(streamed, Ok(()), "the edited block never ran");
+        } else {
+            assert_eq!(streamed, materialized);
+        }
     }
 
     #[test]

@@ -227,6 +227,20 @@ pub fn field<T: Deserialize>(
     }
 }
 
+/// Like [`field`], but a missing key reads back as `T::default()`: the
+/// derive's expansion of a field marked `#[serde(default)]`.
+pub fn field_or_default<T: Deserialize + Default>(
+    entries: &[(String, Value)],
+    name: &str,
+    context: &str,
+) -> Result<T, Error> {
+    if entries.iter().any(|(k, _)| k == name) {
+        field(entries, name, context)
+    } else {
+        Ok(T::default())
+    }
+}
+
 /// Builds an externally-tagged enum variant value: `{"Name": payload}`.
 pub fn variant(name: &str, payload: Value) -> Value {
     Value::Object(vec![(name.to_string(), payload)])

@@ -6,8 +6,9 @@
 //! offline) and supports exactly the shapes this workspace derives:
 //! non-generic structs (unit, tuple, named) and enums whose variants are
 //! unit (with optional discriminants), tuple, or struct-like. Anything
-//! else — generics, `#[serde(...)]` attributes — is rejected with a
-//! `compile_error!` so a silent wrong encoding can never ship.
+//! else — generics, `#[serde(...)]` attributes other than a named field's
+//! `#[serde(default)]` — is rejected with a `compile_error!` so a silent
+//! wrong encoding can never ship.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -15,7 +16,14 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 enum Shape {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
+}
+
+/// One named field; `default` marks `#[serde(default)]`: a missing key
+/// deserializes as `Default::default()`.
+struct Field {
+    name: String,
+    default: bool,
 }
 
 struct Variant {
@@ -34,12 +42,12 @@ enum Item {
     },
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)
 }
@@ -89,8 +97,12 @@ impl Cursor {
     }
 
     /// Skips `#[...]` attributes (including doc comments, which arrive in
-    /// that form). Rejects `#[serde(...)]`, which the shim cannot honor.
-    fn skip_attributes(&mut self) -> Result<(), String> {
+    /// that form) and reports whether `#[serde(default)]` was among them.
+    /// That one is honored only where `allow_default` says (named fields);
+    /// every other `#[serde(...)]` is rejected, since the shim cannot
+    /// honor it.
+    fn skip_attributes(&mut self, allow_default: bool) -> Result<bool, String> {
+        let mut default = false;
         while let Some(TokenTree::Punct(p)) = self.peek() {
             if p.as_char() != '#' {
                 break;
@@ -98,17 +110,22 @@ impl Cursor {
             self.next();
             match self.next() {
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
-                    let body = g.stream().to_string();
-                    if body.starts_with("serde") {
-                        return Err(
-                            "the serde shim does not support #[serde(...)] attributes".into()
-                        );
+                    let body: String = g
+                        .stream()
+                        .to_string()
+                        .chars()
+                        .filter(|c| !c.is_whitespace())
+                        .collect();
+                    if allow_default && body == "serde(default)" {
+                        default = true;
+                    } else if body.starts_with("serde") {
+                        return Err(format!("the serde shim does not support #[{body}] here"));
                     }
                 }
                 _ => return Err("malformed attribute".into()),
             }
         }
-        Ok(())
+        Ok(default)
     }
 
     /// Skips `pub`, `pub(crate)`, `pub(in ...)`.
@@ -150,7 +167,7 @@ impl Cursor {
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let mut cur = Cursor::new(input);
-    cur.skip_attributes()?;
+    cur.skip_attributes(false)?;
     cur.skip_visibility();
     let keyword = cur.expect_ident("`struct` or `enum`")?;
     let name = cur.expect_ident("type name")?;
@@ -189,11 +206,11 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     }
 }
 
-fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
+fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
     let mut cur = Cursor::new(stream);
     let mut fields = Vec::new();
     while !cur.at_end() {
-        cur.skip_attributes()?;
+        let default = cur.skip_attributes(true)?;
         if cur.at_end() {
             break;
         }
@@ -209,7 +226,10 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
         }
         cur.skip_until_comma();
         cur.next(); // the comma itself, if present
-        fields.push(field);
+        fields.push(Field {
+            name: field,
+            default,
+        });
     }
     Ok(fields)
 }
@@ -229,7 +249,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
     let mut cur = Cursor::new(stream);
     let mut variants = Vec::new();
     while !cur.at_end() {
-        cur.skip_attributes()?;
+        cur.skip_attributes(false)?;
         if cur.at_end() {
             break;
         }
@@ -304,9 +324,10 @@ fn gen_serialize(item: &Item) -> String {
                         }
                         Shape::Named(fields) => {
                             let payload = object_literal(fields, |f| f.to_string());
+                            let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                             format!(
                                 "{name}::{vname} {{ {} }} => ::serde::variant(\"{vname}\", {payload}),",
-                                fields.join(", ")
+                                names.join(", ")
                             )
                         }
                     }
@@ -322,13 +343,14 @@ fn gen_serialize(item: &Item) -> String {
     }
 }
 
-fn object_literal(fields: &[String], access: impl Fn(&str) -> String) -> String {
+fn object_literal(fields: &[Field], access: impl Fn(&str) -> String) -> String {
     let entries: Vec<String> = fields
         .iter()
         .map(|f| {
             format!(
-                "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value({}))",
-                access(f)
+                "(::std::string::String::from(\"{0}\"), ::serde::Serialize::to_value({1}))",
+                f.name,
+                access(&f.name)
             )
         })
         .collect();
@@ -383,10 +405,20 @@ fn de_tuple_payload(ctor: &str, n: usize, src: &str, context: &str) -> String {
     )
 }
 
-fn de_named_payload(ctor: &str, fields: &[String], src: &str, context: &str) -> String {
+fn de_named_payload(ctor: &str, fields: &[Field], src: &str, context: &str) -> String {
     let inits: Vec<String> = fields
         .iter()
-        .map(|f| format!("{f}: ::serde::field(__obj, \"{f}\", \"{context}\")?"))
+        .map(|f| {
+            let getter = if f.default {
+                "field_or_default"
+            } else {
+                "field"
+            };
+            format!(
+                "{0}: ::serde::{getter}(__obj, \"{0}\", \"{context}\")?",
+                f.name
+            )
+        })
         .collect();
     format!(
         "{{\n\

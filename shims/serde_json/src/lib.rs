@@ -360,4 +360,31 @@ mod tests {
         let pretty = to_string_pretty(&v).expect("prints");
         assert_eq!(from_str::<Value>(&pretty).expect("parses"), v);
     }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Counters {
+        built: u64,
+        #[serde(default)]
+        added_later: u64,
+    }
+
+    #[test]
+    fn default_fields_read_back_when_absent() {
+        let old: Counters = from_str(r#"{"built":3}"#).expect("old record parses");
+        assert_eq!(
+            old,
+            Counters {
+                built: 3,
+                added_later: 0
+            }
+        );
+        let new = Counters {
+            built: 1,
+            added_later: 2,
+        };
+        let text = to_string(&new).expect("prints");
+        assert_eq!(from_str::<Counters>(&text).expect("parses"), new);
+        // Only the marked field may be missing.
+        assert!(from_str::<Counters>(r#"{"added_later":1}"#).is_err());
+    }
 }

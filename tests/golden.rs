@@ -137,7 +137,11 @@ fn sim_engine_snapshot_matches_golden() {
         for (name, point) in points {
             let is_baseline = matches!(point.software, critics::core::Software::Baseline);
             let (program, trace, fanout) = if is_baseline {
-                (wb.program.clone(), base_trace.clone(), base_fanout.clone())
+                (
+                    (*wb.program).clone(),
+                    base_trace.clone(),
+                    base_fanout.clone(),
+                )
             } else {
                 let (program, _pass) = wb.try_variant(&point.software).expect("variant");
                 let trace = Trace::expand(&program, &wb.path);
@@ -238,7 +242,7 @@ fn stream_snapshot_matches_golden() {
             let (program, trace, fanout) = if is_baseline {
                 let trace = wb.baseline_trace().clone();
                 let fanout = wb.baseline_fanout().to_vec();
-                (wb.program.clone(), trace, fanout)
+                ((*wb.program).clone(), trace, fanout)
             } else {
                 let (program, _pass) = wb.try_variant(&point.software).expect("variant");
                 let trace = Trace::expand(&program, &wb.path);
