@@ -191,9 +191,24 @@ enum Line {
 /// cell (the checkpoint source).
 struct Active {
     file: File,
+    /// The file ends in a torn fragment with no newline: the next write
+    /// terminates it first so the fragment stays one invalid line instead
+    /// of swallowing the line written after it.
+    unterminated: bool,
     lines: usize,
     seq: u64,
     newest: BTreeMap<(String, String), CellRecord>,
+}
+
+impl Active {
+    /// Ends a torn fragment an earlier write left behind with a newline.
+    /// Returns whether the file is now at a line boundary.
+    fn end_fragment(&mut self) -> bool {
+        if self.unterminated && self.file.write_all(b"\n").is_ok() {
+            self.unterminated = false;
+        }
+        !self.unterminated
+    }
 }
 
 /// The append side of the journal. One instance per campaign run; all
@@ -454,6 +469,7 @@ impl Journal {
             telemetry,
             active: Mutex::new(Active {
                 file,
+                unterminated: false,
                 lines: replayed.active_lines,
                 seq: replayed.next_seq,
                 newest,
@@ -530,11 +546,14 @@ impl Journal {
             while half > 0 && !line.is_char_boundary(half) {
                 half -= 1;
             }
-            let _ = active.file.write_all(&line.as_bytes()[..half]);
-            let _ = active.file.flush();
+            if active.end_fragment() {
+                let _ = active.file.write_all(&line.as_bytes()[..half]);
+                let _ = active.file.flush();
+                active.unterminated = true;
+            }
             return false;
         }
-        let written = writeln!(active.file, "{line}").is_ok();
+        let written = active.end_fragment() && writeln!(active.file, "{line}").is_ok();
         let _ = active.file.flush();
         if let Some(sys) = sys {
             for fault in sys.advance_or_crash(SysOp::JournalSync) {
@@ -568,7 +587,7 @@ impl Journal {
             return;
         };
         let line = checksum_line(&json);
-        if writeln!(active.file, "{line}").is_err() {
+        if !active.end_fragment() || writeln!(active.file, "{line}").is_err() {
             return;
         }
         let _ = active.file.flush();
@@ -611,6 +630,7 @@ impl Journal {
             }
         };
         active.file = file;
+        active.unterminated = false;
         active.lines = 0;
         active.seq += 1;
         let body = CheckpointRecord {
@@ -773,6 +793,29 @@ mod tests {
         let replayed = Journal::replay(&path, &Telemetry::off()).expect("replay");
         assert_eq!(replayed.records.len(), 1);
         assert_eq!(replayed.skipped_lines, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retried_line_after_a_torn_write_survives_replay() {
+        let dir = temp_dir("torn-retry");
+        let path = dir.join("j.jsonl");
+        let (journal, _) = Journal::open(&path, 0, Telemetry::off()).expect("open");
+        let sys = Arc::new(SysInjector::new(vec![critic_workloads::SysFaultSpec {
+            fault: SysFault::JournalTorn,
+            at: 0,
+        }]));
+        assert!(!journal.append_cell(&record("a", "s1", 10), Some(&sys)));
+        assert!(journal.append_cell(&record("a", "s1", 10), Some(&sys)));
+        assert!(journal.append_cell(&record("b", "s1", 20), Some(&sys)));
+        drop(journal);
+        let replayed = Journal::replay(&path, &Telemetry::off()).expect("replay");
+        assert_eq!(
+            replayed.records,
+            vec![record("a", "s1", 10), record("b", "s1", 20)]
+        );
+        assert_eq!(replayed.skipped_lines, 1, "only the fragment is lost");
+        assert!(!replayed.torn_tail);
         let _ = fs::remove_dir_all(&dir);
     }
 

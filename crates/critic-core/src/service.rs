@@ -841,10 +841,9 @@ const JOURNAL_ATTEMPTS: usize = 3;
 
 /// Journals `record` (flush + fsync inside) strictly before it is
 /// acknowledged: a response the client saw is a record a restart will
-/// replay. A line a write fault dropped is appended again — injected
-/// faults are consume-once, so the next attempt sees a healed journal.
-/// (After a torn write the retry merges with the fragment, so the torn
-/// record stays lost, but the record after it survives.)
+/// replay. A line a write fault dropped or tore is appended again —
+/// injected faults are consume-once, so the next attempt sees a healed
+/// journal.
 fn journal_before_ack(inner: &ServiceInner, record: &CellRecord) {
     if let Some(journal) = &inner.journal {
         for _ in 0..JOURNAL_ATTEMPTS {
@@ -1089,32 +1088,35 @@ mod tests {
     /// it, so a replay taken the moment the ack arrives already has it.
     #[test]
     fn dropped_journal_line_is_rewritten_before_the_ack() {
-        let dir = std::env::temp_dir().join(format!("critic-service-ack-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let journal = dir.join("j.jsonl");
-        let config = ServiceConfig {
-            workers: 1,
-            journal: Some(journal.clone()),
-            sys: Some(Arc::new(SysInjector::new(vec![
-                critic_workloads::SysFaultSpec {
-                    fault: SysFault::JournalWrite,
-                    at: 0,
-                },
-            ]))),
-            ..ServiceConfig::new(4_000)
-        };
-        let service = CampaignService::open(config).expect("open");
-        let (tx, rx) = mpsc::channel();
-        let outcome = service.submit(0, "Acrobat", "critic", None, move |record| {
-            tx.send(record).expect("send");
-        });
-        assert_eq!(outcome, SubmitOutcome::Accepted);
-        let acked = rx.recv().expect("acked");
-        let replayed = Journal::replay(&journal, &Telemetry::off()).expect("replay");
-        assert_eq!(replayed.records, vec![acked]);
-        service.drain();
-        let _ = std::fs::remove_dir_all(&dir);
+        for fault in [SysFault::JournalWrite, SysFault::JournalTorn] {
+            let dir = std::env::temp_dir().join(format!(
+                "critic-service-ack-{}-{}",
+                fault.name(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create temp dir");
+            let journal = dir.join("j.jsonl");
+            let config = ServiceConfig {
+                workers: 1,
+                journal: Some(journal.clone()),
+                sys: Some(Arc::new(SysInjector::new(vec![
+                    critic_workloads::SysFaultSpec { fault, at: 0 },
+                ]))),
+                ..ServiceConfig::new(4_000)
+            };
+            let service = CampaignService::open(config).expect("open");
+            let (tx, rx) = mpsc::channel();
+            let outcome = service.submit(0, "Acrobat", "critic", None, move |record| {
+                tx.send(record).expect("send");
+            });
+            assert_eq!(outcome, SubmitOutcome::Accepted);
+            let acked = rx.recv().expect("acked");
+            let replayed = Journal::replay(&journal, &Telemetry::off()).expect("replay");
+            assert_eq!(replayed.records, vec![acked], "{}", fault.name());
+            service.drain();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Results are bit-identical to per-cell simulation by construction: the
 //! decode is a pure per-entry function (prefix sharing copies what a fresh
 //! decode would recompute), and scratch recycling resets every table the
-//! core reads (see `SimScratch::reset` and the model `reset_to`s). The
+//! core reads (see `Stamps` in `sim` and the model `reset_to`s). The
 //! differential suites assert this against the preserved scalar reference.
 
 use critic_obs::CycleLedger;

@@ -1,36 +1,42 @@
-//! Streaming front-end for the data-oriented cycle loop: bounded memory,
-//! bit-identical results.
+//! The streamed column source: bounded memory, bit-identical results.
 //!
-//! [`Simulator::run_streamed`] consumes a [`TraceStream`] window-at-a-time
-//! instead of a materialized [`critic_workloads::Trace`] + `DecodedTrace`
-//! pair. Decoded columns and per-instruction timestamp tables live in
-//! power-of-two *rings* sized to the live span of the pipeline — the range
-//! between the oldest un-committed instruction and the fetch frontier plus
-//! one stream window — so peak memory is O(window + look-ahead + ROB),
-//! independent of the trace length.
+//! [`Simulator::run_streamed`] runs the one cycle loop
+//! (`Simulator::run_source`) over a [`Ring`] fed window-at-a-time from a
+//! [`TraceStream`], instead of over a materialized
+//! [`critic_workloads::Trace`] + `DecodedTrace` pair. Decoded columns,
+//! fanout and per-instruction timestamp tables live in power-of-two
+//! *rings* sized to the live span of the pipeline — the range between the
+//! oldest un-committed instruction and the fetch frontier plus one stream
+//! window — so peak memory is O(window + look-ahead + ROB), independent of
+//! the trace length.
 //!
 //! # Why the results are bit-identical
 //!
-//! * **Columns**: every entry is decoded by the same `decode_entry` the
-//!   materialized `DecodedTrace` uses, and the stream's entries and
+//! The stages are the materialized run's own; only the source differs,
+//! and every way a ring could differ from the whole trace is a property of
+//! [`Ring`]:
+//!
+//! * **Columns**: every entry is decoded by the same
+//!   `DecodedTrace::decode_at` the materialized decode uses, and the stream's entries and
 //!   fanout values are themselves bit-identical to the materialized
 //!   expansion (asserted by `critic-workloads`' own differential tests).
 //! * **Ring reads**: the cycle loop only ever indexes instructions in the
 //!   live span — ROB entries, fetch-queue entries, and the fetch frontier
 //!   are all ≥ the eviction floor — except dependence lookups in the
 //!   wakeup scan, which may point arbitrarily far back. For those,
-//!   `done_of` substitutes `0` for any dependence older than the floor:
-//!   an evicted dependence is *committed*, so its true completion time is
-//!   ≤ `now` at every subsequent read, and substituting `0` changes
-//!   neither the `UNSET` classification (evicted instructions always have
-//!   a completion time) nor the `max` over the dependence set when that
-//!   max is in the future (a future completion can only come from a live,
-//!   in-ring dependence). The wakeup schedule is therefore cycle-exact.
-//! * **Eviction floor**: advanced only at feed time, to the ROB head (or
-//!   the dispatch frontier when the ROB is empty, i.e. everything older
-//!   has committed). Slots are only overwritten during a feed, and the
-//!   capacity check guarantees the overwritten index is below the floor
-//!   just computed, so no live slot is ever clobbered.
+//!   `Ring::done_of` substitutes `0` for any dependence older than the
+//!   floor: an evicted dependence is *committed*, so its true completion
+//!   time is ≤ `now` at every subsequent read, and substituting `0`
+//!   changes neither the `UNSET` classification (evicted instructions
+//!   always have a completion time) nor the `max` over the dependence set
+//!   when that max is in the future (a future completion can only come
+//!   from a live, in-ring dependence). The wakeup schedule is therefore
+//!   cycle-exact.
+//! * **Eviction floor**: advanced only by `Ring::feed`, to the ROB head
+//!   (or the dispatch frontier when the ROB is empty, i.e. everything
+//!   older has committed). Slots are only overwritten during a feed, and
+//!   the capacity check guarantees the overwritten index is below the
+//!   floor just computed, so no live slot is ever clobbered.
 //!
 //! The format-switch CDP pseudo-instructions never enter the ROB, so the
 //! distance between the ROB head and the fetch frontier is *not* bounded
@@ -38,21 +44,11 @@
 //! live span under the new mask) in the rare case a CDP-dense region
 //! stretches the span past the initial capacity.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use critic_mem::MemSystem;
-use critic_obs::{CycleClass, CycleLedger};
+use critic_obs::CycleLedger;
 use critic_workloads::TraceStream;
 
-use crate::bpu::Bpu;
-use crate::crit::CritTable;
-use crate::sim::{
-    decode_entry, fill, insert_sorted, FuUse, IndexRing, Simulator, SupplyStall, BR_CALL, BR_COND,
-    BR_RET, F_BRANCH, F_CALL, F_CDP, F_LOAD, F_MEM, F_SEQ, F_TAKEN, K_FLOAT_DIV, K_INT_DIV, K_MEM,
-    UNSET,
-};
-use crate::stats::{FetchStalls, SimResult, StageBreakdown};
+use crate::sim::{regrow, Cols, DecodedTrace, Queues, Simulator, Source, Stamps};
+use crate::stats::SimResult;
 
 /// Bytes per ring slot across every column and timestamp ring (used for
 /// capacity-based accounting: `Vec` capacity × element size, summed).
@@ -79,36 +75,15 @@ pub struct StreamRunStats {
 /// across runs; rings are recycled, never reallocated once warm.
 #[derive(Debug, Default)]
 pub struct StreamScratch {
-    // Decoded columns, ring-indexed by `i & mask`.
-    kind: Vec<u8>,
-    lat: Vec<u32>,
-    flags: Vec<u8>,
-    bytes: Vec<u8>,
-    deps: Vec<[u32; 3]>,
-    pc: Vec<u64>,
-    mem_addr: Vec<u64>,
-    target: Vec<u64>,
-    br_class: Vec<u8>,
+    /// Decoded columns, ring-indexed by `i & mask`: a `DecodedTrace` whose
+    /// length is the ring capacity.
+    cols: DecodedTrace,
     fanout: Vec<u32>,
-    // Timestamp tables, ring-indexed. `done_at` is *unshifted* here (slot
-    // `i & mask` holds insn `i`); the sentinel and eviction substitution
-    // live in [`done_of`].
-    fetched_at: Vec<u64>,
-    supply_stall: Vec<u32>,
-    blocked_at_fetch: Vec<u64>,
-    blocked_at_decode: Vec<u64>,
-    decoded_at: Vec<u64>,
-    issued_at: Vec<u64>,
-    done_at: Vec<u64>,
-    // Pipeline queues — identical to `SimScratch`.
-    waiting: Vec<u32>,
-    wake: BinaryHeap<Reverse<(u64, u32)>>,
-    ready_pool: Vec<u32>,
-    rob: IndexRing,
-    ready: Vec<u32>,
-    int_div_free: Vec<u64>,
-    float_div_free: Vec<u64>,
-    models: Option<(MemSystem, Bpu, CritTable)>,
+    /// Timestamp tables, ring-indexed. `done_at` is *unshifted* here (slot
+    /// `i & mask` holds insn `i`); the sentinel and eviction substitution
+    /// live in `Ring::done_of`.
+    stamps: Stamps,
+    queues: Queues,
 }
 
 impl StreamScratch {
@@ -116,75 +91,112 @@ impl StreamScratch {
     pub fn new() -> StreamScratch {
         StreamScratch::default()
     }
-
-    /// Ensures every ring holds at least `cap` slots (power of two),
-    /// preserving the live span `[lo, hi)` under the new mask.
-    fn ensure_capacity(&mut self, cap: usize, lo: usize, hi: usize) {
-        let cap = cap.next_power_of_two();
-        if self.kind.len() >= cap {
-            return;
-        }
-        let old_mask = self.kind.len().wrapping_sub(1);
-        regrow(&mut self.kind, old_mask, cap, lo, hi);
-        regrow(&mut self.lat, old_mask, cap, lo, hi);
-        regrow(&mut self.flags, old_mask, cap, lo, hi);
-        regrow(&mut self.bytes, old_mask, cap, lo, hi);
-        regrow(&mut self.deps, old_mask, cap, lo, hi);
-        regrow(&mut self.pc, old_mask, cap, lo, hi);
-        regrow(&mut self.mem_addr, old_mask, cap, lo, hi);
-        regrow(&mut self.target, old_mask, cap, lo, hi);
-        regrow(&mut self.br_class, old_mask, cap, lo, hi);
-        regrow(&mut self.fanout, old_mask, cap, lo, hi);
-        regrow(&mut self.fetched_at, old_mask, cap, lo, hi);
-        regrow(&mut self.supply_stall, old_mask, cap, lo, hi);
-        regrow(&mut self.blocked_at_fetch, old_mask, cap, lo, hi);
-        regrow(&mut self.blocked_at_decode, old_mask, cap, lo, hi);
-        regrow(&mut self.decoded_at, old_mask, cap, lo, hi);
-        regrow(&mut self.issued_at, old_mask, cap, lo, hi);
-        regrow(&mut self.done_at, old_mask, cap, lo, hi);
-    }
-
-    /// Bytes resident in the rings and pipeline queues.
-    fn resident_bytes(&self) -> usize {
-        self.kind.capacity() * BYTES_PER_SLOT
-            + (self.waiting.capacity() + self.ready_pool.capacity() + self.ready.capacity()) * 4
-            + self.wake.capacity() * 16
-            + self.rob.resident_bytes()
-            + (self.int_div_free.capacity() + self.float_div_free.capacity()) * 8
-    }
 }
 
-/// Copies the live ring span `[lo, hi)` into a freshly-sized ring.
-fn regrow<T: Copy + Default>(
-    v: &mut Vec<T>,
-    old_mask: usize,
-    new_cap: usize,
+/// Grows every ring to `cap` slots (a power of two), re-placing the live
+/// span `[lo, hi)` under the new mask.
+fn grow_rings(
+    cols: &mut DecodedTrace,
+    fanout: &mut Vec<u32>,
+    st: &mut Stamps,
+    cap: usize,
     lo: usize,
     hi: usize,
 ) {
-    let mut next = vec![T::default(); new_cap];
-    if !v.is_empty() {
-        let new_mask = new_cap - 1;
-        for i in lo..hi {
-            next[i & new_mask] = v[i & old_mask];
-        }
-    }
-    *v = next;
+    let old_mask = fanout.len().wrapping_sub(1);
+    cols.regrow(old_mask, cap, lo, hi);
+    regrow(fanout, old_mask, cap, lo, hi);
+    st.regrow(old_mask, cap, lo, hi);
 }
 
-/// Completion-time lookup through the ring for a *shifted* dependence
-/// index (`0` = always-done sentinel, insn `i` = slot `i + 1`), with the
-/// eviction substitution documented in the module header.
-#[inline]
-fn done_of(done_at: &[u64], mask: usize, evict_floor: usize, d: u32) -> u64 {
-    if d == 0 {
-        return 0;
+/// The streamed source: columns, fanout and timestamp tables in rings
+/// indexed by `i & mask`, fed one stream window at a time.
+struct Ring<'a, 's> {
+    stream: &'a mut TraceStream<'s>,
+    cols: &'a mut DecodedTrace,
+    fanout: &'a mut Vec<u32>,
+    n: usize,
+    mask: usize,
+    /// Entries decoded into the rings so far (absolute).
+    filled: usize,
+    /// Ring indices below this are committed and may be overwritten.
+    evict_floor: usize,
+    /// How far the decode frontier runs ahead of fetch: one fetch group.
+    feed_ahead: usize,
+    stats: StreamRunStats,
+}
+
+impl Source for Ring<'_, '_> {
+    fn len(&self) -> usize {
+        self.n
     }
-    let i = (d - 1) as usize;
-    if i < evict_floor {
-        0
-    } else {
-        done_at[i & mask]
+
+    /// Keeps the decode frontier one fetch group ahead of fetch. This is
+    /// the only point slots are overwritten or the footprint can change,
+    /// so the floor advance, the capacity check, and the peak sample all
+    /// live here.
+    #[inline]
+    fn feed(&mut self, fetch_idx: usize, fq_head: usize, st: &mut Stamps, q: &Queues) {
+        let feed_target = self.n.min(fetch_idx + self.feed_ahead);
+        if self.filled >= feed_target {
+            return;
+        }
+        self.evict_floor = self.evict_floor.max(q.oldest(fq_head));
+        while self.filled < feed_target {
+            let Some(w) = self.stream.next_window() else {
+                unreachable!(
+                    "stream ended at {} before its total_len {}",
+                    self.filled, self.n
+                );
+            };
+            let need = self.filled + w.entries.len() - self.evict_floor;
+            if need > self.fanout.len() {
+                // Mid-window growth: re-place the live span. (Borrow note:
+                // `w` borrows the stream, not the rings, so the rings are
+                // free to move.)
+                let (cap, lo, hi) = (need.next_power_of_two(), self.evict_floor, self.filled);
+                grow_rings(self.cols, self.fanout, st, cap, lo, hi);
+                self.mask = cap - 1;
+                self.stats.grows += 1;
+                self.stats.ring_capacity = cap;
+            }
+            for (k, e) in w.entries.iter().enumerate() {
+                let s = self.filled & self.mask;
+                self.cols.decode_at(s, e);
+                self.fanout[s] = w.fanout[k];
+                self.filled += 1;
+            }
+        }
+        let resident = self.fanout.capacity() * BYTES_PER_SLOT
+            + q.resident_bytes()
+            + self.stream.resident_bytes();
+        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(resident);
+    }
+
+    #[inline]
+    fn cols(&self) -> Cols<'_> {
+        self.cols.cols(self.fanout)
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        i & self.mask
+    }
+
+    /// Completion-time lookup through the ring for a *shifted* dependence
+    /// index (`0` = always-done sentinel, insn `i` = `i + 1`), with the
+    /// eviction substitution documented in the module header.
+    #[inline]
+    fn done_of(&self, done_at: &[u64], d: u32) -> u64 {
+        if d == 0 {
+            return 0;
+        }
+        let i = (d - 1) as usize;
+        if i < self.evict_floor {
+            0
+        } else {
+            done_at[i & self.mask]
+        }
     }
 }
 
@@ -212,525 +224,39 @@ impl Simulator {
     ) -> (SimResult, CycleLedger, StreamRunStats) {
         assert_eq!(stream.emitted(), 0, "run_streamed requires a fresh stream");
         let cfg = self.cpu_config();
-        let (mut mem, mut bpu, mut crit_table) = match scratch.models.take() {
-            Some((mut mem, mut bpu, mut crit_table)) => {
-                mem.reset_to(self.mem_config());
-                bpu.reset_to(cfg.bpu_entries, cfg.bpu_history_bits, cfg.ras_depth);
-                crit_table.reset_to(cfg.bpu_entries, cfg.crit_threshold);
-                (mem, bpu, crit_table)
-            }
-            None => (
-                MemSystem::new(self.mem_config()),
-                Bpu::new(cfg.bpu_entries, cfg.bpu_history_bits, cfg.ras_depth),
-                CritTable::new(cfg.bpu_entries, cfg.crit_threshold),
-            ),
-        };
-
         let n = stream.total_len();
-        let width = cfg.width;
-        let rob_cap = cfg.rob_entries;
-        let iq_cap = cfg.iq_entries;
-        let prioritize = cfg.prioritize_critical;
-        let crit_threshold = cfg.crit_threshold;
-        let redirect_penalty = u64::from(cfg.redirect_penalty);
-        let cdp_stall = u64::from(cfg.cdp_bubble.saturating_sub(1));
-        let pool = &cfg.fu;
-        let fetch_buffer = cfg.fetch_buffer;
-        let insn_cap = cfg.fetch_width * 2;
-        let feed_ahead = insn_cap as usize;
-        let taken_resume = 1 + u64::from(cfg.taken_bubble);
-        let icache_hit = 2u64; // L1I hit latency from MemConfig geometry
-
+        let feed_ahead = cfg.fetch_width as usize * 2;
+        let StreamScratch {
+            cols,
+            fanout,
+            stamps,
+            queues,
+        } = scratch;
         // Initial ring capacity: the steady-state live span (one stream
         // window ahead of fetch, the fetch buffer, the ROB) plus headroom
         // for the ROB-invisible CDPs interleaved in it. A window larger
         // than the trace contributes at most the trace.
-        scratch.ensure_capacity(
-            (stream.window().min(n) + fetch_buffer + rob_cap + feed_ahead + 64).next_power_of_two(),
-            0,
-            0,
-        );
-        scratch.waiting.clear();
-        scratch.wake.clear();
-        scratch.ready_pool.clear();
-        scratch.rob.reset(rob_cap);
-        scratch.ready.clear();
-        fill(&mut scratch.int_div_free, cfg.fu.int_div as usize, 0);
-        fill(&mut scratch.float_div_free, cfg.fu.float_div as usize, 0);
-        let mut stats = StreamRunStats {
-            peak_resident_bytes: 0,
-            ring_capacity: scratch.kind.len(),
-            grows: 0,
-        };
-
-        let mut mask = scratch.kind.len() - 1;
-        // Entries decoded into the rings so far (absolute).
-        let mut filled = 0usize;
-        // Ring indices below this are committed and may be overwritten.
-        let mut evict_floor = 0usize;
-
-        let mut blocked_cum = 0u64;
-        let mut iq_len = 0usize;
-        let mut fetch_idx = 0usize;
-        let mut fq_head = 0usize;
-        let mut current_line: Option<u64> = None;
-        let mut fetch_resume_at = 0u64;
-        let mut resume_reason = SupplyStall::None;
-        let mut fetch_blocked_on: Option<u32> = None;
-        let mut pending_supply = 0u32;
-        let mut dispatch_block_until = 0u64;
-
-        let mut now = 0u64;
-        let mut head_since = 0u64;
-        let mut ledger = CycleLedger::new();
-        let mut stage_all = StageBreakdown::default();
-        let mut stage_critical = StageBreakdown::default();
-        let mut committed = 0u64;
-        let mut cdp_switches = 0u64;
-        let mut thumb_fetched = 0u64;
-
-        let hard_cap = (n as u64).saturating_mul(1000).max(1_000_000);
-
-        while fetch_idx < n || fq_head < fetch_idx || !scratch.rob.is_empty() {
-            // ---- feed ----
-            // Keep the decode frontier one fetch group ahead of fetch.
-            // This is the only point slots are overwritten or the
-            // footprint can change, so the floor advance, the capacity
-            // check, and the peak sample all live here.
-            let feed_target = n.min(fetch_idx + feed_ahead);
-            if filled < feed_target {
-                evict_floor =
-                    evict_floor.max(scratch.rob.front().unwrap_or(fq_head as u32) as usize);
-                while filled < feed_target {
-                    let Some(w) = stream.next_window() else {
-                        unreachable!("stream ended at {filled} before its total_len {n}");
-                    };
-                    let need = filled + w.entries.len() - evict_floor;
-                    if need > scratch.kind.len() {
-                        // Mid-window growth: re-place the live span.
-                        // (Borrow note: `w` borrows `stream`, not
-                        // `scratch`, so the rings are free to move.)
-                        scratch.ensure_capacity(need, evict_floor, filled);
-                        mask = scratch.kind.len() - 1;
-                        stats.grows += 1;
-                        stats.ring_capacity = scratch.kind.len();
-                    }
-                    for (k, e) in w.entries.iter().enumerate() {
-                        let d = decode_entry(e);
-                        let s = filled & mask;
-                        scratch.kind[s] = d.kind;
-                        scratch.lat[s] = d.lat;
-                        scratch.flags[s] = d.flags;
-                        scratch.bytes[s] = d.bytes;
-                        scratch.deps[s] = d.deps;
-                        scratch.pc[s] = d.pc;
-                        scratch.mem_addr[s] = d.mem_addr;
-                        scratch.target[s] = d.target;
-                        scratch.br_class[s] = d.br_class;
-                        scratch.fanout[s] = w.fanout[k];
-                        filled += 1;
-                    }
-                }
-                let resident = scratch.resident_bytes() + stream.resident_bytes();
-                stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
-            }
-            let StreamScratch {
-                kind: kind_r,
-                lat: lat_r,
-                flags: flags_r,
-                bytes: bytes_r,
-                deps: deps_r,
-                pc: pc_r,
-                mem_addr: addr_r,
-                target: target_r,
-                br_class: br_class_r,
-                fanout: fanout_r,
-                fetched_at,
-                supply_stall,
-                blocked_at_fetch,
-                blocked_at_decode,
-                decoded_at,
-                issued_at,
-                done_at,
-                waiting,
-                wake,
-                ready_pool,
-                rob,
-                ready,
-                int_div_free,
-                float_div_free,
-                ..
-            } = scratch;
-
-            // ---- commit ----
-            let mut commits = 0;
-            while commits < width {
-                let Some(head) = rob.front() else { break };
-                let hi = head as usize;
-                let done = done_at[hi & mask];
-                if done > now {
-                    break;
-                }
-                rob.pop_front();
-                commits += 1;
-                committed += 1;
-                let flags = flags_r[hi & mask];
-                let buffer_total = decoded_at[hi & mask]
-                    .saturating_sub(fetched_at[hi & mask])
-                    .saturating_sub(1);
-                let buffer_blocked =
-                    (blocked_at_decode[hi & mask] - blocked_at_fetch[hi & mask]).min(buffer_total);
-                let buffer = buffer_total - buffer_blocked;
-                let issue_wait = issued_at[hi & mask].saturating_sub(decoded_at[hi & mask]);
-                let execute = done.saturating_sub(issued_at[hi & mask]);
-                let commit_wait = now.saturating_sub(done.max(head_since)) + buffer_blocked;
-                head_since = now;
-                stage_all.add(
-                    u64::from(supply_stall[hi & mask]),
-                    buffer,
-                    1,
-                    issue_wait,
-                    execute,
-                    commit_wait,
-                );
-                if fanout_r[hi & mask] >= crit_threshold {
-                    stage_critical.add(
-                        u64::from(supply_stall[hi & mask]),
-                        buffer,
-                        1,
-                        issue_wait,
-                        execute,
-                        commit_wait,
-                    );
-                }
-                crit_table.train(pc_r[hi & mask], fanout_r[hi & mask]);
-                if flags & F_LOAD != 0 {
-                    mem.train_load_criticality(pc_r[hi & mask], fanout_r[hi & mask]);
-                }
-                if flags & F_CALL != 0 {
-                    mem.observe_call(target_r[hi & mask], now);
-                }
-            }
-
-            // ---- issue ----
-            let mut any_issued = false;
-            if iq_len > 0 {
-                if !waiting.is_empty() {
-                    waiting.retain(|&i| {
-                        let d = deps_r[i as usize & mask];
-                        let ra = done_of(done_at, mask, evict_floor, d[0])
-                            .max(done_of(done_at, mask, evict_floor, d[1]))
-                            .max(done_of(done_at, mask, evict_floor, d[2]));
-                        if ra == UNSET {
-                            return true;
-                        }
-                        if ra <= now {
-                            insert_sorted(ready_pool, i);
-                        } else {
-                            wake.push(Reverse((ra, i)));
-                        }
-                        false
-                    });
-                }
-                while let Some(&Reverse((ra, i))) = wake.peek() {
-                    if ra > now {
-                        break;
-                    }
-                    wake.pop();
-                    insert_sorted(ready_pool, i);
-                }
-                let selection: &[u32] = if prioritize {
-                    ready.clear();
-                    ready.extend_from_slice(ready_pool);
-                    ready.sort_by_key(|&i| !crit_table.is_critical(pc_r[i as usize & mask]));
-                    ready
-                } else {
-                    ready_pool
-                };
-                let mut issued_count = 0u32;
-                let mut used = FuUse::default();
-                for &i in selection {
-                    if issued_count >= width {
-                        break;
-                    }
-                    let hi = i as usize;
-                    let kind = kind_r[hi & mask];
-                    if !used.try_take(kind, pool, now, int_div_free, float_div_free) {
-                        continue;
-                    }
-                    let latency = if kind == K_MEM {
-                        let addr = addr_r[hi & mask];
-                        if flags_r[hi & mask] & F_LOAD != 0 {
-                            let lat = mem.data_access(addr, now);
-                            mem.observe_load(pc_r[hi & mask], addr, now);
-                            lat
-                        } else {
-                            let _ = mem.data_access(addr, now);
-                            u64::from(lat_r[hi & mask])
-                        }
-                    } else {
-                        u64::from(lat_r[hi & mask])
-                    };
-                    issued_at[hi & mask] = now;
-                    let done = now + latency;
-                    done_at[hi & mask] = done;
-                    if kind == K_INT_DIV {
-                        if let Some(free) = int_div_free.iter_mut().find(|f| **f <= now) {
-                            *free = done;
-                        }
-                    } else if kind == K_FLOAT_DIV {
-                        if let Some(free) = float_div_free.iter_mut().find(|f| **f <= now) {
-                            *free = done;
-                        }
-                    }
-                    if fetch_blocked_on == Some(i) {
-                        fetch_blocked_on = None;
-                        fetch_resume_at = done + redirect_penalty;
-                        resume_reason = SupplyStall::Branch;
-                    }
-                    any_issued = true;
-                    issued_count += 1;
-                }
-                if any_issued {
-                    ready_pool.retain(|&i| issued_at[i as usize & mask] == UNSET);
-                    iq_len -= issued_count as usize;
-                }
-            }
-
-            // ---- dispatch (decode + rename) ----
-            let fq_was = fq_head;
-            let mut dispatched_this_cycle = 0u32;
-            let mut backend_blocked = false;
-            if now >= dispatch_block_until {
-                let mut dispatched = 0;
-                while dispatched < width && fq_head < fetch_idx {
-                    let hi = fq_head;
-                    if now < fetched_at[hi & mask] + 1 {
-                        break; // still in the decode pipe
-                    }
-                    if flags_r[hi & mask] & F_CDP != 0 {
-                        fq_head += 1;
-                        decoded_at[hi & mask] = now;
-                        blocked_at_decode[hi & mask] = blocked_cum;
-                        done_at[hi & mask] = now;
-                        cdp_switches += 1;
-                        dispatch_block_until = now + cdp_stall;
-                        continue;
-                    }
-                    if rob.len() >= rob_cap || iq_len >= iq_cap {
-                        backend_blocked = dispatched == 0;
-                        break;
-                    }
-                    fq_head += 1;
-                    decoded_at[hi & mask] = now;
-                    blocked_at_decode[hi & mask] = blocked_cum;
-                    issued_at[hi & mask] = UNSET;
-                    done_at[hi & mask] = UNSET;
-                    rob.push_back(hi as u32);
-                    waiting.push(hi as u32);
-                    iq_len += 1;
-                    dispatched += 1;
-                }
-                dispatched_this_cycle = dispatched;
-            }
-            if backend_blocked {
-                blocked_cum += 1;
-            }
-
-            // ---- fetch ----
-            let fetch_was = fetch_idx;
-            let fetch_stall: Option<CycleClass> = if fetch_idx < n {
-                if fetch_blocked_on.is_some() {
-                    pending_supply += 1;
-                    Some(CycleClass::FetchStallBranch)
-                } else if now < fetch_resume_at {
-                    pending_supply += 1;
-                    match resume_reason {
-                        SupplyStall::ICacheMiss => Some(CycleClass::FetchStallICache),
-                        SupplyStall::Branch => Some(CycleClass::FetchStallBranch),
-                        SupplyStall::None => None,
-                    }
-                } else {
-                    let mut stall: Option<CycleClass> = None;
-                    let mut bytes = cfg.fetch_bytes_per_cycle;
-                    let mut delivered = 0u32;
-                    while delivered < insn_cap && fetch_idx < n {
-                        if fetch_idx - fq_head >= fetch_buffer {
-                            if delivered == 0 && dispatched_this_cycle == 0 {
-                                stall = Some(CycleClass::FetchStallBackpressure);
-                            }
-                            break;
-                        }
-                        let idx = fetch_idx;
-                        let pc = pc_r[idx & mask];
-                        let insn_bytes = bytes_r[idx & mask];
-                        let flags = flags_r[idx & mask];
-                        let line = pc & !63;
-                        if current_line != Some(line) {
-                            let latency = mem.ifetch(pc, now);
-                            current_line = Some(line);
-                            if latency > icache_hit {
-                                fetch_resume_at = now + latency;
-                                resume_reason = SupplyStall::ICacheMiss;
-                                if delivered == 0 {
-                                    stall = Some(CycleClass::FetchStallICache);
-                                    pending_supply += 1;
-                                }
-                                break;
-                            }
-                        }
-                        if u64::from(insn_bytes) > bytes {
-                            break; // per-cycle fetch bandwidth exhausted
-                        }
-                        bytes -= u64::from(insn_bytes);
-                        fetched_at[idx & mask] = now;
-                        blocked_at_fetch[idx & mask] = blocked_cum;
-                        supply_stall[idx & mask] = pending_supply;
-                        if insn_bytes == 2 {
-                            thumb_fetched += 1;
-                        }
-                        fetch_idx += 1;
-                        delivered += 1;
-
-                        if flags & F_BRANCH == 0 {
-                            continue;
-                        }
-                        let taken = flags & F_TAKEN != 0;
-                        if cfg.perfect_branch {
-                            if taken {
-                                current_line = None; // discontinuity, no bubble
-                            }
-                            continue;
-                        }
-                        let correct = match br_class_r[idx & mask] {
-                            BR_COND => bpu.predict_conditional(pc, taken),
-                            BR_CALL => {
-                                bpu.push_return(pc + u64::from(insn_bytes));
-                                true
-                            }
-                            BR_RET => bpu.predict_return(target_r[idx & mask]),
-                            _ => true,
-                        };
-                        if !correct {
-                            fetch_blocked_on = Some(idx as u32);
-                            current_line = None;
-                            break;
-                        }
-                        if taken {
-                            if flags & F_SEQ != 0 {
-                                break;
-                            }
-                            fetch_resume_at = now + taken_resume;
-                            resume_reason = SupplyStall::Branch;
-                            current_line = None;
-                            break;
-                        }
-                    }
-                    if delivered > 0 {
-                        pending_supply = 0;
-                    }
-                    stall
-                }
-            } else {
-                None
-            };
-
-            // ---- ledger: classify this cycle, exactly once ----
-            let class = if let Some(stall) = fetch_stall {
-                stall
-            } else if commits > 0 {
-                CycleClass::Commit
-            } else if let Some(head) = rob.front() {
-                let hi = head as usize;
-                if issued_at[hi & mask] != UNSET {
-                    if flags_r[hi & mask] & F_MEM != 0 {
-                        CycleClass::Mem
-                    } else {
-                        CycleClass::Execute
-                    }
-                } else {
-                    CycleClass::Issue
-                }
-            } else if fq_head < fetch_idx || dispatched_this_cycle > 0 {
-                CycleClass::Decode
-            } else {
-                CycleClass::SquashIdle
-            };
-            ledger.charge(class);
-
-            // ---- idle-window skip ----
-            if commits == 0
-                && !any_issued
-                && dispatched_this_cycle == 0
-                && fq_head == fq_was
-                && fetch_idx == fetch_was
-                && ready_pool.is_empty()
-            {
-                let mut next = UNSET;
-                if let Some(head) = rob.front() {
-                    let done = done_at[head as usize & mask];
-                    if done != UNSET {
-                        next = next.min(done);
-                    }
-                }
-                if let Some(&Reverse((ra, _))) = wake.peek() {
-                    next = next.min(ra);
-                }
-                if fetch_idx < n && fetch_blocked_on.is_none() && fetch_resume_at > now {
-                    next = next.min(fetch_resume_at);
-                }
-                if now < dispatch_block_until {
-                    next = next.min(dispatch_block_until);
-                }
-                if fq_head < fetch_idx
-                    && rob.len() < rob_cap
-                    && iq_len < iq_cap
-                    && now >= dispatch_block_until
-                {
-                    next = next.min(fetched_at[fq_head & mask] + 1);
-                }
-                if next != UNSET && next > now + 1 {
-                    let skipped = next - now - 1;
-                    ledger.charge_many(class, skipped);
-                    if fetch_idx < n && (fetch_blocked_on.is_some() || now + 1 < fetch_resume_at) {
-                        pending_supply += skipped as u32;
-                    }
-                    if backend_blocked {
-                        blocked_cum += skipped;
-                    }
-                    now += skipped;
-                }
-            }
-
-            now += 1;
-            if now > hard_cap {
-                panic!("simulation exceeded the cycle cap: deadlock in the pipeline model");
-            }
+        let cap = (stream.window().min(n) + cfg.fetch_buffer + cfg.rob_entries + feed_ahead + 64)
+            .next_power_of_two();
+        if fanout.len() < cap {
+            grow_rings(cols, fanout, stamps, cap, 0, 0);
         }
-
-        debug_assert!(
-            ledger.check(now).is_ok(),
-            "cycle ledger must partition the run: {:?}",
-            ledger.check(now)
-        );
-        let fetch_stalls = FetchStalls {
-            icache: ledger.fetch_stall_icache,
-            branch: ledger.fetch_stall_branch,
-            backpressure: ledger.fetch_stall_backpressure,
+        let mut ring = Ring {
+            stream,
+            cols,
+            mask: fanout.len() - 1,
+            stats: StreamRunStats {
+                ring_capacity: fanout.len(),
+                ..StreamRunStats::default()
+            },
+            fanout,
+            n,
+            filled: 0,
+            evict_floor: 0,
+            feed_ahead,
         };
-        let result = SimResult {
-            cycles: now,
-            committed,
-            cdp_switches,
-            fetch_stalls,
-            stage_all,
-            stage_critical,
-            bpu: bpu.stats(),
-            mem: mem.stats(),
-            thumb_fetched,
-        };
-        scratch.models = Some((mem, bpu, crit_table));
-        (result, ledger, stats)
+        let (result, ledger) = self.run_source(&mut ring, stamps, queues);
+        (result, ledger, ring.stats)
     }
 }
 
@@ -801,6 +327,11 @@ mod tests {
         cpu.cdp_bubble = 2;
         let sim = Simulator::new(cpu, MemConfig::google_tablet());
         let want = materialized(&sim, &program, &path);
+        // The streamed and materialized runs share one cycle loop; the
+        // scalar oracle shares none of it.
+        let trace = Trace::expand(&program, &path);
+        let oracle = sim.run_reference(&trace, &trace.compute_fanout());
+        assert_eq!(want, oracle, "materialized run diverges from the oracle");
         let mut scratch = StreamScratch::new();
         let mut stream = TraceStream::new(&program, &path, stream_cfg(256));
         let (result, ledger, _) = sim.run_streamed(&mut stream, &mut scratch);

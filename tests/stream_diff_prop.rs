@@ -6,9 +6,12 @@
 //! same [`Profile`], same [`SimResult`] and [`CycleLedger`] — for any app,
 //! core, memory system, and window size. These properties drive randomized
 //! points through both paths and diff every output, including the ledger
-//! partition invariant (`sum == cycles`). Degenerate geometries are pinned
-//! explicitly: window = 1, window ≥ trace length, and a look-ahead sitting
-//! exactly at the cone-window boundary.
+//! partition invariant (`sum == cycles`). The streamed and materialized
+//! simulations share one cycle loop, so both are also diffed against the
+//! frozen scalar oracle ([`Simulator::run_reference`]), which shares no
+//! code with that loop. Degenerate geometries are pinned explicitly:
+//! window = 1, window ≥ trace length, and a look-ahead sitting exactly at
+//! the cone-window boundary.
 
 use critics::mem::MemConfig;
 use critics::pipeline::{CpuConfig, SimScratch, Simulator, StreamScratch};
@@ -163,9 +166,9 @@ proptest! {
     }
 
     /// The streaming simulator front-end is bit-identical to the
-    /// materialized data-oriented engine — result and ledger — on random
-    /// (core, memory, world, window) points, and the ledger partitions
-    /// the run.
+    /// materialized data-oriented engine and to the scalar oracle — result
+    /// and ledger — on random (core, memory, world, window) points, and
+    /// the ledger partitions the run.
     #[test]
     fn streamed_simulation_matches_materialized(seed: u64) {
         let mut rng = TestRng::new(seed);
@@ -176,9 +179,12 @@ proptest! {
         let fanout = trace.compute_fanout();
         let sim = Simulator::new(cpu, mem);
 
+        let (oracle, oracle_ledger) = sim.run_reference(&trace, &fanout);
         let mut scratch = SimScratch::new();
         let (mat, mat_ledger) = sim.run_with_ledger(&trace, &fanout, &mut scratch);
         prop_assert!(mat_ledger.check(mat.cycles).is_ok());
+        prop_assert_eq!(&mat, &oracle, "materialized sim diverges from the oracle");
+        prop_assert_eq!(&mat_ledger, &oracle_ledger, "materialized ledger diverges from the oracle");
 
         let mut stream_scratch = StreamScratch::new();
         for _ in 0..2 {
@@ -189,6 +195,8 @@ proptest! {
             prop_assert!(streamed_ledger.check(streamed.cycles).is_ok());
             prop_assert_eq!(&streamed, &mat, "streamed sim diverges (window {})", cfg.window);
             prop_assert_eq!(&streamed_ledger, &mat_ledger, "streamed ledger diverges");
+            prop_assert_eq!(&streamed, &oracle, "streamed sim diverges from the oracle");
+            prop_assert_eq!(&streamed_ledger, &oracle_ledger, "streamed ledger diverges from the oracle");
             prop_assert!(stats.peak_resident_bytes > 0);
         }
     }
@@ -208,8 +216,14 @@ fn degenerate_windows_are_exact() {
     let fanout = trace.compute_fanout();
     let cone = trace.compute_cone_fanout(128);
     let sim = Simulator::new(CpuConfig::google_tablet(), MemConfig::google_tablet());
+    let (oracle, oracle_ledger) = sim.run_reference(&trace, &fanout);
     let mut scratch = SimScratch::new();
     let (mat, mat_ledger) = sim.run_with_ledger(&trace, &fanout, &mut scratch);
+    assert_eq!(mat, oracle, "materialized sim diverges from the oracle");
+    assert_eq!(
+        mat_ledger, oracle_ledger,
+        "materialized ledger diverges from the oracle"
+    );
 
     let mut stream_scratch = StreamScratch::new();
     for (window, lookahead) in [
@@ -234,5 +248,10 @@ fn degenerate_windows_are_exact() {
         streamed_ledger.check(streamed.cycles).expect("partition");
         assert_eq!(streamed, mat, "w={window} la={lookahead}");
         assert_eq!(streamed_ledger, mat_ledger, "w={window} la={lookahead}");
+        assert_eq!(streamed, oracle, "oracle, w={window} la={lookahead}");
+        assert_eq!(
+            streamed_ledger, oracle_ledger,
+            "oracle, w={window} la={lookahead}"
+        );
     }
 }
