@@ -320,6 +320,32 @@ impl CellRecord {
     fn key(&self) -> (String, String) {
         (self.app.clone(), self.scheme.clone())
     }
+
+    /// A [`CellStatus::Shed`] record for a cell that never ran. The record
+    /// carries the reason as [`RunError::Shed`] so nothing is silently
+    /// dropped: Ok + Failed + Shed always sums to the grid.
+    pub(crate) fn shed(
+        app: &str,
+        scheme: &str,
+        fault: Option<Fault>,
+        reason: String,
+        run: Option<u64>,
+    ) -> CellRecord {
+        CellRecord {
+            app: app.to_string(),
+            scheme: scheme.to_string(),
+            status: CellStatus::Shed,
+            attempts: 0,
+            millis: 0,
+            fault,
+            metrics: None,
+            error: Some(RunError::Shed(reason)),
+            validation: None,
+            spans: None,
+            degraded: None,
+            run,
+        }
+    }
 }
 
 /// Aggregate of a finished (or resumed-and-finished) campaign.
@@ -472,28 +498,10 @@ pub struct CampaignStoreRecord {
 
 /// One unit of work: an app × scheme pair plus its planned fault.
 #[derive(Debug, Clone)]
-struct Cell {
-    app: AppSpec,
-    scheme: Scheme,
-    fault: Option<(Fault, u64)>,
-}
-
-/// One queue entry a worker claims.
-///
-/// A *batch* is an app's full row of fault-free cells: the worker runs
-/// them over one shared [`Workbench`], so the app's base trace is decoded
-/// once and the simulator scratch/models recycle across every scheme —
-/// one trace-decode walk per app instead of one per (app, scheme) cell.
-/// Cells that need per-cell isolation machinery (planned faults, systemic
-/// fault injection, per-attempt deadlines) stay [`WorkItem::Single`] and
-/// run exactly as before batching existed.
-#[derive(Debug, Clone)]
-enum WorkItem {
-    /// One isolated cell with the full retry/degradation/deadline path.
-    /// Boxed so the queue's enum is as small as its `Batch` variant.
-    Single(Box<Cell>),
-    /// An app's fault-free cells, evaluated over one shared workbench.
-    Batch(Vec<Cell>),
+pub(crate) struct Cell {
+    pub(crate) app: AppSpec,
+    pub(crate) scheme: Scheme,
+    pub(crate) fault: Option<(Fault, u64)>,
 }
 
 /// Per-attempt allocation budget (an injected [`SysFault::AllocBudget`]).
@@ -521,26 +529,6 @@ impl AllocMeter {
         } else {
             Ok(())
         }
-    }
-}
-
-/// A [`CellStatus::Shed`] record for a cell that never ran. The record
-/// carries the reason as [`RunError::Shed`] so nothing is silently
-/// dropped: Ok + Failed + Shed always sums to the grid.
-fn shed_record(cell: &Cell, reason: String, run: Option<u64>) -> CellRecord {
-    CellRecord {
-        app: cell.app.name.clone(),
-        scheme: cell.scheme.name.clone(),
-        status: CellStatus::Shed,
-        attempts: 0,
-        millis: 0,
-        fault: cell.fault.map(|(f, _)| f),
-        metrics: None,
-        error: Some(RunError::Shed(reason)),
-        validation: None,
-        spans: None,
-        degraded: None,
-        run,
     }
 }
 
@@ -649,16 +637,19 @@ pub fn run_campaign_with_store(
         }
     }
 
-    // Batched queue order: one work item per app (its fault-free cells
-    // share a workbench — one base-trace decode per app), so the initial
-    // wave of workers still seeds the store with every app's world and
-    // baseline in parallel. Fault-injected cells, and every cell when the
-    // per-cell isolation machinery is armed (systemic faults, per-attempt
-    // deadlines), stay single items in scheme-major order (the summary is
-    // still reported in app-major grid order below).
+    // Queue order: one group per app (its fault-free cells share a
+    // workbench — one base-trace decode per app), so the initial wave of
+    // workers still seeds the store with every app's world and baseline in
+    // parallel. Fault-injected cells, and every cell when the per-cell
+    // isolation machinery is armed, are groups of one in scheme-major order
+    // (the summary is still reported in app-major grid order below). A
+    // deadline-bound attempt runs on its own thread, which cannot borrow a
+    // group's workbench; under systemic faults a shared workbench would
+    // make fewer store requests and shift the chaos minimizer's
+    // reproducers.
     let batchable = spec.sys.is_none() && spec.deadline.is_none();
-    let mut items: VecDeque<WorkItem> = VecDeque::new();
-    let mut singles: VecDeque<Cell> = VecDeque::new();
+    let mut groups: VecDeque<Vec<Cell>> = VecDeque::new();
+    let mut singles: Vec<Cell> = Vec::new();
     for app in &spec.apps {
         let mut group: Vec<Cell> = Vec::new();
         for scheme in &spec.schemes {
@@ -681,22 +672,21 @@ pub fn run_campaign_with_store(
             if batchable && fault.is_none() {
                 group.push(cell);
             } else {
-                singles.push_back(cell);
+                singles.push(cell);
             }
         }
         if !group.is_empty() {
-            items.push_back(WorkItem::Batch(group));
+            groups.push_back(group);
         }
     }
-    // Singles after the batches, scheme-major across apps as before.
-    let mut by_scheme: Vec<Cell> = singles.into();
-    by_scheme.sort_by_key(|c| {
+    // Singles after the app groups, scheme-major across apps.
+    singles.sort_by_key(|c| {
         spec.schemes
             .iter()
             .position(|s| s.name == c.scheme.name)
             .unwrap_or(usize::MAX)
     });
-    items.extend(by_scheme.into_iter().map(|c| WorkItem::Single(Box::new(c))));
+    groups.extend(singles.into_iter().map(|c| vec![c]));
 
     let workers = if spec.workers > 0 {
         spec.workers
@@ -705,7 +695,19 @@ pub fn run_campaign_with_store(
             .map(|n| n.get())
             .unwrap_or(4)
     }
-    .min(items.len().max(1));
+    .min(groups.len().max(1));
+    let policy = CellPolicy {
+        trace_len: spec.trace_len,
+        validate: spec.validate,
+        stream_window: spec.stream_window,
+        run_tag: spec.run_tag,
+        deadline: spec.deadline,
+        attempts: spec.retries + 1,
+        supervision: spec.supervision,
+        level: 0,
+        sys: spec.sys.as_ref(),
+        telemetry: &spec.telemetry,
+    };
 
     // Arm the store's systemic-fault tap for the duration of this run.
     // The guard below disarms it on every exit path so a caller-owned
@@ -716,99 +718,80 @@ pub fn run_campaign_with_store(
 
     let shutdown = AtomicBool::new(false);
     let breaker = Breaker::new(spec.supervision.breaker_threshold);
-    let queue = Mutex::new(items);
+    let queue = Mutex::new(groups);
     let fresh: Mutex<Vec<CellRecord>> = Mutex::new(Vec::new());
     thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
                 // The guard is dropped before the loop body runs; holding
-                // it across run_cell would serialize the workers.
+                // it across execute would serialize the workers.
                 let next = || lock_clean(&queue).pop_front();
-                // Shared post-cell bookkeeping for singles and batch
-                // members alike: breaker accounting, systemic-fault tap,
-                // journal append, record collection.
-                let commit = |record: CellRecord| {
-                    breaker.on_record(&record, &spec.telemetry);
-                    if let Some(sys) = &spec.sys {
-                        for fault in sys.advance_or_crash(SysOp::CellDone) {
-                            spec.telemetry.event(EventKind::SysFault);
-                            if fault == SysFault::Kill {
-                                shutdown.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    if let Some(journal) = &journal {
-                        // Journal full checksummed lines only; flush +
-                        // fsync so a kill -9 (or power loss) loses at
-                        // most the cell in flight, never an
-                        // already-acknowledged one. Recovery truncates
-                        // the torn tail such a kill can still leave.
-                        journal.append_cell(&record, spec.sys.as_ref());
-                    }
-                    lock_clean(&fresh).push(record);
-                };
-                // Per-cell admission: graceful-shutdown drain and the
-                // app circuit breaker, identical for both item kinds.
-                let admit = |cell: &Cell| -> Result<(), Box<CellRecord>> {
-                    if shutdown.load(Ordering::Relaxed) {
+                // Per-cell admission: graceful-shutdown drain and the app
+                // circuit breaker. Returns the record of a cell to shed.
+                let shed = |cell: &Cell| -> Option<CellRecord> {
+                    let reason = if shutdown.load(Ordering::Relaxed) {
                         // Graceful shutdown: drain the queue with Shed
                         // records (in-flight siblings finish normally).
-                        spec.telemetry.event(EventKind::Shed);
-                        return Err(Box::new(shed_record(
-                            cell,
-                            "graceful shutdown: queue drained".to_string(),
-                            spec.run_tag,
-                        )));
-                    }
-                    match breaker.admit(&cell.app.name) {
-                        BreakerDecision::Shed => {
-                            spec.telemetry.event(EventKind::Shed);
-                            Err(Box::new(shed_record(
-                                cell,
-                                format!("circuit breaker open for app `{}`", cell.app.name),
-                                spec.run_tag,
-                            )))
-                        }
-                        decision => {
-                            if decision == BreakerDecision::Probe {
+                        "graceful shutdown: queue drained".to_string()
+                    } else {
+                        match breaker.admit(&cell.app.name) {
+                            BreakerDecision::Shed => {
+                                format!("circuit breaker open for app `{}`", cell.app.name)
+                            }
+                            BreakerDecision::Probe => {
                                 spec.telemetry.event(EventKind::Probe);
+                                return None;
                             }
-                            Ok(())
+                            BreakerDecision::Run => return None,
                         }
-                    }
+                    };
+                    spec.telemetry.event(EventKind::Shed);
+                    Some(CellRecord::shed(
+                        &cell.app.name,
+                        &cell.scheme.name,
+                        cell.fault.map(|(f, _)| f),
+                        reason,
+                        spec.run_tag,
+                    ))
                 };
-                while let Some(item) = next() {
-                    match item {
-                        WorkItem::Single(cell) => {
-                            let record = match admit(&cell) {
-                                Err(shed) => *shed,
-                                Ok(()) => {
-                                    let (record, saw_store_write) = run_cell(&cell, spec, store);
-                                    // The planted supervision bug the chaos
-                                    // minimizer must isolate: a store-write
-                                    // fault makes the worker drop the
-                                    // finished record on the floor.
-                                    if cfg!(feature = "chaos-planted-bug") && saw_store_write {
-                                        continue;
-                                    }
-                                    record
+                while let Some(group) = next() {
+                    // The group's shared workbench, built by its first
+                    // clean cell and cleared by any failed attempt.
+                    let mut bench = None;
+                    for cell in group {
+                        let record = match shed(&cell) {
+                            Some(record) => record,
+                            None => {
+                                let (record, saw_store_write) =
+                                    execute(&cell, &policy, store, &mut bench);
+                                // The planted supervision bug the chaos
+                                // minimizer must isolate: a store-write
+                                // fault makes the worker drop the finished
+                                // record on the floor.
+                                if cfg!(feature = "chaos-planted-bug") && saw_store_write {
+                                    continue;
                                 }
-                            };
-                            commit(record);
-                        }
-                        WorkItem::Batch(cells) => {
-                            // The app's shared workbench, built on first
-                            // admitted cell; discarded if a cell errors
-                            // (its fallback runs fully isolated).
-                            let mut bench: Option<Workbench> = None;
-                            for cell in cells {
-                                let record = match admit(&cell) {
-                                    Err(shed) => *shed,
-                                    Ok(()) => run_batch_cell(&mut bench, &cell, spec, store),
-                                };
-                                commit(record);
+                                record
+                            }
+                        };
+                        breaker.on_record(&record, &spec.telemetry);
+                        if let Some(sys) = &spec.sys {
+                            for fault in sys.advance_or_crash(SysOp::CellDone) {
+                                spec.telemetry.event(EventKind::SysFault);
+                                if fault == SysFault::Kill {
+                                    shutdown.store(true, Ordering::Relaxed);
+                                }
                             }
                         }
+                        if let Some(journal) = &journal {
+                            // Journal full checksummed lines only; flush +
+                            // fsync so a kill -9 (or power loss) loses at
+                            // most the cell in flight, never an
+                            // already-acknowledged one. Recovery truncates
+                            // the torn tail such a kill can still leave.
+                            journal.append_cell(&record, spec.sys.as_ref());
+                        }
+                        lock_clean(&fresh).push(record);
                     }
                 }
             });
@@ -844,29 +827,7 @@ pub fn run_campaign_with_store(
     });
     let telemetry = spec.telemetry.snapshot();
     if let Some(journal) = &journal {
-        // Trailers ride in the journal after the cell records — the
-        // crash-safe aggregates. Their keys match no CellRecord field, so
-        // resume skips them the same way it skips a torn tail; a resumed
-        // run recomputes and appends fresh, complete trailers. The store
-        // trailer (persistent stores only) goes first: downstream tooling
-        // relies on the telemetry aggregate staying the last line.
-        let store_stats = store.stats();
-        if store_stats.disk.is_some() {
-            let record = CampaignStoreRecord {
-                campaign_store: store_stats,
-            };
-            if let Ok(line) = serde_json::to_string(&record) {
-                journal.append_trailer(&line, spec.sys.as_ref());
-            }
-        }
-        if let Some(snapshot) = &telemetry {
-            let record = CampaignTelemetryRecord {
-                campaign_telemetry: *snapshot,
-            };
-            if let Ok(line) = serde_json::to_string(&record) {
-                journal.append_trailer(&line, spec.sys.as_ref());
-            }
-        }
+        journal.append_trailers(store.stats(), telemetry, spec.sys.as_ref());
     }
     Ok(CampaignSummary {
         records,
@@ -876,44 +837,85 @@ pub fn run_campaign_with_store(
     })
 }
 
-/// Runs one cell with its retry budget; always returns a terminal record,
-/// plus whether a [`SysFault::StoreWrite`] fired during the cell (the
+/// How [`execute`] runs one cell. A campaign builds one from its spec
+/// (retry budget, supervision policy, ladder level 0); the service builds
+/// one per submission (one attempt, no ladder steps, the level its queue
+/// depth picked at claim time).
+pub(crate) struct CellPolicy<'a> {
+    pub(crate) trace_len: usize,
+    pub(crate) validate: bool,
+    pub(crate) stream_window: Option<usize>,
+    pub(crate) run_tag: Option<u64>,
+    /// Per-attempt wall-clock budget; `None` runs attempts inline.
+    pub(crate) deadline: Option<Duration>,
+    /// Attempts the cell may consume (>= 1).
+    pub(crate) attempts: u32,
+    /// Backoff between attempts, and whether each failed attempt steps one
+    /// rung down the degradation ladder (`degrade`).
+    pub(crate) supervision: SupervisionPolicy,
+    /// Ladder level of the first attempt.
+    pub(crate) level: u8,
+    pub(crate) sys: Option<&'a Arc<SysInjector>>,
+    /// The aggregate the cell's private recorder is absorbed into.
+    pub(crate) telemetry: &'a Telemetry,
+}
+
+/// Runs one cell under `policy`; always returns a terminal record, plus
+/// whether a [`SysFault::StoreWrite`] fired during the cell (the
 /// planted-bug hook in the worker loop keys on it).
 ///
-/// When campaign telemetry is enabled the cell gets a *private* recorder:
-/// its spans/events are journaled on the record, then absorbed into the
-/// campaign-wide aggregate, so concurrent cells never interleave into each
-/// other's snapshots.
+/// When the aggregate telemetry is enabled and the cell starts below
+/// ladder level 2, the cell gets a *private* recorder: its spans/events
+/// are journaled on the record, then absorbed into the aggregate, so
+/// concurrent cells never interleave into each other's snapshots. Without
+/// a recorder the cell's events go straight to the aggregate.
 ///
 /// Between failed attempts the supervision policy applies: a deterministic
 /// jittered exponential backoff, and (when `degrade` is set) one step down
-/// the degradation ladder per failed attempt — drop validation, then drop
-/// per-stage telemetry, then fall back to the baseline scheme — each step
-/// counted as [`EventKind::Degrade`] and the final level recorded on the
-/// cell so a degraded result is never mistaken for a full-fidelity one.
-fn run_cell(cell: &Cell, spec: &CampaignSpec, store: &Arc<ArtifactStore>) -> (CellRecord, bool) {
-    let telemetry = if spec.telemetry.is_enabled() {
+/// the degradation ladder per failed attempt. Level 1 drops validation,
+/// level 2 drops per-attempt telemetry, level 3 runs the baseline design
+/// point under the cell's scheme name. Each step is counted as
+/// [`EventKind::Degrade`] and the final level is recorded on the cell, so
+/// a degraded result is never mistaken for a full-fidelity one.
+///
+/// `bench` is the workbench the cell's app group shares: a clean cell with
+/// no deadline runs over it (building it on first use), so every scheme of
+/// the app reuses one base-trace decode and one set of recycled simulator
+/// scratch/models. A failed attempt clears it (a panic may have left it
+/// mid-update).
+pub(crate) fn execute(
+    cell: &Cell,
+    policy: &CellPolicy,
+    store: &Arc<ArtifactStore>,
+    bench: &mut Option<Workbench>,
+) -> (CellRecord, bool) {
+    let recorder = if policy.telemetry.is_enabled() && policy.level < 2 {
         Telemetry::enabled()
     } else {
         Telemetry::off()
     };
+    let events = if recorder.is_enabled() {
+        &recorder
+    } else {
+        policy.telemetry
+    };
     if cell.fault.is_some() {
-        telemetry.event(EventKind::Fault);
+        events.event(EventKind::Fault);
     }
     let backoff =
-        spec.supervision
-            .backoff_schedule(&cell.app.name, &cell.scheme.name, spec.retries);
-    let attempts_allowed = spec.retries + 1;
-    let mut attempt = 0;
-    let mut level: u8 = 0;
+        policy
+            .supervision
+            .backoff_schedule(&cell.app.name, &cell.scheme.name, policy.attempts - 1);
+    let mut level = policy.level;
     let mut saw_store_write = false;
-    loop {
+    let mut attempt = 0;
+    let (result, millis) = loop {
         attempt += 1;
         let mut meter = None;
         let mut stall = None;
-        if let Some(sys) = &spec.sys {
+        if let Some(sys) = policy.sys {
             for fault in sys.advance_or_crash(SysOp::AttemptStart) {
-                telemetry.event(EventKind::SysFault);
+                events.event(EventKind::SysFault);
                 match fault {
                     SysFault::AllocBudget { bytes } => {
                         meter = Some(Arc::new(AllocMeter::new(bytes)))
@@ -923,11 +925,17 @@ fn run_cell(cell: &Cell, spec: &CampaignSpec, store: &Arc<ArtifactStore>) -> (Ce
                 }
             }
         }
-        let validate = spec.validate && level < 1;
-        let attempt_telemetry = if level >= 2 {
-            Telemetry::off()
-        } else {
-            telemetry.clone()
+        let setup = Attempt {
+            trace_len: policy.trace_len,
+            stream_window: policy.stream_window,
+            validate: policy.validate && level < 1,
+            telemetry: if level >= 2 {
+                Telemetry::off()
+            } else {
+                recorder.clone()
+            },
+            meter,
+            stall,
         };
         let fallback;
         let target = if level >= 3 {
@@ -941,313 +949,75 @@ fn run_cell(cell: &Cell, spec: &CampaignSpec, store: &Arc<ArtifactStore>) -> (Ce
             cell
         };
         let started = Instant::now();
-        let result = run_attempt(
-            target,
-            spec.trace_len,
-            validate,
-            spec.deadline,
-            store,
-            &attempt_telemetry,
-            meter,
-            stall,
-            spec.stream_window,
-        );
+        let result = run_attempt(target, setup, policy.deadline, store, bench);
         let millis = started.elapsed().as_millis() as u64;
-        let fault = cell.fault.map(|(f, _)| f);
-        if let Err(RunError::Sys(fault)) = &result {
-            // Store faults surface here (the store has no access to the
-            // cell's recorder); alloc-budget and stall faults were already
-            // counted when the injector fired at attempt start.
-            match fault {
-                SysFault::StoreRead => telemetry.event(EventKind::SysFault),
-                SysFault::StoreWrite => {
-                    telemetry.event(EventKind::SysFault);
-                    saw_store_write = true;
-                }
-                _ => {}
-            }
-        }
-        let finish = |telemetry: &Telemetry| {
-            let spans = telemetry.snapshot();
-            if let Some(snapshot) = &spans {
-                spec.telemetry.absorb(snapshot);
-            }
-            spans
+        let error = match result {
+            Ok(done) => break (Ok(done), millis),
+            Err(error) => error,
         };
-        let degraded = (level > 0).then_some(level);
-        match result {
-            Ok((metrics, validation)) => {
-                return (
-                    CellRecord {
-                        app: cell.app.name.clone(),
-                        scheme: cell.scheme.name.clone(),
-                        status: CellStatus::Ok,
-                        attempts: attempt,
-                        millis,
-                        fault,
-                        metrics: Some(metrics),
-                        error: None,
-                        validation,
-                        spans: finish(&telemetry),
-                        degraded,
-                        run: spec.run_tag,
-                    },
-                    saw_store_write,
-                );
-            }
-            Err(error) if attempt >= attempts_allowed => {
-                let status = match error {
-                    RunError::Panic(_) => CellStatus::Panicked,
-                    RunError::DeadlineExceeded { .. } => CellStatus::TimedOut,
-                    _ => CellStatus::Failed,
-                };
-                return (
-                    CellRecord {
-                        app: cell.app.name.clone(),
-                        scheme: cell.scheme.name.clone(),
-                        status,
-                        attempts: attempt,
-                        millis,
-                        fault,
-                        metrics: None,
-                        error: Some(error),
-                        validation: None,
-                        spans: finish(&telemetry),
-                        degraded,
-                        run: spec.run_tag,
-                    },
-                    saw_store_write,
-                );
-            }
-            Err(_) => {
-                telemetry.event(EventKind::Retry);
-                if spec.supervision.degrade && level < 3 {
-                    level += 1;
-                    telemetry.event(EventKind::Degrade);
-                }
-                let delay = backoff.get((attempt - 1) as usize).copied().unwrap_or(0);
-                if delay > 0 {
-                    thread::sleep(Duration::from_millis(delay));
-                }
-                continue;
-            }
+        *bench = None;
+        // Store faults surface here (the store has no access to the cell's
+        // recorder); alloc-budget and stall faults were already counted
+        // when the injector fired at attempt start.
+        if let RunError::Sys(fault @ (SysFault::StoreRead | SysFault::StoreWrite)) = &error {
+            events.event(EventKind::SysFault);
+            saw_store_write |= *fault == SysFault::StoreWrite;
         }
-    }
-}
-
-/// One cell of an app batch: a single attempt over the batch's shared
-/// [`Workbench`], so every scheme of the app reuses one base-trace decode
-/// and one set of recycled simulator scratch/models.
-///
-/// Batch cells run only when the per-cell isolation machinery is idle (no
-/// planned fault, no systemic injector, no per-attempt deadline — the
-/// queue builder guarantees it), so the fast path needs no attempt thread.
-/// Panic isolation still applies via [`isolate`]. On *any* failure —
-/// typed error or trapped panic — the shared workbench is discarded (a
-/// panic may have left it mid-update) and the cell falls back to the
-/// fully isolated per-cell path ([`run_cell`]) with its complete
-/// retry/degradation budget, so batch-mode failure semantics are a
-/// superset of single-cell semantics.
-///
-/// Each cell still records its own private telemetry: its world-build
-/// span re-reads the store-cached world (microseconds after the first
-/// cell), and its sim spans cover the baseline fetch and the scheme run,
-/// exactly like the single-cell path.
-fn run_batch_cell(
-    bench: &mut Option<Workbench>,
-    cell: &Cell,
-    spec: &CampaignSpec,
-    store: &Arc<ArtifactStore>,
-) -> CellRecord {
-    debug_assert!(cell.fault.is_none() && spec.sys.is_none() && spec.deadline.is_none());
-    let telemetry = if spec.telemetry.is_enabled() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::off()
-    };
-    let started = Instant::now();
-    let label = format!("{}:{}", cell.app.name, cell.scheme.name);
-    let attempt = isolate(&label, || -> Result<_, RunError> {
-        let bench = match bench {
-            Some(bench) => {
-                // The world is already resident in the batch workbench; the
-                // empty span still marks the stage so every record carries
-                // the full per-phase breakdown.
-                telemetry.time(SpanKind::WorldBuild, || ());
-                bench
-            }
-            None => bench.insert(shared_bench(
-                &cell.app,
-                spec.trace_len,
-                spec.stream_window,
-                store,
-                &telemetry,
-            )?),
-        };
-        bench.set_telemetry(telemetry.clone());
-        bench.set_stream_window(spec.stream_window);
-        let base = bench.try_run(&DesignPoint::baseline())?;
-        let (outcome, validation) = if spec.validate {
-            let (outcome, stats) =
-                bench.try_run_validated(&cell.scheme.point, cell.app.path_seed())?;
-            (outcome, Some(stats))
-        } else {
-            (bench.try_run(&cell.scheme.point)?, None)
-        };
-        Ok((
-            CellMetrics {
-                speedup: outcome.sim.speedup_over(&base.sim),
-                cpu_energy_saving: outcome.energy.cpu_saving(&base.energy),
-                thumb_dyn_frac: outcome.thumb_dyn_frac,
-                dyn_insns: outcome.dyn_insns,
-            },
-            validation,
-        ))
-    });
-    let millis = started.elapsed().as_millis() as u64;
-    match attempt.and_then(|inner| inner) {
-        Ok((metrics, validation)) => {
-            let spans = telemetry.snapshot();
-            if let Some(snapshot) = &spans {
-                spec.telemetry.absorb(snapshot);
-            }
-            CellRecord {
-                app: cell.app.name.clone(),
-                scheme: cell.scheme.name.clone(),
-                status: CellStatus::Ok,
-                attempts: 1,
-                millis,
-                fault: None,
-                metrics: Some(metrics),
-                error: None,
-                validation,
-                spans,
-                degraded: None,
-                run: spec.run_tag,
-            }
+        if attempt >= policy.attempts {
+            break (Err(error), millis);
         }
-        Err(_) => {
-            // The failed batch attempt's recorder is dropped: the isolated
-            // fallback records its own spans, and its record (with the
-            // full retry accounting) is the one that stands.
-            *bench = None;
-            run_cell(cell, spec, store).0
+        events.event(EventKind::Retry);
+        if policy.supervision.degrade && level < 3 {
+            level += 1;
+            events.event(EventKind::Degrade);
         }
-    }
-}
-
-/// One service-mode cell: a single attempt (the service retries nothing —
-/// the *client* owns retry policy, steered by the record it gets back)
-/// at an explicit degradation level, producing a terminal [`CellRecord`].
-///
-/// The level reuses the batch ladder's semantics: level >= 1 drops
-/// validation, >= 2 drops per-cell telemetry, >= 3 runs the baseline
-/// design point under the cell's scheme name. The level is stamped on the
-/// record (`degraded`), so a shed-load result is never mistaken for a
-/// full-fidelity one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_service_attempt(
-    app: &AppSpec,
-    scheme: &Scheme,
-    trace_len: usize,
-    validate: bool,
-    deadline: Option<Duration>,
-    level: u8,
-    stream_window: Option<usize>,
-    store: &Arc<ArtifactStore>,
-    aggregate: &Telemetry,
-    sys: Option<&Arc<SysInjector>>,
-    run_tag: Option<u64>,
-) -> CellRecord {
-    let cell = Cell {
-        app: app.clone(),
-        scheme: scheme.clone(),
-        fault: None,
-    };
-    let telemetry = if aggregate.is_enabled() && level < 2 {
-        Telemetry::enabled()
-    } else {
-        Telemetry::off()
-    };
-    let mut meter = None;
-    let mut stall = None;
-    if let Some(sys) = sys {
-        for fault in sys.advance_or_crash(SysOp::AttemptStart) {
-            aggregate.event(EventKind::SysFault);
-            match fault {
-                SysFault::AllocBudget { bytes } => meter = Some(Arc::new(AllocMeter::new(bytes))),
-                SysFault::WorkerStall { millis } => stall = Some(Duration::from_millis(millis)),
-                _ => {}
-            }
+        let delay = backoff.get((attempt - 1) as usize).copied().unwrap_or(0);
+        if delay > 0 {
+            thread::sleep(Duration::from_millis(delay));
         }
-    }
-    let validate = validate && level < 1;
-    let fallback;
-    let target = if level >= 3 {
-        // Last rung: keep the cell's name (the journal key must stay
-        // stable) but run the baseline design point.
-        let mut cell = cell.clone();
-        cell.scheme.point = DesignPoint::baseline();
-        fallback = cell;
-        &fallback
-    } else {
-        &cell
     };
-    let started = Instant::now();
-    let result = run_attempt(
-        target,
-        trace_len,
-        validate,
-        deadline,
-        store,
-        &telemetry,
-        meter,
-        stall,
-        stream_window,
-    );
-    let millis = started.elapsed().as_millis() as u64;
-    let spans = telemetry.snapshot();
+    let spans = recorder.snapshot();
     if let Some(snapshot) = &spans {
-        aggregate.absorb(snapshot);
+        policy.telemetry.absorb(snapshot);
     }
-    let degraded = (level > 0).then_some(level.min(3));
-    match result {
-        Ok((metrics, validation)) => CellRecord {
-            app: cell.app.name.clone(),
-            scheme: cell.scheme.name.clone(),
-            status: CellStatus::Ok,
-            attempts: 1,
-            millis,
-            fault: None,
-            metrics: Some(metrics),
-            error: None,
-            validation,
-            spans,
-            degraded,
-            run: run_tag,
-        },
+    let (status, metrics, validation, error) = match result {
+        Ok((metrics, validation)) => (CellStatus::Ok, Some(metrics), validation, None),
         Err(error) => {
             let status = match error {
                 RunError::Panic(_) => CellStatus::Panicked,
                 RunError::DeadlineExceeded { .. } => CellStatus::TimedOut,
                 _ => CellStatus::Failed,
             };
-            CellRecord {
-                app: cell.app.name.clone(),
-                scheme: cell.scheme.name.clone(),
-                status,
-                attempts: 1,
-                millis,
-                fault: None,
-                metrics: None,
-                error: Some(error),
-                validation: None,
-                spans,
-                degraded,
-                run: run_tag,
-            }
+            (status, None, None, Some(error))
         }
-    }
+    };
+    let record = CellRecord {
+        app: cell.app.name.clone(),
+        scheme: cell.scheme.name.clone(),
+        status,
+        attempts: attempt,
+        millis,
+        fault: cell.fault.map(|(f, _)| f),
+        metrics,
+        error,
+        validation,
+        spans,
+        degraded: (level > 0).then_some(level),
+        run: policy.run_tag,
+    };
+    (record, saw_store_write)
+}
+
+/// What one attempt runs with, fixed by [`execute`] from its policy and
+/// the attempt's ladder level. Owned, so a deadline-bound attempt can move
+/// it onto its own thread.
+struct Attempt {
+    trace_len: usize,
+    stream_window: Option<usize>,
+    validate: bool,
+    telemetry: Telemetry,
+    meter: Option<Arc<AllocMeter>>,
+    stall: Option<Duration>,
 }
 
 /// One attempt, under the deadline if one is set. The body runs on its own
@@ -1258,96 +1028,54 @@ pub(crate) fn run_service_attempt(
 /// computing the whole cell in the background. The stage already in flight
 /// runs to completion — cancellation is cooperative, not preemptive — so an
 /// abandoned attempt can outlive its deadline by at most one stage.
-#[allow(clippy::too_many_arguments)]
 fn run_attempt(
     cell: &Cell,
-    trace_len: usize,
-    validate: bool,
+    attempt: Attempt,
     deadline: Option<Duration>,
     store: &Arc<ArtifactStore>,
-    telemetry: &Telemetry,
-    meter: Option<Arc<AllocMeter>>,
-    stall: Option<Duration>,
-    stream_window: Option<usize>,
+    bench: &mut Option<Workbench>,
 ) -> Result<(CellMetrics, Option<ValidationStats>), RunError> {
-    match deadline {
-        Some(deadline) => {
-            let (tx, rx) = mpsc::channel();
-            let cancel = Arc::new(AtomicBool::new(false));
-            let flag = Arc::clone(&cancel);
-            let cell = cell.clone();
-            let store = Arc::clone(store);
-            let telemetry = telemetry.clone();
-            thread::spawn(move || {
-                // An injected worker stall burns attempt time *inside* the
-                // deadline window: a long enough stall manifests as a
-                // DeadlineExceeded, exactly like a wedged host thread.
-                if let Some(stall) = stall {
-                    thread::sleep(stall);
-                }
-                let _ = tx.send(run_isolated(
-                    &cell,
-                    trace_len,
-                    validate,
-                    &flag,
-                    &store,
-                    &telemetry,
-                    meter.as_deref(),
-                    stream_window,
-                ));
-            });
-            match rx.recv_timeout(deadline) {
-                Ok(result) => result,
-                Err(_) => {
-                    cancel.store(true, Ordering::Relaxed);
-                    Err(RunError::DeadlineExceeded {
-                        millis: deadline.as_millis() as u64,
-                    })
-                }
-            }
-        }
-        None => {
-            if let Some(stall) = stall {
-                thread::sleep(stall);
-            }
-            run_isolated(
-                cell,
-                trace_len,
-                validate,
-                &AtomicBool::new(false),
-                store,
-                telemetry,
-                meter.as_deref(),
-                stream_window,
-            )
+    let Some(deadline) = deadline else {
+        return run_isolated(cell, &attempt, &AtomicBool::new(false), store, bench);
+    };
+    let (tx, rx) = mpsc::channel();
+    let cancel = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&cancel);
+    let cell = cell.clone();
+    let store = Arc::clone(store);
+    thread::spawn(move || {
+        // The attempt thread owns its data, so it builds its own workbench
+        // instead of borrowing the group's.
+        let _ = tx.send(run_isolated(&cell, &attempt, &flag, &store, &mut None));
+    });
+    match rx.recv_timeout(deadline) {
+        Ok(result) => result,
+        Err(_) => {
+            cancel.store(true, Ordering::Relaxed);
+            Err(RunError::DeadlineExceeded {
+                millis: deadline.as_millis() as u64,
+            })
         }
     }
 }
 
 /// The panic isolation boundary: a panic anywhere below becomes
 /// [`RunError::Panic`].
-#[allow(clippy::too_many_arguments)]
 fn run_isolated(
     cell: &Cell,
-    trace_len: usize,
-    validate: bool,
+    attempt: &Attempt,
     cancel: &AtomicBool,
     store: &Arc<ArtifactStore>,
-    telemetry: &Telemetry,
-    meter: Option<&AllocMeter>,
-    stream_window: Option<usize>,
+    bench: &mut Option<Workbench>,
 ) -> Result<(CellMetrics, Option<ValidationStats>), RunError> {
+    // An injected worker stall burns attempt time *inside* the deadline
+    // window: a long enough stall manifests as a DeadlineExceeded, exactly
+    // like a wedged host thread.
+    if let Some(stall) = attempt.stall {
+        thread::sleep(stall);
+    }
     catch_unwind(AssertUnwindSafe(|| {
-        run_cell_body(
-            cell,
-            trace_len,
-            validate,
-            cancel,
-            store,
-            telemetry,
-            meter,
-            stream_window,
-        )
+        run_cell_body(cell, attempt, cancel, store, bench)
     }))
     .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload))))
 }
@@ -1384,19 +1112,15 @@ fn shared_bench(
     })
 }
 
-/// The cell proper: generate (or fetch the shared world), inject the
-/// planned fault (if any), validate, profile/compile/simulate baseline and
-/// scheme, reduce to metrics.
-#[allow(clippy::too_many_arguments)]
+/// The cell proper: fetch the shared world (or generate a private one and
+/// inject the planned fault), validate, profile/compile/simulate baseline
+/// and scheme, reduce to metrics.
 fn run_cell_body(
     cell: &Cell,
-    trace_len: usize,
-    validate: bool,
+    attempt: &Attempt,
     cancel: &AtomicBool,
     store: &Arc<ArtifactStore>,
-    telemetry: &Telemetry,
-    meter: Option<&AllocMeter>,
-    stream_window: Option<usize>,
+    shared: &mut Option<Workbench>,
 ) -> Result<(CellMetrics, Option<ValidationStats>), RunError> {
     // Charges against an injected per-attempt allocation budget. The
     // figures are the stages' dominant allocations in bytes — the expanded
@@ -1410,17 +1134,19 @@ fn run_cell_body(
     // model the attempt only; what the store holds across attempts is
     // measured by the same test's counting allocator.
     let charge = |bytes: u64| -> Result<(), RunError> {
-        match meter {
+        match &attempt.meter {
             Some(meter) => meter.charge(bytes),
             None => Ok(()),
         }
     };
+    let trace_len = attempt.trace_len;
+    let telemetry = &attempt.telemetry;
     // Trace-targeted faults corrupt the materialized trace; the stream
     // would innocently re-expand (program, path) past the corruption, so
     // those cells stay on the materialized path.
     let stream_window = match cell.fault {
         Some((fault, _)) if fault.target() == FaultTarget::Trace => None,
-        _ => stream_window,
+        _ => attempt.stream_window,
     };
     // Dominant per-attempt bytes of one expansion and of one simulation's
     // bookkeeping under the active pipeline.
@@ -1433,61 +1159,75 @@ fn run_cell_body(
         None => trace_len,
     };
     let app = &cell.app;
-    let mut bench = if cell.fault.is_none() {
-        // Clean cell: share the generated world or recording (and
-        // downstream artifacts) with every sibling cell of the app through
-        // the store.
-        let bench = shared_bench(app, trace_len, stream_window, store, telemetry)?;
-        checkpoint(cancel)?;
-        bench
-    } else {
+    let mut private;
+    let bench = match cell.fault {
+        None => match shared {
+            // The world is already resident in the group's workbench; the
+            // empty span still marks the stage so every record carries the
+            // full per-phase breakdown.
+            Some(bench) => {
+                telemetry.time(SpanKind::WorldBuild, || ());
+                bench
+            }
+            // Clean cell: share the generated world or recording (and
+            // downstream artifacts) with every sibling cell of the app
+            // through the store.
+            None => {
+                let bench = shared.insert(shared_bench(
+                    app,
+                    trace_len,
+                    stream_window,
+                    store,
+                    telemetry,
+                )?);
+                checkpoint(cancel)?;
+                bench
+            }
+        },
         // Fault-injected cell: build everything privately. A corrupted
         // program/trace must never be published to the store, and even the
         // cell's *pristine* stages stay private so a fault drill measures
         // the uncached pipeline it is drilling.
-        telemetry.time(SpanKind::WorldBuild, || {
-            let mut program = app.generate_program();
-            if let Some((fault, seed)) = cell.fault {
+        Some((fault, seed)) => {
+            private = telemetry.time(SpanKind::WorldBuild, || {
+                let mut program = app.generate_program();
                 if fault.target() == FaultTarget::Program {
                     inject_program(&mut program, fault, seed)
                         .map_err(|e| RunError::Inject(e.to_string()))?;
                 }
-            }
-            // Validate before walking the CFG: path generation and trace
-            // expansion index blocks by id and would panic on e.g. a
-            // dangling terminator.
-            program.validate()?;
-            checkpoint(cancel)?;
-            let path = ExecutionPath::generate(&program, app.path_seed(), trace_len);
-            let mut trace = Trace::expand(&program, &path);
-            if let Some((fault, seed)) = cell.fault {
+                // Validate before walking the CFG: path generation and
+                // trace expansion index blocks by id and would panic on
+                // e.g. a dangling terminator.
+                program.validate()?;
+                checkpoint(cancel)?;
+                let path = ExecutionPath::generate(&program, app.path_seed(), trace_len);
+                let mut trace = Trace::expand(&program, &path);
                 if fault.target() == FaultTarget::Trace {
                     inject_trace(&mut trace, fault, seed)
                         .map_err(|e| RunError::Inject(e.to_string()))?;
                 }
+                checkpoint(cancel)?;
+                Workbench::try_assemble(app, program, path, trace)
+            })?;
+            // Miscompile faults corrupt the *rewritten* variant, so they
+            // are armed on the workbench: the baseline design point is
+            // never injected (the oracle needs an honest reference), only
+            // the scheme's variant is.
+            if fault.target() == FaultTarget::Variant {
+                private.set_variant_fault(fault, seed);
             }
-            checkpoint(cancel)?;
-            Workbench::try_assemble(app, program, path, trace)
-        })?
+            &mut private
+        }
     };
     charge(expansion_span as u64 * 64)?;
     bench.set_telemetry(telemetry.clone());
     bench.set_stream_window(stream_window);
-    if let Some((fault, seed)) = cell.fault {
-        // Miscompile faults corrupt the *rewritten* variant, so they are
-        // armed on the workbench: the baseline design point is never
-        // injected (the oracle needs an honest reference), only the
-        // scheme's variant is.
-        if fault.target() == FaultTarget::Variant {
-            bench.set_variant_fault(fault, seed);
-        }
-    }
     checkpoint(cancel)?;
     charge(sim_span as u64 * 16)?;
     let base = bench.try_run(&DesignPoint::baseline())?;
     checkpoint(cancel)?;
     charge(sim_span as u64 * 16)?;
-    let (outcome, validation) = if validate {
+    let (outcome, validation) = if attempt.validate {
         let (outcome, stats) = bench.try_run_validated(&cell.scheme.point, app.path_seed())?;
         (outcome, Some(stats))
     } else {

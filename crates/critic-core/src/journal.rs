@@ -30,12 +30,13 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use critic_obs::{EventKind, Telemetry};
+use critic_obs::{EventKind, Telemetry, TelemetrySnapshot};
 use critic_workloads::{SysFault, SysInjector, SysOp};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::{CampaignStoreRecord, CampaignTelemetryRecord, CellRecord, CellStatus};
 use crate::keys::crc32;
+use crate::store::StoreStats;
 
 /// A typed journal filesystem error. Replay *tolerates* corruption (bad
 /// lines are skipped or truncated, never fatal); only I/O failures that
@@ -516,6 +517,33 @@ impl Journal {
         let line = checksum_line(json);
         let mut active = lock_clean(&self.active);
         self.write_line(&mut active, &line, sys);
+    }
+
+    /// Appends a finished run's trailers after its cell records: the store
+    /// counters (persistent stores only), then the telemetry aggregate,
+    /// which downstream tooling reads as the journal's last line.
+    pub(crate) fn append_trailers(
+        &self,
+        store: StoreStats,
+        telemetry: Option<TelemetrySnapshot>,
+        sys: Option<&Arc<SysInjector>>,
+    ) {
+        if store.disk.is_some() {
+            let record = CampaignStoreRecord {
+                campaign_store: store,
+            };
+            if let Ok(line) = serde_json::to_string(&record) {
+                self.append_trailer(&line, sys);
+            }
+        }
+        if let Some(snapshot) = telemetry {
+            let record = CampaignTelemetryRecord {
+                campaign_telemetry: snapshot,
+            };
+            if let Ok(line) = serde_json::to_string(&record) {
+                self.append_trailer(&line, sys);
+            }
+        }
     }
 
     /// One tapped line write: an injected `JournalWrite` drops the line,

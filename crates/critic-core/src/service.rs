@@ -36,7 +36,9 @@ use critic_obs::{EventKind, SpanKind, Telemetry, TelemetrySnapshot};
 use critic_workloads::suite::Suite;
 use critic_workloads::{AppSpec, SysFault, SysInjector, SysOp};
 
-use crate::campaign::{run_service_attempt, CellRecord, CellStatus, Scheme};
+use crate::campaign::{
+    execute, Cell, CellPolicy, CellRecord, CellStatus, Scheme, SupervisionPolicy,
+};
 use crate::design::DesignPoint;
 use crate::error::RunError;
 use crate::journal::Journal;
@@ -671,9 +673,10 @@ impl CampaignService {
             BreakerDecision::Shed => {
                 // Shed synchronously: journaled (fsync before the ack,
                 // like any record), answered, never queued.
-                let record = shed_record(
+                let record = CellRecord::shed(
                     &app.name,
                     &scheme.name,
+                    None,
                     format!("circuit breaker open for app `{}`", app.name),
                     inner.config.run_tag,
                 );
@@ -691,8 +694,13 @@ impl CampaignService {
         telemetry.event(EventKind::Admit);
         telemetry.queue_depth(queued as u64 + 1);
         let service = Arc::clone(inner);
+        let cell = Cell {
+            app,
+            scheme,
+            fault: None,
+        };
         let job = Box::new(move || {
-            run_submitted(&service, client, &app, &scheme, deadline_ms, respond);
+            run_submitted(&service, client, &cell, deadline_ms, respond);
         });
         if inner.pool.submit(job) {
             inner.accepted.fetch_add(1, Ordering::Relaxed);
@@ -758,23 +766,11 @@ impl CampaignService {
         inner.pool.drain();
         if let Some(journal) = &inner.journal {
             journal.checkpoint();
-            let store_stats = inner.store.stats();
-            if store_stats.disk.is_some() {
-                let record = crate::campaign::CampaignStoreRecord {
-                    campaign_store: store_stats,
-                };
-                if let Ok(line) = serde_json::to_string(&record) {
-                    journal.append_trailer(&line, inner.config.sys.as_ref());
-                }
-            }
-            if let Some(snapshot) = inner.config.telemetry.snapshot() {
-                let record = crate::campaign::CampaignTelemetryRecord {
-                    campaign_telemetry: snapshot,
-                };
-                if let Ok(line) = serde_json::to_string(&record) {
-                    journal.append_trailer(&line, inner.config.sys.as_ref());
-                }
-            }
+            journal.append_trailers(
+                inner.store.stats(),
+                inner.config.telemetry.snapshot(),
+                inner.config.sys.as_ref(),
+            );
         }
         if inner.config.sys.is_some() {
             inner.store.set_sys_injector(None);
@@ -784,13 +780,13 @@ impl CampaignService {
 
 /// The worker-side body of one admitted submission: pick the degradation
 /// level from the queue depth *now* (at claim time, when shedding load
-/// actually helps), run the attempt, feed the breaker, journal (fsync)
-/// and only then respond.
+/// actually helps), run one attempt (the service retries nothing — the
+/// *client* owns retry policy, steered by the record it gets back), feed
+/// the breaker, journal (fsync) and only then respond.
 fn run_submitted(
     inner: &Arc<ServiceInner>,
     client: u64,
-    app: &AppSpec,
-    scheme: &Scheme,
+    cell: &Cell,
     deadline_ms: Option<u64>,
     respond: impl FnOnce(CellRecord) + Send + 'static,
 ) {
@@ -806,20 +802,20 @@ fn run_submitted(
         (None, Some(request)) => Some(Duration::from_millis(request)),
         (None, None) => None,
     };
+    let policy = CellPolicy {
+        trace_len: inner.config.trace_len,
+        validate: inner.config.validate,
+        stream_window: inner.config.stream_window,
+        run_tag: inner.config.run_tag,
+        deadline,
+        attempts: 1,
+        supervision: SupervisionPolicy::default(),
+        level,
+        sys: inner.config.sys.as_ref(),
+        telemetry,
+    };
     let record = telemetry.time(SpanKind::Request, || {
-        run_service_attempt(
-            app,
-            scheme,
-            inner.config.trace_len,
-            inner.config.validate,
-            deadline,
-            level,
-            inner.config.stream_window,
-            &inner.store,
-            telemetry,
-            inner.config.sys.as_ref(),
-            inner.config.run_tag,
-        )
+        execute(cell, &policy, &inner.store, &mut None).0
     });
     inner.breaker.on_record(&record, telemetry);
     if let Some(sys) = &inner.config.sys {
@@ -872,24 +868,6 @@ fn find_app(name: &str) -> Option<AppSpec> {
         .iter()
         .flat_map(|s| s.apps())
         .find(|a| a.name.eq_ignore_ascii_case(name))
-}
-
-/// A `Shed` record for a submission that never ran (open breaker).
-fn shed_record(app: &str, scheme: &str, reason: String, run: Option<u64>) -> CellRecord {
-    CellRecord {
-        app: app.to_string(),
-        scheme: scheme.to_string(),
-        status: CellStatus::Shed,
-        attempts: 0,
-        millis: 0,
-        fault: None,
-        metrics: None,
-        error: Some(RunError::Shed(reason)),
-        validation: None,
-        spans: None,
-        degraded: None,
-        run,
-    }
 }
 
 #[cfg(test)]
@@ -1117,6 +1095,34 @@ mod tests {
             service.drain();
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A store fault that fails a submitted cell is a systemic fault like
+    /// any other: the service's supervision counters report it.
+    #[test]
+    fn store_fault_counts_as_a_sys_fault() {
+        let config = ServiceConfig {
+            workers: 1,
+            telemetry: Telemetry::enabled(),
+            sys: Some(Arc::new(SysInjector::new(vec![
+                critic_workloads::SysFaultSpec {
+                    fault: SysFault::StoreRead,
+                    at: 0,
+                },
+            ]))),
+            ..ServiceConfig::new(4_000)
+        };
+        let service = CampaignService::open(config).expect("open");
+        let (tx, rx) = mpsc::channel();
+        let outcome = service.submit(0, "Acrobat", "critic", None, move |record| {
+            tx.send(record).expect("send");
+        });
+        assert_eq!(outcome, SubmitOutcome::Accepted);
+        let record = rx.recv().expect("answered");
+        assert_eq!(record.error, Some(RunError::Sys(SysFault::StoreRead)));
+        service.drain();
+        let snapshot = service.snapshot().expect("telemetry is on");
+        assert_eq!(snapshot.supervision().sys_faults, 1, "{snapshot:?}");
     }
 
     #[test]

@@ -251,7 +251,7 @@ proptest! {
     }
 }
 
-/// The server's `--stream-window` knob reaches `run_service_attempt`
+/// The server's `--stream-window` knob reaches the cell executor
 /// and is a pure memory bound: a service simulating through a small
 /// bounded window produces bit-identical cell metrics to one that
 /// materializes every trace in full.

@@ -2,12 +2,17 @@
 //! produce bit-identical cell metrics, and because their profile and
 //! baseline builders fill the same memo slots and disk keys, a persistent
 //! store warmed in either mode serves the other without building anything.
+//! The same grid also runs identically however its cells are executed.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
-use critics::core::campaign::{run_campaign_with_store, CampaignSpec, CellMetrics, Scheme};
+use critics::core::campaign::{
+    run_campaign_with_store, CampaignSpec, CellMetrics, CellRecord, Scheme,
+};
 use critics::core::design::DesignPoint;
+use critics::core::service::{CampaignService, ServiceConfig, SubmitOutcome};
 use critics::core::store::{ArtifactStore, StoreStats};
 use critics::obs::Telemetry;
 use critics::workloads::suite::Suite;
@@ -109,4 +114,73 @@ fn either_mode_warms_the_store_for_the_other_bit_identically() {
     );
     assert_eq!(materialized_warm, materialized_cold);
     assert_eq!(streamed_warm, streamed_cold);
+}
+
+/// A cell's outcome, without its wall-clock and telemetry residue.
+fn outcome(r: &CellRecord) -> impl PartialEq + std::fmt::Debug {
+    (
+        (r.app.clone(), r.scheme.clone()),
+        r.status,
+        r.attempts,
+        r.degraded,
+        r.metrics.clone(),
+        r.validation,
+    )
+}
+
+/// The three ways a cell runs — over its app group's shared workbench
+/// (the default), on its own attempt thread (any deadline forces one), and
+/// submitted to a `CampaignService` — agree cell for cell.
+#[test]
+fn batched_isolated_and_service_cells_agree() {
+    let mut batched = spec(None);
+    // The service resolves schemes by wire name, which hardware points lack.
+    batched
+        .schemes
+        .retain(|s| DesignPoint::named(&s.name).is_some());
+    let mut isolated = batched.clone();
+    isolated.deadline = Some(Duration::from_secs(3600));
+    let run = |spec: &CampaignSpec| -> Vec<CellRecord> {
+        let summary =
+            run_campaign_with_store(spec, &Arc::new(ArtifactStore::new())).expect("campaign runs");
+        assert!(summary.all_ok(), "{}", summary.render());
+        summary.records
+    };
+    let batched = run(&batched);
+    let isolated = run(&isolated);
+
+    let service = CampaignService::open(ServiceConfig {
+        validate: true,
+        queue_capacity: 0,
+        degrade_watermarks: [0; 3],
+        admission_rate: 0,
+        client_window: 0,
+        breaker_threshold: 0,
+        telemetry: Telemetry::off(),
+        ..ServiceConfig::new(TRACE_LEN)
+    })
+    .expect("service opens");
+    let (tx, rx) = mpsc::channel();
+    for cell in &batched {
+        let tx = tx.clone();
+        let submitted = service.submit(0, &cell.app, &cell.scheme, None, move |record| {
+            tx.send(record).expect("send");
+        });
+        assert_eq!(submitted, SubmitOutcome::Accepted);
+    }
+    drop(tx);
+    service.drain();
+    let mut served: Vec<CellRecord> = rx.iter().collect();
+    served.sort_by_key(|r| {
+        batched
+            .iter()
+            .position(|b| (&b.app, &b.scheme) == (&r.app, &r.scheme))
+    });
+
+    assert_eq!(batched.len(), 40);
+    let batched: Vec<_> = batched.iter().map(outcome).collect();
+    let isolated: Vec<_> = isolated.iter().map(outcome).collect();
+    let served: Vec<_> = served.iter().map(outcome).collect();
+    assert_eq!(isolated, batched, "an attempt thread changed a cell");
+    assert_eq!(served, batched, "the service changed a cell");
 }
