@@ -46,6 +46,7 @@
 use std::fmt;
 use std::time::Duration;
 
+use critic_bench::audit::Violation;
 use critic_bench::chaos::{self, ChaosConfig};
 use critic_bench::drill::{self, DrillConfig};
 use critic_bench::loadgen::{self, LoadgenConfig};
@@ -64,7 +65,7 @@ use critic_core::RunError;
 use critic_obs::Telemetry;
 use critic_profiler::{save_profile, ProfilerConfig};
 use critic_workloads::suite::Suite;
-use critic_workloads::{AppSpec, Fault, SysFault, SysFaultSpec, SysInjector, SysOp};
+use critic_workloads::{AppSpec, Fault, SysFaultSpec, SysInjector};
 
 const TRACE_LEN: usize = 120_000;
 
@@ -533,44 +534,59 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Parses one `--sys` value: `NAME[:PARAM]@AT`, e.g. `journal-write@0`,
-/// `store-read@3`, `alloc-budget:65536@1`, `worker-stall:200@0`, `kill@2`,
-/// `disk-corrupt@1`, `crash:journal-append@4`.
-fn parse_sys_spec(value: &str) -> Result<SysFaultSpec, CliError> {
-    let bad = || {
-        CliError::Usage(format!(
-            "--sys expects NAME[:PARAM]@AT (e.g. store-read@3, alloc-budget:65536@1, \
-             crash:journal-append@4), got `{value}`"
-        ))
-    };
-    let (head, at) = value.rsplit_once('@').ok_or_else(bad)?;
-    let at: u64 = at.parse().map_err(|_| bad())?;
-    let (name, param) = match head.split_once(':') {
-        Some((name, param)) => (name, Some(param)),
-        None => (head, None),
-    };
-    let fault = match (name, param) {
-        ("journal-write", None) => SysFault::JournalWrite,
-        ("journal-fsync", None) => SysFault::JournalFsync,
-        ("journal-torn", None) => SysFault::JournalTorn,
-        ("store-read", None) => SysFault::StoreRead,
-        ("store-write", None) => SysFault::StoreWrite,
-        ("kill", None) => SysFault::Kill,
-        ("disk-read", None) => SysFault::DiskRead,
-        ("disk-write", None) => SysFault::DiskWrite,
-        ("disk-corrupt", None) => SysFault::DiskCorrupt,
-        ("crash", Some(op)) => SysFault::Crash {
-            op: SysOp::parse(op).ok_or_else(bad)?,
-        },
-        ("alloc-budget", Some(bytes)) => SysFault::AllocBudget {
-            bytes: bytes.parse().map_err(|_| bad())?,
-        },
-        ("worker-stall", Some(millis)) => SysFault::WorkerStall {
-            millis: millis.parse().map_err(|_| bad())?,
-        },
-        _ => return Err(bad()),
-    };
-    Ok(SysFaultSpec { fault, at })
+/// Every `--sys NAME[:PARAM]@AT` value on the command line, parsed.
+fn sys_specs(args: &[String]) -> Result<Vec<SysFaultSpec>, CliError> {
+    let mut specs = Vec::new();
+    let mut idx = 0;
+    while let Some(pos) = args[idx..].iter().position(|a| a == "--sys") {
+        idx += pos + 1;
+        let Some(value) = args.get(idx) else {
+            return Err(CliError::Usage("--sys expects NAME[:PARAM]@AT".to_string()));
+        };
+        specs.push(SysFaultSpec::parse(value).ok_or_else(|| {
+            CliError::Usage(format!(
+                "--sys expects NAME[:PARAM]@AT (e.g. store-read@3, alloc-budget:65536@1, \
+                 crash:journal-append@4), got `{value}`"
+            ))
+        })?);
+    }
+    Ok(specs)
+}
+
+/// Writes `json` to `-o FILE` when one was given.
+fn write_output(args: &[String], json: &str) -> Result<(), CliError> {
+    if let Some(path) = arg_after(args, "-o") {
+        std::fs::write(&path, format!("{json}\n"))
+            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
+        eprintln!("wrote {path}");
+    }
+    Ok(())
+}
+
+/// The tail every drill command shares: serialises `report`, writes it
+/// to `-o FILE` when given, then prints `summary` (the JSON when `None`)
+/// if nothing broke, or else the JSON plus one stderr line per entry of
+/// `broken` and fails with `failure`.
+fn finish_report<R: serde::Serialize>(
+    args: &[String],
+    name: &str,
+    report: &R,
+    summary: Option<String>,
+    broken: Vec<String>,
+    failure: CliError,
+) -> Result<(), CliError> {
+    let json = serde_json::to_string_pretty(report)
+        .map_err(|e| CliError::Io(format!("cannot serialise {name} report: {e}")))?;
+    write_output(args, &json)?;
+    if broken.is_empty() {
+        println!("{}", summary.unwrap_or(json));
+        return Ok(());
+    }
+    println!("{json}");
+    for line in broken {
+        eprintln!("critic: {line}");
+    }
+    Err(failure)
 }
 
 /// This process's peak resident set size in MiB, read from `VmHWM` in
@@ -622,8 +638,9 @@ fn peak_rss_mib() -> Option<f64> {
 /// would silently undo).
 ///
 /// `--sys` arms deterministic systemic faults (the chaos harness's
-/// [`SysFault`] family) on the run; `--breaker`, `--degrade`, and the
-/// backoff flags configure the supervision policy that absorbs them.
+/// [`SysFault`](critic_workloads::SysFault) family) on the run;
+/// `--breaker`, `--degrade`, and the backoff flags configure the
+/// supervision policy that absorbs them.
 fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
     let mut apps: Vec<AppSpec> = match arg_after(args, "--suite").as_deref() {
         None | Some("mobile") => Suite::Mobile.apps(),
@@ -707,17 +724,9 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
     spec.supervision.backoff_cap_millis = parse_num("--backoff-cap-ms")?
         .unwrap_or(spec.supervision.backoff_base_millis.saturating_mul(64));
     spec.supervision.backoff_seed = parse_num("--backoff-seed")?.unwrap_or(0);
-    let mut sys_specs = Vec::new();
-    let mut idx = 0;
-    while let Some(pos) = args[idx..].iter().position(|a| a == "--sys") {
-        idx += pos + 1;
-        let Some(value) = args.get(idx) else {
-            return Err(CliError::Usage("--sys expects NAME[:PARAM]@AT".to_string()));
-        };
-        sys_specs.push(parse_sys_spec(value)?);
-    }
-    if !sys_specs.is_empty() {
-        spec.sys = Some(Arc::new(SysInjector::new(sys_specs)));
+    let sys = sys_specs(args)?;
+    if !sys.is_empty() {
+        spec.sys = Some(Arc::new(SysInjector::new(sys)));
     }
 
     let mut idx = 0;
@@ -876,11 +885,7 @@ fn run_bench_command(args: &[String]) -> Result<(), CliError> {
             report.ledger.total()
         );
     }
-    if let Some(path) = arg_after(args, "-o") {
-        std::fs::write(&path, format!("{json}\n"))
-            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
+    write_output(args, &json)?;
     if let Some(floor) = cold_floor {
         if report.cold_path.cold_speedup < floor {
             return Err(CliError::BenchRegression {
@@ -958,11 +963,7 @@ fn run_service_bench_command(args: &[String]) -> Result<(), CliError> {
             );
         }
     }
-    if let Some(path) = arg_after(args, "-o") {
-        std::fs::write(&path, format!("{json}\n"))
-            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
+    write_output(args, &json)?;
     match ceiling {
         Some(ceiling) if report.clients_64.report.p99_ms > ceiling => {
             Err(CliError::ServiceRegression {
@@ -1059,17 +1060,9 @@ fn run_serve_command(args: &[String]) -> Result<(), CliError> {
     if args.iter().any(|a| a == "--stats") {
         config.telemetry = critic_obs::Telemetry::enabled();
     }
-    let mut sys_specs = Vec::new();
-    let mut idx = 0;
-    while let Some(pos) = args[idx..].iter().position(|a| a == "--sys") {
-        idx += pos + 1;
-        let Some(value) = args.get(idx) else {
-            return Err(CliError::Usage("--sys expects NAME[:PARAM]@AT".to_string()));
-        };
-        sys_specs.push(parse_sys_spec(value)?);
-    }
-    if !sys_specs.is_empty() {
-        config.sys = Some(Arc::new(SysInjector::new(sys_specs)));
+    let sys = sys_specs(args)?;
+    if !sys.is_empty() {
+        config.sys = Some(Arc::new(SysInjector::new(sys)));
     }
     let port = parse_num("--port")?.map(|n| n as u16).unwrap_or(0);
     let ctx = serve::ShardContext {
@@ -1293,11 +1286,7 @@ fn run_loadgen_command(args: &[String]) -> Result<(), CliError> {
             outcome.report.degraded
         );
     }
-    if let Some(path) = arg_after(args, "-o") {
-        std::fs::write(&path, format!("{json}\n"))
-            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
+    write_output(args, &json)?;
     Ok(())
 }
 
@@ -1330,165 +1319,114 @@ fn run_soak_command(args: &[String]) -> Result<(), CliError> {
                 .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
         }
     };
+    let parse_f64 = |flag: &str| -> Result<Option<f64>, CliError> {
+        match arg_after(args, flag) {
+            None => Ok(None),
+            Some(v) => v
+                .parse::<f64>()
+                .map(Some)
+                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
+        }
+    };
+    let seconds = parse_num("--seconds")?;
+    let clients = parse_num("--clients")?.map(|n| (n as usize).max(1));
+    let rate = parse_f64("--rate")?;
+    let seed = parse_num("--seed")?.unwrap_or(0);
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let summary_or_json =
+        |summary: String| (!args.iter().any(|a| a == "--json")).then_some(summary);
     if let Some(shards) = parse_num("--shards")? {
         if shards < 2 {
             return Err(CliError::Usage(
                 "--shards expects at least 2 (use plain `critic soak` for one server)".to_string(),
             ));
         }
-        return run_sharded_soak_command(args, shards as u32);
-    }
-    let mut config = SoakConfig {
-        smoke: args.iter().any(|a| a == "--smoke"),
-        kill: !args.iter().any(|a| a == "--no-kill"),
-        ..SoakConfig::default()
-    };
-    if let Some(n) = parse_num("--seconds")? {
-        config.seconds = n;
-    }
-    if let Some(n) = parse_num("--clients")? {
-        config.clients = (n as usize).max(1);
-    }
-    if let Some(v) = arg_after(args, "--rate") {
-        config.rate = v
-            .parse::<f64>()
-            .map_err(|_| CliError::Usage(format!("--rate expects a number, got `{v}`")))?;
-    }
-    config.seed = parse_num("--seed")?.unwrap_or(0);
-    let mut idx = 0;
-    while let Some(pos) = args[idx..].iter().position(|a| a == "--sys") {
-        idx += pos + 1;
-        let Some(value) = args.get(idx) else {
-            return Err(CliError::Usage("--sys expects NAME[:PARAM]@AT".to_string()));
+        let defaults = ShardedSoakConfig::default();
+        let config = ShardedSoakConfig {
+            seconds: seconds.unwrap_or(defaults.seconds),
+            clients: clients.unwrap_or(defaults.clients),
+            rate: rate.unwrap_or(defaults.rate),
+            shards: shards as u32,
+            smoke,
+            seed,
+            max_p99_ms: parse_f64("--max-p99-ms")?,
+            ..defaults
         };
-        // Validate now so a typo fails fast instead of inside the child.
-        parse_sys_spec(value)?;
-        config.sys.push(value.clone());
+        let report = soak::run_sharded_soak(&config).map_err(bench_error)?;
+        let summary = format!(
+            "sharded soak: shard {} SIGKILLed; {} acked before the kill, all preserved \
+             across {} journals; restarted disk-warm ({} artifacts fetched from peers, \
+             0 re-simulations); {} in-flight redispatched; {} / {} cells bit-identical \
+             to a single-process run; failover p99 {:.1} ms; router exited {}",
+            report.killed_shard.unwrap_or_default(),
+            report.acked_before_kill,
+            config.shards,
+            report.fetched_artifacts,
+            report.redispatched,
+            report.oracle_compared,
+            report.oracle_compared,
+            report.failover_p99_ms,
+            report
+                .router_exit_code
+                .map(|c| c.to_string())
+                .unwrap_or_else(|| "by signal".to_string()),
+        );
+        return finish_report(
+            args,
+            "sharded soak",
+            &report,
+            summary_or_json(summary),
+            broken_lines("sharded soak", &report.violations),
+            CliError::ShardedSoakViolation {
+                violations: report.violations.len(),
+            },
+        );
     }
+    let defaults = SoakConfig::default();
+    let config = SoakConfig {
+        seconds: seconds.unwrap_or(defaults.seconds),
+        clients: clients.unwrap_or(defaults.clients),
+        rate: rate.unwrap_or(defaults.rate),
+        kill: !args.iter().any(|a| a == "--no-kill"),
+        sys: sys_specs(args)?,
+        smoke,
+        seed,
+        ..defaults
+    };
 
     let report = soak::run_soak(&config).map_err(bench_error)?;
-    let json = serde_json::to_string_pretty(&report)
-        .map_err(|e| CliError::Io(format!("cannot serialise soak report: {e}")))?;
-    if let Some(path) = arg_after(args, "-o") {
-        std::fs::write(&path, format!("{json}\n"))
-            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
-    if report.ok() {
-        if args.iter().any(|a| a == "--json") {
-            println!("{json}");
-        } else {
-            println!(
-                "soak: {} acked before SIGKILL, all preserved; {} disk hits after restart; \
-                 overload rejected {} with retry hints (peak queue {} / cap {}); \
-                 server exited {}",
-                report.acked_before_kill,
-                report.disk_hits_after_restart,
-                report.phase_overload.rejected,
-                report.peak_queue_depth,
-                report.queue_capacity,
-                report
-                    .server_exit_code
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|| "by signal".to_string()),
-            );
-        }
-        Ok(())
-    } else {
-        println!("{json}");
-        for v in &report.violations {
-            eprintln!(
-                "critic: soak invariant `{}` broken: {}",
-                v.invariant, v.detail
-            );
-        }
-        Err(CliError::SoakViolation {
+    let summary = format!(
+        "soak: {} acked before SIGKILL, all preserved; {} disk hits after restart; \
+         overload rejected {} with retry hints (peak queue {} / cap {}); \
+         server exited {}",
+        report.acked_before_kill,
+        report.disk_hits_after_restart,
+        report.phase_overload.rejected,
+        report.peak_queue_depth,
+        report.queue_capacity,
+        report
+            .server_exit_code
+            .map(|c| c.to_string())
+            .unwrap_or_else(|| "by signal".to_string()),
+    );
+    finish_report(
+        args,
+        "soak",
+        &report,
+        summary_or_json(summary),
+        broken_lines("soak", &report.violations),
+        CliError::SoakViolation {
             violations: report.violations.len(),
-        })
-    }
+        },
+    )
 }
 
-/// The `critic soak --shards N` body: configures and runs
-/// [`soak::run_sharded_soak`], then maps violations onto exit code 13.
-fn run_sharded_soak_command(args: &[String], shards: u32) -> Result<(), CliError> {
-    let parse_num = |flag: &str| -> Result<Option<u64>, CliError> {
-        match arg_after(args, flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
-        }
-    };
-    let mut config = ShardedSoakConfig {
-        shards,
-        smoke: args.iter().any(|a| a == "--smoke"),
-        ..ShardedSoakConfig::default()
-    };
-    if let Some(n) = parse_num("--seconds")? {
-        config.seconds = n;
-    }
-    if let Some(n) = parse_num("--clients")? {
-        config.clients = (n as usize).max(1);
-    }
-    if let Some(v) = arg_after(args, "--rate") {
-        config.rate = v
-            .parse::<f64>()
-            .map_err(|_| CliError::Usage(format!("--rate expects a number, got `{v}`")))?;
-    }
-    config.seed = parse_num("--seed")?.unwrap_or(0);
-    config.max_p99_ms =
-        match arg_after(args, "--max-p99-ms") {
-            None => None,
-            Some(v) => Some(v.parse::<f64>().map_err(|_| {
-                CliError::Usage(format!("--max-p99-ms expects a number, got `{v}`"))
-            })?),
-        };
-
-    let report = soak::run_sharded_soak(&config).map_err(bench_error)?;
-    let json = serde_json::to_string_pretty(&report)
-        .map_err(|e| CliError::Io(format!("cannot serialise sharded soak report: {e}")))?;
-    if let Some(path) = arg_after(args, "-o") {
-        std::fs::write(&path, format!("{json}\n"))
-            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
-    if report.ok() {
-        if args.iter().any(|a| a == "--json") {
-            println!("{json}");
-        } else {
-            println!(
-                "sharded soak: shard {} SIGKILLed; {} acked before the kill, all preserved \
-                 across {} journals; restarted disk-warm ({} artifacts fetched from peers, \
-                 0 re-simulations); {} in-flight redispatched; {} / {} cells bit-identical \
-                 to a single-process run; failover p99 {:.1} ms; router exited {}",
-                report.killed_shard.unwrap_or_default(),
-                report.acked_before_kill,
-                shards,
-                report.fetched_artifacts,
-                report.redispatched,
-                report.oracle_compared,
-                report.oracle_compared,
-                report.failover_p99_ms,
-                report
-                    .router_exit_code
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|| "by signal".to_string()),
-            );
-        }
-        Ok(())
-    } else {
-        println!("{json}");
-        for v in &report.violations {
-            eprintln!(
-                "critic: sharded soak invariant `{}` broken: {}",
-                v.invariant, v.detail
-            );
-        }
-        Err(CliError::ShardedSoakViolation {
-            violations: report.violations.len(),
-        })
-    }
+/// One stderr line per broken invariant of a `what` drill.
+fn broken_lines(what: &str, violations: &[Violation]) -> Vec<String> {
+    violations
+        .iter()
+        .map(|v| format!("{what} invariant `{}` broken: {}", v.invariant, v.detail))
+        .collect()
 }
 
 /// `critic chaos --seed S [--cells N] [--smoke] [--minimize] [-o FILE]`
@@ -1526,52 +1464,39 @@ fn run_chaos_command(args: &[String]) -> Result<(), CliError> {
     config.minimize = args.iter().any(|a| a == "--minimize");
 
     let report = chaos::run_chaos(&config).map_err(bench_error)?;
-    let json = serde_json::to_string_pretty(&report)
-        .map_err(|e| CliError::Io(format!("cannot serialise chaos report: {e}")))?;
-    if let Some(path) = arg_after(args, "-o") {
-        std::fs::write(&path, format!("{json}\n"))
-            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote {path}");
+    let mut summary = format!(
+        "chaos seed {}: {} schedule entries over {} cells — all invariants held{}",
+        report.seed,
+        report.schedule.len(),
+        report.cells.len(),
+        if report.interrupted {
+            " (campaign interrupted and shed as designed)"
+        } else {
+            ""
+        }
+    );
+    for entry in &report.schedule {
+        summary.push_str(&format!("\n  {entry}"));
     }
-
-    if report.ok() {
-        println!(
-            "chaos seed {}: {} schedule entries over {} cells — all invariants held{}",
-            report.seed,
-            report.schedule.len(),
-            report.cells.len(),
-            if report.interrupted {
-                " (campaign interrupted and shed as designed)"
-            } else {
-                ""
-            }
-        );
-        for entry in &report.schedule {
-            println!("  {entry}");
-        }
-        Ok(())
-    } else {
-        println!("{json}");
-        for v in &report.violations {
-            eprintln!(
-                "critic: chaos invariant `{}` broken: {}",
-                v.invariant, v.detail
-            );
-        }
-        if let Some(minimal) = &report.minimized {
-            eprintln!(
-                "critic: minimal reproducing schedule ({} of {} entries):",
-                minimal.len(),
-                report.schedule.len()
-            );
-            for entry in minimal {
-                eprintln!("critic:   {entry}");
-            }
-        }
-        Err(CliError::ChaosViolation {
+    let mut broken = broken_lines("chaos", &report.violations);
+    if let (false, Some(minimal)) = (broken.is_empty(), &report.minimized) {
+        broken.push(format!(
+            "minimal reproducing schedule ({} of {} entries):",
+            minimal.len(),
+            report.schedule.len()
+        ));
+        broken.extend(minimal.iter().map(|entry| format!("  {entry}")));
+    }
+    finish_report(
+        args,
+        "chaos",
+        &report,
+        Some(summary),
+        broken,
+        CliError::ChaosViolation {
             violations: report.violations.len(),
-        })
-    }
+        },
+    )
 }
 
 /// `critic drill --points N [--seed S] [--smoke] [--minimize] [-o FILE]`
@@ -1605,47 +1530,43 @@ fn run_drill_command(args: &[String]) -> Result<(), CliError> {
     config.minimize = args.iter().any(|a| a == "--minimize");
 
     let report = drill::run_drill(&config).map_err(bench_error)?;
-    let json = serde_json::to_string_pretty(&report)
-        .map_err(|e| CliError::Io(format!("cannot serialise drill report: {e}")))?;
-    if let Some(path) = arg_after(args, "-o") {
-        std::fs::write(&path, format!("{json}\n"))
-            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
-
-    if report.ok() {
-        println!(
-            "drill seed {}: {} kill points ({} crashed, {} clean) — durable-warm and \
-             no-lost-ack held; {} acked cells preserved, {} disk hits on verification",
-            report.seed,
-            report.points.len(),
-            report.crashed,
-            report.clean,
-            report.acked_preserved,
-            report.disk_hits
-        );
-        Ok(())
-    } else {
-        println!("{json}");
-        for v in &report.violations {
-            eprintln!(
-                "critic: drill invariant `{}` broken at point {} ({}): {}",
+    let summary = format!(
+        "drill seed {}: {} kill points ({} crashed, {} clean) — durable-warm and \
+         no-lost-ack held; {} acked cells preserved, {} disk hits on verification",
+        report.seed,
+        report.points.len(),
+        report.crashed,
+        report.clean,
+        report.acked_preserved,
+        report.disk_hits
+    );
+    let mut broken: Vec<String> = report
+        .violations
+        .iter()
+        .map(|v| {
+            format!(
+                "drill invariant `{}` broken at point {} ({}): {}",
                 v.invariant, v.point, v.crash, v.detail
-            );
-        }
-        if let Some(minimal) = &report.minimized {
-            eprintln!(
-                "critic: minimal reproducing fault set ({} spec(s)):",
-                minimal.len()
-            );
-            for spec in minimal {
-                eprintln!("critic:   {spec}");
-            }
-        }
-        Err(CliError::DrillViolation {
-            violations: report.violations.len(),
+            )
         })
+        .collect();
+    if let (false, Some(minimal)) = (broken.is_empty(), &report.minimized) {
+        broken.push(format!(
+            "minimal reproducing fault set ({} spec(s)):",
+            minimal.len()
+        ));
+        broken.extend(minimal.iter().map(|spec| format!("  {spec}")));
     }
+    finish_report(
+        args,
+        "drill",
+        &report,
+        Some(summary),
+        broken,
+        CliError::DrillViolation {
+            violations: report.violations.len(),
+        },
+    )
 }
 
 /// The roll-up `critic stats` prints: cell counts, wall-clock, the

@@ -20,28 +20,23 @@
 //! * **ledger** — the probe cell's cycle ledger still partitions its run
 //!   (checked once per invocation; it cannot depend on the schedule).
 //!
-//! When an invariant breaks, [`minimize_schedule`] delta-debugs (ddmin)
-//! the schedule down to a minimal subset that still reproduces the same
-//! violation — the JSON the CLI prints is a ready-made regression test.
+//! The checkers live in [`crate::audit`]. When an invariant breaks,
+//! [`audit::minimize`] delta-debugs (ddmin) the schedule down to a minimal
+//! subset that still reproduces the same violation — the JSON the CLI
+//! prints is a ready-made regression test.
 //!
 //! Everything is deterministic from the seed: schedules come from the
 //! bit-exact [`StdRng`], campaigns run single-worker, and `WorkerStall` is
 //! deliberately absent from the generator pool (its effect depends on host
 //! timing, which would make schedules non-reproducible).
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use critic_core::campaign::{
-    run_campaign, run_campaign_with_store, CampaignSpec, CellMetrics, CellStatus, PlannedFault,
-    Scheme, SupervisionPolicy,
+    run_campaign, CampaignSpec, CellMetrics, CellStatus, PlannedFault, Scheme, SupervisionPolicy,
 };
 use critic_core::design::DesignPoint;
-use critic_core::store::ArtifactStore;
-use critic_core::RunError;
 use critic_obs::Telemetry;
 use critic_workloads::suite::Suite;
 use critic_workloads::{AppSpec, Fault, SysFault, SysFaultSpec, SysInjector};
@@ -49,10 +44,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::perf::{time_single_cell, BenchError};
-
-/// Distinguishes concurrently-running chaos campaigns' journal files.
-static JOURNAL_COUNTER: AtomicU64 = AtomicU64::new(0);
+use crate::audit::{self, violate, Metrics, Scratch, Violation};
+use crate::perf::BenchError;
 
 /// One entry of a chaos schedule: either a data fault aimed at a specific
 /// cell or a systemic fault armed at an operation index.
@@ -101,16 +94,6 @@ impl Default for ChaosConfig {
             minimize: false,
         }
     }
-}
-
-/// One broken invariant, with enough detail to debug it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Violation {
-    /// Which invariant broke: `accounting`, `journal-resumable`,
-    /// `warm-unfaulted`, or `ledger`.
-    pub invariant: String,
-    /// Human-readable specifics.
-    pub detail: String,
 }
 
 /// The deterministic per-cell residue of a chaos campaign — everything a
@@ -269,78 +252,17 @@ fn chaos_spec(config: &ChaosConfig, schedule: &[ScheduleEntry]) -> CampaignSpec 
         breaker_threshold: 2,
         degrade: true,
     };
-    let sys: Vec<SysFaultSpec> = schedule
-        .iter()
-        .filter_map(|e| match e {
-            ScheduleEntry::Sys(s) => Some(*s),
-            ScheduleEntry::Data(_) => None,
-        })
-        .collect();
+    let mut sys = Vec::new();
+    for entry in schedule {
+        match entry {
+            ScheduleEntry::Data(p) => spec.faults.push(p.clone()),
+            ScheduleEntry::Sys(s) => sys.push(*s),
+        }
+    }
     if !sys.is_empty() {
         spec.sys = Some(Arc::new(SysInjector::new(sys)));
     }
-    spec.faults = schedule
-        .iter()
-        .filter_map(|e| match e {
-            ScheduleEntry::Data(p) => Some(p.clone()),
-            ScheduleEntry::Sys(_) => None,
-        })
-        .collect();
     spec
-}
-
-/// A scratch journal path no two concurrent probes share.
-fn scratch_journal() -> PathBuf {
-    let dir = std::env::temp_dir().join("critic_chaos");
-    let _ = std::fs::create_dir_all(&dir);
-    dir.join(format!(
-        "journal_{}_{}.jsonl",
-        std::process::id(),
-        JOURNAL_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// The fault-free reference the warm-unfaulted invariant compares against:
-/// per-cell metrics from a clean run of the same grid, after checking the
-/// reference's own cold/warm store pair is bit-identical.
-fn reference_metrics(
-    config: &ChaosConfig,
-) -> Result<BTreeMap<(String, String), CellMetrics>, Violation> {
-    let mut spec = chaos_spec(config, &[]);
-    spec.telemetry = Telemetry::off();
-    let store = Arc::new(ArtifactStore::new());
-    let run_error = |e: RunError| Violation {
-        invariant: "warm-unfaulted".to_string(),
-        detail: format!("fault-free reference run failed: {e}"),
-    };
-    let cold = run_campaign_with_store(&spec, &store).map_err(run_error)?;
-    let warm = run_campaign_with_store(&spec, &store).map_err(run_error)?;
-    if !cold.all_ok() {
-        return Err(Violation {
-            invariant: "warm-unfaulted".to_string(),
-            detail: format!(
-                "fault-free reference run has failing cells:\n{}",
-                cold.render()
-            ),
-        });
-    }
-    for (c, w) in cold.records.iter().zip(&warm.records) {
-        if c.metrics != w.metrics || c.validation != w.validation || c.status != w.status {
-            return Err(Violation {
-                invariant: "warm-unfaulted".to_string(),
-                detail: format!(
-                    "cold and warm reference runs diverge at {}:{}",
-                    c.app, c.scheme
-                ),
-            });
-        }
-    }
-    Ok(cold
-        .records
-        .into_iter()
-        .map(|r| ((r.app.clone(), r.scheme.clone()), r.metrics))
-        .filter_map(|(k, m)| m.map(|m| (k, m)))
-        .collect())
 }
 
 /// One schedule probe: run the campaign under the schedule, then check the
@@ -350,9 +272,10 @@ fn reference_metrics(
 fn run_schedule(
     config: &ChaosConfig,
     schedule: &[ScheduleEntry],
-    reference: Option<&BTreeMap<(String, String), CellMetrics>>,
-) -> Result<(Vec<ChaosCell>, bool, Vec<Violation>), RunError> {
-    let journal = scratch_journal();
+    reference: Option<&Metrics>,
+) -> Result<(Vec<ChaosCell>, bool, Vec<Violation>), BenchError> {
+    let scratch = Scratch::new("chaos")?;
+    let journal = scratch.join("journal.jsonl");
     let mut spec = chaos_spec(config, schedule);
     spec.journal = Some(journal.clone());
     let summary = run_campaign(&spec)?;
@@ -360,82 +283,48 @@ fn run_schedule(
 
     // Invariant: accounting. Every grid cell exactly once, whatever the
     // faults did.
-    let grid: Vec<(String, String)> = spec
-        .apps
-        .iter()
-        .flat_map(|a| {
-            spec.schemes
-                .iter()
-                .map(move |s| (a.name.clone(), s.name.clone()))
-        })
-        .collect();
-    let mut seen: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for r in &summary.records {
-        *seen.entry((r.app.clone(), r.scheme.clone())).or_insert(0) += 1;
-    }
-    for key in &grid {
-        match seen.get(key).copied().unwrap_or(0) {
-            1 => {}
-            n => violations.push(Violation {
-                invariant: "accounting".to_string(),
-                detail: format!(
-                    "cell {}:{} appears {n} times in the summary (expected exactly once)",
-                    key.0, key.1
-                ),
-            }),
-        }
-    }
+    let grid = audit::grid(&spec);
+    audit::accounting(&grid, &summary.records, false, &mut violations);
 
     // Invariant: journal-resumable. A faultless resume against whatever
     // journal the chaos run left behind completes the grid.
     let mut resume_spec = chaos_spec(config, schedule);
     resume_spec.sys = None;
-    resume_spec.journal = Some(journal.clone());
+    resume_spec.journal = Some(journal);
     resume_spec.resume = true;
     match run_campaign(&resume_spec) {
-        Err(e) => violations.push(Violation {
-            invariant: "journal-resumable".to_string(),
-            detail: format!("resume against the chaos journal failed: {e}"),
-        }),
-        Ok(resumed) => {
-            if resumed.records.len() != grid.len() || resumed.interrupted {
-                violations.push(Violation {
-                    invariant: "journal-resumable".to_string(),
-                    detail: format!(
-                        "resume completed {}/{} cells (interrupted: {})",
-                        resumed.records.len(),
-                        grid.len(),
-                        resumed.interrupted
-                    ),
-                });
-            }
-        }
+        Err(e) => violate(
+            &mut violations,
+            "journal-resumable",
+            format!("resume against the chaos journal failed: {e}"),
+        ),
+        Ok(resumed) if resumed.records.len() != grid.len() || resumed.interrupted => violate(
+            &mut violations,
+            "journal-resumable",
+            format!(
+                "resume completed {}/{} cells (interrupted: {})",
+                resumed.records.len(),
+                grid.len(),
+                resumed.interrupted
+            ),
+        ),
+        Ok(_) => {}
     }
 
     // Invariant: warm-unfaulted. Ok cells the schedule never touched (no
     // data fault, never degraded to the baseline-scheme rung) match the
     // fault-free reference bit for bit.
     if let Some(reference) = reference {
-        for r in &summary.records {
-            let unfaulted = r.fault.is_none() && r.degraded.is_none_or(|l| l < 3);
-            if r.status != CellStatus::Ok || !unfaulted {
-                continue;
-            }
-            let key = (r.app.clone(), r.scheme.clone());
-            if reference.get(&key) != r.metrics.as_ref() {
-                violations.push(Violation {
-                    invariant: "warm-unfaulted".to_string(),
-                    detail: format!(
-                        "unfaulted cell {}:{} diverged from the fault-free reference: \
-                         {:?} vs {:?}",
-                        r.app,
-                        r.scheme,
-                        r.metrics,
-                        reference.get(&key)
-                    ),
-                });
-            }
-        }
+        let unfaulted = summary.records.iter().filter(|r| {
+            r.status == CellStatus::Ok && r.fault.is_none() && r.degraded.is_none_or(|l| l < 3)
+        });
+        audit::check_metrics(
+            reference,
+            unfaulted.map(|r| ((r.app.clone(), r.scheme.clone()), r.metrics.as_ref())),
+            "warm-unfaulted",
+            "the fault-free reference",
+            &mut violations,
+        );
     }
 
     let cells = summary
@@ -450,13 +339,12 @@ fn run_schedule(
             metrics: r.metrics.clone(),
         })
         .collect();
-    let _ = std::fs::remove_file(&journal);
     Ok((cells, summary.interrupted, violations))
 }
 
 /// Probes one explicit schedule (no generation, no reference run): runs
 /// the campaign under it and returns the schedule-dependent invariant
-/// violations. This is the oracle handed to [`minimize_schedule`], public
+/// violations. This is the oracle handed to [`audit::minimize`], public
 /// so integration tests can drill hand-crafted schedules — e.g. proving
 /// the minimizer isolates the `chaos-planted-bug` feature's record drop.
 ///
@@ -468,75 +356,7 @@ pub fn probe_schedule(
     config: &ChaosConfig,
     schedule: &[ScheduleEntry],
 ) -> Result<Vec<Violation>, BenchError> {
-    let (_, _, violations) = run_schedule(config, schedule, None).map_err(BenchError::Run)?;
-    Ok(violations)
-}
-
-/// ddmin over schedule entries: returns a minimal subset for which
-/// `still_fails` holds. `still_fails(&full)` must hold on entry; the
-/// result is 1-minimal (dropping any single remaining entry passes).
-pub fn minimize_schedule<F>(schedule: &[ScheduleEntry], still_fails: F) -> Vec<ScheduleEntry>
-where
-    F: Fn(&[ScheduleEntry]) -> bool,
-{
-    let mut current: Vec<ScheduleEntry> = schedule.to_vec();
-    let mut granularity = 2usize;
-    while current.len() >= 2 {
-        let chunk = current.len().div_ceil(granularity);
-        let mut reduced = false;
-        // Subsets first, then complements — classic ddmin.
-        for start in (0..current.len()).step_by(chunk) {
-            let subset: Vec<ScheduleEntry> =
-                current[start..(start + chunk).min(current.len())].to_vec();
-            if subset.len() < current.len() && still_fails(&subset) {
-                current = subset;
-                granularity = 2;
-                reduced = true;
-                break;
-            }
-        }
-        if reduced {
-            continue;
-        }
-        for start in (0..current.len()).step_by(chunk) {
-            let complement: Vec<ScheduleEntry> = current
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i < start || *i >= (start + chunk).min(current.len()))
-                .map(|(_, e)| e.clone())
-                .collect();
-            if !complement.is_empty()
-                && complement.len() < current.len()
-                && still_fails(&complement)
-            {
-                current = complement;
-                granularity = (granularity - 1).max(2);
-                reduced = true;
-                break;
-            }
-        }
-        if reduced {
-            continue;
-        }
-        if granularity >= current.len() {
-            break;
-        }
-        granularity = (granularity * 2).min(current.len());
-    }
-    // Final 1-minimality pass: drop single entries while any drop still
-    // reproduces.
-    let mut i = 0;
-    while current.len() > 1 && i < current.len() {
-        let mut candidate = current.clone();
-        candidate.remove(i);
-        if still_fails(&candidate) {
-            current = candidate;
-            i = 0;
-        } else {
-            i += 1;
-        }
-    }
-    current
+    run_schedule(config, schedule, None).map(|(_, _, violations)| violations)
 }
 
 /// Runs one full chaos invocation: generate, drill, check, and (on
@@ -549,31 +369,23 @@ where
 /// on the [`ChaosReport`].
 pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, BenchError> {
     let schedule = generate_schedule(config);
-    let reference = reference_metrics(config);
-    let (cells, interrupted, mut violations) = match &reference {
-        Ok(reference) => run_schedule(config, &schedule, Some(reference))?,
-        Err(_) => run_schedule(config, &schedule, None)?,
-    };
+    let mut reference_spec = chaos_spec(config, &[]);
+    reference_spec.telemetry = Telemetry::off();
+    let reference = audit::reference(&reference_spec);
+    let (cells, interrupted, mut violations) =
+        run_schedule(config, &schedule, reference.as_ref().ok())?;
     if let Err(violation) = reference {
         violations.insert(0, violation);
     }
-
-    // The ledger invariant is schedule-independent: check it once, after
-    // the drill, so its cost is paid per invocation rather than per probe.
-    if let Err(e) = time_single_cell(chaos_trace_len(config)) {
-        violations.push(Violation {
-            invariant: "ledger".to_string(),
-            detail: e.to_string(),
-        });
-    }
+    // Checked after the drill, once per invocation rather than per probe.
+    violations.extend(audit::ledger(chaos_trace_len(config)));
 
     let minimized = match violations.first() {
         Some(first) if config.minimize => {
             let invariant = first.invariant.clone();
-            Some(minimize_schedule(&schedule, |subset| {
+            Some(audit::minimize(&schedule, |subset| {
                 run_schedule(config, subset, None)
-                    .map(|(_, _, vs)| vs.iter().any(|v| v.invariant == invariant))
-                    .unwrap_or(false)
+                    .is_ok_and(|(_, _, vs)| vs.iter().any(|v| v.invariant == invariant))
             }))
         }
         _ => None,
@@ -621,76 +433,5 @@ mod tests {
         let json = serde_json::to_string(&schedule).expect("serialises");
         let back: Vec<ScheduleEntry> = serde_json::from_str(&json).expect("deserialises");
         assert_eq!(back, schedule);
-    }
-
-    #[test]
-    fn minimizer_reduces_to_the_failing_core_on_a_synthetic_oracle() {
-        // Synthetic oracle: the schedule "fails" iff it contains both the
-        // store-read fault and the kill. ddmin must find exactly that pair.
-        let schedule = vec![
-            ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::JournalFsync,
-                at: 0,
-            }),
-            ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::StoreRead,
-                at: 1,
-            }),
-            ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::JournalWrite,
-                at: 2,
-            }),
-            ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::Kill,
-                at: 1,
-            }),
-            ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::JournalTorn,
-                at: 3,
-            }),
-        ];
-        let needs = |subset: &[ScheduleEntry]| {
-            let has = |f: SysFault| {
-                subset
-                    .iter()
-                    .any(|e| matches!(e, ScheduleEntry::Sys(s) if s.fault == f))
-            };
-            has(SysFault::StoreRead) && has(SysFault::Kill)
-        };
-        assert!(needs(&schedule));
-        let minimal = minimize_schedule(&schedule, needs);
-        assert_eq!(minimal.len(), 2, "{minimal:?}");
-        assert!(needs(&minimal), "{minimal:?}");
-    }
-
-    #[test]
-    fn minimizer_handles_single_culprit() {
-        let schedule = vec![
-            ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::JournalFsync,
-                at: 0,
-            }),
-            ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::StoreWrite,
-                at: 1,
-            }),
-            ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::JournalWrite,
-                at: 2,
-            }),
-        ];
-        let culprit = |subset: &[ScheduleEntry]| {
-            subset
-                .iter()
-                .any(|e| matches!(e, ScheduleEntry::Sys(s) if s.fault == SysFault::StoreWrite))
-        };
-        let minimal = minimize_schedule(&schedule, culprit);
-        assert_eq!(
-            minimal,
-            vec![ScheduleEntry::Sys(SysFaultSpec {
-                fault: SysFault::StoreWrite,
-                at: 1,
-            })]
-        );
     }
 }

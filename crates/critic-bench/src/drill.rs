@@ -14,7 +14,7 @@
 //! * **journal-resumable** — the restarted child exits 0 and the scarred
 //!   journal (segments, checkpoints, torn tail) replays cleanly;
 //! * **warm-unfaulted** — every cell's final metrics are bit-identical to
-//!   a fault-free in-process reference run;
+//!   a fault-free in-process reference run (itself run cold, then warm);
 //! * **ledger** — the probe cell's cycle ledger still partitions its run
 //!   (schedule-independent, checked once per invocation);
 //! * **durable-warm** — a verification campaign over the *same store
@@ -28,22 +28,17 @@
 //! Children are spawned from the current executable (`critic drill` runs
 //! inside the `critic` binary), crash via `std::process::abort` (SIGABRT),
 //! and restart with `--run-tag 1` so re-simulated cells are
-//! distinguishable from preserved ones in the journal itself. A violating
-//! point is delta-debugged (ddmin, reusing the chaos minimizer) down to a
-//! minimal fault subset that still reproduces it — the repro JSON the CLI
-//! prints on exit code 11.
+//! distinguishable from preserved ones in the journal itself. The checkers
+//! live in [`crate::audit`]. A violating point is delta-debugged
+//! ([`audit::minimize`]) down to a minimal fault subset that still
+//! reproduces it — the repro JSON the CLI prints on exit code 11.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Output};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use critic_core::campaign::{
-    run_campaign, run_campaign_with_store, CampaignSpec, CellMetrics, CellStatus, Scheme,
-};
+use critic_core::campaign::{run_campaign_with_store, CampaignSpec, CellStatus, Scheme};
 use critic_core::design::DesignPoint;
-use critic_core::journal::Journal;
 use critic_core::store::ArtifactStore;
 use critic_obs::Telemetry;
 use critic_workloads::suite::Suite;
@@ -52,11 +47,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::chaos::{minimize_schedule, ScheduleEntry};
-use crate::perf::{time_single_cell, BenchError};
-
-/// Distinguishes concurrently-running drill points' scratch directories.
-static SCRATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
+use crate::audit::{self, ensure, violate, Acks, Metrics, Scratch, Violation};
+use crate::perf::BenchError;
 
 /// The exit signal `std::process::abort` raises: SIGABRT.
 #[cfg(unix)]
@@ -126,6 +118,17 @@ pub struct DrillViolation {
     pub invariant: String,
     /// Human-readable specifics.
     pub detail: String,
+}
+
+impl DrillViolation {
+    fn new(point: usize, crash: SysFaultSpec, violation: Violation) -> DrillViolation {
+        DrillViolation {
+            point,
+            crash,
+            invariant: violation.invariant,
+            detail: violation.detail,
+        }
+    }
 }
 
 /// The outcome `critic drill` reports (and serialises on violation).
@@ -226,17 +229,6 @@ pub fn generate_points(config: &DrillConfig) -> Vec<KillPoint> {
         .collect()
 }
 
-/// Renders one spec as the CLI's `--sys NAME[:PARAM]@AT` syntax.
-fn sys_arg(spec: &SysFaultSpec) -> String {
-    let head = match spec.fault {
-        SysFault::AllocBudget { bytes } => format!("alloc-budget:{bytes}"),
-        SysFault::WorkerStall { millis } => format!("worker-stall:{millis}"),
-        SysFault::Crash { op } => format!("crash:{}", op.name()),
-        other => other.name().to_string(),
-    };
-    format!("{head}@{}", spec.at)
-}
-
 /// Whether the child died at the planted crash (`std::process::abort` →
 /// SIGABRT on unix; any signal death elsewhere).
 fn crashed_by_abort(status: &ExitStatus) -> bool {
@@ -251,12 +243,20 @@ fn crashed_by_abort(status: &ExitStatus) -> bool {
     }
 }
 
-/// The last few lines of a child's stderr, for violation details.
-fn stderr_tail(output: &Output) -> String {
-    let text = String::from_utf8_lossy(&output.stderr);
-    let lines: Vec<&str> = text.lines().collect();
-    let tail = lines.len().saturating_sub(4);
-    lines[tail..].join(" | ")
+/// Files `journal-resumable` unless the child exited with one of
+/// `codes`; the detail carries the last few lines of its stderr.
+fn check_exit(output: &Output, codes: &[i32], what: &str, violations: &mut Vec<Violation>) {
+    let code = output.status.code();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    let tail = lines[lines.len().saturating_sub(4)..].join(" | ");
+    let held = code.is_some_and(|c| codes.contains(&c));
+    ensure(
+        held,
+        violations,
+        "journal-resumable",
+        format!("{what} (status {code:?}): {tail}"),
+    );
 }
 
 /// Spawns one child campaign over the point's journal and store.
@@ -293,7 +293,7 @@ fn run_child(
         cmd.arg("--resume");
     }
     for spec in specs {
-        cmd.arg("--sys").arg(sys_arg(spec));
+        cmd.arg("--sys").arg(spec.render());
     }
     cmd.output().map_err(|e| {
         BenchError::Io(format!(
@@ -308,25 +308,11 @@ struct PointOutcome {
     crashed: bool,
     acked_preserved: u64,
     disk_hits: u64,
-    violations: Vec<(String, String)>,
+    violations: Vec<Violation>,
 }
 
-/// The per-cell reference metrics every point's outcomes are compared
-/// against, from one fault-free in-process run of the drill grid.
-type Reference = BTreeMap<(String, String), CellMetrics>;
-
-fn reference_metrics(config: &DrillConfig) -> Result<Reference, BenchError> {
-    let spec = drill_spec(config);
-    let summary = run_campaign(&spec).map_err(BenchError::Run)?;
-    if !summary.all_ok() {
-        return Err(BenchError::FailedCells(summary.render()));
-    }
-    Ok(summary
-        .records
-        .into_iter()
-        .filter_map(|r| r.metrics.map(|m| ((r.app, r.scheme), m)))
-        .collect())
-}
+/// The fault-free in-process reference every point is compared against.
+const REFERENCE: &str = "the fault-free reference";
 
 /// Drills one kill point end to end: crash the child, snapshot the acked
 /// set, restart with `--resume`, then check every schedule-dependent
@@ -335,217 +321,89 @@ fn run_point(
     config: &DrillConfig,
     binary: &Path,
     specs: &[SysFaultSpec],
-    reference: &Reference,
+    reference: &Metrics,
 ) -> Result<PointOutcome, BenchError> {
-    let scratch = std::env::temp_dir().join("critic_drill").join(format!(
-        "point_{}_{}",
-        std::process::id(),
-        SCRATCH_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&scratch)
-        .map_err(|e| BenchError::Io(format!("cannot create {}: {e}", scratch.display())))?;
-    let journal = scratch.join("journal.jsonl");
+    let scratch = Scratch::new("drill")?;
+    let journals = [scratch.join("journal.jsonl")];
+    let journal = &journals[0];
     let store_dir = scratch.join("store");
-
-    let mut violations: Vec<(String, String)> = Vec::new();
-    let mut violate = |invariant: &str, detail: String| {
-        violations.push((invariant.to_string(), detail));
-    };
+    let spec = drill_spec(config);
+    let grid = audit::grid(&spec);
+    let mut violations = Vec::new();
 
     // Phase 1: the campaign under fire. Either it dies at the planted
     // crash (SIGABRT) or the crash index lay beyond the executed ops and
     // it finishes — success, failed cells from the noise, whatever.
-    let first = run_child(binary, config, &journal, &store_dir, specs, false, 0)?;
+    let first = run_child(binary, config, journal, &store_dir, specs, false, 0)?;
     let crashed = crashed_by_abort(&first.status);
-    if !crashed && !matches!(first.status.code(), Some(0) | Some(6)) {
-        violate(
-            "journal-resumable",
-            format!(
-                "initial campaign neither crashed at the planted point nor exited \
-                 cleanly (status {:?}): {}",
-                first.status.code(),
-                stderr_tail(&first)
-            ),
-        );
+    if !crashed {
+        let what = "initial campaign neither crashed at the planted point nor exited cleanly";
+        check_exit(&first, &[0, 6], what, &mut violations);
     }
 
     // The acked set: cells the journal acknowledged Ok under run tag 0.
     // no-lost-ack promises the restart never re-simulates any of them.
-    let grid: Vec<(String, String)> = {
-        let spec = drill_spec(config);
-        spec.apps
-            .iter()
-            .flat_map(|a| {
-                spec.schemes
-                    .iter()
-                    .map(move |s| (a.name.clone(), s.name.clone()))
-            })
-            .collect()
-    };
-    let acked: BTreeMap<(String, String), CellMetrics> =
-        match Journal::replay(&journal, &Telemetry::off()) {
-            Err(e) => {
-                violate(
-                    "journal-resumable",
-                    format!("replay after the kill failed: {e}"),
-                );
-                BTreeMap::new()
-            }
-            Ok(pre) => pre
-                .records
-                .into_iter()
-                .filter(|r| {
-                    r.status == CellStatus::Ok
-                        && r.run == Some(0)
-                        && grid.contains(&(r.app.clone(), r.scheme.clone()))
-                })
-                .filter_map(|r| r.metrics.clone().map(|m| ((r.app, r.scheme), m)))
-                .collect(),
-        };
+    let acked: Acks = audit::replay(&journals, &mut violations)
+        .into_iter()
+        .filter(|(key, r)| r.status == CellStatus::Ok && r.run == Some(0) && grid.contains(key))
+        .filter_map(|(key, r)| r.metrics.map(|m| (key, Some((0, m)))))
+        .collect();
 
     // Phase 2: the restart. Same journal, same store, no faults, run tag 1.
-    let second = run_child(binary, config, &journal, &store_dir, &[], true, 1)?;
-    if second.status.code() != Some(0) {
-        violate(
-            "journal-resumable",
-            format!(
-                "resume exited with status {:?}: {}",
-                second.status.code(),
-                stderr_tail(&second)
-            ),
-        );
-    }
+    let second = run_child(binary, config, journal, &store_dir, &[], true, 1)?;
+    check_exit(&second, &[0], "resume failed", &mut violations);
 
     // Phase 3: replay the final journal and check accounting, bit-identity
     // against the reference, and no-lost-ack.
-    match Journal::replay(&journal, &Telemetry::off()) {
-        Err(e) => violate(
-            "journal-resumable",
-            format!("replay after the resume failed: {e}"),
-        ),
-        Ok(post) => {
-            let newest: BTreeMap<(String, String), _> = post
-                .records
-                .into_iter()
-                .map(|r| ((r.app.clone(), r.scheme.clone()), r))
-                .collect();
-            for key in &grid {
-                match newest.get(key) {
-                    None => violate(
-                        "accounting",
-                        format!("cell {}:{} missing from the resumed journal", key.0, key.1),
-                    ),
-                    Some(r) if r.status != CellStatus::Ok => violate(
-                        "accounting",
-                        format!(
-                            "cell {}:{} ended {:?} after a faultless resume",
-                            key.0, key.1, r.status
-                        ),
-                    ),
-                    Some(r) => {
-                        if r.metrics.as_ref() != reference.get(key) {
-                            violate(
-                                "warm-unfaulted",
-                                format!(
-                                    "cell {}:{} diverged from the fault-free reference: \
-                                     {:?} vs {:?}",
-                                    key.0,
-                                    key.1,
-                                    r.metrics,
-                                    reference.get(key)
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-            for (key, pre_metrics) in &acked {
-                match newest.get(key) {
-                    None => violate(
-                        "no-lost-ack",
-                        format!(
-                            "cell {}:{} was journaled Ok before the kill but vanished",
-                            key.0, key.1
-                        ),
-                    ),
-                    Some(r) if r.run != Some(0) => violate(
-                        "no-lost-ack",
-                        format!(
-                            "cell {}:{} was journaled Ok before the kill but re-simulated \
-                             (final run tag {:?})",
-                            key.0, key.1, r.run
-                        ),
-                    ),
-                    Some(r) if r.metrics.as_ref() != Some(pre_metrics) => violate(
-                        "no-lost-ack",
-                        format!(
-                            "cell {}:{} kept run tag 0 but its acked metrics changed",
-                            key.0, key.1
-                        ),
-                    ),
-                    Some(_) => {}
-                }
-            }
-        }
-    }
+    let newest = audit::replay(&journals, &mut violations);
+    audit::accounting(&grid, newest.values(), true, &mut violations);
+    let ok = newest
+        .iter()
+        .filter(|(key, r)| r.status == CellStatus::Ok && grid.contains(key));
+    audit::check_metrics(
+        reference,
+        ok.map(|(key, r)| (key.clone(), r.metrics.as_ref())),
+        "warm-unfaulted",
+        REFERENCE,
+        &mut violations,
+    );
+    let acked_preserved = audit::no_lost_ack(&acked, &newest, &mut violations);
 
     // Phase 4: durable-warm. A process-restart-equivalent verification
     // pass — fresh in-memory store over the same directory, fresh journal
     // — must be served from disk and reproduce the reference bit for bit.
-    let mut disk_hits = 0;
-    match ArtifactStore::persistent(&store_dir, None, Telemetry::off()) {
-        Err(e) => violate(
-            "durable-warm",
-            format!("store dir unusable after the drill: {e}"),
-        ),
-        Ok(store) => {
+    let verified = ArtifactStore::persistent(&store_dir, None, Telemetry::off())
+        .map_err(|e| format!("store dir unusable after the drill: {e}"))
+        .and_then(|store| {
             let store = Arc::new(store);
-            let spec = drill_spec(config);
-            match run_campaign_with_store(&spec, &store) {
-                Err(e) => violate("durable-warm", format!("verification campaign failed: {e}")),
-                Ok(summary) => {
-                    for r in &summary.records {
-                        let key = (r.app.clone(), r.scheme.clone());
-                        if r.status != CellStatus::Ok {
-                            violate(
-                                "durable-warm",
-                                format!(
-                                    "verification cell {}:{} ended {:?}",
-                                    r.app, r.scheme, r.status
-                                ),
-                            );
-                        } else if r.metrics.as_ref() != reference.get(&key) {
-                            violate(
-                                "durable-warm",
-                                format!(
-                                    "verification cell {}:{} is not bit-identical to the \
-                                     reference: {:?} vs {:?}",
-                                    r.app,
-                                    r.scheme,
-                                    r.metrics,
-                                    reference.get(&key)
-                                ),
-                            );
-                        }
-                    }
-                    disk_hits = store.stats().disk.map(|d| d.disk_hits).unwrap_or_default();
-                    if disk_hits == 0 {
-                        violate(
-                            "durable-warm",
-                            "verification campaign never hit the disk store — nothing \
-                             survived the restart"
-                                .to_string(),
-                        );
-                    }
-                }
-            }
+            run_campaign_with_store(&spec, &store)
+                .map(|summary| (summary, store.stats().disk.map_or(0, |d| d.disk_hits)))
+                .map_err(|e| format!("verification campaign failed: {e}"))
+        });
+    let disk_hits = match verified {
+        Err(detail) => {
+            violate(&mut violations, "durable-warm", detail);
+            0
         }
-    }
+        Ok((summary, disk_hits)) => {
+            let cells = summary.records.iter();
+            audit::check_metrics(
+                reference,
+                cells.map(|r| ((r.app.clone(), r.scheme.clone()), r.metrics.as_ref())),
+                "durable-warm",
+                REFERENCE,
+                &mut violations,
+            );
+            let detail = "verification campaign never hit the disk store — nothing \
+                          survived the restart";
+            ensure(disk_hits > 0, &mut violations, "durable-warm", detail);
+            disk_hits
+        }
+    };
 
-    let _ = std::fs::remove_dir_all(&scratch);
     Ok(PointOutcome {
         crashed,
-        acked_preserved: acked.len() as u64,
+        acked_preserved,
         disk_hits,
         violations,
     })
@@ -561,24 +419,16 @@ fn run_point(
 /// reference run, an unspawnable child) are errors; invariant violations
 /// are *data*, reported on the [`DrillReport`].
 pub fn run_drill(config: &DrillConfig) -> Result<DrillReport, BenchError> {
-    let binary = match &config.binary {
-        Some(path) => path.clone(),
-        None => std::env::current_exe()
-            .map_err(|e| BenchError::Io(format!("cannot locate the critic binary: {e}")))?,
-    };
+    let binary = audit::own_binary(config.binary.as_ref())?;
     let points = generate_points(config);
-    let reference = reference_metrics(config)?;
+    let reference =
+        audit::reference(&drill_spec(config)).map_err(|v| BenchError::Divergence(v.detail))?;
 
-    let mut violations = Vec::new();
     // The ledger invariant is schedule-independent: once per invocation.
-    if let Err(e) = time_single_cell(drill_trace_len(config)) {
-        violations.push(DrillViolation {
-            point: 0,
-            crash: points[0].crash,
-            invariant: "ledger".to_string(),
-            detail: e.to_string(),
-        });
-    }
+    let mut violations: Vec<DrillViolation> = audit::ledger(drill_trace_len(config))
+        .into_iter()
+        .map(|v| DrillViolation::new(0, points[0].crash, v))
+        .collect();
 
     let mut crashed = 0;
     let mut clean = 0;
@@ -593,46 +443,21 @@ pub fn run_drill(config: &DrillConfig) -> Result<DrillReport, BenchError> {
         }
         acked_preserved += outcome.acked_preserved;
         disk_hits += outcome.disk_hits;
-        violations.extend(outcome.violations.into_iter().map(|(invariant, detail)| {
-            DrillViolation {
-                point: i,
-                crash: point.crash,
-                invariant,
-                detail,
-            }
-        }));
+        violations.extend(
+            outcome
+                .violations
+                .into_iter()
+                .map(|v| DrillViolation::new(i, point.crash, v)),
+        );
     }
 
     let minimized = match violations.first() {
         Some(first) if config.minimize => {
             let invariant = first.invariant.clone();
-            let point = &points[first.point];
-            let entries: Vec<ScheduleEntry> = point
-                .specs()
-                .iter()
-                .map(|s| ScheduleEntry::Sys(*s))
-                .collect();
-            let minimal = minimize_schedule(&entries, |subset| {
-                let specs: Vec<SysFaultSpec> = subset
-                    .iter()
-                    .filter_map(|e| match e {
-                        ScheduleEntry::Sys(s) => Some(*s),
-                        ScheduleEntry::Data(_) => None,
-                    })
-                    .collect();
-                run_point(config, &binary, &specs, &reference)
-                    .map(|o| o.violations.iter().any(|(inv, _)| *inv == invariant))
-                    .unwrap_or(false)
-            });
-            Some(
-                minimal
-                    .into_iter()
-                    .filter_map(|e| match e {
-                        ScheduleEntry::Sys(s) => Some(s),
-                        ScheduleEntry::Data(_) => None,
-                    })
-                    .collect(),
-            )
+            Some(audit::minimize(&points[first.point].specs(), |specs| {
+                run_point(config, &binary, specs, &reference)
+                    .is_ok_and(|o| o.violations.iter().any(|v| v.invariant == invariant))
+            }))
         }
         _ => None,
     };
@@ -680,32 +505,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sys_args_render_in_cli_syntax() {
-        assert_eq!(
-            sys_arg(&SysFaultSpec {
-                fault: SysFault::Crash {
-                    op: SysOp::JournalAppend
-                },
-                at: 4,
-            }),
-            "crash:journal-append@4"
-        );
-        assert_eq!(
-            sys_arg(&SysFaultSpec {
-                fault: SysFault::DiskCorrupt,
-                at: 1,
-            }),
-            "disk-corrupt@1"
-        );
-        assert_eq!(
-            sys_arg(&SysFaultSpec {
-                fault: SysFault::AllocBudget { bytes: 64 },
-                at: 0,
-            }),
-            "alloc-budget:64@0"
-        );
     }
 }

@@ -1,7 +1,8 @@
 //! Shared scaffolding for the benchmark harness: scaled-down experiment
 //! parameters used by both the Criterion benches and smoke tests, the
 //! perf-regression harness behind `critic bench` (see [`perf`]), the
-//! chaos harness behind `critic chaos` (see [`chaos`]), and the service
+//! fault drills behind `critic chaos` / `drill` / `soak` (see [`chaos`],
+//! [`drill`], [`soak`]) over one audit library (see [`audit`]), and the service
 //! stack behind `critic serve` / `loadgen` / `soak` (see [`serve`],
 //! [`loadgen`], [`soak`]) plus the sharded front tier behind
 //! `critic router` (see [`router`]).
@@ -9,6 +10,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod chaos;
 pub mod drill;
 pub mod loadgen;

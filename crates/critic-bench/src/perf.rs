@@ -17,7 +17,6 @@
 //! that the CLI writes as `BENCH_*.json` and CI gates on.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,6 +34,8 @@ use critic_pipeline::{SimScratch, Simulator};
 use critic_workloads::suite::Suite;
 use critic_workloads::{DynInsn, Trace, DEFAULT_LOOKAHEAD, DEFAULT_STREAM_WINDOW};
 use serde::Serialize;
+
+use crate::audit::Scratch;
 
 /// Why a bench measurement could not produce a number.
 #[derive(Debug)]
@@ -571,9 +572,6 @@ pub fn time_cold_path(setup: &BenchSetup) -> Result<ColdPathReport, BenchError> 
     })
 }
 
-/// Distinguishes concurrently-running restart measurements' store dirs.
-static STORE_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 /// The campaign grid a bench run measures.
 pub fn bench_campaign(setup: &BenchSetup) -> CampaignSpec {
     let apps = Suite::Mobile.apps().into_iter().take(setup.apps).collect();
@@ -667,11 +665,8 @@ pub fn time_cold_warm(spec: &CampaignSpec) -> Result<(Duration, Duration, StoreS
 pub fn time_restart_warm(
     spec: &CampaignSpec,
 ) -> Result<(Duration, Duration, DiskStoreStats), BenchError> {
-    let dir = std::env::temp_dir().join(format!(
-        "critic_bench_store_{}_{}",
-        std::process::id(),
-        STORE_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
+    let scratch = Scratch::new("bench_store")?;
+    let dir = scratch.join("store");
     let open = |dir: &std::path::Path| -> Result<Arc<ArtifactStore>, BenchError> {
         ArtifactStore::persistent(dir, None, Telemetry::off())
             .map(Arc::new)
@@ -688,7 +683,6 @@ pub fn time_restart_warm(
     let warm_summary = run_campaign_with_store(spec, &warm_store)?;
     let warm = started.elapsed();
     let disk = warm_store.stats().disk.unwrap_or_default();
-    let _ = std::fs::remove_dir_all(&dir);
     for summary in [&cold_summary, &warm_summary] {
         if !summary.all_ok() {
             return Err(BenchError::FailedCells(summary.render()));

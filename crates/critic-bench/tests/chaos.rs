@@ -10,7 +10,7 @@
 //! ```
 
 #[cfg(feature = "chaos-planted-bug")]
-use critic_bench::chaos::minimize_schedule;
+use critic_bench::audit::minimize;
 use critic_bench::chaos::{probe_schedule, run_chaos, ChaosConfig, ScheduleEntry};
 use critic_workloads::{SysFault, SysFaultSpec};
 
@@ -80,7 +80,7 @@ fn minimizer_isolates_the_planted_supervision_bug() {
         "the planted record drop must break accounting: {violations:?}"
     );
 
-    let minimal = minimize_schedule(&schedule, |subset| {
+    let minimal = minimize(&schedule, |subset| {
         probe_schedule(&config, subset)
             .map(|vs| vs.iter().any(|v| v.invariant == "accounting"))
             .unwrap_or(false)

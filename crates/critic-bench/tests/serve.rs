@@ -8,6 +8,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use critic_bench::audit::Server;
 use critic_bench::loadgen::{run_loadgen, LoadgenConfig};
 use critic_bench::serve::{self, Reply};
 use critic_bench::soak::{run_sharded_soak, run_soak, ShardedSoakConfig, SoakConfig};
@@ -288,6 +289,22 @@ fn loadgen_retries_rejected_cells_with_hints() {
     });
 }
 
+/// The drills' child guard: a `critic serve` child drains to exit 9 once
+/// (a second shutdown does not wait again), and a child that dies before
+/// its banner is reaped and reported instead of waited on forever.
+#[test]
+fn server_guard_drains_once_and_reports_a_missing_banner() {
+    let binary = std::path::PathBuf::from(env!("CARGO_BIN_EXE_critic"));
+    let args: Vec<String> = ["serve", "--port", "0", "--trace-len", "400"]
+        .map(String::from)
+        .to_vec();
+    let mut server = Server::spawn(&binary, &args).expect("serve prints its banner");
+    assert!(server.addr.starts_with("127.0.0.1:"), "{}", server.addr);
+    assert_eq!(server.shutdown(), Some(9));
+    assert_eq!(server.shutdown(), None);
+    assert!(Server::spawn(&binary, &["no-such-command".to_string()]).is_err());
+}
+
 #[test]
 fn smoke_soak_survives_sigkill_restart_and_overload() {
     let config = SoakConfig {
@@ -295,7 +312,7 @@ fn smoke_soak_survives_sigkill_restart_and_overload() {
         clients: 3,
         rate: 3.0,
         kill: true,
-        sys: vec!["journal-write@3".to_string()],
+        sys: vec![critic_workloads::SysFaultSpec::parse("journal-write@3").expect("valid spec")],
         smoke: true,
         seed: 9,
         binary: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_critic"))),

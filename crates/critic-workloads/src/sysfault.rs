@@ -197,6 +197,60 @@ pub struct SysFaultSpec {
     pub at: u64,
 }
 
+impl SysFaultSpec {
+    /// Parses the CLI's `--sys NAME[:PARAM]@AT` syntax, e.g.
+    /// `journal-write@0`, `alloc-budget:65536@1`, `worker-stall:200@0`,
+    /// `crash:journal-append@4`. The inverse of [`SysFaultSpec::render`].
+    pub fn parse(value: &str) -> Option<SysFaultSpec> {
+        let (head, at) = value.rsplit_once('@')?;
+        let (name, param) = match head.split_once(':') {
+            Some((name, param)) => (name, Some(param)),
+            None => (head, None),
+        };
+        let fault = match (name, param) {
+            ("crash", Some(op)) => SysFault::Crash {
+                op: SysOp::parse(op)?,
+            },
+            ("alloc-budget", Some(bytes)) => SysFault::AllocBudget {
+                bytes: bytes.parse().ok()?,
+            },
+            ("worker-stall", Some(millis)) => SysFault::WorkerStall {
+                millis: millis.parse().ok()?,
+            },
+            (name, None) => [
+                SysFault::JournalWrite,
+                SysFault::JournalFsync,
+                SysFault::JournalTorn,
+                SysFault::StoreRead,
+                SysFault::StoreWrite,
+                SysFault::Kill,
+                SysFault::DiskRead,
+                SysFault::DiskWrite,
+                SysFault::DiskCorrupt,
+            ]
+            .into_iter()
+            .find(|f| f.name() == name)?,
+            _ => return None,
+        };
+        Some(SysFaultSpec {
+            fault,
+            at: at.parse().ok()?,
+        })
+    }
+
+    /// Renders the spec in the `--sys NAME[:PARAM]@AT` syntax
+    /// [`SysFaultSpec::parse`] reads.
+    pub fn render(&self) -> String {
+        let name = self.fault.name();
+        match self.fault {
+            SysFault::AllocBudget { bytes } => format!("{name}:{bytes}@{}", self.at),
+            SysFault::WorkerStall { millis } => format!("{name}:{millis}@{}", self.at),
+            SysFault::Crash { op } => format!("{name}:{}@{}", op.name(), self.at),
+            _ => format!("{name}@{}", self.at),
+        }
+    }
+}
+
 impl fmt::Display for SysFaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}@{}", self.fault, self.at)
@@ -396,6 +450,70 @@ mod tests {
             assert_eq!(SysOp::parse(op.name()), Some(op));
         }
         assert_eq!(SysOp::parse("no-such-op"), None);
+    }
+
+    #[test]
+    fn cli_syntax_round_trips_for_every_fault() {
+        let mut faults = vec![
+            SysFault::JournalWrite,
+            SysFault::JournalFsync,
+            SysFault::JournalTorn,
+            SysFault::StoreRead,
+            SysFault::StoreWrite,
+            SysFault::AllocBudget { bytes: 65_536 },
+            SysFault::WorkerStall { millis: 200 },
+            SysFault::Kill,
+            SysFault::DiskRead,
+            SysFault::DiskWrite,
+            SysFault::DiskCorrupt,
+        ];
+        faults.extend(SysOp::ALL.map(|op| SysFault::Crash { op }));
+        for (at, fault) in faults.into_iter().enumerate() {
+            let spec = SysFaultSpec {
+                fault,
+                at: at as u64,
+            };
+            assert_eq!(SysFaultSpec::parse(&spec.render()), Some(spec), "{spec}");
+        }
+        for (rendered, spec) in [
+            (
+                "crash:journal-append@4",
+                SysFaultSpec {
+                    fault: SysFault::Crash {
+                        op: SysOp::JournalAppend,
+                    },
+                    at: 4,
+                },
+            ),
+            (
+                "disk-corrupt@1",
+                SysFaultSpec {
+                    fault: SysFault::DiskCorrupt,
+                    at: 1,
+                },
+            ),
+            (
+                "alloc-budget:64@0",
+                SysFaultSpec {
+                    fault: SysFault::AllocBudget { bytes: 64 },
+                    at: 0,
+                },
+            ),
+        ] {
+            assert_eq!(spec.render(), rendered);
+            assert_eq!(SysFaultSpec::parse(rendered), Some(spec));
+        }
+        for bad in [
+            "kill",
+            "kill@x",
+            "kill:1@0",
+            "alloc-budget@1",
+            "alloc-budget:lots@1",
+            "crash:no-such-op@1",
+            "no-such-fault@0",
+        ] {
+            assert_eq!(SysFaultSpec::parse(bad), None, "{bad}");
+        }
     }
 
     #[test]
