@@ -17,9 +17,11 @@
 //! `no-resimulation`, `failover-p99`) read one counter each and are filed
 //! through [`violate`] by the soaks themselves. A violating schedule is
 //! reduced by [`minimize`]. The process plumbing — [`own_binary`],
-//! [`Server`] and [`Scratch`] — cleans up on every return path.
+//! [`Server`] and [`Scratch`] — cleans up on every return path, and what
+//! stops a drill from reaching a verdict at all is a [`BenchError`].
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -32,13 +34,17 @@ use std::time::{Duration, Instant};
 use critic_core::campaign::{
     run_campaign_with_store, CampaignSpec, CellMetrics, CellRecord, CellStatus,
 };
+use critic_core::design::DesignPoint;
 use critic_core::journal::Journal;
+use critic_core::runner::Workbench;
 use critic_core::store::ArtifactStore;
-use critic_obs::Telemetry;
+use critic_core::RunError;
+use critic_obs::{CycleLedger, Telemetry};
+use critic_pipeline::{SimScratch, Simulator};
+use critic_workloads::suite::Suite;
 use serde::{Deserialize, Serialize};
 
 use crate::loadgen::AckedCell;
-use crate::perf::{time_single_cell, BenchError};
 use crate::serve::{request_reply, Reply, ServeStats, ShutdownRequest, StatsRequest};
 
 /// An (app, scheme) grid cell.
@@ -56,6 +62,41 @@ pub type Newest = BTreeMap<CellKey, CellRecord>;
 
 /// How long a drained child may take to exit before it is killed.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Why a drill could not reach a verdict.
+#[derive(Debug)]
+pub enum BenchError {
+    /// The pipeline itself failed.
+    Run(RunError),
+    /// The probe cell's cycle ledger did not partition the run, or the
+    /// ledger-audited run disagreed with the plain one.
+    LedgerViolation(String),
+    /// A fault-free run the drill is checked against was not itself
+    /// sound, so there is nothing to compare with.
+    Divergence(String),
+    /// Harness infrastructure failed: an unusable scratch directory or
+    /// store, an unspawnable drill child.
+    Io(String),
+}
+
+impl fmt::Display for BenchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BenchError::Run(e) => write!(f, "{e}"),
+            BenchError::LedgerViolation(msg)
+            | BenchError::Divergence(msg)
+            | BenchError::Io(msg) => write!(f, "{msg}"),
+        }
+    }
+}
+
+impl std::error::Error for BenchError {}
+
+impl From<RunError> for BenchError {
+    fn from(e: RunError) -> Self {
+        BenchError::Run(e)
+    }
+}
 
 /// One broken invariant, with enough detail to debug it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -257,10 +298,42 @@ pub fn no_lost_ack(acks: &Acks, newest: &Newest, violations: &mut Vec<Violation>
 /// run. It cannot depend on a fault schedule, so drills run it once per
 /// invocation.
 pub fn ledger(trace_len: usize) -> Option<Violation> {
-    time_single_cell(trace_len).err().map(|e| Violation {
+    single_cell_ledger(trace_len).err().map(|e| Violation {
         invariant: "ledger".to_string(),
         detail: e.to_string(),
     })
+}
+
+/// The probe cell behind [`ledger`]: the first Mobile app's baseline,
+/// simulated once plainly and once with the cycle ledger. Returns the
+/// audited ledger.
+///
+/// # Errors
+///
+/// Propagates any pipeline failure as [`BenchError::Run`]. A ledger that
+/// does not sum to the run's cycles, or a ledger-audited run that differs
+/// from the plain one, is [`BenchError::LedgerViolation`].
+fn single_cell_ledger(trace_len: usize) -> Result<CycleLedger, BenchError> {
+    let app = &Suite::Mobile.apps()[0];
+    let mut bench = Workbench::try_new(app, trace_len)?;
+    let point = DesignPoint::baseline();
+    let base = bench.try_run(&point)?;
+    let (audited, ledger) = Simulator::new(point.cpu_config(), point.mem_config()).run_with_ledger(
+        bench.baseline_trace(),
+        bench.baseline_fanout(),
+        &mut SimScratch::new(),
+    );
+    ledger
+        .check(audited.cycles)
+        .map_err(BenchError::LedgerViolation)?;
+    if audited != base.sim {
+        return Err(BenchError::LedgerViolation(format!(
+            "ledger-audited baseline diverged from the plain run \
+             ({} vs {} cycles)",
+            audited.cycles, base.sim.cycles
+        )));
+    }
+    Ok(ledger)
 }
 
 /// ddmin over a fault list: returns a subset for which `still_fails`
@@ -719,6 +792,14 @@ mod tests {
         let minimal = minimize(&schedule, needs);
         assert_eq!(minimal.len(), 2, "{minimal:?}");
         assert!(needs(&minimal), "{minimal:?}");
+    }
+
+    #[test]
+    fn single_cell_probe_audits_the_ledger() {
+        let probe = single_cell_ledger(8_000).expect("probe runs");
+        assert!(probe.stall_for_i() + probe.stall_for_rd() > 0);
+        assert!(probe.commit > 0);
+        assert_eq!(ledger(8_000), None);
     }
 
     #[test]

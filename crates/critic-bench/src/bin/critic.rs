@@ -9,9 +9,6 @@
 //! critic validate <app> [--scheme S] [--seed N] # differential oracle only
 //! critic disasm <app> [function]      # dump the generated binary
 //! critic campaign [--validate] [--stats] [options]  # fault-tolerant app x scheme grid
-//! critic bench [--json] [--smoke] [-o FILE] [--min-warm-speedup X] [--min-cold-speedup X]
-//!              [--stream-window N] [--max-stream-peak-bytes N]
-//! critic bench --service [--smoke] [--json] [-o FILE] [--max-service-p99-ms X]
 //! critic stats --journal FILE [--json] # telemetry roll-up of a campaign journal
 //! critic chaos --seed S [--cells N] [--smoke] [--minimize] [-o FILE]
 //! critic drill --points N [--seed S] [--smoke] [--minimize] [-o FILE]
@@ -36,7 +33,7 @@
 //! | 5 | I/O error |
 //! | 6 | campaign finished with failed cells |
 //! | 7 | translation validation failed (divergence survived demotion) |
-//! | 8 | bench regression (warm-store speedup below the floor) |
+//! | 8 | retired (its only producer, the `bench` command, was removed); not reused |
 //! | 9 | campaign interrupted by graceful shutdown (shed cells; resume to finish) — also `critic serve` / `critic router` after a graceful drain |
 //! | 10 | chaos invariant violation (schedule JSON printed) |
 //! | 11 | recovery-drill invariant violation (durable-warm / no-lost-ack; repro JSON printed) |
@@ -46,11 +43,10 @@
 use std::fmt;
 use std::time::Duration;
 
-use critic_bench::audit::Violation;
+use critic_bench::audit::{BenchError, Violation};
 use critic_bench::chaos::{self, ChaosConfig};
 use critic_bench::drill::{self, DrillConfig};
 use critic_bench::loadgen::{self, LoadgenConfig};
-use critic_bench::perf::{self, BenchError, BenchSetup, ServiceBenchSetup};
 use critic_bench::router;
 use critic_bench::serve;
 use critic_bench::soak::{self, ShardedSoakConfig, SoakConfig};
@@ -99,15 +95,6 @@ enum CliError {
         total: usize,
     },
     BenchFailed(String),
-    BenchRegression {
-        what: &'static str,
-        speedup: f64,
-        floor: f64,
-    },
-    StreamMemoryRegression {
-        peak: u64,
-        ceiling: u64,
-    },
     CampaignInterrupted {
         shed: usize,
         total: usize,
@@ -126,10 +113,6 @@ enum CliError {
         connections: u64,
         forwarded: u64,
         restarts: u64,
-    },
-    ServiceRegression {
-        p99_ms: f64,
-        ceiling_ms: f64,
     },
     SoakViolation {
         violations: usize,
@@ -153,12 +136,6 @@ impl CliError {
             CliError::Run(_) | CliError::BenchFailed(_) => 1,
             CliError::CampaignFailed { .. } => 6,
             CliError::CampaignValidationFailed { .. } => 7,
-            // Its own code so CI can tell "the store got slower" apart
-            // from a pipeline failure.
-            CliError::BenchRegression { .. } => 8,
-            // A streaming run that outgrew its memory ceiling is the same
-            // class of failure: the bench got worse, not wrong.
-            CliError::StreamMemoryRegression { .. } => 8,
             // A graceful shutdown is not a failure: the journal is intact
             // and --resume finishes the grid. Scripts need to tell it
             // apart from both success and failed cells.
@@ -176,8 +153,6 @@ impl CliError {
             // The router drains its whole fleet before exiting; same
             // "graceful, state intact" contract as a single server.
             CliError::RouterDrained { .. } => 9,
-            // Service latency regressions share the bench-regression code.
-            CliError::ServiceRegression { .. } => 8,
             // A soak violation means the *service* broke under load or
             // kill — the service-layer counterpart of chaos's code 10.
             CliError::SoakViolation { .. } => 12,
@@ -230,22 +205,6 @@ impl fmt::Display for CliError {
                 )
             }
             CliError::BenchFailed(msg) => write!(f, "{msg}"),
-            CliError::BenchRegression {
-                what,
-                speedup,
-                floor,
-            } => {
-                write!(
-                    f,
-                    "{what} speedup {speedup:.2}x is below the {floor:.2}x floor"
-                )
-            }
-            CliError::StreamMemoryRegression { peak, ceiling } => {
-                write!(
-                    f,
-                    "streaming peak memory {peak} B is above the {ceiling} B ceiling"
-                )
-            }
             CliError::CampaignInterrupted { shed, total } => {
                 write!(
                     f,
@@ -284,12 +243,6 @@ impl fmt::Display for CliError {
                     f,
                     "router drained its fleet gracefully ({connections} connection(s), \
                      {forwarded} submission(s) forwarded, {restarts} shard restart(s))"
-                )
-            }
-            CliError::ServiceRegression { p99_ms, ceiling_ms } => {
-                write!(
-                    f,
-                    "service p99 latency {p99_ms:.1} ms is above the {ceiling_ms:.1} ms ceiling"
                 )
             }
             CliError::SoakViolation { violations } => {
@@ -337,7 +290,7 @@ fn arg_after(args: &[String], flag: &str) -> Option<String> {
 
 fn usage() -> CliError {
     CliError::Usage(
-        "usage: critic <list|profile|compile|run|validate|disasm|campaign|bench|stats|chaos|\
+        "usage: critic <list|profile|compile|run|validate|disasm|campaign|stats|chaos|\
          drill|serve|router|loadgen|soak> [app] [options]"
             .to_string(),
     )
@@ -377,7 +330,6 @@ mod sigterm {
 fn bench_error(e: BenchError) -> CliError {
     match e {
         BenchError::Run(e) => CliError::Run(e),
-        BenchError::FailedCells(summary) => CliError::BenchFailed(summary),
         BenchError::LedgerViolation(msg) => CliError::BenchFailed(msg),
         BenchError::Divergence(msg) => CliError::BenchFailed(msg),
         BenchError::Io(msg) => CliError::Io(msg),
@@ -519,7 +471,6 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "campaign" => run_campaign_command(args),
-        "bench" => run_bench_command(args),
         "stats" => run_stats_command(args),
         "chaos" => run_chaos_command(args),
         "drill" => run_drill_command(args),
@@ -787,191 +738,6 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
             failed: summary.failed().len(),
             total: summary.records.len(),
         })
-    }
-}
-
-/// `critic bench [--json] [--smoke] [-o FILE] [--min-warm-speedup X]
-/// [--min-cold-speedup X] [--stream-window N] [--max-stream-peak-bytes N]`
-///
-/// Measures single-cell latency, the batched-vs-scalar cold path over the
-/// sensitivity grid, the streaming-vs-materialized long-trace probe, and a
-/// cold vs warm full-grid campaign over one shared artifact store;
-/// `--smoke` shrinks the grid for CI.
-/// `--min-warm-speedup` and `--min-cold-speedup` turn the report into a
-/// gate: exit code 8 when a measured speedup falls below its floor.
-/// `--stream-window N` overrides the probe's chunk size;
-/// `--max-stream-peak-bytes N` gates the streaming peak (exit code 8 when
-/// it is exceeded; `0` means "use the report's own O(window) ceiling").
-fn run_bench_command(args: &[String]) -> Result<(), CliError> {
-    if args.iter().any(|a| a == "--service") {
-        return run_service_bench_command(args);
-    }
-    let mut setup = if args.iter().any(|a| a == "--smoke") {
-        BenchSetup::smoke()
-    } else {
-        BenchSetup::full()
-    };
-    if let Some(v) = arg_after(args, "--stream-window") {
-        let window = v
-            .parse::<usize>()
-            .map_err(|_| CliError::Usage(format!("--stream-window expects a number, got `{v}`")))?;
-        if window == 0 {
-            return Err(CliError::Usage(
-                "--stream-window must be at least 1".to_string(),
-            ));
-        }
-        setup.stream_window = window;
-    }
-    let peak_cap = match arg_after(args, "--max-stream-peak-bytes") {
-        None => None,
-        Some(v) => Some(v.parse::<u64>().map_err(|_| {
-            CliError::Usage(format!(
-                "--max-stream-peak-bytes expects a number, got `{v}`"
-            ))
-        })?),
-    };
-    let floor = match arg_after(args, "--min-warm-speedup") {
-        None => None,
-        Some(v) => Some(v.parse::<f64>().map_err(|_| {
-            CliError::Usage(format!("--min-warm-speedup expects a number, got `{v}`"))
-        })?),
-    };
-    let cold_floor = match arg_after(args, "--min-cold-speedup") {
-        None => None,
-        Some(v) => Some(v.parse::<f64>().map_err(|_| {
-            CliError::Usage(format!("--min-cold-speedup expects a number, got `{v}`"))
-        })?),
-    };
-
-    let report = perf::run_perf_bench(&setup).map_err(bench_error)?;
-    let json = serde_json::to_string_pretty(&report)
-        .map_err(|e| CliError::Io(format!("cannot serialise bench report: {e}")))?;
-
-    if args.iter().any(|a| a == "--json") {
-        println!("{json}");
-    } else {
-        println!(
-            "single cell: {:.0} ms | cold path {} cells: scalar {:.0} ms -> batched {:.0} ms \
-             ({:.2}x, {:.2}M insts/s) | campaign cold {:.0} ms -> warm {:.0} ms ({:.2}x) | \
-             restart cold {:.0} ms -> disk-warm {:.0} ms ({:.2}x, {} disk hits) | \
-             stream {} insns @ window {}: {:.2}M insts/s ({:.2}x of materialized), \
-             peak {} KiB under {} KiB ceiling | \
-             telemetry overhead {:+.1}% | {} worlds, {} profiles, {} baselines built; \
-             {} store hits | ledger {} cycles audited",
-            report.single_cell_millis,
-            report.cold_path.cells,
-            report.cold_path.scalar_millis,
-            report.cold_path.batched_millis,
-            report.cold_path.cold_speedup,
-            report.cold_path.insts_per_sec / 1e6,
-            report.cold_campaign_millis,
-            report.warm_campaign_millis,
-            report.warm_speedup,
-            report.restart_cold_campaign_millis,
-            report.restart_warm_campaign_millis,
-            report.restart_warm_speedup,
-            report.disk.disk_hits,
-            report.stream.trace_len,
-            report.stream.window,
-            report.stream.streamed_insts_per_sec / 1e6,
-            report.stream.throughput_ratio,
-            report.stream.peak_resident_bytes / 1024,
-            report.stream.peak_ceiling_bytes / 1024,
-            report.telemetry_overhead_frac * 100.0,
-            report.store.worlds_built,
-            report.store.profiles_built,
-            report.store.baselines_built,
-            report.store.hits,
-            report.ledger.total()
-        );
-    }
-    write_output(args, &json)?;
-    if let Some(floor) = cold_floor {
-        if report.cold_path.cold_speedup < floor {
-            return Err(CliError::BenchRegression {
-                what: "batched cold-path",
-                speedup: report.cold_path.cold_speedup,
-                floor,
-            });
-        }
-    }
-    if let Some(cap) = peak_cap {
-        // 0 delegates to the report's own window-derived ceiling, so CI
-        // does not have to hard-code a byte count per window.
-        let ceiling = if cap == 0 {
-            report.stream.peak_ceiling_bytes
-        } else {
-            cap
-        };
-        if report.stream.peak_resident_bytes > ceiling {
-            return Err(CliError::StreamMemoryRegression {
-                peak: report.stream.peak_resident_bytes,
-                ceiling,
-            });
-        }
-    }
-    match floor {
-        Some(floor) if report.warm_speedup < floor => Err(CliError::BenchRegression {
-            what: "warm-store",
-            speedup: report.warm_speedup,
-            floor,
-        }),
-        _ => Ok(()),
-    }
-}
-
-/// `critic bench --service [--smoke] [--json] [-o FILE]
-/// [--max-service-p99-ms X]`
-///
-/// Measures the campaign service end to end, in process: an
-/// ephemeral-port server, then 8-client, 64-client, and 2× overload
-/// loadgen phases against it. `--max-service-p99-ms` gates on the
-/// 64-client p99 with exit code 8.
-fn run_service_bench_command(args: &[String]) -> Result<(), CliError> {
-    let setup = if args.iter().any(|a| a == "--smoke") {
-        ServiceBenchSetup::smoke()
-    } else {
-        ServiceBenchSetup::full()
-    };
-    let ceiling = match arg_after(args, "--max-service-p99-ms") {
-        None => None,
-        Some(v) => Some(v.parse::<f64>().map_err(|_| {
-            CliError::Usage(format!("--max-service-p99-ms expects a number, got `{v}`"))
-        })?),
-    };
-    let report = perf::run_service_bench(&setup).map_err(bench_error)?;
-    let json = serde_json::to_string_pretty(&report)
-        .map_err(|e| CliError::Io(format!("cannot serialise service bench report: {e}")))?;
-    if args.iter().any(|a| a == "--json") {
-        println!("{json}");
-    } else {
-        for (label, phase) in [
-            ("8 clients", &report.clients_8),
-            ("64 clients", &report.clients_64),
-            ("overload", &report.overload),
-        ] {
-            println!(
-                "{label}: {} done / {} rejected of {} sent | p50 {:.1} ms, p99 {:.1} ms, \
-                 p999 {:.1} ms | degraded {:?}",
-                phase.report.done,
-                phase.report.rejected,
-                phase.report.requests,
-                phase.report.p50_ms,
-                phase.report.p99_ms,
-                phase.report.p999_ms,
-                phase.report.degraded
-            );
-        }
-    }
-    write_output(args, &json)?;
-    match ceiling {
-        Some(ceiling) if report.clients_64.report.p99_ms > ceiling => {
-            Err(CliError::ServiceRegression {
-                p99_ms: report.clients_64.report.p99_ms,
-                ceiling_ms: ceiling,
-            })
-        }
-        _ => Ok(()),
     }
 }
 

@@ -44,8 +44,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{self, violate, Metrics, Scratch, Violation};
-use crate::perf::BenchError;
+use crate::audit::{self, violate, BenchError, Metrics, Scratch, Violation};
 
 /// One entry of a chaos schedule: either a data fault aimed at a specific
 /// cell or a systemic fault armed at an operation index.

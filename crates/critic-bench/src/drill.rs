@@ -47,8 +47,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{self, ensure, violate, Acks, Metrics, Scratch, Violation};
-use crate::perf::BenchError;
+use crate::audit::{self, ensure, violate, Acks, BenchError, Metrics, Scratch, Violation};
 
 /// The exit signal `std::process::abort` raises: SIGABRT.
 #[cfg(unix)]

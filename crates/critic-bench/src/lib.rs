@@ -1,6 +1,5 @@
 //! Shared scaffolding for the benchmark harness: scaled-down experiment
 //! parameters used by both the Criterion benches and smoke tests, the
-//! perf-regression harness behind `critic bench` (see [`perf`]), the
 //! fault drills behind `critic chaos` / `drill` / `soak` (see [`chaos`],
 //! [`drill`], [`soak`]) over one audit library (see [`audit`]), and the service
 //! stack behind `critic serve` / `loadgen` / `soak` (see [`serve`],
@@ -14,7 +13,6 @@ pub mod audit;
 pub mod chaos;
 pub mod drill;
 pub mod loadgen;
-pub mod perf;
 pub mod router;
 pub mod serve;
 pub mod soak;

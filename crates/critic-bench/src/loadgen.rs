@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-use crate::perf::BenchError;
+use crate::audit::BenchError;
 use crate::serve::{parse_reply, send_line, Reply, SubmitBody, SubmitRequest};
 
 /// One load-generation run's parameters.
@@ -108,7 +108,7 @@ pub struct AckedCell {
 }
 
 /// Aggregated latency and outcome counters for one loadgen run,
-/// serialised into `BENCH_pr7.json` and the soak report.
+/// printed by `critic loadgen` and serialised into the soak report.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct LoadgenReport {
     /// Clients that ran.

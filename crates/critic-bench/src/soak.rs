@@ -40,9 +40,8 @@ use std::time::{Duration, Instant};
 use critic_workloads::SysFaultSpec;
 use serde::Serialize;
 
-use crate::audit::{self, ensure, violate, Metrics, Scratch, Server, Violation, Wire};
+use crate::audit::{self, ensure, violate, BenchError, Metrics, Scratch, Server, Violation, Wire};
 use crate::loadgen::{run_loadgen, AckedCell, LoadgenConfig, LoadgenOutcome, LoadgenReport};
-use crate::perf::BenchError;
 use crate::router::{fetch_router_stats, RouterStats};
 use crate::serve::ServeStats;
 

@@ -558,8 +558,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignSummary, RunError> {
 /// computed exactly once per key; fault-injected cells bypass it entirely
 /// (they must neither consume pristine artifacts nor contribute corrupted
 /// ones). Passing the same store to a second run makes it a *warm* run:
-/// results are bit-identical, only faster — the bench harness measures
-/// exactly this cold/warm pair.
+/// results are bit-identical, and nothing is built twice.
 pub fn run_campaign_with_store(
     spec: &CampaignSpec,
     store: &Arc<ArtifactStore>,

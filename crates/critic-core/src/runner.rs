@@ -9,9 +9,7 @@ use critic_compiler::{
 };
 use critic_energy::{EnergyBreakdown, EnergyModel};
 use critic_obs::{EventKind, SpanKind, Telemetry};
-use critic_pipeline::{
-    BatchSimulator, SimEngine, SimResult, Simulator, StreamRunStats, StreamScratch,
-};
+use critic_pipeline::{BatchSimulator, SimEngine, SimResult, Simulator, StreamScratch};
 use critic_profiler::{ChainSpec, Profile, Profiler, ProfilerConfig};
 use critic_workloads::{
     inject_variant, AppSpec, BlockId, ExecutionPath, Fault, Program, StreamConfig, Trace,
@@ -81,8 +79,8 @@ pub struct Workbench {
     /// one per (app, scheme) cell.
     batch: BatchSimulator,
     /// Which simulation engine [`Workbench::simulate`] routes through.
-    /// Defaults to the data-oriented core; the bench harness switches to
-    /// [`SimEngine::Reference`] to measure the scalar baseline.
+    /// Defaults to the data-oriented core; differential checks switch to
+    /// [`SimEngine::Reference`] to run the scalar oracle.
     engine: SimEngine,
     /// Reusable variant-expansion buffers: each non-baseline cell
     /// re-expands its trace and fanout into these instead of allocating
@@ -96,8 +94,6 @@ pub struct Workbench {
     stream_window: Option<usize>,
     /// Recycled ring scratch for the streaming front-end.
     stream_scratch: StreamScratch,
-    /// Memory accounting of the most recent streamed simulation.
-    last_stream_stats: Option<StreamRunStats>,
     /// Span/event sink; [`Telemetry::off`] by default, so the instrumented
     /// paths cost one branch per span when telemetry is disabled.
     telemetry: Telemetry,
@@ -222,7 +218,6 @@ impl Workbench {
             variant_fanout: Vec::new(),
             stream_window: None,
             stream_scratch: StreamScratch::new(),
-            last_stream_stats: None,
             telemetry: Telemetry::off(),
         }
     }
@@ -234,8 +229,7 @@ impl Workbench {
     }
 
     /// Selects the simulation engine. Results are bit-identical across
-    /// engines; [`SimEngine::Reference`] exists for the bench harness's
-    /// scalar baseline and for differential checks.
+    /// engines; [`SimEngine::Reference`] exists for differential checks.
     pub fn set_engine(&mut self, engine: SimEngine) {
         self.engine = engine;
     }
@@ -252,13 +246,8 @@ impl Workbench {
         self.stream_window = window;
     }
 
-    /// Memory accounting of the most recent streamed simulation, if any
-    /// run has been routed through the streaming front-end.
-    pub fn stream_stats(&self) -> Option<StreamRunStats> {
-        self.last_stream_stats
-    }
-
-    /// Decode-sharing counters for this workbench's batch context.
+    /// Work counters for this workbench's batch context: how many runs it
+    /// simulated and how many of them decoded a variant trace.
     pub fn batch_stats(&self) -> critic_pipeline::BatchStats {
         self.batch.stats()
     }
@@ -669,14 +658,12 @@ impl Workbench {
             let prog: &Program = if baseline { &self.program } else { program };
             let mut stream = TraceStream::new(prog, &self.path, StreamConfig::with_window(window));
             let scratch = &mut self.stream_scratch;
-            let (sim, _, stream_stats) = telemetry.time(SpanKind::Sim, || {
+            let (sim, _, _) = telemetry.time(SpanKind::Sim, || {
                 Simulator::new(point.cpu_config(), point.mem_config())
                     .run_streamed(&mut stream, scratch)
             });
             let thumb_dyn_frac = stream.thumb_fraction();
             let dyn_insns = stream.total_len();
-            drop(stream);
-            self.last_stream_stats = Some(stream_stats);
             let energy = self.energy_model.evaluate(&sim);
             return Ok(RunOutcome {
                 design: point.label(),

@@ -226,7 +226,8 @@ pub(crate) fn profile_stream<'a>(
 
 /// Counters describing what a store computed and what it served from
 /// cache; the memoization-correctness tests, the telemetry layer, and the
-/// bench harness read these to prove each artifact was built exactly once.
+/// repository benchmark read these to prove each artifact was built
+/// exactly once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
     /// Recordings built (program + path, trace checked as a stream).

@@ -1,13 +1,20 @@
-//! End-to-end campaign acceptance test: the full Mobile suite with fault
+//! End-to-end campaign acceptance tests: the full Mobile suite with fault
 //! injection on one cell completes, journals every cell, reports the
-//! failed cell without aborting, and resumes from the journal.
+//! failed cell without aborting, and resumes from the journal; a batched
+//! campaign equals per-cell runs of the scalar reference engine exactly;
+//! and a workbench decodes each software variant once and nothing else.
 
 use std::fs;
 use std::io::Write;
+use std::sync::Arc;
 
+use critic_core::campaign::default_schemes;
 use critic_core::{
-    run_campaign, CampaignSpec, CellStatus, DesignPoint, PlannedFault, RunError, Scheme,
+    run_campaign, run_campaign_with_store, ArtifactStore, CampaignSpec, CellMetrics, CellStatus,
+    DesignPoint, PlannedFault, RunError, Scheme, Software, Workbench,
 };
+use critic_obs::Telemetry;
+use critic_pipeline::SimEngine;
 use critic_workloads::{Fault, Suite};
 
 fn shrink(mut apps: Vec<critic_workloads::AppSpec>) -> Vec<critic_workloads::AppSpec> {
@@ -115,4 +122,116 @@ fn full_mobile_suite_campaign_with_fault_injection() {
     );
 
     let _ = fs::remove_file(&journal);
+}
+
+/// The paper's software schemes (the default grid plus the Fig. 12
+/// chain-length and profile-fraction points) followed by the Fig. 11
+/// hardware points, whose software stays baseline.
+fn sensitivity_grid() -> Vec<Scheme> {
+    let mut schemes = default_schemes();
+    for n in [2, 3, 4] {
+        schemes.push(Scheme::new(
+            &format!("critic-len{n}"),
+            DesignPoint::critic_exact_len(n),
+        ));
+    }
+    for f in [0.25, 0.5] {
+        schemes.push(Scheme::new(
+            &format!("critic-pf{f}"),
+            DesignPoint::critic_profile_fraction(f),
+        ));
+    }
+    schemes.push(Scheme::new("hw-2xfd", DesignPoint::double_fd()));
+    schemes.push(Scheme::new("hw-4xic", DesignPoint::quad_icache()));
+    schemes.push(Scheme::new("hw-efetch", DesignPoint::efetch()));
+    schemes.push(Scheme::new("hw-perfbr", DesignPoint::perfect_branch()));
+    schemes.push(Scheme::new("hw-prio", DesignPoint::backend_prio()));
+    schemes.push(Scheme::new("hw-all", DesignPoint::all_hw()));
+    schemes
+}
+
+/// The batched cold campaign (shared store, one decode per app, recycled
+/// scratch) and the scalar reference pipeline (a fresh workbench per cell
+/// on `SimEngine::Reference`) agree on every cell's metrics bit for bit,
+/// over a grid slice that reaches past the software schemes into the
+/// hardware points.
+#[test]
+fn scalar_reference_and_batched_campaign_agree_exactly() {
+    let apps: Vec<_> = Suite::Mobile.apps().into_iter().take(2).collect();
+    let schemes: Vec<_> = sensitivity_grid().into_iter().take(14).collect();
+    let mut spec = CampaignSpec::new(apps, schemes, 4_000);
+    spec.telemetry = Telemetry::off();
+    spec.workers = 1;
+    let summary =
+        run_campaign_with_store(&spec, &Arc::new(ArtifactStore::new())).expect("campaign runs");
+    assert!(summary.all_ok(), "{}", summary.render());
+    assert_eq!(summary.records.len(), 28);
+
+    for record in &summary.records {
+        let app = spec
+            .apps
+            .iter()
+            .find(|a| a.name == record.app)
+            .expect("app");
+        let scheme = spec
+            .schemes
+            .iter()
+            .find(|s| s.name == record.scheme)
+            .expect("scheme");
+        let mut bench = Workbench::try_new(app, spec.trace_len).expect("workbench");
+        bench.set_engine(SimEngine::Reference);
+        let base = bench.try_run(&DesignPoint::baseline()).expect("baseline");
+        let run = bench.try_run(&scheme.point).expect("scheme");
+        let scalar = CellMetrics {
+            speedup: run.sim.speedup_over(&base.sim),
+            cpu_energy_saving: run.energy.cpu_saving(&base.energy),
+            thumb_dyn_frac: run.thumb_dyn_frac,
+            dyn_insns: run.dyn_insns,
+        };
+        assert_eq!(
+            record.metrics.as_ref(),
+            Some(&scalar),
+            "{}:{} batched and scalar reference disagree",
+            record.app,
+            record.scheme
+        );
+    }
+}
+
+/// One workbench decodes each software variant exactly once per run and
+/// serves the baseline and every hardware-only point from its one base
+/// decode: hardware points add runs but no decodes.
+#[test]
+fn workbench_decodes_each_software_variant_and_nothing_else() {
+    let app = &Suite::Mobile.apps()[0];
+    let mut bench = Workbench::try_new(app, 4_000).expect("workbench");
+    let (hardware, software): (Vec<Scheme>, Vec<Scheme>) = sensitivity_grid()
+        .into_iter()
+        .partition(|s| matches!(s.point.software, Software::Baseline));
+    assert!(!hardware.is_empty() && !software.is_empty());
+
+    bench.try_run(&DesignPoint::baseline()).expect("baseline");
+    for scheme in &hardware {
+        bench.try_run(&scheme.point).expect("hardware point");
+    }
+    let stats = bench.batch_stats();
+    assert_eq!(stats.runs, 1 + hardware.len() as u64);
+    assert_eq!(
+        stats.variant_decodes, 0,
+        "hardware points decoded a variant"
+    );
+
+    for scheme in &software {
+        bench.try_run(&scheme.point).expect("software scheme");
+    }
+    bench
+        .try_run(&DesignPoint::baseline())
+        .expect("baseline again");
+    let stats = bench.batch_stats();
+    assert_eq!(stats.runs, 2 + (hardware.len() + software.len()) as u64);
+    assert_eq!(
+        stats.variant_decodes,
+        software.len() as u64,
+        "one decode per software scheme"
+    );
 }

@@ -600,7 +600,7 @@ impl Telemetry {
 
     /// Runs `f`, recording its wall-clock as one span of `kind` when
     /// enabled. Disabled, this is a direct call: no clock read, no
-    /// recording — the zero-cost path the bench harness verifies.
+    /// recording — the zero-cost path `bench/` measures.
     #[inline]
     pub fn time<T>(&self, kind: SpanKind, f: impl FnOnce() -> T) -> T {
         match &self.recorder {

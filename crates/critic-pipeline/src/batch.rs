@@ -29,30 +29,13 @@ use critic_workloads::Trace;
 use crate::sim::{DecodedTrace, SimScratch, Simulator};
 use crate::stats::SimResult;
 
-/// Decode-sharing counters for one batch, reported by
-/// [`BatchSimulator::stats`].
+/// Work counters for one batch, reported by [`BatchSimulator::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Simulations run through this batch (base + variants).
     pub runs: u64,
     /// Variant decodes performed.
     pub variant_decodes: u64,
-    /// Variant instructions served from the shared base prefix (copied,
-    /// not re-decoded).
-    pub prefix_insns: u64,
-    /// Total variant instructions decoded (prefix + divergent tail).
-    pub variant_insns: u64,
-}
-
-impl BatchStats {
-    /// Fraction of variant instructions served from the shared prefix.
-    pub fn prefix_fraction(&self) -> f64 {
-        if self.variant_insns == 0 {
-            0.0
-        } else {
-            self.prefix_insns as f64 / self.variant_insns as f64
-        }
-    }
 }
 
 /// Shared-decode simulation context for one app's row of schemes.
@@ -78,7 +61,7 @@ impl BatchSimulator {
         BatchSimulator::default()
     }
 
-    /// Decode-sharing counters so far.
+    /// Work counters so far.
     pub fn stats(&self) -> BatchStats {
         self.stats
     }
@@ -120,15 +103,12 @@ impl BatchSimulator {
         base: &Trace,
     ) -> (SimResult, CycleLedger) {
         self.ensure_base(base);
-        let shared = self
-            .variant_decoded
+        self.variant_decoded
             .decode_with_base(trace, base, &self.base_decoded);
         self.variant_decoded
             .compute_fanout_into(&mut self.variant_fanout);
         self.stats.runs += 1;
         self.stats.variant_decodes += 1;
-        self.stats.prefix_insns += shared as u64;
-        self.stats.variant_insns += trace.len() as u64;
         sim.run_decoded(
             &self.variant_decoded,
             &self.variant_fanout,
@@ -211,26 +191,36 @@ mod tests {
         let base = base_trace();
         let split = base.len() / 2;
         let variant = perturbed(&base, split);
+        let mut base_decoded = DecodedTrace::new();
+        base_decoded.decode_into(&base);
+        let shared = DecodedTrace::new().decode_with_base(&variant, &base, &base_decoded);
+        assert_eq!(shared, split, "the unperturbed half is the shared prefix");
+
         let sim = Simulator::new(CpuConfig::google_tablet(), MemConfig::google_tablet());
         let mut batch = BatchSimulator::new();
         let _ = batch.run_variant(&sim, &variant, &base);
         let stats = batch.stats();
         assert_eq!(stats.runs, 1);
         assert_eq!(stats.variant_decodes, 1);
-        assert_eq!(stats.prefix_insns, split as u64);
-        assert_eq!(stats.variant_insns, base.len() as u64);
-        assert!(stats.prefix_fraction() > 0.49 && stats.prefix_fraction() < 0.51);
     }
 
     #[test]
     fn identical_variant_is_served_entirely_from_the_prefix() {
         let base = base_trace();
         let fanout = base.compute_fanout();
+        let mut base_decoded = DecodedTrace::new();
+        base_decoded.decode_into(&base);
+        let shared = DecodedTrace::new().decode_with_base(&base.clone(), &base, &base_decoded);
+        assert_eq!(
+            shared,
+            base.len(),
+            "an identical variant shares every entry"
+        );
+
         let sim = Simulator::new(CpuConfig::google_tablet(), MemConfig::google_tablet());
         let mut batch = BatchSimulator::new();
         let (direct, _) = batch.run_base(&sim, &base, &fanout);
         let (via_variant, _) = batch.run_variant(&sim, &base.clone(), &base);
         assert_eq!(direct, via_variant);
-        assert!((batch.stats().prefix_fraction() - 1.0).abs() < 1e-12);
     }
 }

@@ -4,16 +4,13 @@
 //! [`run_reference`] walks the raw [`DynInsn`] records with `VecDeque`
 //! queues and per-entry dependence iterators, exactly as the original
 //! `Simulator::run` did before the struct-of-arrays rewrite in
-//! [`crate::sim`]. It exists for two reasons:
-//!
-//! 1. **Correctness gate.** The data-oriented core must be *bit-identical*
-//!    to this path — every `SimResult` field and every `CycleLedger`
-//!    bucket. The property suite diffs randomized cores and traces through
-//!    both loops, and the golden fixtures pin the outputs of both.
-//! 2. **Speedup accounting.** `critic bench` measures the cold campaign
-//!    against this scalar path to report (and CI-gate) the real speedup of
-//!    the decoded core + lockstep batching, on the same machine in the
-//!    same process.
+//! [`crate::sim`]. It exists as a **correctness gate**: the data-oriented
+//! core must be *bit-identical* to this path — every `SimResult` field and
+//! every `CycleLedger` bucket. The property suite diffs randomized cores
+//! and traces through both loops, the golden fixtures pin the outputs of
+//! both, and a campaign test diffs a whole batched grid against per-cell
+//! reference runs. The repository benchmark (`bench/`) also times it as
+//! `pipeline.reference_minsts_per_s`.
 //!
 //! It is deliberately *not* optimized; do not "fix" its performance.
 

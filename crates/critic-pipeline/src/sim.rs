@@ -80,8 +80,8 @@ pub enum SimEngine {
     #[default]
     DataOriented,
     /// The preserved scalar loop ([`Simulator::run_reference`]): the
-    /// differential oracle and the baseline `critic bench` measures the
-    /// cold-campaign speedup against. Deliberately not optimized.
+    /// differential oracle every optimized path is diffed against.
+    /// Deliberately not optimized.
     Reference,
 }
 
@@ -771,8 +771,8 @@ impl Simulator {
     }
 
     /// Runs the preserved scalar loop (see [`crate::reference`]): the
-    /// differential oracle the data-oriented core is diffed against, and
-    /// the baseline `critic bench` measures speedup from. Not a hot path.
+    /// differential oracle the data-oriented core is diffed against. Not a
+    /// hot path.
     pub fn run_reference(&self, trace: &Trace, fanout: &[u32]) -> (SimResult, CycleLedger) {
         crate::reference::run_reference(&self.cpu, &self.mem_config, trace, fanout)
     }

@@ -1,7 +1,7 @@
 //! The streamed column source: bounded memory, bit-identical results.
 //!
 //! [`Simulator::run_streamed`] runs the one cycle loop
-//! (`Simulator::run_source`) over a [`Ring`] fed window-at-a-time from a
+//! (`Simulator::run_source`) over a `Ring` fed window-at-a-time from a
 //! [`TraceStream`], instead of over a materialized
 //! [`critic_workloads::Trace`] + `DecodedTrace` pair. Decoded columns,
 //! fanout and per-instruction timestamp tables live in power-of-two
@@ -14,7 +14,7 @@
 //!
 //! The stages are the materialized run's own; only the source differs,
 //! and every way a ring could differ from the whole trace is a property of
-//! [`Ring`]:
+//! `Ring`:
 //!
 //! * **Columns**: every entry is decoded by the same
 //!   `DecodedTrace::decode_at` the materialized decode uses, and the stream's entries and
@@ -65,9 +65,6 @@ pub struct StreamRunStats {
     pub peak_resident_bytes: usize,
     /// Final ring capacity in slots.
     pub ring_capacity: usize,
-    /// How many times the rings doubled mid-run (0 unless a CDP-dense
-    /// region stretched the live span past the initial capacity).
-    pub grows: u32,
 }
 
 /// Reusable working memory for [`Simulator::run_streamed`]: the ring
@@ -157,7 +154,6 @@ impl Source for Ring<'_, '_> {
                 let (cap, lo, hi) = (need.next_power_of_two(), self.evict_floor, self.filled);
                 grow_rings(self.cols, self.fanout, st, cap, lo, hi);
                 self.mask = cap - 1;
-                self.stats.grows += 1;
                 self.stats.ring_capacity = cap;
             }
             for (k, e) in w.entries.iter().enumerate() {

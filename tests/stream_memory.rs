@@ -186,36 +186,45 @@ fn streamed_campaign_cell_is_bit_identical_to_materialized() {
 /// The measured peak of a streamed long-trace simulation sits under a hard
 /// window-derived byte ceiling, far below what materializing the same
 /// trace costs — the direct (non-charge-model) half of the regression
-/// tripwire.
+/// tripwire. Three windows share one trace, and the largest window also
+/// runs a trace four times longer under the same ceiling.
 #[test]
 fn streamed_peak_bytes_are_window_bounded_not_trace_bounded() {
     let _serial = serial();
     let mut app: AppSpec = Suite::Mobile.apps().remove(0);
     app.params.num_functions = 16;
     let program = app.generate_program();
-    let path = ExecutionPath::generate(&program, app.path_seed(), LONG_TRACE);
     let sim = Simulator::new(CpuConfig::google_tablet(), MemConfig::google_tablet());
     let mut scratch = StreamScratch::new();
-    let mut stream = TraceStream::new(&program, &path, StreamConfig::with_window(WINDOW));
-    let (result, ledger, stats) = sim.run_streamed(&mut stream, &mut scratch);
-    ledger.check(result.cycles).expect("ledger partitions");
+    for (trace_len, window) in [
+        (LONG_TRACE, 256),
+        (LONG_TRACE, 1_024),
+        (LONG_TRACE, WINDOW),
+        (4 * LONG_TRACE, WINDOW),
+    ] {
+        let path = ExecutionPath::generate(&program, app.path_seed(), trace_len);
+        let mut stream = TraceStream::new(&program, &path, StreamConfig::with_window(window));
+        let (result, ledger, stats) = sim.run_streamed(&mut stream, &mut scratch);
+        ledger.check(result.cycles).expect("ledger partitions");
 
-    // The same fixed O(window) ceiling `critic bench` gates on: 2 KiB per
-    // (window + look-ahead) slot, independent of the trace length.
-    let ceiling = ((WINDOW + DEFAULT_LOOKAHEAD) * 2048) as u64;
-    let peak = stats.peak_resident_bytes as u64;
-    assert!(
-        peak <= ceiling,
-        "streamed peak {peak} B exceeds the O(window) ceiling {ceiling} B"
-    );
-    // Materializing holds ~164 B per dynamic instruction (entries plus
-    // decoded columns); the streamed peak must be far below that.
-    let materialized_estimate = (LONG_TRACE as u64) * 164;
-    assert!(
-        peak * 4 < materialized_estimate,
-        "streamed peak {peak} B is not clearly below the materialized \
-         footprint {materialized_estimate} B"
-    );
+        // A fixed O(window) ceiling: 2 KiB per (window + look-ahead) slot,
+        // independent of the trace length.
+        let ceiling = ((window + DEFAULT_LOOKAHEAD) * 2048) as u64;
+        let peak = stats.peak_resident_bytes as u64;
+        assert!(
+            peak <= ceiling,
+            "window {window}, {trace_len} insns: streamed peak {peak} B exceeds \
+             the O(window) ceiling {ceiling} B"
+        );
+        // Materializing holds ~164 B per dynamic instruction (entries plus
+        // decoded columns); the streamed peak must be far below that.
+        let materialized_estimate = (trace_len as u64) * 164;
+        assert!(
+            peak * 4 < materialized_estimate,
+            "window {window}, {trace_len} insns: streamed peak {peak} B is not \
+             clearly below the materialized footprint {materialized_estimate} B"
+        );
+    }
 }
 
 /// One store-backed one-app campaign at `trace_len`, without the budget
