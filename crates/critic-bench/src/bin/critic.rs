@@ -8,15 +8,19 @@
 //! critic run <app> [--scheme S] [--validate]   # simulate baseline vs scheme
 //! critic validate <app> [--scheme S] [--seed N] # differential oracle only
 //! critic disasm <app> [function]      # dump the generated binary
-//! critic campaign [--validate] [--stats] [options]  # fault-tolerant app x scheme grid
-//! critic stats --journal FILE [--json] # telemetry roll-up of a campaign journal
-//! critic chaos --seed S [--cells N] [--smoke] [--minimize] [-o FILE]
-//! critic drill --points N [--seed S] [--smoke] [--minimize] [-o FILE]
-//! critic serve [--port N] [--workers N] [--queue N] [--rate N] [--shard N] [--peers A,B] [options]
-//! critic router --journal-dir DIR --store-dir DIR [--shards N] [options]
-//! critic loadgen --addr HOST:PORT [--addr HOST:PORT]... [--clients N] [--requests N] [--rate X] [--retries N]
-//! critic soak [--seconds N] [--clients N] [--sys SPEC]... [--shards N] [--smoke] [-o FILE]
+//! critic campaign [options]           # fault-tolerant app x scheme grid
+//! critic stats --journal FILE|DIR     # telemetry roll-up of campaign journals
+//! critic chaos --seed S [options]     # seeded systemic-fault drill
+//! critic drill [options]              # kill-anywhere recovery drill
+//! critic serve [options]              # the campaign service
+//! critic router --journal-dir DIR --store-dir DIR [options]  # sharded front tier
+//! critic loadgen --addr HOST:PORT [options]  # open-loop load
+//! critic soak [options]               # service / fleet soak
 //! ```
+//!
+//! These synopses are abridged. Each command's full synopsis is its one
+//! flag table (`synopsis`): `parse` enforces it, and any usage error
+//! prints it.
 //!
 //! Schemes: critic (default), hoist, ideal, branch-switch, opp16, compress,
 //! opp16+critic.
@@ -27,7 +31,7 @@
 //! |-----:|---------|
 //! | 0 | success |
 //! | 1 | run error |
-//! | 2 | usage error |
+//! | 2 | usage error: an unknown command or flag, a flag missing its value, a repeated single-valued flag, a missing or extra positional, or an out-of-range value |
 //! | 3 | unknown app or function |
 //! | 4 | unknown scheme |
 //! | 5 | I/O error |
@@ -281,11 +285,211 @@ fn scheme_point(scheme: &str) -> Result<DesignPoint, CliError> {
     DesignPoint::named(scheme).ok_or_else(|| CliError::UnknownScheme(scheme.to_string()))
 }
 
-fn arg_after(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// One flag, as a synopsis element declares it.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder; `None` makes the flag a switch.
+    metavar: Option<&'static str>,
+    repeat: bool,
+    required: bool,
+}
+
+impl Flag {
+    /// Reads one synopsis element: `[--x]` is a switch, `[--x V]` takes a
+    /// value, `...` after it lets it repeat, and a flag written without
+    /// brackets (`--x V`) is required. `None` for a positional (`<app>`,
+    /// or `[function]` when optional).
+    fn read(element: &'static str) -> Option<Flag> {
+        let body = element.trim_end_matches("...");
+        let optional = body.strip_prefix('[').and_then(|b| b.strip_suffix(']'));
+        let mut words = optional.unwrap_or(body).splitn(2, ' ');
+        let (name, metavar) = (words.next()?, words.next());
+        name.starts_with('-').then_some(Flag {
+            name,
+            metavar,
+            repeat: body.len() < element.len(),
+            required: optional.is_none(),
+        })
+    }
+}
+
+/// Splits a synopsis into its elements at each space outside brackets
+/// that a `-`, `[` or `<` follows, so `--seed S` and
+/// `[--sys NAME[:PARAM]@AT]...` each stay one element.
+fn elements(synopsis: &'static str) -> Vec<&'static str> {
+    let (mut elements, mut start, mut depth) = (Vec::new(), 0, 0);
+    for (i, c) in synopsis.char_indices() {
+        match c {
+            '[' => depth += 1,
+            ']' => depth -= 1,
+            ' ' if depth == 0 && synopsis[i + 1..].starts_with(['-', '[', '<']) => {
+                elements.push(&synopsis[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    elements.push(&synopsis[start..]);
+    elements.retain(|e| !e.is_empty());
+    elements
+}
+
+/// The `critic serve` flags that `critic router` forwards verbatim to every
+/// shard it spawns. `--sys` is not among them: a restarted shard would
+/// re-arm the same faults.
+macro_rules! shard_flags {
+    () => {
+        "[--trace-len N] [--workers N] [--validate] [--deadline-ms N] [--queue N] \
+         [--watermarks A,B,C] [--rate N] [--burst N] [--window N] [--breaker K] \
+         [--segment-lines N] [--store-budget BYTES] [--stream-window N] [--stats]"
+    };
+}
+
+/// The synopsis of `critic COMMAND`, `None` for an unknown command. The
+/// synopsis is the command's one flag table: `parse` enforces exactly
+/// what a usage error prints.
+fn synopsis(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "list" => "",
+        "profile" => "<app> [-o FILE]",
+        "compile" | "run" => "<app> [--scheme S] [--validate]",
+        "validate" => "<app> [--scheme S] [--seed N]",
+        "disasm" => "<app> [function]",
+        "campaign" => {
+            "[--suite S] [--apps N] [--schemes A,B] [--trace-len N] [--journal FILE] [--resume] \
+             [--validate] [--stats] [--deadline-secs N] [--retries N] [--workers N] \
+             [--store-dir DIR] [--store-budget BYTES] [--segment-lines N] [--run-tag N] \
+             [--stream-window N] [--inject APP:SCHEME:FAULT[:SEED]]... \
+             [--sys NAME[:PARAM]@AT]... [--breaker K] [--degrade] [--backoff-base-ms N] \
+             [--backoff-cap-ms N] [--backoff-seed N]"
+        }
+        "stats" => "--journal FILE|DIR... [--json]",
+        "chaos" => "--seed S [--cells N] [--smoke] [--minimize] [-o FILE]",
+        "drill" => "[--points N] [--seed S] [--smoke] [--minimize] [-o FILE]",
+        "serve" => concat!(
+            "[--port N] [--journal FILE] [--store-dir DIR] [--run-tag N] [--shard N] \
+             [--peers A,B] [--sys NAME[:PARAM]@AT]... ",
+            shard_flags!()
+        ),
+        "router" => concat!(
+            "--journal-dir DIR --store-dir DIR [--port N] [--shards N] [--vnodes N] \
+             [--heartbeat-ms N] [--backoff-ms N] [--backoff-cap-ms N] ",
+            shard_flags!()
+        ),
+        "loadgen" => {
+            "--addr HOST:PORT... [--clients N] [--requests N] [--rate X] [--retries N] \
+             [--seed N] [--deadline-ms N] [--json] [-o FILE]"
+        }
+        "soak" => {
+            "[--seconds N] [--clients N] [--rate X] [--seed N] [--no-kill] [--smoke] \
+             [--sys NAME[:PARAM]@AT]... [--shards N] [--max-p99-ms X] [--json] [-o FILE]"
+        }
+        _ => return None,
+    })
+}
+
+/// A command line checked against its command's synopsis.
+struct Args<'a> {
+    synopsis: &'static str,
+    positionals: Vec<&'a str>,
+    /// Every flag given, in command-line order, with its value (`None`
+    /// for a switch).
+    entries: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = Option<&'a str>> + 's {
+        debug_assert!(
+            elements(self.synopsis)
+                .into_iter()
+                .filter_map(Flag::read)
+                .any(|f| f.name == flag),
+            "`{flag}` is not in the synopsis `{}`",
+            self.synopsis
+        );
+        self.entries
+            .iter()
+            .filter(move |(name, _)| *name == flag)
+            .map(|(_, value)| *value)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.values(flag).next().is_some()
+    }
+
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).next().flatten()
+    }
+
+    /// Every value of the repeatable `flag`, in command-line order.
+    fn all<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.values(flag).flatten()
+    }
+
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        let Some(v) = self.get(flag) else {
+            return Ok(None);
+        };
+        let error = || CliError::Usage(format!("{flag} expects a number, got `{v}`"));
+        v.parse().map(Some).map_err(|_| error())
+    }
+}
+
+/// Checks `argv` (the words after `critic COMMAND`) against the command's
+/// `synopsis`: every flag must be in it, a value flag needs a value that
+/// does not start with `--`, only a repeatable flag may repeat, required
+/// flags and positionals must be there and no extra positional may be.
+/// Each refusal names the offending word and ends with the synopsis.
+fn parse<'a>(
+    command: &str,
+    synopsis: &'static str,
+    argv: &'a [String],
+) -> Result<Args<'a>, CliError> {
+    let misuse = |problem: String| {
+        let usage = format!("usage: critic {command} {synopsis}");
+        CliError::Usage(format!("{problem}\n{}", usage.trim_end()))
+    };
+    let (flags, positionals): (Vec<_>, Vec<_>) = elements(synopsis)
+        .into_iter()
+        .partition(|e| Flag::read(e).is_some());
+    let flags: Vec<Flag> = flags.into_iter().filter_map(Flag::read).collect();
+    let mut args = Args {
+        synopsis,
+        positionals: Vec::new(),
+        entries: Vec::new(),
+    };
+    let mut words = argv.iter();
+    while let Some(word) = words.next() {
+        if !word.starts_with('-') {
+            if args.positionals.len() == positionals.len() {
+                return Err(misuse(format!("unexpected argument `{word}`")));
+            }
+            args.positionals.push(word);
+            continue;
+        }
+        let Some(flag) = flags.iter().find(|f| f.name == word) else {
+            return Err(misuse(format!("unknown flag `{word}`")));
+        };
+        if !flag.repeat && args.has(flag.name) {
+            return Err(misuse(format!("{} given more than once", flag.name)));
+        }
+        let value = match flag.metavar {
+            None => None,
+            Some(metavar) => match words.next() {
+                Some(v) if !v.starts_with("--") => Some(v.as_str()),
+                _ => return Err(misuse(format!("{} expects {metavar}", flag.name))),
+            },
+        };
+        args.entries.push((flag.name, value));
+    }
+    let positional = positionals[args.positionals.len()..]
+        .iter()
+        .find(|p| !p.starts_with('['));
+    let flag = flags.iter().find(|f| f.required && !args.has(f.name));
+    match positional.copied().or(flag.map(|f| f.name)) {
+        Some(missing) => Err(misuse(format!("missing {missing}"))),
+        None => Ok(args),
+    }
 }
 
 fn usage() -> CliError {
@@ -344,11 +548,14 @@ fn main() {
     }
 }
 
-fn run_cli(args: &[String]) -> Result<(), CliError> {
-    let Some(command) = args.first() else {
+fn run_cli(argv: &[String]) -> Result<(), CliError> {
+    let Some((name, rest)) = argv.split_first() else {
         return Err(usage());
     };
-    match command.as_str() {
+    let synopsis = synopsis(name)
+        .ok_or_else(|| CliError::Usage(format!("unknown command `{name}`; {}", usage())))?;
+    let args = parse(name, synopsis, rest)?;
+    match name.as_str() {
         "list" => {
             for suite in Suite::ALL {
                 for app in suite.apps() {
@@ -358,7 +565,7 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "profile" => {
-            let app = find_app(args.get(1).ok_or_else(usage)?)?;
+            let app = find_app(args.positionals[0])?;
             let mut bench = Workbench::try_new(&app, TRACE_LEN)?;
             let profile = bench.try_profile(&ProfilerConfig::default())?.clone();
             println!(
@@ -368,20 +575,19 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
                 profile.dynamic_coverage * 100.0,
                 profile.stats.convertible_frac * 100.0
             );
-            if let Some(path) = arg_after(args, "-o") {
-                save_profile(&profile, std::path::Path::new(&path))
+            if let Some(path) = args.get("-o") {
+                save_profile(&profile, std::path::Path::new(path))
                     .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
                 println!("wrote {path}");
             }
             Ok(())
         }
         "compile" | "run" => {
-            let app = find_app(args.get(1).ok_or_else(usage)?)?;
-            let scheme = arg_after(args, "--scheme").unwrap_or_else(|| "critic".into());
-            let point = scheme_point(&scheme)?;
+            let app = find_app(args.positionals[0])?;
+            let point = scheme_point(args.get("--scheme").unwrap_or("critic"))?;
             let mut bench = Workbench::try_new(&app, TRACE_LEN)?;
             let base = bench.try_run(&DesignPoint::baseline())?;
-            let (run, validation) = if args.iter().any(|a| a == "--validate") {
+            let (run, validation) = if args.has("--validate") {
                 let (run, stats) = bench.try_run_validated(&point, app.path_seed())?;
                 (run, Some(stats))
             } else {
@@ -395,7 +601,7 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
                 run.pass.insns_converted,
                 run.pass.chains_skipped_legality
             );
-            if command == "run" {
+            if name == "run" {
                 println!(
                     "cycles {} -> {} ({:+.2}%), IPC {:.2} -> {:.2}, 16-bit dyn {:.1}%",
                     base.sim.cycles,
@@ -420,15 +626,9 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "validate" => {
-            let app = find_app(args.get(1).ok_or_else(usage)?)?;
-            let scheme = arg_after(args, "--scheme").unwrap_or_else(|| "critic".into());
-            let point = scheme_point(&scheme)?;
-            let seed = match arg_after(args, "--seed") {
-                None => app.path_seed(),
-                Some(v) => v
-                    .parse::<u64>()
-                    .map_err(|_| CliError::Usage(format!("--seed expects a number, got `{v}`")))?,
-            };
+            let app = find_app(args.positionals[0])?;
+            let point = scheme_point(args.get("--scheme").unwrap_or("critic"))?;
+            let seed = args.num("--seed")?.unwrap_or_else(|| app.path_seed());
             let mut bench = Workbench::try_new(&app, TRACE_LEN)?;
             // try_run_validated returns Err(RunError::Validation) — exit
             // code 7 via the From impl — when a divergence survives the
@@ -446,9 +646,9 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "disasm" => {
-            let app = find_app(args.get(1).ok_or_else(usage)?)?;
+            let app = find_app(args.positionals[0])?;
             let program = app.generate_program();
-            match args.get(2) {
+            match args.positionals.get(1) {
                 Some(fname) => {
                     let func = program
                         .functions
@@ -456,7 +656,7 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
                         .find(|f| f.name == *fname)
                         .ok_or_else(|| CliError::UnknownFunction {
                             app: app.name.clone(),
-                            function: fname.clone(),
+                            function: fname.to_string(),
                             available: program
                                 .functions
                                 .iter()
@@ -470,44 +670,36 @@ fn run_cli(args: &[String]) -> Result<(), CliError> {
             }
             Ok(())
         }
-        "campaign" => run_campaign_command(args),
-        "stats" => run_stats_command(args),
-        "chaos" => run_chaos_command(args),
-        "drill" => run_drill_command(args),
-        "serve" => run_serve_command(args),
-        "router" => run_router_command(args),
-        "loadgen" => run_loadgen_command(args),
-        "soak" => run_soak_command(args),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`; {}",
-            usage()
-        ))),
+        "campaign" => run_campaign_command(&args),
+        "stats" => run_stats_command(&args),
+        "chaos" => run_chaos_command(&args),
+        "drill" => run_drill_command(&args),
+        "serve" => run_serve_command(&args),
+        "router" => run_router_command(&args),
+        "loadgen" => run_loadgen_command(&args),
+        "soak" => run_soak_command(&args),
+        other => unreachable!("`{other}` has a synopsis but no handler"),
     }
 }
 
 /// Every `--sys NAME[:PARAM]@AT` value on the command line, parsed.
-fn sys_specs(args: &[String]) -> Result<Vec<SysFaultSpec>, CliError> {
-    let mut specs = Vec::new();
-    let mut idx = 0;
-    while let Some(pos) = args[idx..].iter().position(|a| a == "--sys") {
-        idx += pos + 1;
-        let Some(value) = args.get(idx) else {
-            return Err(CliError::Usage("--sys expects NAME[:PARAM]@AT".to_string()));
-        };
-        specs.push(SysFaultSpec::parse(value).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--sys expects NAME[:PARAM]@AT (e.g. store-read@3, alloc-budget:65536@1, \
-                 crash:journal-append@4), got `{value}`"
-            ))
-        })?);
-    }
-    Ok(specs)
+fn sys_specs(args: &Args) -> Result<Vec<SysFaultSpec>, CliError> {
+    args.all("--sys")
+        .map(|value| {
+            SysFaultSpec::parse(value).ok_or_else(|| {
+                CliError::Usage(format!(
+                    "--sys expects NAME[:PARAM]@AT (e.g. store-read@3, alloc-budget:65536@1, \
+                     crash:journal-append@4), got `{value}`"
+                ))
+            })
+        })
+        .collect()
 }
 
 /// Writes `json` to `-o FILE` when one was given.
-fn write_output(args: &[String], json: &str) -> Result<(), CliError> {
-    if let Some(path) = arg_after(args, "-o") {
-        std::fs::write(&path, format!("{json}\n"))
+fn write_output(args: &Args, json: &str) -> Result<(), CliError> {
+    if let Some(path) = args.get("-o") {
+        std::fs::write(path, format!("{json}\n"))
             .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
         eprintln!("wrote {path}");
     }
@@ -519,7 +711,7 @@ fn write_output(args: &[String], json: &str) -> Result<(), CliError> {
 /// if nothing broke, or else the JSON plus one stderr line per entry of
 /// `broken` and fails with `failure`.
 fn finish_report<R: serde::Serialize>(
-    args: &[String],
+    args: &Args,
     name: &str,
     report: &R,
     summary: Option<String>,
@@ -555,14 +747,7 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-/// `critic campaign [--suite S] [--apps N] [--schemes a,b,..]
-/// [--trace-len N] [--journal FILE] [--resume] [--validate] [--stats]
-/// [--deadline-secs N] [--retries N] [--workers N]
-/// [--store-dir DIR] [--store-budget BYTES] [--segment-lines N]
-/// [--run-tag N] [--stream-window N]
-/// [--inject app:scheme:fault[:seed]]... [--sys NAME[:PARAM]@AT]...
-/// [--breaker K] [--degrade] [--backoff-base-ms N] [--backoff-cap-ms N]
-/// [--backoff-seed N]`
+/// `critic campaign` runs a fault-tolerant app × scheme grid.
 ///
 /// `--apps N` truncates the suite to its first `N` apps — small grids for
 /// drills, CI steps, and tests.
@@ -592,8 +777,8 @@ fn peak_rss_mib() -> Option<f64> {
 /// [`SysFault`](critic_workloads::SysFault) family) on the run;
 /// `--breaker`, `--degrade`, and the backoff flags configure the
 /// supervision policy that absorbs them.
-fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
-    let mut apps: Vec<AppSpec> = match arg_after(args, "--suite").as_deref() {
+fn run_campaign_command(args: &Args) -> Result<(), CliError> {
+    let mut apps: Vec<AppSpec> = match args.get("--suite") {
         None | Some("mobile") => Suite::Mobile.apps(),
         Some("spec-int") => Suite::SpecInt.apps(),
         Some("spec-float") => Suite::SpecFloat.apps(),
@@ -605,7 +790,7 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
         }
     };
 
-    let schemes: Vec<Scheme> = match arg_after(args, "--schemes") {
+    let schemes: Vec<Scheme> = match args.get("--schemes") {
         None => campaign::default_schemes(),
         Some(list) => {
             let mut schemes = Vec::new();
@@ -616,51 +801,26 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
         }
     };
 
-    let parse_num = |flag: &str| -> Result<Option<u64>, CliError> {
-        match arg_after(args, flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
-        }
-    };
-
-    if let Some(n) = parse_num("--apps")? {
+    if let Some(n) = args.num::<usize>("--apps")? {
         if n == 0 {
             return Err(CliError::Usage("--apps must be at least 1".to_string()));
         }
-        apps.truncate(n as usize);
+        apps.truncate(n);
     }
 
-    let mut spec = CampaignSpec::new(
-        apps,
-        schemes,
-        parse_num("--trace-len")?
-            .map(|n| n as usize)
-            .unwrap_or(TRACE_LEN),
-    );
-    spec.deadline = parse_num("--deadline-secs")?.map(Duration::from_secs);
-    spec.retries = parse_num("--retries")?.map(|n| n as u32).unwrap_or(0);
-    spec.workers = parse_num("--workers")?.map(|n| n as usize).unwrap_or(0);
-    spec.journal = arg_after(args, "--journal").map(std::path::PathBuf::from);
-    spec.resume = args.iter().any(|a| a == "--resume");
-    spec.validate = args.iter().any(|a| a == "--validate");
-    spec.store_dir = arg_after(args, "--store-dir").map(std::path::PathBuf::from);
-    spec.store_budget = parse_num("--store-budget")?;
-    spec.segment_max_lines = parse_num("--segment-lines")?
-        .map(|n| n as usize)
-        .unwrap_or(0);
-    spec.run_tag = parse_num("--run-tag")?;
-    spec.stream_window = match parse_num("--stream-window")? {
-        Some(0) => {
-            return Err(CliError::Usage(
-                "--stream-window must be at least 1".to_string(),
-            ))
-        }
-        other => other.map(|n| n as usize),
-    };
-    let show_stats = args.iter().any(|a| a == "--stats");
+    let mut spec = CampaignSpec::new(apps, schemes, args.num("--trace-len")?.unwrap_or(TRACE_LEN));
+    spec.deadline = args.num("--deadline-secs")?.map(Duration::from_secs);
+    spec.retries = args.num("--retries")?.unwrap_or(0);
+    spec.workers = args.num("--workers")?.unwrap_or(0);
+    spec.journal = args.get("--journal").map(std::path::PathBuf::from);
+    spec.resume = args.has("--resume");
+    spec.validate = args.has("--validate");
+    spec.store_dir = args.get("--store-dir").map(std::path::PathBuf::from);
+    spec.store_budget = args.num("--store-budget")?;
+    spec.segment_max_lines = args.num("--segment-lines")?.unwrap_or(0);
+    spec.run_tag = args.num("--run-tag")?;
+    spec.stream_window = stream_window(args)?;
+    let show_stats = args.has("--stats");
     if show_stats {
         spec.telemetry = critic_obs::Telemetry::enabled();
     }
@@ -669,25 +829,19 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
             "--resume requires --journal FILE".to_string(),
         ));
     }
-    spec.supervision.breaker_threshold = parse_num("--breaker")?.map(|n| n as u32).unwrap_or(0);
-    spec.supervision.degrade = args.iter().any(|a| a == "--degrade");
-    spec.supervision.backoff_base_millis = parse_num("--backoff-base-ms")?.unwrap_or(0);
-    spec.supervision.backoff_cap_millis = parse_num("--backoff-cap-ms")?
+    spec.supervision.breaker_threshold = args.num("--breaker")?.unwrap_or(0);
+    spec.supervision.degrade = args.has("--degrade");
+    spec.supervision.backoff_base_millis = args.num("--backoff-base-ms")?.unwrap_or(0);
+    spec.supervision.backoff_cap_millis = args
+        .num("--backoff-cap-ms")?
         .unwrap_or(spec.supervision.backoff_base_millis.saturating_mul(64));
-    spec.supervision.backoff_seed = parse_num("--backoff-seed")?.unwrap_or(0);
+    spec.supervision.backoff_seed = args.num("--backoff-seed")?.unwrap_or(0);
     let sys = sys_specs(args)?;
     if !sys.is_empty() {
         spec.sys = Some(Arc::new(SysInjector::new(sys)));
     }
 
-    let mut idx = 0;
-    while let Some(pos) = args[idx..].iter().position(|a| a == "--inject") {
-        idx += pos + 1;
-        let Some(value) = args.get(idx) else {
-            return Err(CliError::Usage(
-                "--inject expects app:scheme:fault[:seed]".to_string(),
-            ));
-        };
+    for value in args.all("--inject") {
         let parts: Vec<&str> = value.split(':').collect();
         if parts.len() < 3 || parts.len() > 4 {
             return Err(CliError::Usage(format!(
@@ -741,18 +895,21 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// `critic serve [--port N] [--trace-len N] [--workers N] [--validate]
-/// [--deadline-ms N] [--queue N] [--watermarks A,B,C] [--rate N]
-/// [--burst N] [--window N] [--breaker K] [--journal FILE]
-/// [--segment-lines N] [--store-dir DIR] [--store-budget BYTES]
-/// [--stream-window N] [--run-tag N] [--shard N] [--peers A,B,..]
-/// [--stats] [--sys NAME[:PARAM]@AT]...`
-///
-/// The long-lived campaign service over line-delimited JSON on TCP.
-/// Prints `listening on 127.0.0.1:PORT` once bound (`--port 0` picks an
-/// ephemeral port a supervising parent reads back). Drains gracefully on
-/// `SIGTERM` or a wire `{"shutdown":true}` — finishes in-flight cells,
-/// checkpoints the journal — and exits through code 9.
+/// `--stream-window N`, which must be at least 1 when given.
+fn stream_window(args: &Args) -> Result<Option<usize>, CliError> {
+    match args.num("--stream-window")? {
+        Some(0) => Err(CliError::Usage(
+            "--stream-window must be at least 1".to_string(),
+        )),
+        window => Ok(window),
+    }
+}
+
+/// `critic serve` is the long-lived campaign service over line-delimited
+/// JSON on TCP. Prints `listening on 127.0.0.1:PORT` once bound
+/// (`--port 0` picks an ephemeral port a supervising parent reads back).
+/// Drains gracefully on `SIGTERM` or a wire `{"shutdown":true}` — finishes
+/// in-flight cells, checkpoints the journal — and exits through code 9.
 ///
 /// `--stream-window N` makes every worker simulate through the chunked
 /// streaming pipeline at O(window) memory. `--shard N` stamps the server's
@@ -760,28 +917,14 @@ fn run_campaign_command(args: &[String]) -> Result<(), CliError> {
 /// `--peers A,B` pulls missing profile/baseline artifacts from those
 /// addresses into the local store *before* binding — a restarted shard
 /// comes back disk-warm without re-simulating anything.
-fn run_serve_command(args: &[String]) -> Result<(), CliError> {
-    let parse_num = |flag: &str| -> Result<Option<u64>, CliError> {
-        match arg_after(args, flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
-        }
-    };
-    let mut config = critic_core::service::ServiceConfig::new(
-        parse_num("--trace-len")?
-            .map(|n| n as usize)
-            .unwrap_or(TRACE_LEN),
-    );
-    config.workers = parse_num("--workers")?.map(|n| n as usize).unwrap_or(0);
-    config.validate = args.iter().any(|a| a == "--validate");
-    config.deadline = parse_num("--deadline-ms")?.map(Duration::from_millis);
-    if let Some(n) = parse_num("--queue")? {
-        config.queue_capacity = n as usize;
-    }
-    if let Some(list) = arg_after(args, "--watermarks") {
+fn run_serve_command(args: &Args) -> Result<(), CliError> {
+    let mut config =
+        critic_core::service::ServiceConfig::new(args.num("--trace-len")?.unwrap_or(TRACE_LEN));
+    config.workers = args.num("--workers")?.unwrap_or(0);
+    config.validate = args.has("--validate");
+    config.deadline = args.num("--deadline-ms")?.map(Duration::from_millis);
+    config.queue_capacity = args.num("--queue")?.unwrap_or(config.queue_capacity);
+    if let Some(list) = args.get("--watermarks") {
         let marks: Vec<usize> = list
             .split(',')
             .map(|v| v.trim().parse::<usize>())
@@ -796,46 +939,30 @@ fn run_serve_command(args: &[String]) -> Result<(), CliError> {
         }
         config.degrade_watermarks = [marks[0], marks[1], marks[2]];
     }
-    if let Some(n) = parse_num("--rate")? {
-        config.admission_rate = n;
-    }
-    if let Some(n) = parse_num("--burst")? {
-        config.admission_burst = n;
-    }
-    if let Some(n) = parse_num("--window")? {
-        config.client_window = n as usize;
-    }
-    if let Some(n) = parse_num("--breaker")? {
-        config.breaker_threshold = n as u32;
-    }
-    config.journal = arg_after(args, "--journal").map(std::path::PathBuf::from);
-    config.segment_max_lines = parse_num("--segment-lines")?
-        .map(|n| n as usize)
-        .unwrap_or(0);
-    config.store_dir = arg_after(args, "--store-dir").map(std::path::PathBuf::from);
-    config.store_budget = parse_num("--store-budget")?;
-    config.run_tag = parse_num("--run-tag")?;
-    config.stream_window = match parse_num("--stream-window")? {
-        Some(0) => {
-            return Err(CliError::Usage(
-                "--stream-window must be at least 1".to_string(),
-            ))
-        }
-        other => other.map(|n| n as usize),
-    };
-    if args.iter().any(|a| a == "--stats") {
+    config.admission_rate = args.num("--rate")?.unwrap_or(config.admission_rate);
+    config.admission_burst = args.num("--burst")?.unwrap_or(config.admission_burst);
+    config.client_window = args.num("--window")?.unwrap_or(config.client_window);
+    config.breaker_threshold = args.num("--breaker")?.unwrap_or(config.breaker_threshold);
+    config.journal = args.get("--journal").map(std::path::PathBuf::from);
+    config.segment_max_lines = args.num("--segment-lines")?.unwrap_or(0);
+    config.store_dir = args.get("--store-dir").map(std::path::PathBuf::from);
+    config.store_budget = args.num("--store-budget")?;
+    config.run_tag = args.num("--run-tag")?;
+    config.stream_window = stream_window(args)?;
+    if args.has("--stats") {
         config.telemetry = critic_obs::Telemetry::enabled();
     }
     let sys = sys_specs(args)?;
     if !sys.is_empty() {
         config.sys = Some(Arc::new(SysInjector::new(sys)));
     }
-    let port = parse_num("--port")?.map(|n| n as u16).unwrap_or(0);
+    let port = args.num("--port")?.unwrap_or(0);
     let ctx = serve::ShardContext {
-        shard: parse_num("--shard")?,
+        shard: args.num("--shard")?,
         ..serve::ShardContext::default()
     };
-    let peers: Vec<String> = arg_after(args, "--peers")
+    let peers: Vec<String> = args
+        .get("--peers")
         .map(|list| {
             list.split(',')
                 .map(str::trim)
@@ -866,94 +993,53 @@ fn run_serve_command(args: &[String]) -> Result<(), CliError> {
     })
 }
 
-/// `critic router --journal-dir DIR --store-dir DIR [--port N]
-/// [--shards N] [--vnodes N] [--heartbeat-ms N] [--backoff-ms N]
-/// [--backoff-cap-ms N] [serve flags forwarded to every shard...]`
-///
-/// The sharded front tier: binds the client-facing listener, spawns
-/// `--shards` `critic serve` children (shard `i` journals to
-/// `DIR/shard-i.jsonl` and stores under `DIR/shard-i`), places every
+/// `critic router` is the sharded front tier: binds the client-facing
+/// listener, spawns `--shards` `critic serve` children (shard `i` journals
+/// to `DIR/shard-i.jsonl` and stores under `DIR/shard-i`), places every
 /// submission on the consistent-hash ring keyed on the cell's stable
 /// placement key, and supervises the fleet — heartbeats, restarts with
 /// exponential backoff and peer rebuild, reroutes to ring successors
-/// while a shard is down. Prints `listening on 127.0.0.1:PORT` once
-/// bound. Drains the whole fleet on `SIGTERM` or `{"shutdown":true}` and
-/// exits through code 9.
-fn run_router_command(args: &[String]) -> Result<(), CliError> {
-    let parse_num = |flag: &str| -> Result<Option<u64>, CliError> {
-        match arg_after(args, flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
-        }
-    };
-    let Some(journal_dir) = arg_after(args, "--journal-dir") else {
-        return Err(CliError::Usage(
-            "usage: critic router --journal-dir DIR --store-dir DIR [--shards N] [options]"
-                .to_string(),
-        ));
-    };
-    let Some(store_dir) = arg_after(args, "--store-dir") else {
-        return Err(CliError::Usage(
-            "critic router requires --store-dir DIR (each shard stores under DIR/shard-N)"
-                .to_string(),
-        ));
-    };
+/// while a shard is down. Every `shard_flags!` entry given is forwarded
+/// to each shard. Prints `listening on 127.0.0.1:PORT` once bound. Drains
+/// the whole fleet on `SIGTERM` or `{"shutdown":true}` and exits through
+/// code 9.
+fn run_router_command(args: &Args) -> Result<(), CliError> {
     let binary = std::env::current_exe()
         .map_err(|e| CliError::Io(format!("cannot locate own binary: {e}")))?;
     let mut config = router::RouterConfig::new(
         binary,
-        std::path::PathBuf::from(journal_dir),
-        std::path::PathBuf::from(store_dir),
+        std::path::PathBuf::from(args.get("--journal-dir").expect("parse requires it")),
+        std::path::PathBuf::from(args.get("--store-dir").expect("parse requires it")),
     );
-    config.port = parse_num("--port")?.map(|n| n as u16).unwrap_or(0);
-    if let Some(n) = parse_num("--shards")? {
+    config.port = args.num("--port")?.unwrap_or(0);
+    if let Some(n) = args.num("--shards")? {
         if n == 0 {
             return Err(CliError::Usage("--shards must be at least 1".to_string()));
         }
-        config.shards = n as u32;
+        config.shards = n;
     }
-    if let Some(n) = parse_num("--vnodes")? {
+    if let Some(n) = args.num("--vnodes")? {
         if n == 0 {
             return Err(CliError::Usage("--vnodes must be at least 1".to_string()));
         }
-        config.vnodes = n as u32;
+        config.vnodes = n;
     }
-    if let Some(n) = parse_num("--heartbeat-ms")? {
+    if let Some(n) = args.num::<u64>("--heartbeat-ms")? {
         config.heartbeat_ms = n.max(10);
     }
-    if let Some(n) = parse_num("--backoff-ms")? {
+    if let Some(n) = args.num::<u64>("--backoff-ms")? {
         config.backoff_base_ms = n.max(1);
     }
-    if let Some(n) = parse_num("--backoff-cap-ms")? {
+    if let Some(n) = args.num::<u64>("--backoff-cap-ms")? {
         config.backoff_cap_ms = n.max(config.backoff_base_ms);
     }
-    // Everything a shard understands is forwarded verbatim; the router
-    // appends the per-shard --port/--shard/--journal/--store-dir itself.
-    for flag in [
-        "--trace-len",
-        "--workers",
-        "--deadline-ms",
-        "--queue",
-        "--watermarks",
-        "--rate",
-        "--burst",
-        "--window",
-        "--breaker",
-        "--segment-lines",
-        "--store-budget",
-        "--stream-window",
-    ] {
-        if let Some(value) = arg_after(args, flag) {
+    // The router appends the per-shard --port/--shard/--journal/--store-dir
+    // itself.
+    for (flag, value) in &args.entries {
+        let mut shard_flags = elements(shard_flags!()).into_iter().filter_map(Flag::read);
+        if shard_flags.any(|f| f.name == *flag) {
             config.shard_args.push(flag.to_string());
-            config.shard_args.push(value);
-        }
-    }
-    for flag in ["--validate", "--stats"] {
-        if args.iter().any(|a| a == flag) {
-            config.shard_args.push(flag.to_string());
+            config.shard_args.extend(value.map(String::from));
         }
     }
 
@@ -967,68 +1053,31 @@ fn run_router_command(args: &[String]) -> Result<(), CliError> {
     })
 }
 
-/// `critic loadgen --addr HOST:PORT [--addr HOST:PORT]... [--clients N]
-/// [--requests N] [--rate X] [--retries N] [--seed N] [--deadline-ms N]
-/// [--json] [-o FILE]`
-///
-/// Open-loop load against a running `critic serve` (or `critic router`):
-/// N concurrent clients each sending `--requests` submissions from a
-/// seeded app × scheme mix at `--rate` per second, reporting latency
-/// percentiles, reject/shed counts, and degradation occupancy. `--addr`
-/// repeats: client `i` connects to address `i mod len`. `--retries N`
-/// resubmits each rejected cell up to N times, honoring the server's
-/// `retry_after_ms` hint when one is given (a blind 10 ms backoff
-/// otherwise); the report counts hinted vs blind retries separately.
-fn run_loadgen_command(args: &[String]) -> Result<(), CliError> {
-    let addrs: Vec<String> = {
-        let mut addrs = Vec::new();
-        let mut idx = 0;
-        while let Some(pos) = args[idx..].iter().position(|a| a == "--addr") {
-            idx += pos + 1;
-            let Some(value) = args.get(idx) else {
-                return Err(CliError::Usage("--addr expects HOST:PORT".to_string()));
-            };
-            addrs.push(value.clone());
-        }
-        addrs
-    };
-    if addrs.is_empty() {
-        return Err(CliError::Usage(
-            "usage: critic loadgen --addr HOST:PORT [--addr HOST:PORT]... [--clients N] \
-             [--requests N] [--rate X] [--retries N] [--seed N] [--deadline-ms N] [--json] \
-             [-o FILE]"
-                .to_string(),
-        ));
-    }
-    let parse_num = |flag: &str| -> Result<Option<u64>, CliError> {
-        match arg_after(args, flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
-        }
-    };
+/// `critic loadgen` drives open-loop load against a running `critic
+/// serve` (or `critic router`): N concurrent clients each sending
+/// `--requests` submissions from a seeded app × scheme mix at `--rate` per
+/// second, reporting latency percentiles, reject/shed counts, and
+/// degradation occupancy. `--addr` repeats: client `i` connects to address
+/// `i mod len`. `--retries N` resubmits each rejected cell up to N times,
+/// honoring the server's `retry_after_ms` hint when one is given (a blind
+/// 10 ms backoff otherwise); the report counts hinted vs blind retries
+/// separately.
+fn run_loadgen_command(args: &Args) -> Result<(), CliError> {
+    let addrs: Vec<String> = args.all("--addr").map(String::from).collect();
     let mut config = LoadgenConfig::new(&addrs[0]);
     config.addrs = addrs;
-    if let Some(n) = parse_num("--clients")? {
-        config.clients = n as usize;
-    }
-    if let Some(n) = parse_num("--requests")? {
-        config.requests_per_client = n as usize;
-    }
-    if let Some(v) = arg_after(args, "--rate") {
-        config.rate = v
-            .parse::<f64>()
-            .map_err(|_| CliError::Usage(format!("--rate expects a number, got `{v}`")))?;
-    }
-    config.retries = parse_num("--retries")?.map(|n| n as u32).unwrap_or(0);
-    config.seed = parse_num("--seed")?.unwrap_or(0);
-    config.deadline_ms = parse_num("--deadline-ms")?;
+    config.clients = args.num("--clients")?.unwrap_or(config.clients);
+    config.requests_per_client = args
+        .num("--requests")?
+        .unwrap_or(config.requests_per_client);
+    config.rate = args.num("--rate")?.unwrap_or(config.rate);
+    config.retries = args.num("--retries")?.unwrap_or(0);
+    config.seed = args.num("--seed")?.unwrap_or(0);
+    config.deadline_ms = args.num("--deadline-ms")?;
     let outcome = loadgen::run_loadgen(&config).map_err(bench_error)?;
     let json = serde_json::to_string_pretty(&outcome.report)
         .map_err(|e| CliError::Io(format!("cannot serialise loadgen report: {e}")))?;
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{json}");
     } else {
         println!(
@@ -1056,66 +1105,51 @@ fn run_loadgen_command(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `critic soak [--seconds N] [--clients N] [--rate X] [--seed N]
-/// [--no-kill] [--smoke] [--sys NAME[:PARAM]@AT]... [--json] [-o FILE]`
-/// — or, with `--shards N` (N ≥ 2), the sharded fleet soak:
-/// `critic soak --shards N [--seconds N] [--clients N] [--rate X]
-/// [--seed N] [--max-p99-ms X] [--smoke] [--json] [-o FILE]`
+/// `critic soak` is the supervised service soak: spawns a `critic serve`
+/// child under open-loop load and `--sys` fault noise, `SIGKILL`s it
+/// mid-load (unless `--no-kill`), audits no-lost-ack against the journal,
+/// restarts it, applies a 2× overload burst under a queue monitor, and
+/// drains it gracefully. Exit code 12 (report JSON printed) when any
+/// invariant broke.
 ///
-/// The supervised service soak: spawns a `critic serve` child under
-/// open-loop load and `--sys` fault noise, `SIGKILL`s it mid-load,
-/// audits no-lost-ack against the journal, restarts it, applies a 2×
-/// overload burst under a queue monitor, and drains it gracefully. Exit
-/// code 12 (report JSON printed) when any invariant broke.
-///
-/// The sharded variant spawns a `critic router` fleet instead,
-/// `SIGKILL`s one shard mid-load, and audits no-lost-ack across the
-/// union of shard journals, disk-warm restart via peer `fetch_artifact`
-/// (counter must be > 0), zero re-simulation of cells journaled Ok
-/// before the kill, bit-identical metrics against a single-process run
-/// of the same mix, and a graceful fleet drain. Exit code 13 on any
+/// With `--shards N` (N ≥ 2) it runs the sharded fleet soak instead: it
+/// spawns a `critic router` fleet, `SIGKILL`s one shard mid-load, and
+/// audits no-lost-ack across the union of shard journals, disk-warm
+/// restart via peer `fetch_artifact` (counter must be > 0), zero
+/// re-simulation of cells journaled Ok before the kill, bit-identical
+/// metrics against a single-process run of the same mix, failover p99
+/// under `--max-p99-ms`, and a graceful fleet drain. Exit code 13 on any
 /// violation.
-fn run_soak_command(args: &[String]) -> Result<(), CliError> {
-    let parse_num = |flag: &str| -> Result<Option<u64>, CliError> {
-        match arg_after(args, flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
-        }
-    };
-    let parse_f64 = |flag: &str| -> Result<Option<f64>, CliError> {
-        match arg_after(args, flag) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<f64>()
-                .map(Some)
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`"))),
-        }
-    };
-    let seconds = parse_num("--seconds")?;
-    let clients = parse_num("--clients")?.map(|n| (n as usize).max(1));
-    let rate = parse_f64("--rate")?;
-    let seed = parse_num("--seed")?.unwrap_or(0);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let summary_or_json =
-        |summary: String| (!args.iter().any(|a| a == "--json")).then_some(summary);
-    if let Some(shards) = parse_num("--shards")? {
+fn run_soak_command(args: &Args) -> Result<(), CliError> {
+    let seconds = args.num("--seconds")?;
+    let clients = args.num::<usize>("--clients")?.map(|n| n.max(1));
+    let rate = args.num("--rate")?;
+    let seed = args.num("--seed")?.unwrap_or(0);
+    let smoke = args.has("--smoke");
+    let summary_or_json = |summary: String| (!args.has("--json")).then_some(summary);
+    if let Some(shards) = args.num::<u32>("--shards")? {
         if shards < 2 {
             return Err(CliError::Usage(
                 "--shards expects at least 2 (use plain `critic soak` for one server)".to_string(),
             ));
+        }
+        for flag in ["--sys", "--no-kill"] {
+            if args.has(flag) {
+                return Err(CliError::Usage(format!(
+                    "{flag} applies only to the single-server soak: the sharded soak \
+                     arms no systemic faults and always kills one shard"
+                )));
+            }
         }
         let defaults = ShardedSoakConfig::default();
         let config = ShardedSoakConfig {
             seconds: seconds.unwrap_or(defaults.seconds),
             clients: clients.unwrap_or(defaults.clients),
             rate: rate.unwrap_or(defaults.rate),
-            shards: shards as u32,
+            shards,
             smoke,
             seed,
-            max_p99_ms: parse_f64("--max-p99-ms")?,
+            max_p99_ms: args.num("--max-p99-ms")?,
             ..defaults
         };
         let report = soak::run_sharded_soak(&config).map_err(bench_error)?;
@@ -1153,7 +1187,7 @@ fn run_soak_command(args: &[String]) -> Result<(), CliError> {
         seconds: seconds.unwrap_or(defaults.seconds),
         clients: clients.unwrap_or(defaults.clients),
         rate: rate.unwrap_or(defaults.rate),
-        kill: !args.iter().any(|a| a == "--no-kill"),
+        kill: !args.has("--no-kill"),
         sys: sys_specs(args)?,
         smoke,
         seed,
@@ -1195,39 +1229,25 @@ fn broken_lines(what: &str, violations: &[Violation]) -> Vec<String> {
         .collect()
 }
 
-/// `critic chaos --seed S [--cells N] [--smoke] [--minimize] [-o FILE]`
-///
-/// Seeds a random schedule of systemic + data faults, drills a smoke
+/// `critic chaos` seeds a random schedule of systemic + data faults, drills a smoke
 /// campaign under it with the supervision policy armed, and asserts the
 /// runner's invariants (accounting, journal-resumable, warm-unfaulted,
 /// ledger). On violation the full report — schedule included — is printed
 /// as JSON and the exit code is 10; `--minimize` first delta-debugs the
 /// schedule to a minimal subset reproducing the violation.
-fn run_chaos_command(args: &[String]) -> Result<(), CliError> {
-    let mut config = ChaosConfig::default();
-    match arg_after(args, "--seed") {
-        None => {
-            return Err(CliError::Usage(
-                "usage: critic chaos --seed S [--cells N] [--smoke] [--minimize] [-o FILE]"
-                    .to_string(),
-            ))
-        }
-        Some(v) => {
-            config.seed = v
-                .parse::<u64>()
-                .map_err(|_| CliError::Usage(format!("--seed expects a number, got `{v}`")))?;
-        }
-    }
-    if let Some(v) = arg_after(args, "--cells") {
-        config.cells = v
-            .parse::<usize>()
-            .map_err(|_| CliError::Usage(format!("--cells expects a number, got `{v}`")))?;
-        if config.cells == 0 {
+fn run_chaos_command(args: &Args) -> Result<(), CliError> {
+    let mut config = ChaosConfig {
+        seed: args.num("--seed")?.expect("parse requires --seed"),
+        smoke: args.has("--smoke"),
+        minimize: args.has("--minimize"),
+        ..ChaosConfig::default()
+    };
+    if let Some(cells) = args.num("--cells")? {
+        if cells == 0 {
             return Err(CliError::Usage("--cells must be at least 1".to_string()));
         }
+        config.cells = cells;
     }
-    config.smoke = args.iter().any(|a| a == "--smoke");
-    config.minimize = args.iter().any(|a| a == "--minimize");
 
     let report = chaos::run_chaos(&config).map_err(bench_error)?;
     let mut summary = format!(
@@ -1265,9 +1285,7 @@ fn run_chaos_command(args: &[String]) -> Result<(), CliError> {
     )
 }
 
-/// `critic drill --points N [--seed S] [--smoke] [--minimize] [-o FILE]`
-///
-/// The kill-anywhere recovery drill: for each seeded point, a child
+/// `critic drill` is the kill-anywhere recovery drill: for each seeded point, a child
 /// `critic campaign` run with a persistent store and a segmented journal
 /// is crashed at a planted operation (plus seeded fault noise), restarted
 /// with `--resume`, and checked against the durability invariants —
@@ -1277,23 +1295,17 @@ fn run_chaos_command(args: &[String]) -> Result<(), CliError> {
 /// re-simulated). On violation the report (with the minimal reproducing
 /// fault subset under `--minimize`) is printed as JSON and the exit code
 /// is 11.
-fn run_drill_command(args: &[String]) -> Result<(), CliError> {
+fn run_drill_command(args: &Args) -> Result<(), CliError> {
     let mut config = DrillConfig::default();
-    if let Some(v) = arg_after(args, "--seed") {
-        config.seed = v
-            .parse::<u64>()
-            .map_err(|_| CliError::Usage(format!("--seed expects a number, got `{v}`")))?;
-    }
-    if let Some(v) = arg_after(args, "--points") {
-        config.points = v
-            .parse::<usize>()
-            .map_err(|_| CliError::Usage(format!("--points expects a number, got `{v}`")))?;
-        if config.points == 0 {
+    config.seed = args.num("--seed")?.unwrap_or(config.seed);
+    if let Some(points) = args.num("--points")? {
+        if points == 0 {
             return Err(CliError::Usage("--points must be at least 1".to_string()));
         }
+        config.points = points;
     }
-    config.smoke = args.iter().any(|a| a == "--smoke");
-    config.minimize = args.iter().any(|a| a == "--minimize");
+    config.smoke = args.has("--smoke");
+    config.minimize = args.has("--minimize");
 
     let report = drill::run_drill(&config).map_err(bench_error)?;
     let summary = format!(
@@ -1454,32 +1466,20 @@ fn expand_journal_arg(path: &str) -> Result<Vec<std::path::PathBuf>, CliError> {
     }
 }
 
-/// `critic stats --journal FILE|DIR [--journal FILE|DIR]... [--json]`
-///
-/// Replays a campaign journal — segments, checkpoints, and the active file,
+/// `critic stats` replays a campaign journal — segments, checkpoints, and the active file,
 /// with per-line checksum verification — dedups cells newest-wins on
 /// (app, scheme) — the same rule `--resume` applies — and prints the
 /// telemetry and store roll-up. More than one journal (repeat `--journal`,
 /// or point it at a router's journal directory) switches to the fleet
 /// view: a per-shard roll-up line each plus cross-fleet totals, with
 /// distinct-cell counting across shards.
-fn run_stats_command(args: &[String]) -> Result<(), CliError> {
+fn run_stats_command(args: &Args) -> Result<(), CliError> {
     let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    let mut idx = 0;
-    while let Some(pos) = args[idx..].iter().position(|a| a == "--journal") {
-        idx += pos + 1;
-        let Some(value) = args.get(idx) else {
-            return Err(CliError::Usage("--journal expects FILE|DIR".to_string()));
-        };
+    for value in args.all("--journal") {
         paths.extend(expand_journal_arg(value)?);
     }
-    if paths.is_empty() {
-        return Err(CliError::Usage(
-            "usage: critic stats --journal FILE|DIR [--journal FILE|DIR]... [--json]".to_string(),
-        ));
-    }
     if paths.len() > 1 {
-        return run_fleet_stats(&paths, args.iter().any(|a| a == "--json"));
+        return run_fleet_stats(&paths, args.has("--json"));
     }
     let journal = paths[0].as_path();
     let replayed =
@@ -1536,7 +1536,7 @@ fn run_stats_command(args: &[String]) -> Result<(), CliError> {
         cell_phases,
     };
 
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         let json = serde_json::to_string_pretty(&report)
             .map_err(|e| CliError::Io(format!("cannot serialise stats report: {e}")))?;
         println!("{json}");
@@ -1548,16 +1548,7 @@ fn run_stats_command(args: &[String]) -> Result<(), CliError> {
         // One line per run tag only when tags actually partition the
         // journal — a single-run journal would just repeat the total.
         if report.runs.len() > 1 || report.runs.iter().any(|r| r.run.is_some()) {
-            for rollup in &report.runs {
-                let tag = match rollup.run {
-                    Some(tag) => format!("run {tag}"),
-                    None => "untagged".to_string(),
-                };
-                println!(
-                    "  {tag}: {} cells ({} ok, {} failed, {} shed), {} ms",
-                    rollup.cells, rollup.ok, rollup.failed, rollup.shed, rollup.total_millis
-                );
-            }
+            print_runs("  ", &report.runs);
         }
         if report.skipped_lines > 0 {
             println!(
@@ -1593,6 +1584,20 @@ fn run_stats_command(args: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// One line per run-tag roll-up, each prefixed by `indent`.
+fn print_runs(indent: &str, runs: &[critic_core::journal::RunRollup]) {
+    for rollup in runs {
+        let tag = match rollup.run {
+            Some(tag) => format!("run {tag}"),
+            None => "untagged".to_string(),
+        };
+        println!(
+            "{indent}{tag}: {} cells ({} ok, {} failed, {} shed), {} ms",
+            rollup.cells, rollup.ok, rollup.failed, rollup.shed, rollup.total_millis
+        );
+    }
 }
 
 /// The multi-journal `critic stats` body: replays every journal
@@ -1650,16 +1655,7 @@ fn run_fleet_stats(paths: &[std::path::PathBuf], json: bool) -> Result<(), CliEr
             // A shard journal spanning restarts carries one run tag per
             // incarnation; surface them the same way the single view does.
             if shard.runs.len() > 1 {
-                for rollup in &shard.runs {
-                    let tag = match rollup.run {
-                        Some(tag) => format!("run {tag}"),
-                        None => "untagged".to_string(),
-                    };
-                    println!(
-                        "    {tag}: {} cells ({} ok, {} failed, {} shed), {} ms",
-                        rollup.cells, rollup.ok, rollup.failed, rollup.shed, rollup.total_millis
-                    );
-                }
+                print_runs("    ", &shard.runs);
             }
         }
         println!(
@@ -1672,4 +1668,115 @@ fn run_fleet_stats(paths: &[std::path::PathBuf], json: bool) -> Result<(), CliEr
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every command the top-level usage line lists.
+    fn commands() -> Vec<String> {
+        let line = usage().to_string();
+        let list = &line[line.find('<').expect("<") + 1..line.find('>').expect(">")];
+        list.split('|').map(String::from).collect()
+    }
+
+    fn parse_line(command: &str, line: &str) -> Result<(), CliError> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let synopsis = synopsis(command).unwrap_or_else(|| panic!("no command `{command}`"));
+        parse(command, synopsis, &argv).map(drop)
+    }
+
+    /// Every `./target/release/critic …` command line in the CI workflow,
+    /// with `\` continuations joined and each cut at the first shell
+    /// operator or line end.
+    fn ci_invocations() -> Vec<String> {
+        const BIN: &str = "./target/release/critic";
+        include_str!("../../../../.github/workflows/ci.yml")
+            .replace("\\\n", " ")
+            .split(BIN)
+            .skip(1)
+            .map(|rest| {
+                let end = rest.find(['|', '&', '>', ';', '\n']).unwrap_or(rest.len());
+                let words: Vec<&str> = rest[..end].split_whitespace().collect();
+                words.join(" ").replace('"', "")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_ci_invocation_parses_against_the_synopses() {
+        let invocations = ci_invocations();
+        assert!(
+            invocations.len() >= 13,
+            "found only {} critic invocations in ci.yml",
+            invocations.len()
+        );
+        for invocation in &invocations {
+            let (command, line) = invocation.split_once(' ').unwrap_or((invocation, ""));
+            if let Err(e) = parse_line(command, line) {
+                panic!("CI runs `critic {invocation}`, which does not parse: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn synopses_read_as_distinct_flags_and_single_word_positionals() {
+        for command in commands() {
+            let synopsis = synopsis(&command).expect("every listed command has a synopsis");
+            let mut names: Vec<&str> = elements(synopsis)
+                .into_iter()
+                .filter_map(Flag::read)
+                .map(|f| f.name)
+                .collect();
+            let declared = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(declared, names.len(), "`critic {command}` repeats a flag");
+            for element in elements(synopsis) {
+                assert!(
+                    Flag::read(element).is_some()
+                        || (element.starts_with(['<', '[']) && !element.contains(' ')),
+                    "`critic {command}` has a malformed element `{element}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parse_reads_switches_values_repeats_and_positionals() {
+        let argv =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(String::from).collect() };
+        let (disasm, stats) = (argv("Maps f0"), argv("--journal a --json --journal b"));
+        let args = parse("disasm", synopsis("disasm").unwrap(), &disasm)
+            .ok()
+            .expect("parses");
+        assert_eq!(args.positionals, ["Maps", "f0"]);
+        let args = parse("stats", synopsis("stats").unwrap(), &stats)
+            .ok()
+            .expect("parses");
+        assert_eq!(
+            args.entries,
+            [
+                ("--journal", Some("a")),
+                ("--json", None),
+                ("--journal", Some("b"))
+            ]
+        );
+        assert_eq!(args.all("--journal").collect::<Vec<_>>(), ["a", "b"]);
+
+        for (command, line) in [
+            ("stats", "--json"),
+            ("campaign", "--apps --resume"),
+            ("disasm", ""),
+            ("disasm", "Maps f0 extra"),
+            ("router", "--journal-dir d"),
+            ("router", "--journal-dir d --store-dir s --sys store-read@1"),
+        ] {
+            assert!(
+                parse_line(command, line).is_err(),
+                "`critic {command} {line}` should be refused"
+            );
+        }
+    }
 }
