@@ -36,12 +36,11 @@
 //! unrelated stores) cannot produce false positives. See the
 //! [`critic_isa::interp`] module docs for the full argument.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use critic_isa::{seeded_input, MachineState, Reg, StepError, StepIo, Width};
 use critic_profiler::ChainSpec;
-use critic_workloads::{ExecutionPath, InsnUid, Program, Trace};
+use critic_workloads::{ArchWalk, ExecutionPath, InsnUid, Program};
 
 /// Salt distinguishing the link-token stream from the load-value stream.
 const LINK_SALT: u64 = 0x6C69_6E6B_746F_6B65; // "linktoke"
@@ -194,7 +193,7 @@ pub struct ValidationReport {
     pub variant_steps: u64,
 }
 
-/// One program's observable behaviour over a seeded run.
+/// One program's observable behaviour over a seeded run, as flat logs.
 ///
 /// Each recorded effect carries the dynamic step at which it happened.
 /// Steps never participate in *equality* (re-encoding inserts format
@@ -203,9 +202,128 @@ pub struct ValidationReport {
 /// earliest one, which is the root cause.
 struct Execution {
     state: MachineState,
-    writes_by_uid: HashMap<InsnUid, Vec<(u64, Reg, u32)>>,
-    stores_by_addr: BTreeMap<u64, Vec<(u64, InsnUid, u32)>>,
+    /// Every register write, grouped by uid in ascending uid order and in
+    /// execution order within a group.
+    writes: Vec<RegWrite>,
+    /// The non-empty groups of `writes`: `(uid, end)`, each group starting
+    /// where the previous one ends.
+    group_ends: Vec<(InsnUid, u32)>,
+    /// Every store, stably sorted by address: execution order within an
+    /// address.
+    stores: Vec<StoreRec>,
     steps: u64,
+}
+
+/// One register write: the step that performed it and what it wrote.
+#[derive(Clone, Copy)]
+struct RegWrite {
+    step: u64,
+    reg: Reg,
+    value: u32,
+}
+
+/// One store: where, when, by whom and what.
+#[derive(Clone, Copy)]
+struct StoreRec {
+    addr: u64,
+    step: u64,
+    uid: InsnUid,
+    value: u32,
+}
+
+impl Execution {
+    /// `(uid, writes)` per written uid, uids ascending.
+    fn write_groups(&self) -> impl Iterator<Item = (InsnUid, &[RegWrite])> {
+        let mut start = 0usize;
+        self.group_ends.iter().map(move |&(uid, end)| {
+            let group = &self.writes[start..end as usize];
+            start = end as usize;
+            (uid, group)
+        })
+    }
+
+    /// `(addr, stores)` per stored-to address, addresses ascending.
+    fn store_groups(&self) -> impl Iterator<Item = (u64, &[StoreRec])> {
+        self.stores
+            .chunk_by(|a, b| a.addr == b.addr)
+            .map(|group| (group[0].addr, group))
+    }
+}
+
+/// Dense keys for one program's uids, in uid order.
+///
+/// Uids below `direct` key themselves. The few far above the program's
+/// static size — marker uids that fault injection plants — are ranked
+/// after them, so every flat per-uid table stays O(static program)
+/// whatever the uids.
+struct UidKeys {
+    direct: u32,
+    /// Bit `u` set ⇔ uid `u` (< `direct`) occurs in the program.
+    present: Vec<u64>,
+    /// The program's uids ≥ `direct`, sorted and deduplicated.
+    outliers: Vec<u32>,
+}
+
+impl UidKeys {
+    fn for_program(program: &Program) -> UidKeys {
+        let limit = u32::try_from(2 * program.static_insn_count() + 64).unwrap_or(u32::MAX);
+        let mut present = vec![0u64; (limit as usize).div_ceil(64)];
+        let mut outliers = Vec::new();
+        let mut direct = 0;
+        for block in &program.blocks {
+            for tagged in &block.insns {
+                let uid = tagged.uid.0;
+                if uid < limit {
+                    present[uid as usize / 64] |= 1 << (uid % 64);
+                    direct = direct.max(uid + 1);
+                } else {
+                    outliers.push(uid);
+                }
+            }
+        }
+        present.truncate((direct as usize).div_ceil(64));
+        outliers.sort_unstable();
+        outliers.dedup();
+        UidKeys {
+            direct,
+            present,
+            outliers,
+        }
+    }
+
+    /// Number of keys: the size of a flat per-uid table.
+    fn len(&self) -> usize {
+        self.direct as usize + self.outliers.len()
+    }
+
+    /// The key of a uid that occurs in the program.
+    #[inline]
+    fn key(&self, uid: InsnUid) -> usize {
+        if uid.0 < self.direct {
+            uid.0 as usize
+        } else {
+            let rank = self.outliers.binary_search(&uid.0);
+            debug_assert!(rank.is_ok(), "{uid} is not in the program");
+            self.direct as usize + rank.unwrap_or_else(|r| r)
+        }
+    }
+
+    /// The uid keyed by `key`.
+    fn uid(&self, key: usize) -> InsnUid {
+        match key.checked_sub(self.direct as usize) {
+            None => InsnUid(key as u32),
+            Some(rank) => InsnUid(self.outliers[rank]),
+        }
+    }
+
+    /// Whether `uid` occurs in the program.
+    fn contains(&self, uid: InsnUid) -> bool {
+        if uid.0 < self.direct {
+            self.present[uid.0 as usize / 64] & (1 << (uid.0 % 64)) != 0
+        } else {
+            self.outliers.binary_search(&uid.0).is_ok()
+        }
+    }
 }
 
 /// A baseline execution captured once and replayed against many variants.
@@ -223,7 +341,7 @@ pub struct BaselineExecution {
     /// divergence in itself — any observable effect it has flows through an
     /// original instruction's write stream, a store sequence, or the final
     /// state, all of which are still compared.
-    program_uids: std::collections::HashSet<InsnUid>,
+    program_uids: UidKeys,
     seed: u64,
 }
 
@@ -250,12 +368,9 @@ impl BaselineExecution {
         path: &ExecutionPath,
         seed: u64,
     ) -> Result<BaselineExecution, ValidationError> {
-        let exec = execute(baseline, path, seed).map_err(|(uid, e)| internal_error(uid, e))?;
-        let program_uids = baseline
-            .blocks
-            .iter()
-            .flat_map(|b| b.insns.iter().map(|t| t.uid))
-            .collect();
+        let program_uids = UidKeys::for_program(baseline);
+        let exec = execute(baseline, &program_uids, path, seed)
+            .map_err(|(uid, e)| internal_error(uid, e))?;
         Ok(BaselineExecution {
             exec,
             program_uids,
@@ -320,58 +435,49 @@ fn validate_against(
 
     let base = &baseline.exec;
     let seed = baseline.seed;
-    let var = execute(variant, path, seed).map_err(|(uid, e)| internal_error(uid, e))?;
+    let var = execute(variant, &UidKeys::for_program(variant), path, seed)
+        .map_err(|(uid, e)| internal_error(uid, e))?;
 
     // Collect the execution-earliest divergence across register dataflow
     // and store sequences. The root cause (the rewritten instruction that
     // first computed a wrong value) always executes before anything that
     // propagates it, so the minimum-step divergence is the attributable
     // one; scanning in uid or address order instead can land on a consumer
-    // in a chain-less block and defeat attribution.
+    // in a chain-less block and defeat attribution. Ties keep the first
+    // divergence considered: uids ascending, then addresses ascending.
     let mut earliest: Option<(u64, Option<InsnUid>, DivergenceKind)> = None;
 
-    let baseline_uids = &baseline.program_uids;
-
-    // Per-uid register dataflow.
-    let mut uids: Vec<InsnUid> = base
-        .writes_by_uid
-        .keys()
-        .chain(var.writes_by_uid.keys())
-        .copied()
-        .collect();
-    uids.sort();
-    uids.dedup();
-    for uid in uids {
-        let b = base.writes_by_uid.get(&uid);
-        let v = var.writes_by_uid.get(&uid);
-        match (b, v) {
-            (Some(b), None) => {
-                if let Some(&(step, ..)) = b.first() {
-                    consider(&mut earliest, step, Some(uid), DivergenceKind::MissingInsn);
+    // Per-uid register dataflow. A group is never empty, so an empty side
+    // means the uid wrote nothing in that run.
+    merge_join(base.write_groups(), var.write_groups(), |uid, b, v| {
+        match (b.first(), v.first()) {
+            (Some(first), None) => {
+                consider(
+                    &mut earliest,
+                    first.step,
+                    Some(uid),
+                    DivergenceKind::MissingInsn,
+                );
+            }
+            (None, Some(first)) => {
+                if baseline.program_uids.contains(uid) {
+                    consider(
+                        &mut earliest,
+                        first.step,
+                        Some(uid),
+                        DivergenceKind::ExtraInsn,
+                    );
                 }
             }
-            (None, Some(v)) => {
-                if baseline_uids.contains(&uid) {
-                    if let Some(&(step, ..)) = v.first() {
-                        consider(&mut earliest, step, Some(uid), DivergenceKind::ExtraInsn);
-                    }
-                }
-            }
-            (Some(b), Some(v)) => {
+            _ => {
+                let strip = |w: Option<&RegWrite>| w.map(|w| (w.reg, w.value));
                 for index in 0..b.len().max(v.len()) {
-                    let bw = b.get(index).copied();
-                    let vw = v.get(index).copied();
-                    let strip = |w: Option<(u64, Reg, u32)>| w.map(|(_, r, x)| (r, x));
+                    let (bw, vw) = (b.get(index), v.get(index));
                     if strip(bw) != strip(vw) {
-                        let step = [bw, vw]
-                            .into_iter()
-                            .flatten()
-                            .map(|(s, ..)| s)
-                            .min()
-                            .unwrap_or(u64::MAX);
+                        let step = bw.into_iter().chain(vw).map(|w| w.step).min();
                         consider(
                             &mut earliest,
-                            step,
+                            step.unwrap_or(u64::MAX),
                             Some(uid),
                             DivergenceKind::RegisterWrite {
                                 index,
@@ -383,38 +489,20 @@ fn validate_against(
                     }
                 }
             }
-            (None, None) => {}
         }
-    }
+    });
 
     // Per-address store order and values.
-    let mut addrs: Vec<u64> = base
-        .stores_by_addr
-        .keys()
-        .chain(var.stores_by_addr.keys())
-        .copied()
-        .collect();
-    addrs.sort_unstable();
-    addrs.dedup();
-    static EMPTY: Vec<(u64, InsnUid, u32)> = Vec::new();
-    for addr in addrs {
-        let b = base.stores_by_addr.get(&addr).unwrap_or(&EMPTY);
-        let v = var.stores_by_addr.get(&addr).unwrap_or(&EMPTY);
+    merge_join(base.store_groups(), var.store_groups(), |addr, b, v| {
+        let strip = |s: Option<&StoreRec>| s.map(|s| (s.uid, s.value));
         for index in 0..b.len().max(v.len()) {
-            let bs = b.get(index).copied();
-            let vs = v.get(index).copied();
-            let strip = |s: Option<(u64, InsnUid, u32)>| s.map(|(_, uid, x)| (uid, x));
+            let (bs, vs) = (b.get(index), v.get(index));
             if strip(bs) != strip(vs) {
-                let step = [bs, vs]
-                    .into_iter()
-                    .flatten()
-                    .map(|(s, ..)| s)
-                    .min()
-                    .unwrap_or(u64::MAX);
+                let step = bs.into_iter().chain(vs).map(|s| s.step).min();
                 let uid = strip(vs).or(strip(bs)).map(|(uid, _)| uid);
                 consider(
                     &mut earliest,
-                    step,
+                    step.unwrap_or(u64::MAX),
                     uid,
                     DivergenceKind::StoreSequence {
                         addr,
@@ -426,7 +514,7 @@ fn validate_against(
                 break; // later stores to this address are downstream
             }
         }
-    }
+    });
 
     if let Some((_, uid, kind)) = earliest {
         return Err(attribute(variant, chains, uid, kind));
@@ -480,53 +568,124 @@ fn validate_against(
 }
 
 /// Runs one program over the path, recording every observable effect.
+///
+/// `keys` must be `program`'s own [`UidKeys`]: they index the dense
+/// per-uid visit counters and the counting sort that groups the register
+/// writes by uid.
 fn execute(
     program: &Program,
+    keys: &UidKeys,
     path: &ExecutionPath,
     seed: u64,
 ) -> Result<Execution, (InsnUid, StepError)> {
-    let trace = Trace::expand(program, path);
     let mut state = MachineState::seeded(seed);
-    let mut visits: HashMap<InsnUid, u64> = HashMap::new();
-    let mut writes_by_uid: HashMap<InsnUid, Vec<(u64, Reg, u32)>> = HashMap::new();
-    let mut stores_by_addr: BTreeMap<u64, Vec<(u64, InsnUid, u32)>> = BTreeMap::new();
+    let mut visits = vec![0u32; keys.len()];
+    // Register writes in execution order, with their uid keys, and the
+    // number of writes per key: the counting sort's first pass.
+    let mut log: Vec<(u32, RegWrite)> = Vec::new();
+    let mut ends = vec![0u32; keys.len()];
+    let mut stores: Vec<StoreRec> = Vec::new();
     let mut steps = 0u64;
-    for e in trace.iter() {
-        let insn = &program.insn(e.at).insn;
-        let visit = visits.entry(e.uid).or_insert(0);
+    for s in ArchWalk::new(program, path) {
+        let uid = s.tagged.uid;
+        let insn = &s.tagged.insn;
+        let key = keys.key(uid);
+        let visit = u64::from(visits[key]);
+        visits[key] += 1;
         let op = insn.op();
         let io = StepIo {
-            mem_addr: e.mem_addr,
+            mem_addr: s.mem_addr,
             load_value: op
                 .is_load()
-                .then(|| seeded_input(seed, u64::from(e.uid.0), *visit)),
+                .then(|| seeded_input(seed, u64::from(uid.0), visit)),
             link_value: op
                 .is_call()
-                .then(|| seeded_input(seed ^ LINK_SALT, u64::from(e.uid.0), *visit)),
+                .then(|| seeded_input(seed ^ LINK_SALT, u64::from(uid.0), visit)),
         };
-        *visit += 1;
-        let effect = state.step(insn, &io).map_err(|err| (e.uid, err))?;
-        let at_step = steps;
+        let effect = state.step(insn, &io).map_err(|err| (uid, err))?;
+        let step = steps;
         steps += 1;
         if let Some((reg, value)) = effect.reg_write {
-            writes_by_uid
-                .entry(e.uid)
-                .or_default()
-                .push((at_step, reg, value));
+            log.push((key as u32, RegWrite { step, reg, value }));
+            ends[key] += 1;
         }
         if let Some(w) = effect.mem_write {
-            stores_by_addr
-                .entry(w.addr)
-                .or_default()
-                .push((at_step, e.uid, w.value));
+            stores.push(StoreRec {
+                addr: w.addr,
+                step,
+                uid,
+                value: w.value,
+            });
         }
     }
+
+    // The rest of the counting sort by key: after placement `ends[k]` is
+    // where key `k`'s group ends. Placement walks the log in order, so each
+    // group keeps execution order.
+    let mut next = 0u32;
+    let mut group_ends = Vec::new();
+    for (key, end) in ends.iter_mut().enumerate() {
+        let count = *end;
+        *end = next; // the group's start, until placement advances it
+        next += count;
+        if count > 0 {
+            group_ends.push((keys.uid(key), next));
+        }
+    }
+    let mut writes = vec![
+        RegWrite {
+            step: 0,
+            reg: Reg::R0,
+            value: 0,
+        };
+        log.len()
+    ];
+    for &(key, w) in &log {
+        let at = &mut ends[key as usize];
+        writes[*at as usize] = w;
+        *at += 1;
+    }
+
+    stores.sort_by_key(|s| s.addr);
     Ok(Execution {
         state,
-        writes_by_uid,
-        stores_by_addr,
+        writes,
+        group_ends,
+        stores,
         steps,
     })
+}
+
+/// Visits the union of two key-sorted group sequences in ascending key
+/// order, passing an empty slice for the side a key is missing from.
+fn merge_join<'a, K: Ord + Copy, T: 'a>(
+    a: impl Iterator<Item = (K, &'a [T])>,
+    b: impl Iterator<Item = (K, &'a [T])>,
+    mut visit: impl FnMut(K, &'a [T], &'a [T]),
+) {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        match (a.peek().copied(), b.peek().copied()) {
+            (None, None) => return,
+            (Some((ka, ga)), Some((kb, gb))) if ka == kb => {
+                visit(ka, ga, gb);
+                a.next();
+                b.next();
+            }
+            (Some((ka, ga)), Some((kb, _))) if ka < kb => {
+                visit(ka, ga, &[]);
+                a.next();
+            }
+            (Some((ka, ga)), None) => {
+                visit(ka, ga, &[]);
+                a.next();
+            }
+            (_, Some((kb, gb))) => {
+                visit(kb, &[], gb);
+                b.next();
+            }
+        }
+    }
 }
 
 /// Static decode-coverage check: in a CDP-mode variant every 16-bit
@@ -652,7 +811,7 @@ mod tests {
 
     use critic_profiler::{Profiler, ProfilerConfig};
     use critic_workloads::suite::Suite;
-    use critic_workloads::{inject_variant, BlockId, Fault};
+    use critic_workloads::{inject_variant, BlockId, Fault, Trace};
 
     use super::*;
     use crate::critic_pass::{apply_critic_pass, CriticPassOptions};
@@ -780,6 +939,111 @@ mod tests {
         assert!(text.contains("chain #3"), "{text}");
         assert!(text.contains("42"), "{text}");
         assert!(text.contains("register write #0"), "{text}");
+    }
+
+    #[test]
+    fn uid_keys_stay_dense_and_ordered_with_far_uids() {
+        let (mut program, path, _, profile) = setup(5_000);
+        // Plant two marker uids far above the program, as fault injection
+        // does, on instructions the path executes.
+        let far = [InsnUid(0xF000_0002), InsnUid(0xF000_0001)];
+        for (&bid, uid) in path.blocks.iter().zip(far) {
+            program.block_mut(bid).insns[0].uid = uid;
+        }
+        let keys = UidKeys::for_program(&program);
+        let mut uids: Vec<InsnUid> = program
+            .blocks
+            .iter()
+            .flat_map(|b| b.insns.iter().map(|t| t.uid))
+            .collect();
+        uids.sort_unstable();
+        uids.dedup();
+        assert!(keys.len() <= 2 * program.static_insn_count() + 64 + far.len());
+        for pair in uids.windows(2) {
+            assert!(
+                keys.key(pair[0]) < keys.key(pair[1]),
+                "keys follow uid order"
+            );
+        }
+        for &uid in &uids {
+            assert!(keys.contains(uid));
+            assert_eq!(keys.uid(keys.key(uid)), uid);
+        }
+        assert!(!keys.contains(InsnUid(0xF000_0003)));
+        assert!(!keys.contains(InsnUid(keys.direct)));
+        let report = validate_transform(&program, &program, &path, &profile.chains, 3).unwrap();
+        assert_eq!(report.baseline_steps, report.variant_steps);
+    }
+
+    /// A one-block program over `insns` (uid, instruction), and its path.
+    fn straight_line(insns: &[(u32, critic_isa::Insn)]) -> (Program, ExecutionPath) {
+        use critic_workloads::{BasicBlock, FuncId, Function, TaggedInsn, Terminator};
+        let program = Program {
+            name: "straight".into(),
+            suite: Suite::Mobile,
+            functions: vec![Function {
+                id: FuncId(0),
+                name: "f".into(),
+                blocks: vec![BlockId(0)],
+            }],
+            blocks: vec![BasicBlock {
+                id: BlockId(0),
+                func: FuncId(0),
+                insns: insns
+                    .iter()
+                    .map(|&(uid, insn)| TaggedInsn::new(insn, InsnUid(uid)))
+                    .collect(),
+                terminator: Terminator::Exit,
+            }],
+            mem: Default::default(),
+            load_hints: Default::default(),
+        };
+        let path = ExecutionPath {
+            blocks: vec![BlockId(0)],
+            seed: 0,
+        };
+        (program, path)
+    }
+
+    #[test]
+    fn equal_step_divergences_keep_the_first_visited() {
+        use critic_isa::{Insn, Opcode};
+        // Both uids diverge, and the variant swaps them, so each
+        // divergence's earliest step is 0: the tie goes to the lower uid.
+        let (base, path) = straight_line(&[
+            (0, Insn::mov_imm(Reg::R0, 1)),
+            (1, Insn::mov_imm(Reg::R1, 2)),
+        ]);
+        let (var, _) = straight_line(&[
+            (1, Insn::mov_imm(Reg::R1, 3)),
+            (0, Insn::mov_imm(Reg::R0, 5)),
+        ]);
+        let err = validate_transform(&base, &var, &path, &[], 1).unwrap_err();
+        assert_eq!(err.uid, Some(InsnUid(0)), "{err}");
+        assert_eq!(
+            err.kind,
+            DivergenceKind::RegisterWrite {
+                index: 0,
+                baseline: Some((Reg::R0, 1)),
+                variant: Some((Reg::R0, 5)),
+            }
+        );
+        // A register write and a store diverging at the same step: the
+        // register write is visited first and wins, even from a higher uid.
+        let (base, path) = straight_line(&[
+            (0, Insn::store(Opcode::Str, Reg::R2, Reg::R3, 0)),
+            (1, Insn::mov_imm(Reg::R1, 2)),
+        ]);
+        let (var, _) = straight_line(&[
+            (1, Insn::mov_imm(Reg::R1, 3)),
+            (0, Insn::store(Opcode::Strb, Reg::R2, Reg::R3, 0)),
+        ]);
+        let err = validate_transform(&base, &var, &path, &[], 1).unwrap_err();
+        assert_eq!(err.uid, Some(InsnUid(1)), "{err}");
+        assert!(
+            matches!(err.kind, DivergenceKind::RegisterWrite { index: 0, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -226,6 +226,29 @@ impl SparseMem {
         page.data[bit as usize] = byte;
     }
 
+    /// Stores the low `bytes` bytes of `value` little-endian at `addr` —
+    /// byte for byte what `bytes` calls to [`SparseMem::insert`] store, with
+    /// one page probe when the access stays inside one 64-byte page (an
+    /// access crossing a page boundary falls back to per-byte inserts).
+    pub fn store(&mut self, addr: u64, value: u32, bytes: u8) {
+        let offset = addr % Self::PAGE;
+        if offset + u64::from(bytes) > Self::PAGE {
+            for i in 0..u64::from(bytes) {
+                self.insert(addr + i, (value >> (8 * i)) as u8);
+            }
+            return;
+        }
+        let page = self.pages.entry(addr - offset).or_insert(Page {
+            written: 0,
+            data: [0; 64],
+        });
+        for i in 0..usize::from(bytes) {
+            let bit = offset as usize + i;
+            page.written |= 1 << bit;
+            page.data[bit] = (value >> (8 * i)) as u8;
+        }
+    }
+
     /// Number of distinct addresses ever stored to.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -313,6 +336,7 @@ impl MachineState {
     ///
     /// Returns a [`StepError`] when `io` is missing an input the
     /// instruction requires (an oracle bug, never a program divergence).
+    #[inline]
     pub fn step(&mut self, insn: &Insn, io: &StepIo) -> Result<StepEffect, StepError> {
         if !self.cond_passes(insn.cond()) {
             return Ok(StepEffect::none(false));
@@ -328,9 +352,7 @@ impl MachineState {
                 _ => 4,
             };
             let masked = mask_to_width(value, bytes);
-            for i in 0..u64::from(bytes) {
-                self.mem.insert(addr + i, (masked >> (8 * i)) as u8);
-            }
+            self.mem.store(addr, masked, bytes);
             return Ok(StepEffect {
                 executed: true,
                 reg_write: None,
@@ -696,6 +718,43 @@ mod tests {
             vec![0x07, 0x13F, 0x200, 0x203]
         );
         assert_eq!(m.len(), 4);
+    }
+
+    #[test]
+    fn store_matches_per_byte_inserts_at_every_page_offset() {
+        let value = 0xA1B2_C3D4u32;
+        for bytes in [1u8, 2, 4] {
+            for offset in 0..64u64 {
+                // A prior byte in the neighbouring page and one in the
+                // stored page check that `store` merges, not replaces.
+                let addr = 0x1000 + offset;
+                let mut stored = SparseMem::default();
+                let mut inserted = SparseMem::default();
+                for m in [&mut stored, &mut inserted] {
+                    m.insert(0x1000 + (offset + 32) % 64, 0x5A);
+                    m.insert(0x1040 + offset, 0xA5);
+                }
+                stored.store(addr, value, bytes);
+                for i in 0..u64::from(bytes) {
+                    inserted.insert(addr + i, (value >> (8 * i)) as u8);
+                }
+                let at = format!("{bytes}-byte store at page offset {offset}");
+                assert_eq!(stored, inserted, "{at}");
+                assert_eq!(
+                    stored.iter().collect::<Vec<_>>(),
+                    inserted.iter().collect::<Vec<_>>(),
+                    "{at}"
+                );
+                assert_eq!(stored.len(), inserted.len(), "{at}");
+                for probe in 0xFC0..0x10C0 {
+                    assert_eq!(
+                        stored.get(probe),
+                        inserted.get(probe),
+                        "{at}: byte {probe:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! 3. a **trace expander** ([`trace`]) that turns (program, path) into the
 //!    dynamic instruction stream with register dependences resolved, memory
 //!    addresses attached, and branch outcomes recorded — the input format of
-//!    the `critic-pipeline` timing model and the `critic-profiler` analyses.
+//!    the `critic-pipeline` timing model and the `critic-profiler` analyses;
+//!    its [`ArchWalk`] yields the same instructions and memory addresses
+//!    without the timing model's bookkeeping, for the translation
+//!    validator in `critic-compiler`.
 //!
 //! # Example
 //!
@@ -61,5 +64,5 @@ pub use stream::{
 };
 pub use suite::{AppSpec, Suite};
 pub use sysfault::{SysFault, SysFaultSpec, SysInjector, SysOp};
-pub use trace::{BranchOutcome, DynInsn, Trace, NO_DEP};
+pub use trace::{ArchStep, ArchWalk, BranchOutcome, DynInsn, Trace, NO_DEP};
 pub use validate::{validate_stream, ProgramError, TraceError, MAX_TRACE_LEN};

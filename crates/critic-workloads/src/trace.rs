@@ -9,9 +9,9 @@
 use critic_isa::{FuKind, Insn, Opcode};
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{InsnRef, InsnUid};
+use crate::ids::{BlockId, InsnRef, InsnUid};
 use crate::path::ExecutionPath;
-use crate::program::{Layout, Program};
+use crate::program::{Layout, Program, TaggedInsn};
 
 /// Sentinel dependence slot value: no producer.
 pub const NO_DEP: u32 = u32::MAX;
@@ -281,8 +281,8 @@ pub(crate) fn resolve_deps(insn: &Insn, last_writer: &[u32; 16], flags_writer: u
 /// drive: [`Trace::expand_into`] materializes every yielded entry,
 /// [`crate::stream::TraceStream`] holds only a bounded ring of them.
 ///
-/// The cursor owns all expansion state — last-writer tables, per-uid memory
-/// visit counters, and the block/instruction position — so one `next` call
+/// The cursor owns all expansion state — last-writer tables, the uid-keyed
+/// address stream, and the block/instruction position — so one `next` call
 /// yields exactly the entry the materialized loop would have pushed next.
 pub(crate) struct ExpandCursor<'a> {
     program: &'a Program,
@@ -291,10 +291,7 @@ pub(crate) struct ExpandCursor<'a> {
     // Last dynamic writer of each architected register, plus the flags.
     last_writer: [u32; 16],
     flags_writer: u32,
-    // Per-uid visit counters drive the memory address streams. Uids are
-    // dense program-wide indices, so a lazily-grown flat vector replaces
-    // hashing on this hottest expansion path.
-    visits: Vec<u64>,
+    addrs: AddrStream,
     step: usize,
     index: usize,
     next_block_pc: Option<u64>,
@@ -311,7 +308,7 @@ impl<'a> ExpandCursor<'a> {
             layout,
             last_writer: [NO_DEP; 16],
             flags_writer: NO_DEP,
-            visits: Vec::new(),
+            addrs: AddrStream::default(),
             step: 0,
             index: 0,
             next_block_pc,
@@ -322,12 +319,13 @@ impl<'a> ExpandCursor<'a> {
     /// Bytes resident in the cursor's own state (the visit counters are
     /// O(static program), not O(trace)).
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.visits.capacity() * std::mem::size_of::<u64>()
+        self.addrs.resident_bytes()
     }
 
     /// Yields the next dynamic instruction, or `None` once the path is
     /// exhausted.
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub(crate) fn next(&mut self) -> Option<DynInsn> {
         loop {
             let &bid = self.path.blocks.get(self.step)?;
@@ -352,19 +350,7 @@ impl<'a> ExpandCursor<'a> {
 
             let deps = resolve_deps(insn, &self.last_writer, self.flags_writer);
 
-            // Memory address stream, keyed on the stable uid.
-            let mem_addr = if op.is_mem() {
-                let slot = tagged.uid.0 as usize;
-                if self.visits.len() <= slot {
-                    self.visits.resize(slot + 1, 0);
-                }
-                let hinted = self.program.load_hints.contains(&tagged.uid.0);
-                let addr = mem_address(&self.program.mem, tagged.uid, self.visits[slot], hinted);
-                self.visits[slot] += 1;
-                Some(addr)
-            } else {
-                None
-            };
+            let mem_addr = self.addrs.next(self.program, tagged);
 
             // Branch outcome.
             let branch = if op.is_branch() {
@@ -415,6 +401,104 @@ impl<'a> ExpandCursor<'a> {
             self.emitted += 1;
             self.index += 1;
             return Some(entry);
+        }
+    }
+}
+
+/// The uid-keyed data-address stream of one program: per-uid visit
+/// counters over the program's memory profile and load hints.
+/// [`ExpandCursor`] and [`ArchWalk`] both draw their addresses from it, so
+/// the traced and the architectural walks of one (program, path) pair
+/// touch identical addresses by construction.
+#[derive(Default)]
+struct AddrStream {
+    // Per-uid visit counters of memory instructions. Uids are dense
+    // program-wide indices, so a lazily-grown flat vector replaces hashing
+    // on this hottest expansion path.
+    visits: Vec<u64>,
+}
+
+impl AddrStream {
+    /// The data address this execution of `tagged` touches (`None` for a
+    /// non-memory instruction), advancing its uid's visit count. `program`
+    /// must be the program `tagged` belongs to, on every call.
+    #[inline]
+    fn next(&mut self, program: &Program, tagged: &TaggedInsn) -> Option<u64> {
+        if !tagged.insn.op().is_mem() {
+            return None;
+        }
+        let slot = tagged.uid.0 as usize;
+        if self.visits.len() <= slot {
+            self.visits.resize(slot + 1, 0);
+        }
+        let hinted = program.load_hints.contains(&tagged.uid.0);
+        let addr = mem_address(&program.mem, tagged.uid, self.visits[slot], hinted);
+        self.visits[slot] += 1;
+        Some(addr)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.visits.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+/// One dynamic instruction of an [`ArchWalk`].
+#[derive(Debug, Clone, Copy)]
+pub struct ArchStep<'a> {
+    /// Static position.
+    pub at: InsnRef,
+    /// The static instruction executed, with its stable uid.
+    pub tagged: &'a TaggedInsn,
+    /// Data address for loads/stores, identical to the
+    /// [`DynInsn::mem_addr`] [`Trace::expand`] records for this step.
+    pub mem_addr: Option<u64>,
+}
+
+/// The architectural walk of a (program, path) pair: every dynamic
+/// instruction's static instruction and data address, in fetch order.
+///
+/// It is [`Trace::expand`] without the timing model's bookkeeping — no
+/// dependence slots, PCs, branch outcomes or materialized entries — for
+/// consumers that only execute the stream, such as the differential
+/// oracle. Both draw addresses from one private address stream, so the
+/// `(uid, at, mem_addr)` sequences agree exactly.
+pub struct ArchWalk<'a> {
+    program: &'a Program,
+    blocks: std::slice::Iter<'a, BlockId>,
+    block: BlockId,
+    insns: std::iter::Enumerate<std::slice::Iter<'a, TaggedInsn>>,
+    addrs: AddrStream,
+}
+
+impl<'a> ArchWalk<'a> {
+    /// Starts a walk at the first block of `path`.
+    pub fn new(program: &'a Program, path: &'a ExecutionPath) -> ArchWalk<'a> {
+        ArchWalk {
+            program,
+            blocks: path.blocks.iter(),
+            block: BlockId(0),
+            insns: [].iter().enumerate(),
+            addrs: AddrStream::default(),
+        }
+    }
+}
+
+impl<'a> Iterator for ArchWalk<'a> {
+    type Item = ArchStep<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<ArchStep<'a>> {
+        loop {
+            if let Some((index, tagged)) = self.insns.next() {
+                return Some(ArchStep {
+                    at: InsnRef::new(self.block, index as u32),
+                    tagged,
+                    mem_addr: self.addrs.next(self.program, tagged),
+                });
+            }
+            let &bid = self.blocks.next()?;
+            self.block = bid;
+            self.insns = self.program.block(bid).insns.iter().enumerate();
         }
     }
 }
