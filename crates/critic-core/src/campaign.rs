@@ -637,7 +637,8 @@ pub fn run_campaign_with_store(
     }
 
     // Queue order: one group per app (its fault-free cells share a
-    // workbench — one base-trace decode per app), so the initial wave of
+    // workbench — one profile memo and one recycled decode, fanout and
+    // simulator scratch per app), so the initial wave of
     // workers still seeds the store with every app's world and baseline in
     // parallel. Fault-injected cells, and every cell when the per-cell
     // isolation machinery is armed, are groups of one in scheme-major order
@@ -878,10 +879,13 @@ pub(crate) struct CellPolicy<'a> {
 /// a degraded result is never mistaken for a full-fidelity one.
 ///
 /// `bench` is the workbench the cell's app group shares: a clean cell with
-/// no deadline runs over it (building it on first use), so every scheme of
-/// the app reuses one base-trace decode and one set of recycled simulator
-/// scratch/models. A failed attempt clears it (a panic may have left it
-/// mid-update).
+/// no deadline runs over it (building it over `store` on first use), so
+/// every scheme of the app reuses its profiles and one set of recycled
+/// decode, fanout and simulator scratch. A caller with no group (the
+/// service) passes `&mut None` and gets a fresh workbench over `store` per
+/// cell. A fault-injected cell never uses it: it assembles a workbench
+/// over its own fresh store. A failed attempt clears it (a panic may have
+/// left it mid-update).
 pub(crate) fn execute(
     cell: &Cell,
     policy: &CellPolicy,
@@ -1183,10 +1187,10 @@ fn run_cell_body(
                 bench
             }
         },
-        // Fault-injected cell: build everything privately. A corrupted
-        // program/trace must never be published to the store, and even the
-        // cell's *pristine* stages stay private so a fault drill measures
-        // the uncached pipeline it is drilling.
+        // Fault-injected cell: build everything over the workbench's own
+        // fresh store. A corrupted program/trace must never be published to
+        // the campaign store, and even the cell's *pristine* stages stay off
+        // it so a fault drill measures the uncached pipeline it is drilling.
         Some((fault, seed)) => {
             private = telemetry.time(SpanKind::WorldBuild, || {
                 let mut program = app.generate_program();
@@ -1799,35 +1803,38 @@ mod tests {
         }
     }
 
-    /// Fault-injected cells bypass the store entirely: they must not consume
-    /// shared artifacts (a drill measures the uncached pipeline) and must
-    /// not contribute any (a corrupted program/trace would poison every
-    /// sibling cell).
+    /// Fault-injected cells bypass the campaign store entirely, over their
+    /// workbench's own fresh store: they must not consume shared artifacts
+    /// (a drill measures the uncached pipeline) and must not contribute any
+    /// (a corrupted program/trace would poison every sibling cell). This
+    /// holds for every fault target, whatever the cell's status.
     #[test]
     fn fault_cells_never_touch_the_store() {
-        let mut spec = CampaignSpec::new(
-            tiny_apps(1),
-            vec![Scheme::new("critic", DesignPoint::critic())],
-            8_000,
-        );
-        spec.validate = true;
-        spec.faults.push(PlannedFault {
-            app: spec.apps[0].name.clone(),
-            scheme: "critic".into(),
-            fault: Fault::ClobberedDestination,
-            seed: 11,
-        });
-        let store = Arc::new(ArtifactStore::new());
-        let summary = run_campaign_with_store(&spec, &store).expect("campaign runs");
-        assert!(summary.all_ok(), "{}", summary.render());
+        for fault in [
+            Fault::IllegalImmediate,
+            Fault::ForwardDep,
+            Fault::ClobberedDestination,
+        ] {
+            let mut spec = CampaignSpec::new(
+                tiny_apps(1),
+                vec![Scheme::new("critic", DesignPoint::critic())],
+                8_000,
+            );
+            spec.validate = true;
+            spec.faults.push(PlannedFault {
+                app: spec.apps[0].name.clone(),
+                scheme: "critic".into(),
+                fault,
+                seed: 11,
+            });
+            let store = Arc::new(ArtifactStore::new());
+            let summary = run_campaign_with_store(&spec, &store).expect("campaign runs");
+            assert_eq!(summary.records.len(), 1, "{fault:?}");
 
-        let stats = store.stats();
-        assert_eq!(stats.worlds_built, 0);
-        assert_eq!(stats.cones_built, 0);
-        assert_eq!(stats.profiles_built, 0);
-        assert_eq!(stats.baselines_built, 0);
-        assert_eq!(stats.baseline_execs_built, 0);
-        assert_eq!(stats.hits, 0);
+            let stats = store.stats();
+            assert_eq!(stats.built(), 0, "{fault:?}: {stats:?}");
+            assert_eq!(stats.hits, 0, "{fault:?}: {stats:?}");
+        }
     }
 
     #[test]

@@ -4,13 +4,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use critic_compiler::{
-    try_apply_compress, try_apply_critic_pass, try_apply_opp16, BaselineExecution,
-    CriticPassOptions, PassReport,
+    try_apply_compress, try_apply_critic_pass, try_apply_opp16, CriticPassOptions, PassReport,
 };
 use critic_energy::{EnergyBreakdown, EnergyModel};
 use critic_obs::{EventKind, SpanKind, Telemetry};
-use critic_pipeline::{BatchSimulator, SimEngine, SimResult, Simulator, StreamScratch};
-use critic_profiler::{ChainSpec, Profile, Profiler, ProfilerConfig};
+use critic_pipeline::{DecodedTrace, SimEngine, SimResult, SimScratch, Simulator, StreamScratch};
+use critic_profiler::{ChainSpec, Profile, ProfilerConfig};
 use critic_workloads::{
     inject_variant, AppSpec, BlockId, ExecutionPath, Fault, Program, StreamConfig, Trace,
     TraceStream,
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::design::{DesignPoint, Software};
 use crate::error::RunError;
-use crate::store::{profile_stream, ArtifactStore, Recording, World};
+use crate::store::{ArtifactStore, Recording, World, WorldKey};
 
 /// Per-run translation-validation accounting, journaled per campaign cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,43 +53,43 @@ pub struct RunOutcome {
 /// Generates an app's binary and input once, then evaluates design points
 /// over the identical input — the paper's methodology of running "the same
 /// parts for all the optimizations evaluated".
+///
+/// Every shared artifact (the world, cone fanout, profiles, baseline
+/// simulations, baseline oracle executions) comes from an
+/// [`ArtifactStore`]: a campaign's, or a fresh in-memory one owned by a
+/// [`Workbench::try_new`] / [`Workbench::try_assemble`] workbench.
 #[derive(Debug)]
 pub struct Workbench {
     /// The workload.
     pub app: AppSpec,
-    /// The original (baseline) binary (shared with the store's recording
-    /// or world when store-backed).
+    /// The original (baseline) binary, shared with the store's world or
+    /// recording.
     pub program: Arc<Program>,
     /// The recorded block-level input.
     pub path: Arc<ExecutionPath>,
-    /// Where the baseline trace and the store-shared artifacts come from.
+    /// The store the shared artifacts are served from and contributed to.
+    store: Arc<ArtifactStore>,
+    /// Where the baseline trace comes from.
     backing: Backing,
-    /// Lazily-computed ROB-cone fanout shared by every profiler config of
-    /// a privately backed workbench.
-    cone_fanout: Option<Arc<Vec<u32>>>,
     energy_model: EnergyModel,
     profiles: HashMap<String, Arc<Profile>>,
     variants: HashMap<String, (Program, PassReport)>,
     variant_fault: Option<(Fault, u64)>,
-    /// Shared-decode simulation context: the base trace is decoded once
-    /// per workbench, every variant decode reuses its common prefix, and
-    /// the simulator scratch (tables, queues, models) is recycled across
-    /// all of this workbench's runs — one trace decode per app instead of
-    /// one per (app, scheme) cell.
-    batch: BatchSimulator,
     /// Which simulation engine [`Workbench::simulate`] routes through.
     /// Defaults to the data-oriented core; differential checks switch to
     /// [`SimEngine::Reference`] to run the scalar oracle.
     engine: SimEngine,
-    /// Reusable variant-expansion buffers: each non-baseline cell
-    /// re-expands its trace and fanout into these instead of allocating
-    /// multi-megabyte vectors per (app, scheme) cell.
+    /// Reusable variant buffers: each non-baseline run re-expands its
+    /// trace, decodes it, derives its fanout and simulates it in these
+    /// instead of allocating multi-megabyte vectors per (app, scheme) cell.
     variant_trace: Trace,
-    variant_fanout: Vec<u32>,
+    decoded: DecodedTrace,
+    fanout: Vec<u32>,
+    scratch: SimScratch,
     /// When set, [`Workbench::simulate`] routes data-oriented runs through
     /// the bounded-memory streaming front-end with this window size
-    /// (bit-identical results; see `critic_pipeline::stream_sim`), and
-    /// storeless profiling folds the stream instead of materializing.
+    /// (bit-identical results; see `critic_pipeline::stream_sim`), and a
+    /// recording-backed workbench profiles by folding the stream.
     stream_window: Option<usize>,
     /// Recycled ring scratch for the streaming front-end.
     stream_scratch: StreamScratch,
@@ -99,24 +98,15 @@ pub struct Workbench {
     telemetry: Telemetry,
 }
 
-/// Where a [`Workbench`]'s baseline trace and shared artifacts come from.
+/// Where a [`Workbench`]'s baseline trace comes from.
 #[derive(Debug)]
 enum Backing {
-    /// Built privately: the materialized baseline trace and its
-    /// direct-fanout vector (`trace.compute_fanout()`, computed once at
-    /// assembly and threaded through every consumer).
-    Private {
-        trace: Arc<Trace>,
-        fanout: Arc<Vec<u32>>,
-    },
-    /// A campaign store's shared world: profiles, cone fanouts, baseline
-    /// simulations, and oracle executions are served from — and
-    /// contributed to — the store.
-    World(Arc<ArtifactStore>, Arc<World>),
-    /// A campaign store's trace-free recording: every profile and run
-    /// streams, through the store's streamed builders. Swapped for the
-    /// app's world the first time a run needs the materialized trace.
-    Recording(Arc<ArtifactStore>, Arc<Recording>),
+    /// The store's materialized world.
+    World(Arc<World>),
+    /// The store's trace-free recording: every profile and run streams,
+    /// through the store's streamed builders. Swapped for the app's world
+    /// the first time a run needs the materialized trace.
+    Recording(Arc<Recording>),
 }
 
 impl Workbench {
@@ -134,22 +124,22 @@ impl Workbench {
         }
     }
 
-    /// Fallible variant of [`Workbench::new`]: validates the generated
-    /// binary before expanding the trace, and the trace against the
-    /// binary, returning a typed [`RunError`] on either mismatch.
+    /// Fallible variant of [`Workbench::new`]: the app's world from a
+    /// fresh in-memory [`ArtifactStore`] ([`ArtifactStore::world`]), which
+    /// validates the generated binary and the trace against it and
+    /// returns a typed [`RunError`] on either mismatch.
     pub fn try_new(app: &AppSpec, trace_len: usize) -> Result<Workbench, RunError> {
-        let program = app.generate_program();
-        program.validate()?;
-        let path = ExecutionPath::generate(&program, app.path_seed(), trace_len);
-        let base_trace = Trace::expand(&program, &path);
-        Workbench::try_assemble(app, program, path, base_trace)
+        let store = Arc::new(ArtifactStore::new());
+        let world = store.world(app, trace_len)?;
+        Ok(Workbench::from_world(app, world, store))
     }
 
     /// Builds a workbench from externally supplied (possibly corrupted)
-    /// parts, validating the program and the trace against it. This is the
-    /// fault-injection entry point: campaigns inject faults into the
-    /// program or trace and still get a typed error instead of a panic
-    /// deep inside the analyses.
+    /// parts, validating the program and the trace against it, over a
+    /// fresh in-memory [`ArtifactStore`]. This is the fault-injection
+    /// entry point: campaigns inject faults into the program or trace and
+    /// still get a typed error instead of a panic deep inside the
+    /// analyses, and nothing corrupted reaches a shared store.
     pub fn try_assemble(
         app: &AppSpec,
         program: Program,
@@ -157,17 +147,12 @@ impl Workbench {
         base_trace: Trace,
     ) -> Result<Workbench, RunError> {
         program.validate_encoding()?;
-        base_trace.validate(&program)?;
-        let fanout = base_trace.compute_fanout();
-        let backing = Backing::Private {
-            trace: Arc::new(base_trace),
-            fanout: Arc::new(fanout),
-        };
-        Ok(Workbench::with_backing(
+        let key = WorldKey::new(app, base_trace.len());
+        let world = World::try_assemble(key, Arc::new(program), Arc::new(path), base_trace)?;
+        Ok(Workbench::from_world(
             app,
-            Arc::new(program),
-            Arc::new(path),
-            backing,
+            Arc::new(world),
+            Arc::new(ArtifactStore::new()),
         ))
     }
 
@@ -178,7 +163,7 @@ impl Workbench {
     /// from — and contributed to — `store`.
     pub fn from_world(app: &AppSpec, world: Arc<World>, store: Arc<ArtifactStore>) -> Workbench {
         let (program, path) = (Arc::clone(&world.program), Arc::clone(&world.path));
-        Workbench::with_backing(app, program, path, Backing::World(store, world))
+        Workbench::with_backing(app, program, path, store, Backing::World(world))
     }
 
     /// Builds a workbench over a store-shared [`Recording`] for streamed
@@ -193,29 +178,31 @@ impl Workbench {
         store: Arc<ArtifactStore>,
     ) -> Workbench {
         let (program, path) = (Arc::clone(&recording.program), Arc::clone(&recording.path));
-        Workbench::with_backing(app, program, path, Backing::Recording(store, recording))
+        Workbench::with_backing(app, program, path, store, Backing::Recording(recording))
     }
 
     fn with_backing(
         app: &AppSpec,
         program: Arc<Program>,
         path: Arc<ExecutionPath>,
+        store: Arc<ArtifactStore>,
         backing: Backing,
     ) -> Workbench {
         Workbench {
             app: app.clone(),
             program,
             path,
+            store,
             backing,
-            cone_fanout: None,
             energy_model: EnergyModel::default(),
             profiles: HashMap::new(),
             variants: HashMap::new(),
             variant_fault: None,
-            batch: BatchSimulator::new(),
             engine: SimEngine::default(),
             variant_trace: Trace::default(),
-            variant_fanout: Vec::new(),
+            decoded: DecodedTrace::new(),
+            fanout: Vec::new(),
+            scratch: SimScratch::new(),
             stream_window: None,
             stream_scratch: StreamScratch::new(),
             telemetry: Telemetry::off(),
@@ -246,12 +233,6 @@ impl Workbench {
         self.stream_window = window;
     }
 
-    /// Work counters for this workbench's batch context: how many runs it
-    /// simulated and how many of them decoded a variant trace.
-    pub fn batch_stats(&self) -> critic_pipeline::BatchStats {
-        self.batch.stats()
-    }
-
     /// Arms a deterministic miscompile: the next non-baseline variant built
     /// is corrupted with `fault` (seeded by `seed`) after its compiler pass
     /// runs. The corruption is silent — only the differential oracle
@@ -262,15 +243,14 @@ impl Workbench {
         self.variants.clear();
     }
 
-    /// The materialized baseline trace and its direct-fanout vector.
+    /// The materialized world.
     ///
     /// # Panics
     ///
     /// Panics on a recording backing: its trace exists only as a stream.
-    fn base(&self) -> (&Trace, &[u32]) {
+    fn world(&self) -> &Arc<World> {
         match &self.backing {
-            Backing::Private { trace, fanout } => (trace, fanout),
-            Backing::World(_, world) => (&world.trace, &world.fanout),
+            Backing::World(world) => world,
             Backing::Recording(..) => panic!(
                 "{}: a recording-backed workbench holds no materialized trace",
                 self.app.name
@@ -285,25 +265,25 @@ impl Workbench {
     /// Panics on a [`Workbench::from_recording`] workbench that has not yet
     /// fetched its world: its trace exists only as a stream.
     pub fn baseline_trace(&self) -> &Trace {
-        self.base().0
+        &self.world().trace
     }
 
     /// The baseline trace's direct-fanout vector
-    /// ([`Trace::compute_fanout`]), computed once at assembly.
+    /// ([`Trace::compute_fanout`]), computed once when the world was built.
     ///
     /// # Panics
     ///
     /// As [`Workbench::baseline_trace`].
     pub fn baseline_fanout(&self) -> &[u32] {
-        self.base().1
+        &self.world().fanout
     }
 
     /// Swaps a recording backing for the app's world, so the materialized
-    /// trace is at hand; a no-op for every other backing.
+    /// trace is at hand; a no-op on a world backing.
     fn materialize(&mut self) -> Result<(), RunError> {
-        if let Backing::Recording(store, recording) = &self.backing {
-            let world = store.world(&self.app, recording.key.trace_len())?;
-            self.backing = Backing::World(Arc::clone(store), world);
+        if let Backing::Recording(recording) = &self.backing {
+            let world = self.store.world(&self.app, recording.key.trace_len())?;
+            self.backing = Backing::World(world);
         }
         Ok(())
     }
@@ -312,8 +292,8 @@ impl Workbench {
     ///
     /// # Panics
     ///
-    /// Panics if the profiler rejects the workbench's trace; impossible
-    /// for a workbench built through a validating constructor.
+    /// Panics if the store cannot serve the profile (e.g. a recording
+    /// backing whose world fails to build).
     pub fn profile(&mut self, config: &ProfilerConfig) -> &Profile {
         match self.ensure_profile(config) {
             Ok(key) => &self.profiles[&key],
@@ -327,42 +307,20 @@ impl Workbench {
         Ok(&self.profiles[&key])
     }
 
-    /// Builds the profile if missing; returns its cache key.
+    /// Fetches the profile from the store if missing; returns its cache
+    /// key. The per-workbench memo keeps a clean cell's sequence of store
+    /// requests independent of how many schemes share one profile.
     fn ensure_profile(&mut self, config: &ProfilerConfig) -> Result<String, RunError> {
         let key = format!("{config:?}");
         if !self.profiles.contains_key(&key) {
-            let telemetry = self.telemetry.clone();
             if self.stream_window.is_none() {
                 self.materialize()?;
             }
-            let profile = telemetry.time(SpanKind::Profile, || {
-                let profiler = Profiler::new(config.clone());
+            let profile = self.telemetry.time(SpanKind::Profile, || {
                 match (&self.backing, self.stream_window) {
-                    (Backing::World(store, world), _) => store.profile(world, config),
-                    (Backing::Recording(store, recording), Some(window)) => {
-                        store.profile_streamed(recording, config, window)
-                    }
-                    (Backing::Private { .. }, Some(window)) => {
-                        // Streamed profiling: fold chain statistics over a
-                        // cone-enabled stream without materializing the
-                        // trace or the cone vector. Bit-identical to the
-                        // materialized build (the fold is order-preserving
-                        // integer sums; see `critic-profiler`'s tests).
-                        let mut stream = profile_stream(&self.program, &self.path, window);
-                        Ok(Arc::new(
-                            profiler.try_build_profile_streamed(&self.program, &mut stream)?,
-                        ))
-                    }
-                    (Backing::Private { trace, .. }, None) => {
-                        let cone = Arc::clone(
-                            self.cone_fanout
-                                .get_or_insert_with(|| Arc::new(trace.compute_cone_fanout(128))),
-                        );
-                        Ok(Arc::new(profiler.try_build_profile_with_cone(
-                            &self.program,
-                            trace,
-                            &cone,
-                        )?))
+                    (Backing::World(world), _) => self.store.profile(world, config),
+                    (Backing::Recording(recording), Some(window)) => {
+                        self.store.profile_streamed(recording, config, window)
                     }
                     (Backing::Recording(..), None) => unreachable!("materialized above"),
                 }
@@ -533,16 +491,13 @@ impl Workbench {
         };
         let mut demoted: HashSet<usize> = HashSet::new();
         // The baseline's oracle execution is identical across demotion
-        // iterations (and across every scheme of the app), so it is
-        // captured once — from the campaign store when available.
+        // iterations (and across every scheme of the app), so the store
+        // captures it once.
         let baseline_exec = match &self.backing {
-            Backing::World(store, world) => store.baseline_execution(world, seed),
-            Backing::Recording(store, recording) => {
-                store.recorded_baseline_execution(recording, seed)
+            Backing::World(world) => self.store.baseline_execution(world, seed),
+            Backing::Recording(recording) => {
+                self.store.recorded_baseline_execution(recording, seed)
             }
-            Backing::Private { .. } => BaselineExecution::capture(&self.program, &self.path, seed)
-                .map(Arc::new)
-                .map_err(|e| RunError::Validation(e.to_string())),
         };
         let baseline_exec = match baseline_exec {
             Ok(exec) => exec,
@@ -605,23 +560,6 @@ impl Workbench {
         Ok((outcome, stats))
     }
 
-    /// The store's baseline outcome for `point`: simulated over the world,
-    /// or streamed over the recording with `window` (always set for a
-    /// recording, which [`Workbench::materialize`] swaps out otherwise).
-    fn shared_baseline(
-        &self,
-        point: &DesignPoint,
-        window: Option<usize>,
-    ) -> Result<Arc<RunOutcome>, RunError> {
-        match (&self.backing, window) {
-            (Backing::World(store, world), _) => store.baseline(world, point),
-            (Backing::Recording(store, recording), Some(window)) => {
-                store.baseline_streamed(recording, point, window)
-            }
-            _ => unreachable!("a private backing simulates its own baseline"),
-        }
-    }
-
     /// Simulates an already-built variant and assembles the outcome.
     fn simulate(
         &mut self,
@@ -640,84 +578,71 @@ impl Workbench {
         if window.is_none() {
             self.materialize()?;
         }
-        // Baselines are hardware-keyed and variant-independent: a
-        // store-backed workbench shares one simulation per (world,
-        // cpu+mem config) with every sibling cell.
-        if baseline && !matches!(self.backing, Backing::Private { .. }) {
-            return telemetry.time(SpanKind::Sim, || {
-                Ok((*self.shared_baseline(point, window)?).clone())
-            });
+        // Data-oriented baselines are hardware-keyed and variant-independent:
+        // the store shares one simulation per (world, cpu+mem config) with
+        // every sibling cell. A reference baseline runs the scalar oracle
+        // below instead.
+        if baseline && engine == SimEngine::DataOriented {
+            let outcome = telemetry.time(SpanKind::Sim, || match (&self.backing, window) {
+                (Backing::Recording(recording), Some(window)) => {
+                    self.store.baseline_streamed(recording, point, window)
+                }
+                _ => self.store.baseline(self.world(), point),
+            })?;
+            return Ok((*outcome).clone());
         }
-        if let Some(window) = window {
+        let simulator = Simulator::new(point.cpu_config(), point.mem_config());
+        let (sim, thumb_dyn_frac, dyn_insns) = if let Some(window) = window {
             // Streaming route: expansion, fanout, decode, and the cycle
             // loop all run window-at-a-time over (program, path) —
             // nothing trace-length-sized is materialized. The stream is
             // fully drained by the run, so the thumb fraction and
             // dynamic length read back exactly what the materialized
             // trace would report.
-            let prog: &Program = if baseline { &self.program } else { program };
-            let mut stream = TraceStream::new(prog, &self.path, StreamConfig::with_window(window));
+            let mut stream =
+                TraceStream::new(program, &self.path, StreamConfig::with_window(window));
             let scratch = &mut self.stream_scratch;
             let (sim, _, _) = telemetry.time(SpanKind::Sim, || {
-                Simulator::new(point.cpu_config(), point.mem_config())
-                    .run_streamed(&mut stream, scratch)
+                simulator.run_streamed(&mut stream, scratch)
             });
-            let thumb_dyn_frac = stream.thumb_fraction();
-            let dyn_insns = stream.total_len();
-            let energy = self.energy_model.evaluate(&sim);
-            return Ok(RunOutcome {
-                design: point.label(),
-                thumb_dyn_frac,
-                dyn_insns,
-                sim,
-                energy,
-                pass,
-            });
-        }
-        if !baseline {
-            Trace::expand_into(program, &self.path, &mut self.variant_trace);
-            if engine == SimEngine::Reference {
-                // The data-oriented path derives the fan-out from the
-                // decoded columns inside `run_variant`; only the reference
-                // walk needs the AoS computation.
-                self.variant_trace
-                    .compute_fanout_into(&mut self.variant_fanout);
-            }
-        }
-        let (base, base_fanout) = match &self.backing {
-            Backing::Private { trace, fanout } => (trace, fanout),
-            Backing::World(_, world) => (&world.trace, &world.fanout),
-            Backing::Recording(..) => unreachable!("materialized above"),
-        };
-        let (trace, fanout): (&Trace, &[u32]) = if baseline {
-            (base, base_fanout)
+            (sim, stream.thumb_fraction(), stream.total_len())
         } else {
-            (&self.variant_trace, &self.variant_fanout)
-        };
-        let batch = &mut self.batch;
-        let sim = telemetry.time(SpanKind::Sim, || {
-            let simulator = Simulator::new(point.cpu_config(), point.mem_config());
-            match engine {
-                // The scalar baseline: a private decode-free walk with
-                // fresh working memory per run, preserved verbatim.
-                SimEngine::Reference => simulator.run_reference(trace, fanout).0,
-                // The data-oriented core over the workbench's shared batch
-                // context: the base trace decodes once, variants reuse its
-                // prefix, and scratch/models recycle across runs.
-                SimEngine::DataOriented => {
-                    if baseline {
-                        batch.run_base(&simulator, base, fanout).0
+            let world = Arc::clone(self.world());
+            let trace: &Trace = if baseline {
+                &world.trace
+            } else {
+                Trace::expand_into(program, &self.path, &mut self.variant_trace);
+                &self.variant_trace
+            };
+            let sim = match engine {
+                // The scalar oracle: a decode-free walk with fresh working
+                // memory per run, preserved verbatim.
+                SimEngine::Reference => {
+                    let fanout: &[u32] = if baseline {
+                        &world.fanout
                     } else {
-                        batch.run_variant(&simulator, trace, base).0
-                    }
+                        trace.compute_fanout_into(&mut self.fanout);
+                        &self.fanout
+                    };
+                    telemetry.time(SpanKind::Sim, || simulator.run_reference(trace, fanout).0)
                 }
-            }
-        });
+                // The data-oriented core over the workbench's recycled
+                // decode, fanout and scratch.
+                SimEngine::DataOriented => telemetry.time(SpanKind::Sim, || {
+                    self.decoded.decode_into(trace);
+                    self.decoded.compute_fanout_into(&mut self.fanout);
+                    simulator
+                        .run_decoded(&self.decoded, &self.fanout, &mut self.scratch)
+                        .0
+                }),
+            };
+            (sim, trace.thumb_fraction(), trace.len())
+        };
         let energy = self.energy_model.evaluate(&sim);
         Ok(RunOutcome {
             design: point.label(),
-            thumb_dyn_frac: trace.thumb_fraction(),
-            dyn_insns: trace.len(),
+            thumb_dyn_frac,
+            dyn_insns,
             sim,
             energy,
             pass,
@@ -832,14 +757,14 @@ mod tests {
         let recording = store.recording(&app, SMOKE_TRACE_LEN).expect("recording");
         let mut streamed = Workbench::from_recording(&app, recording, Arc::clone(&store));
         streamed.set_stream_window(Some(512));
-        let mut private = Workbench::new(&app, SMOKE_TRACE_LEN);
+        let mut own = Workbench::new(&app, SMOKE_TRACE_LEN);
         for point in [DesignPoint::baseline(), DesignPoint::critic()] {
-            assert_eq!(streamed.run(&point), private.run(&point));
+            assert_eq!(streamed.run(&point), own.run(&point));
         }
         let (seed, point) = (app.path_seed(), DesignPoint::hoist());
         assert_eq!(
             streamed.try_run_validated(&point, seed).expect("validated"),
-            private.try_run_validated(&point, seed).expect("validated")
+            own.try_run_validated(&point, seed).expect("validated")
         );
         let stats = store.stats();
         assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
@@ -848,10 +773,36 @@ mod tests {
         streamed.set_stream_window(None);
         assert_eq!(
             streamed.run(&DesignPoint::opp16()),
-            private.run(&DesignPoint::opp16())
+            own.run(&DesignPoint::opp16())
         );
         assert_eq!(store.stats().worlds_built, 1);
-        assert_eq!(streamed.baseline_trace(), private.baseline_trace());
+        assert_eq!(streamed.baseline_trace(), own.baseline_trace());
+    }
+
+    /// The reference engine covers baselines too: a store-backed workbench
+    /// on `SimEngine::Reference` runs each baseline through the scalar
+    /// oracle and asks the store for no data-oriented baseline.
+    #[test]
+    fn reference_engine_runs_baselines_through_the_scalar_oracle() {
+        let app = small_app();
+        let store = Arc::new(ArtifactStore::new());
+        let world = store.world(&app, SMOKE_TRACE_LEN).expect("world");
+        let mut bench = Workbench::from_world(&app, Arc::clone(&world), Arc::clone(&store));
+        bench.set_engine(SimEngine::Reference);
+        let points = [DesignPoint::baseline(), DesignPoint::double_fd()];
+        let outcomes: Vec<RunOutcome> = points.iter().map(|p| bench.run(p)).collect();
+        assert_eq!(store.stats().baselines_built, 0, "{:?}", store.stats());
+        for (point, outcome) in points.iter().zip(&outcomes) {
+            let simulator = Simulator::new(point.cpu_config(), point.mem_config());
+            let (reference, _) = simulator.run_reference(&world.trace, &world.fanout);
+            assert_eq!(outcome.sim, reference, "{}", point.label());
+        }
+        // The store's data-oriented baselines agree with the oracle's.
+        bench.set_engine(SimEngine::DataOriented);
+        for (point, outcome) in points.iter().zip(&outcomes) {
+            assert_eq!(&bench.run(point), outcome, "{}", point.label());
+        }
+        assert_eq!(store.stats().baselines_built, 2);
     }
 
     #[test]

@@ -129,6 +129,30 @@ pub struct World {
     pub fanout: Arc<Vec<u32>>,
 }
 
+impl World {
+    /// Assembles a world from a checked program, its recorded input and
+    /// that input's expanded trace: checks the trace against the program
+    /// and derives its direct fanout. [`ArtifactStore::world`] builds every
+    /// world through here, and so does the fault-injection entry
+    /// `Workbench::try_assemble`, whose trace may be corrupted.
+    pub(crate) fn try_assemble(
+        key: WorldKey,
+        program: Arc<Program>,
+        path: Arc<ExecutionPath>,
+        trace: Trace,
+    ) -> Result<World, RunError> {
+        trace.validate(&program)?;
+        let fanout = trace.compute_fanout();
+        Ok(World {
+            key,
+            program,
+            path,
+            trace: Arc::new(trace),
+            fanout: Arc::new(fanout),
+        })
+    }
+}
+
 /// A single-key memoization slot map. See the module docs for the locking
 /// discipline; `lock_clean` recovers from poisoning because a panic inside
 /// a computation leaves the slot value `None` (the value is only written on
@@ -211,7 +235,7 @@ fn generate(app: &AppSpec, trace_len: usize) -> Result<(Program, ExecutionPath),
 /// The stream a profile folds: `window`-entry windows with the cone
 /// fanout at the profiler's ROB horizon (the Table I ROB size, as for
 /// [`ArtifactStore::cone_fanout`]).
-pub(crate) fn profile_stream<'a>(
+fn profile_stream<'a>(
     program: &'a Program,
     path: &'a ExecutionPath,
     window: usize,
@@ -534,10 +558,10 @@ impl ArtifactStore {
 
     /// The world for `app` at `trace_len`, generated at most once.
     ///
-    /// Generation and validation mirror `Workbench::try_new` exactly, so a
-    /// store-backed cell fails with the same typed error a store-less cell
-    /// would. A resident recording of the app lends its (already checked)
-    /// program and path; the trace is still expanded and checked once.
+    /// `Workbench::try_new` is this call on a fresh store, so a workbench
+    /// fails with the same typed error as a campaign cell. A resident
+    /// recording of the app lends its (already checked) program and path;
+    /// the trace is still expanded and checked once.
     pub fn world(&self, app: &AppSpec, trace_len: usize) -> Result<Arc<World>, RunError> {
         self.sys_tap()?;
         let key = WorldKey::new(app, trace_len);
@@ -550,15 +574,7 @@ impl ArtifactStore {
                 }
             };
             let trace = Trace::expand(&program, &path);
-            trace.validate(&program)?;
-            let fanout = trace.compute_fanout();
-            Ok(World {
-                key,
-                program,
-                path,
-                trace: Arc::new(trace),
-                fanout: Arc::new(fanout),
-            })
+            World::try_assemble(key, program, path, trace)
         })
     }
 

@@ -2,8 +2,9 @@
 //! injection on one cell completes, journals every cell, reports the
 //! failed cell without aborting, and resumes from the journal; a batched
 //! campaign equals per-cell runs of the scalar reference engine exactly;
-//! and a workbench decodes each software variant once and nothing else.
+//! and a workbench builds each shared artifact once.
 
+use std::collections::HashSet;
 use std::fs;
 use std::io::Write;
 use std::sync::Arc;
@@ -15,6 +16,7 @@ use critic_core::{
 };
 use critic_obs::Telemetry;
 use critic_pipeline::SimEngine;
+use critic_profiler::ProfilerConfig;
 use critic_workloads::{Fault, Suite};
 
 fn shrink(mut apps: Vec<critic_workloads::AppSpec>) -> Vec<critic_workloads::AppSpec> {
@@ -150,9 +152,10 @@ fn sensitivity_grid() -> Vec<Scheme> {
     schemes
 }
 
-/// The batched cold campaign (shared store, one decode per app, recycled
-/// scratch) and the scalar reference pipeline (a fresh workbench per cell
-/// on `SimEngine::Reference`) agree on every cell's metrics bit for bit,
+/// The cold campaign (shared store, recycled decode and scratch) and the
+/// scalar reference pipeline (a fresh workbench per cell on
+/// `SimEngine::Reference`, baselines included) agree on every cell's
+/// metrics bit for bit,
 /// over a grid slice that reaches past the software schemes into the
 /// hardware points.
 #[test]
@@ -198,40 +201,56 @@ fn scalar_reference_and_batched_campaign_agree_exactly() {
     }
 }
 
-/// One workbench decodes each software variant exactly once per run and
-/// serves the baseline and every hardware-only point from its one base
-/// decode: hardware points add runs but no decodes.
+/// The profiler configuration a software scheme consumes, if any.
+fn profiler_config(software: &Software) -> Option<ProfilerConfig> {
+    match *software {
+        Software::Baseline | Software::Opp16 | Software::Compress => None,
+        Software::Hoist | Software::CritIcBranchSwitch | Software::Opp16PlusCritIc => {
+            Some(ProfilerConfig::default())
+        }
+        Software::CritIc {
+            profile_fraction,
+            max_len,
+            ..
+        } => Some(ProfilerConfig {
+            profile_fraction,
+            max_chain_len: max_len,
+            ..ProfilerConfig::default()
+        }),
+        Software::CritIcIdeal => Some(ProfilerConfig::ideal()),
+    }
+}
+
+/// One workbench over an explicit store builds each shared artifact once:
+/// the baseline, every hardware point and every software scheme of the
+/// grid cost exactly one world, one cone, one baseline per distinct
+/// (cpu, mem) pair and one profile per distinct profiler configuration.
 #[test]
-fn workbench_decodes_each_software_variant_and_nothing_else() {
+fn workbench_builds_each_shared_artifact_once() {
     let app = &Suite::Mobile.apps()[0];
-    let mut bench = Workbench::try_new(app, 4_000).expect("workbench");
-    let (hardware, software): (Vec<Scheme>, Vec<Scheme>) = sensitivity_grid()
-        .into_iter()
-        .partition(|s| matches!(s.point.software, Software::Baseline));
-    assert!(!hardware.is_empty() && !software.is_empty());
-
-    bench.try_run(&DesignPoint::baseline()).expect("baseline");
-    for scheme in &hardware {
-        bench.try_run(&scheme.point).expect("hardware point");
+    let store = Arc::new(ArtifactStore::new());
+    let world = store.world(app, 4_000).expect("world");
+    let mut bench = Workbench::from_world(app, world, Arc::clone(&store));
+    let mut hardware = HashSet::new();
+    let mut profiles = HashSet::new();
+    let points = sensitivity_grid().into_iter().map(|s| s.point);
+    for point in std::iter::once(DesignPoint::baseline()).chain(points) {
+        if let Err(e) = bench.try_run(&point) {
+            panic!("{}: {e}", point.label());
+        }
+        if matches!(point.software, Software::Baseline) {
+            hardware.insert(format!("{:?}", (point.cpu_config(), point.mem_config())));
+        }
+        if let Some(config) = profiler_config(&point.software) {
+            profiles.insert(format!("{config:?}"));
+        }
     }
-    let stats = bench.batch_stats();
-    assert_eq!(stats.runs, 1 + hardware.len() as u64);
-    assert_eq!(
-        stats.variant_decodes, 0,
-        "hardware points decoded a variant"
-    );
+    assert!(hardware.len() > 1 && profiles.len() > 1);
 
-    for scheme in &software {
-        bench.try_run(&scheme.point).expect("software scheme");
-    }
-    bench
-        .try_run(&DesignPoint::baseline())
-        .expect("baseline again");
-    let stats = bench.batch_stats();
-    assert_eq!(stats.runs, 2 + (hardware.len() + software.len()) as u64);
-    assert_eq!(
-        stats.variant_decodes,
-        software.len() as u64,
-        "one decode per software scheme"
-    );
+    let stats = store.stats();
+    assert_eq!(stats.worlds_built, 1, "{stats:?}");
+    assert_eq!(stats.cones_built, 1, "{stats:?}");
+    assert_eq!(stats.baselines_built, hardware.len() as u64, "{stats:?}");
+    assert_eq!(stats.profiles_built, profiles.len() as u64, "{stats:?}");
+    assert_eq!(stats.recordings_built + stats.baseline_execs_built, 0);
 }

@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bpu;
 pub mod config;
 pub mod crit;
@@ -61,7 +60,6 @@ pub mod sim;
 pub mod stats;
 pub mod stream_sim;
 
-pub use batch::{BatchSimulator, BatchStats};
 pub use bpu::{Bpu, BpuStats};
 pub use config::{CpuConfig, FuPool};
 pub use crit::CritTable;

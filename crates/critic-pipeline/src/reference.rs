@@ -8,7 +8,7 @@
 //! core must be *bit-identical* to this path — every `SimResult` field and
 //! every `CycleLedger` bucket. The property suite diffs randomized cores
 //! and traces through both loops, the golden fixtures pin the outputs of
-//! both, and a campaign test diffs a whole batched grid against per-cell
+//! both, and a campaign test diffs a whole campaign grid against per-cell
 //! reference runs. The repository benchmark (`bench/`) also times it as
 //! `pipeline.reference_minsts_per_s`.
 //!

@@ -24,12 +24,9 @@
 //! execution latency, a flag byte (load/CDP/branch/taken/sequential-
 //! target/call), padded dependence indices, pc, memory address, and branch
 //! target — so the hot loops are tight array walks with no enum matching
-//! or `Option` chasing. The decode is a pure function of the trace and is
-//! *shareable*: the baseline decode is computed once per app and every
-//! scheme variant copies the columns of its common prefix with the base
-//! trace ([`DecodedTrace::decode_with_base`]) instead of re-deriving them,
-//! which is the per-app "single shared trace decode" the batch runner
-//! builds on. Pipeline queues are index structures, not `VecDeque`s: the
+//! or `Option` chasing. The decode is a pure function of the trace, so one
+//! decode serves every simulator configuration of that trace. Pipeline
+//! queues are index structures, not `VecDeque`s: the
 //! fetch queue is the contiguous index range `[fq_head, fetch_idx)` (fetch
 //! delivers trace order, so no buffer is needed at all) and the ROB is a
 //! power-of-two index ring (`IndexRing`).
@@ -130,9 +127,7 @@ fn fu_code(kind: FuKind) -> u8 {
 ///
 /// A `DecodedTrace` is a pure function of its [`Trace`] — no configuration
 /// leaks in — so one decode serves every simulator configuration of the
-/// same trace, and the baseline decode of an app is shared across all of
-/// its schemes' variant decodes through
-/// [`DecodedTrace::decode_with_base`].
+/// same trace.
 #[derive(Debug, Default, Clone)]
 pub struct DecodedTrace {
     len: usize,
@@ -195,6 +190,11 @@ impl DecodedTrace {
     /// The dependence encoding is length-independent (see
     /// `DecodedTrace::deps`), so sharing is sound even though variants
     /// and base differ in length.
+    ///
+    /// Only the repository benchmark calls this, to measure how much of a
+    /// variant's decode the base could share (`pipeline.prefix_shared_frac`);
+    /// every simulation path decodes in full with
+    /// [`DecodedTrace::decode_into`].
     pub fn decode_with_base(
         &mut self,
         trace: &Trace,
@@ -226,9 +226,9 @@ impl DecodedTrace {
     /// this decode came from: dependences point strictly backwards and
     /// the compare classification is a pure function of the opcode, so
     /// checking the producer's `F_CMP` flag here matches the reference's
-    /// forward-filled `is_compare` table exactly. On the batched path
-    /// this replaces a second walk over the multi-megabyte `DynInsn`
-    /// records with a walk over two already-hot decoded columns.
+    /// forward-filled `is_compare` table exactly. A `Workbench` variant
+    /// run uses it in place of a second walk over the multi-megabyte
+    /// `DynInsn` records, reading two already-hot decoded columns.
     pub fn compute_fanout_into(&self, fanout: &mut Vec<u32>) {
         fanout.clear();
         fanout.resize(self.len, 0u32);
@@ -777,9 +777,9 @@ impl Simulator {
         crate::reference::run_reference(&self.cpu, &self.mem_config, trace, fanout)
     }
 
-    /// The data-oriented core: runs an already-decoded trace. This is the
-    /// batch entry point — the caller owns the decode and may share it (or
-    /// its common prefix) across schemes and configurations.
+    /// The data-oriented core: runs an already-decoded trace. The caller
+    /// owns the decode and may reuse it across configurations (and its
+    /// buffers across traces), as a `Workbench` does for its variants.
     ///
     /// # Panics
     ///

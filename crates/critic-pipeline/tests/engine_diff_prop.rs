@@ -1,16 +1,16 @@
 //! Differential property suite for the simulation engines.
 //!
-//! The data-oriented core ([`Simulator::run`]) and the lockstep batch
-//! path ([`BatchSimulator`]) must be *bit-identical* to the preserved
-//! scalar reference loop ([`Simulator::run_reference`]) — every
-//! [`SimResult`] field and every [`CycleLedger`] bucket — for any core
-//! configuration, memory configuration, and trace. These properties drive
-//! randomized cores and traces through all three paths and diff the
-//! outputs, including the ledger partition invariant (`sum == cycles`)
-//! the observability layer gates on.
+//! The data-oriented core ([`Simulator::run`]), also when it runs
+//! interleaved decodes over one recycled [`SimScratch`] as a `Workbench`
+//! does, must be *bit-identical* to the preserved scalar reference loop
+//! ([`Simulator::run_reference`]) — every [`SimResult`] field and every
+//! [`CycleLedger`] bucket — for any core configuration, memory
+//! configuration, and trace. These properties drive randomized cores and
+//! traces through every path and diff the outputs, including the ledger
+//! partition invariant (`sum == cycles`) the observability layer gates on.
 
 use critic_mem::MemConfig;
-use critic_pipeline::{BatchSimulator, SimScratch, Simulator};
+use critic_pipeline::{DecodedTrace, SimScratch, Simulator};
 use critic_workloads::suite::Suite;
 use critic_workloads::{AppSpec, ExecutionPath, Trace};
 use proptest::prelude::*;
@@ -74,8 +74,8 @@ fn random_trace(rng: &mut TestRng) -> Trace {
 }
 
 /// A synthetic scheme variant: the base trace with a perturbed tail — the
-/// shape a transformed binary's replay has (long shared prefix, divergent
-/// suffix), which is exactly what the batch decoder prefix-shares.
+/// shape a transformed binary's replay has (shared prefix, divergent
+/// suffix).
 fn random_variant(rng: &mut TestRng, base: &Trace) -> Trace {
     let mut variant = base.clone();
     if base.entries.is_empty() {
@@ -101,7 +101,7 @@ fn random_variant(rng: &mut TestRng, base: &Trace) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All three engines agree exactly — result and ledger — on a random
+    /// Every engine path agrees exactly — result and ledger — on a random
     /// (core, memory, trace) point, and the ledger partitions the run.
     #[test]
     fn engines_are_bit_identical_on_random_points(seed: u64) {
@@ -131,21 +131,25 @@ proptest! {
         prop_assert_eq!(&dec_var, &ref_var, "decoded variant diverges from reference");
         prop_assert_eq!(&dec_var_ledger, &ref_var_ledger);
 
-        // Lockstep batch: shared base decode, prefix-shared variant
-        // decode, recycled scratch — interleaved to stress state reset.
-        let mut batch = BatchSimulator::new();
-        let (b0, l0) = batch.run_base(&sim, &base, &base_fanout);
-        let (v0, lv0) = batch.run_variant(&sim, &variant, &base);
-        let (b1, l1) = batch.run_base(&sim, &base, &base_fanout);
-        let (v1, lv1) = batch.run_variant(&sim, &variant, &base);
-        prop_assert_eq!(&b0, &ref_base, "batched base diverges from reference");
-        prop_assert_eq!(&l0, &ref_base_ledger);
-        prop_assert_eq!(&v0, &ref_var, "batched variant diverges from reference");
-        prop_assert_eq!(&lv0, &ref_var_ledger);
-        prop_assert_eq!(&b1, &b0, "batch state leaked into the second base run");
-        prop_assert_eq!(&l1, &l0);
-        prop_assert_eq!(&v1, &v0, "batch state leaked into the second variant run");
-        prop_assert_eq!(&lv1, &lv0);
+        // Two interleaved passes — base, variant, base, variant — through
+        // one recycled decode, fanout buffer and scratch, the way a
+        // `Workbench` runs its variants: no state may leak between runs.
+        let mut decoded = DecodedTrace::new();
+        let mut fanout = Vec::new();
+        let runs: Vec<_> = [&base, &variant, &base, &variant]
+            .into_iter()
+            .map(|trace| {
+                decoded.decode_into(trace);
+                decoded.compute_fanout_into(&mut fanout);
+                sim.run_decoded(&decoded, &fanout, &mut scratch)
+            })
+            .collect();
+        let reference_base = (ref_base, ref_base_ledger);
+        let reference_var = (ref_var, ref_var_ledger);
+        prop_assert_eq!(&runs[0], &reference_base, "recycled base diverges from reference");
+        prop_assert_eq!(&runs[1], &reference_var, "recycled variant diverges from reference");
+        prop_assert_eq!(&runs[2], &runs[0], "state leaked into the second base run");
+        prop_assert_eq!(&runs[3], &runs[1], "state leaked into the second variant run");
     }
 
     /// The struct-of-arrays fan-out computation matches the reference

@@ -196,36 +196,14 @@ impl Profiler {
     }
 
     /// Like [`Profiler::try_build_profile`] but consumes a precomputed
-    /// ROB-cone fanout vector (`trace.compute_cone_fanout(128)`). The cone
-    /// is configuration-independent, so callers profiling one trace under
-    /// several configurations compute it once and share it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cone.len() != trace.len()` — the cone was computed from a
-    /// different trace.
-    pub fn try_build_profile_with_cone(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        cone: &[u32],
-    ) -> Result<Profile, ProfileError> {
-        assert_eq!(
-            cone.len(),
-            trace.len(),
-            "cone fanout does not match the trace"
-        );
-        program.validate()?;
-        trace.validate(program)?;
-        Ok(self.build_validated(program, trace, cone))
-    }
-
-    /// Like [`Profiler::try_build_profile_with_cone`] but skips the
-    /// program/trace re-validation. The caller guarantees that `trace` was
-    /// expanded from `program` and that both already passed validation —
-    /// the contract of a campaign store's shared world, whose parts are
-    /// validated once at construction and shared read-only. A
-    /// mismatched pair panics mid-analysis instead of returning an error.
+    /// ROB-cone fanout vector (`trace.compute_cone_fanout(128)`, which is
+    /// configuration-independent, so one cone serves every configuration)
+    /// and skips the program/trace re-validation. The caller guarantees
+    /// that `trace` was expanded from `program` and that both already
+    /// passed validation — the contract of a campaign store's shared world,
+    /// whose parts are validated once at construction and shared
+    /// read-only. A mismatched pair panics mid-analysis instead of
+    /// returning an error.
     ///
     /// # Panics
     ///

@@ -107,16 +107,17 @@ fn fig13_speedup_table_matches_golden() {
 }
 
 /// Per-(app, scheme) [`SimResult`] and [`CycleLedger`] snapshot for the
-/// data-oriented/batched engine, with the scalar reference run in the loop
-/// as an oracle: every row is asserted bit-identical across all four
-/// paths (reference walk, data-oriented core, lockstep batch, and the
-/// chunked streaming front-end) *before* it is rendered, so the fixture
+/// data-oriented engine, with the scalar reference run in the loop as an
+/// oracle: every row is asserted bit-identical across all four paths
+/// (reference walk, data-oriented core, interleaved runs over one recycled
+/// decode and scratch, and the chunked streaming front-end) *before* it is
+/// rendered, so the fixture
 /// can only ever record numbers all engines agree on — and any legitimate
 /// change to the model shows up as an exact integer diff in review.
 #[test]
 fn sim_engine_snapshot_matches_golden() {
     use critics::core::{campaign::default_schemes, DesignPoint, Workbench};
-    use critics::pipeline::{BatchSimulator, SimScratch, Simulator, StreamScratch};
+    use critics::pipeline::{DecodedTrace, SimScratch, Simulator, StreamScratch};
     use critics::workloads::{StreamConfig, Suite, Trace, TraceStream};
 
     let apps: Vec<_> = Suite::Mobile.apps().into_iter().take(APPS).collect();
@@ -126,8 +127,9 @@ fn sim_engine_snapshot_matches_golden() {
         let mut wb = Workbench::try_new(app, TRACE_LEN).expect("workbench");
         let base_trace = wb.baseline_trace().clone();
         let base_fanout = wb.baseline_fanout().to_vec();
-        let mut batch = BatchSimulator::new();
         let mut scratch = SimScratch::new();
+        let mut decoded = DecodedTrace::new();
+        let mut decoded_fanout = Vec::new();
         let mut stream_scratch = StreamScratch::new();
         // Baseline plus every default scheme, plus one hardware-only
         // point (2xFD) to pin the config-sensitive baseline replay.
@@ -151,11 +153,6 @@ fn sim_engine_snapshot_matches_golden() {
             let sim = Simulator::new(point.cpu_config(), point.mem_config());
             let (res_ref, led_ref) = sim.run_reference(&trace, &fanout);
             let (res_dec, led_dec) = sim.run_with_ledger(&trace, &fanout, &mut scratch);
-            let (res_bat, led_bat) = if is_baseline {
-                batch.run_base(&sim, &trace, &fanout)
-            } else {
-                batch.run_variant(&sim, &trace, &base_trace)
-            };
             led_ref
                 .check(res_ref.cycles)
                 .expect("ledger partitions the run");
@@ -169,12 +166,32 @@ fn sim_engine_snapshot_matches_golden() {
                 "{}/{name}: data-oriented ledger diverges",
                 app.name
             );
-            assert_eq!(res_bat, res_ref, "{}/{name}: batched diverges", app.name);
+            // Two interleaved passes — base, this point, base, this point —
+            // through one recycled decode, fanout buffer and scratch, the
+            // way a `Workbench` runs its variants.
+            let runs: Vec<_> = [&base_trace, &trace, &base_trace, &trace]
+                .into_iter()
+                .map(|t| {
+                    decoded.decode_into(t);
+                    decoded.compute_fanout_into(&mut decoded_fanout);
+                    sim.run_decoded(&decoded, &decoded_fanout, &mut scratch)
+                })
+                .collect();
             assert_eq!(
-                led_bat, led_ref,
-                "{}/{name}: batched ledger diverges",
+                runs[0],
+                sim.run_reference(&base_trace, &base_fanout),
+                "{}/{name}: recycled base diverges",
                 app.name
             );
+            let (res_run, led_run) = &runs[1];
+            assert_eq!(*res_run, res_ref, "{}/{name}: recycled diverges", app.name);
+            assert_eq!(
+                *led_run, led_ref,
+                "{}/{name}: recycled ledger diverges",
+                app.name
+            );
+            assert_eq!(runs[2], runs[0], "{}/{name}: base run leaked", app.name);
+            assert_eq!(runs[3], runs[1], "{}/{name}: run leaked", app.name);
             // Fourth engine: the bounded-memory streaming front-end,
             // re-expanding (program, path) in 512-instruction windows.
             let mut stream = TraceStream::new(&program, &wb.path, StreamConfig::with_window(512));
@@ -191,22 +208,22 @@ fn sim_engine_snapshot_matches_golden() {
                  ledger i {} br {} bp {} dec {} iss {} exe {} mem {} com {} idle {}",
                 app.name,
                 name,
-                res_bat.cycles,
-                res_bat.committed,
-                res_bat.cdp_switches,
-                res_bat.thumb_fetched,
-                res_bat.bpu.mispredicts,
-                res_bat.mem.icache.misses,
-                res_bat.mem.dcache.misses,
-                led_bat.fetch_stall_icache,
-                led_bat.fetch_stall_branch,
-                led_bat.fetch_stall_backpressure,
-                led_bat.decode,
-                led_bat.issue,
-                led_bat.execute,
-                led_bat.mem,
-                led_bat.commit,
-                led_bat.squash_idle,
+                res_run.cycles,
+                res_run.committed,
+                res_run.cdp_switches,
+                res_run.thumb_fetched,
+                res_run.bpu.mispredicts,
+                res_run.mem.icache.misses,
+                res_run.mem.dcache.misses,
+                led_run.fetch_stall_icache,
+                led_run.fetch_stall_branch,
+                led_run.fetch_stall_backpressure,
+                led_run.decode,
+                led_run.issue,
+                led_run.execute,
+                led_run.mem,
+                led_run.commit,
+                led_run.squash_idle,
             )
             .unwrap();
         }
