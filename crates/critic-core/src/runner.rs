@@ -91,7 +91,8 @@ pub struct Workbench {
     /// (bit-identical results; see `critic_pipeline::stream_sim`), and a
     /// recording-backed workbench profiles by folding the stream.
     stream_window: Option<usize>,
-    /// Recycled ring scratch for the streaming front-end.
+    /// Recycled ring scratch for the streaming front-end: every streamed
+    /// run, store baseline builds included, runs in it.
     stream_scratch: StreamScratch,
     /// Span/event sink; [`Telemetry::off`] by default, so the instrumented
     /// paths cost one branch per span when telemetry is disabled.
@@ -585,7 +586,8 @@ impl Workbench {
         if baseline && engine == SimEngine::DataOriented {
             let outcome = telemetry.time(SpanKind::Sim, || match (&self.backing, window) {
                 (Backing::Recording(recording), Some(window)) => {
-                    self.store.baseline_streamed(recording, point, window)
+                    self.store
+                        .baseline_streamed(recording, point, window, &mut self.stream_scratch)
                 }
                 _ => self.store.baseline(self.world(), point),
             })?;

@@ -656,12 +656,15 @@ impl ArtifactStore {
 
     /// [`ArtifactStore::baseline`] built from a recording: the baseline is
     /// simulated over a stream of `window`-entry windows, bit-identical to
-    /// the materialized run, into the same memo slot and disk key.
+    /// the materialized run, into the same memo slot and disk key. A build
+    /// runs in the caller's recycled `scratch` (a workbench passes the one
+    /// its own streamed runs use); a memo or disk hit leaves it untouched.
     pub fn baseline_streamed(
         &self,
         recording: &Recording,
         point: &DesignPoint,
         window: usize,
+        scratch: &mut StreamScratch,
     ) -> Result<Arc<RunOutcome>, RunError> {
         self.baseline_from(recording.key, point, |simulator| {
             let mut stream = TraceStream::new(
@@ -669,7 +672,7 @@ impl ArtifactStore {
                 &recording.path,
                 StreamConfig::with_window(window),
             );
-            let (sim, _, _) = simulator.run_streamed(&mut stream, &mut StreamScratch::new());
+            let (sim, _, _) = simulator.run_streamed(&mut stream, scratch);
             // The run drained the stream, so these read back exactly what
             // the materialized trace reports.
             (sim, stream.thumb_fraction(), stream.total_len())
@@ -972,7 +975,7 @@ mod tests {
             .profile_streamed(&recording, &config, 512)
             .expect("streamed profile");
         let streamed_base = store
-            .baseline_streamed(&recording, &point, 512)
+            .baseline_streamed(&recording, &point, 512, &mut StreamScratch::new())
             .expect("streamed baseline");
         let world = store.world(&app, 8_000).expect("world");
         let profile = store.profile(&world, &config).expect("profile");
@@ -989,6 +992,26 @@ mod tests {
         let world = fresh.world(&app, 8_000).expect("world");
         assert_eq!(*fresh.profile(&world, &config).expect("profile"), *profile);
         assert_eq!(*fresh.baseline(&world, &point).expect("baseline"), *base);
+    }
+
+    /// Streamed baselines run in the caller's recycled scratch: one warmed
+    /// by another configuration and window must give what a fresh one
+    /// gives.
+    #[test]
+    fn streamed_baselines_on_a_reused_scratch_match_a_fresh_scratch() {
+        let app = small_app(2);
+        let build = |point: &DesignPoint, window: usize, scratch: &mut StreamScratch| {
+            let store = ArtifactStore::new();
+            let recording = store.recording(&app, 6_000).expect("recording");
+            store
+                .baseline_streamed(&recording, point, window, scratch)
+                .expect("streamed baseline")
+        };
+        let point = DesignPoint::baseline();
+        let fresh = build(&point, 512, &mut StreamScratch::new());
+        let mut reused = StreamScratch::new();
+        build(&DesignPoint::all_hw(), 4096, &mut reused);
+        assert_eq!(*build(&point, 512, &mut reused), *fresh);
     }
 
     #[test]

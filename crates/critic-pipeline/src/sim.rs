@@ -479,21 +479,125 @@ impl Stamps {
     }
 }
 
+/// One in-flight instruction's wake-list links.
+///
+/// Wake lists are intrusive singly-linked lists threaded through the
+/// consumers. As a producer, an entry's `head` is the first consumer
+/// waiting for it to issue — an absolute instruction index, so the links
+/// survive a ring regrow — and [`NO_WAITER`] ends a list. As a consumer,
+/// `next[k]` continues the list of its `k`-th dependence's producer; a
+/// consumer is linked once per distinct unissued producer, at the first
+/// `k` naming it.
+#[derive(Debug, Default, Clone, Copy)]
+struct WakeLinks {
+    head: u32,
+    next: [u32; 3],
+}
+
+/// The issue queue's wake-up state: each in-flight instruction's
+/// [`WakeLinks`] and the ready pool as a bitset, both indexed by
+/// `i & mask`.
+///
+/// Every issue-queue entry, and every producer one waits for, is in the
+/// ROB, so the ring only has to hold the in-flight span from the oldest
+/// instruction to the dispatch frontier, whatever the column source — not
+/// the whole trace, nor a stream window. It grows by doubling when
+/// dispatch would overrun it (the CDPs, which never enter the ROB, can
+/// stretch the span past the ROB's capacity). Dispatch writes an entry's
+/// links and clears its bit before anything reads them, so the ring is
+/// never bulk-cleared.
+#[derive(Debug, Default)]
+pub(crate) struct WakeRing {
+    links: Vec<WakeLinks>,
+    /// Bit `i & mask` is set while entry `i` has its wakeup time behind it
+    /// and waits only for a functional unit.
+    ready_bits: Vec<u64>,
+    mask: usize,
+}
+
+impl WakeRing {
+    /// Sizes the ring to hold at least `cap` in-flight instructions.
+    fn reset(&mut self, cap: usize) {
+        let cap = cap.max(64).next_power_of_two();
+        if self.links.len() < cap {
+            self.links.resize(cap, WakeLinks::default());
+            self.ready_bits.resize(cap / 64, 0);
+        }
+        self.mask = self.links.len() - 1;
+    }
+
+    /// Makes room for dispatching entry `hi` while `oldest` is in flight.
+    #[inline]
+    fn fit(&mut self, oldest: usize, hi: usize) {
+        if hi - oldest > self.mask {
+            self.grow(oldest, hi);
+        }
+    }
+
+    /// Doubles the ring until `[lo, hi]` fits, re-placing `[lo, hi)`.
+    #[cold]
+    fn grow(&mut self, lo: usize, hi: usize) {
+        let old_mask = self.mask;
+        let cap = (hi - lo + 1).next_power_of_two();
+        let links = std::mem::replace(&mut self.links, vec![WakeLinks::default(); cap]);
+        let bits = std::mem::replace(&mut self.ready_bits, vec![0; cap / 64]);
+        self.mask = cap - 1;
+        for i in lo..hi {
+            let (old, new) = (i & old_mask, i & self.mask);
+            self.links[new] = links[old];
+            self.ready_bits[new / 64] |= ((bits[old / 64] >> (old % 64)) & 1) << (new % 64);
+        }
+    }
+
+    #[inline]
+    fn links(&mut self, i: usize) -> &mut WakeLinks {
+        &mut self.links[i & self.mask]
+    }
+
+    #[inline]
+    fn set_ready(&mut self, i: usize) {
+        let s = i & self.mask;
+        self.ready_bits[s / 64] |= 1 << (s % 64);
+    }
+
+    #[inline]
+    fn clear_ready(&mut self, i: usize) {
+        let s = i & self.mask;
+        self.ready_bits[s / 64] &= !(1 << (s % 64));
+    }
+
+    /// The ready bits of the 64 entries from `base`, a multiple of 64.
+    #[inline]
+    fn ready_word(&self, base: usize) -> u64 {
+        self.ready_bits[(base & self.mask) / 64]
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.links.capacity() * std::mem::size_of::<WakeLinks>() + self.ready_bits.capacity() * 8
+    }
+}
+
+/// End of a wake list.
+const NO_WAITER: u32 = u32::MAX;
+
 /// The pipeline queues, the divider timers and the recycled models: the
 /// working memory whose shape does not depend on the column source.
 #[derive(Debug, Default)]
 pub(crate) struct Queues {
-    /// Issue-queue entries with at least one dependence still lacking a
-    /// completion time; rescanned each cycle (`UNSET` propagates through
-    /// the dependence `max` until every dep has issued).
-    waiting: Vec<u32>,
+    /// Issue-queue entries whose last unissued producer issued (or that
+    /// had none at dispatch) this cycle, with their wakeup time: next
+    /// cycle's issue stage moves them to the ready pool or `wake`. Entries
+    /// still waiting on an unissued producer sit only on its wake list (see
+    /// [`WakeLinks`]).
+    resolved: Vec<(u64, u32)>,
     /// Issue-queue entries with a known future wakeup time, keyed by it:
     /// popped — never rescanned — when their cycle arrives.
     wake: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Issue-queue entries whose dependences have all completed, kept in
-    /// program order (ascending index); entries persist here across cycles
-    /// while blocked on functional units.
-    ready_pool: Vec<u32>,
+    /// Size of the ready pool: issue-queue entries whose dependences have
+    /// all completed, one bit each in `wake_ring`; entries persist there
+    /// across cycles while blocked on functional units.
+    ready_len: usize,
+    wake_ring: WakeRing,
     rob: IndexRing,
     ready: Vec<u32>,
     int_div_free: Vec<u64>,
@@ -513,10 +617,19 @@ impl Queues {
         self.rob.front().map_or(fq_head, |head| head as usize)
     }
 
+    /// Admits `hi`, the entry dispatch is taking, to the wake ring's
+    /// in-flight span with its ready bit clear.
+    fn seat(&mut self, hi: usize) {
+        let oldest = self.oldest(hi);
+        self.wake_ring.fit(oldest, hi);
+        self.wake_ring.clear_ready(hi);
+    }
+
     /// Bytes held by the queues' backing storage.
     pub(crate) fn resident_bytes(&self) -> usize {
-        (self.waiting.capacity() + self.ready_pool.capacity() + self.ready.capacity()) * 4
-            + self.wake.capacity() * 16
+        self.ready.capacity() * 4
+            + (self.resolved.capacity() + self.wake.capacity()) * 16
+            + self.wake_ring.resident_bytes()
             + self.rob.resident_bytes()
             + (self.int_div_free.capacity() + self.float_div_free.capacity()) * 8
     }
@@ -579,15 +692,6 @@ pub(crate) fn regrow<T: Copy + Default>(
         }
     }
     *v = next;
-}
-
-/// Inserts `i` into an ascending index list (the ready pool stays in
-/// program order). The pool holds a handful of entries, so a binary search
-/// plus shift beats any cleverer structure.
-#[inline]
-fn insert_sorted(pool: &mut Vec<u32>, i: u32) {
-    let pos = pool.partition_point(|&x| x < i);
-    pool.insert(pos, i);
 }
 
 thread_local! {
@@ -832,7 +936,7 @@ impl Simulator {
                 && dispatched == 0
                 && p.fq_head == fq_was
                 && p.fetch_idx == fetch_was
-                && p.q.ready_pool.is_empty()
+                && p.q.ready_len == 0
             {
                 p.skip_idle(src, class, backend_blocked);
             }
@@ -864,7 +968,8 @@ struct Pipeline<'r> {
     /// lets commit attribute each instruction's buffer time between
     /// "genuine fetch residency" and "ROB back-pressure".
     blocked_cum: u64,
-    /// Issue-queue occupancy: waiting + wake + ready_pool entries.
+    /// Issue-queue occupancy: entries on a wake list, in `resolved` or
+    /// `wake`, or in the ready pool.
     iq_len: usize,
     fetch_idx: usize,
     /// The fetch queue is the contiguous range [fq_head, fetch_idx):
@@ -906,9 +1011,16 @@ impl<'r> Pipeline<'r> {
                 CritTable::new(cfg.bpu_entries, cfg.crit_threshold),
             ),
         };
-        q.waiting.clear();
+        q.resolved.clear();
+        // `resolved` holds issue-queue entries only; sizing it up front keeps
+        // its capacity (part of a streamed run's resident bytes) independent
+        // of when the run's largest burst of resolutions happens.
+        q.resolved.reserve(cfg.iq_entries);
         q.wake.clear();
-        q.ready_pool.clear();
+        q.ready_len = 0;
+        // The in-flight span holds the ROB plus the CDPs between its
+        // entries; twice the ROB rarely needs to grow.
+        q.wake_ring.reset(2 * cfg.rob_entries);
         q.rob.reset(cfg.rob_entries);
         q.ready.clear();
         fill(&mut q.int_div_free, cfg.fu.int_div as usize, 0);
@@ -1022,64 +1134,86 @@ impl<'r> Pipeline<'r> {
         }
         let now = self.now;
         let cfg = self.cfg;
+        // Every issue-queue entry lies in the in-flight span [lo, hi).
+        let (lo, hi) = (self.q.oldest(self.fq_head), self.fq_head);
         let st = &mut *self.st;
         let Queues {
-            waiting,
+            resolved,
             wake,
-            ready_pool,
+            ready_len,
+            wake_ring,
             ready,
             int_div_free,
             float_div_free,
             ..
         } = &mut *self.q;
-        // Wakeup scoreboard: entries whose dependences have all issued
-        // carry a fixed wakeup time (completion times are written once), so
-        // they are scheduled into a time-keyed heap exactly once and never
-        // rescanned. Only entries still waiting on an *unissued* dependence
-        // — `UNSET` propagates through the max — are rescanned per cycle.
-        if !waiting.is_empty() {
-            let done_at = &st.done_at;
-            waiting.retain(|&i| {
+        // Wakeup scoreboard: an entry whose producers have all issued
+        // carries a fixed wakeup time (completion times are written once),
+        // so it is scheduled into a time-keyed heap exactly once. An entry
+        // joins `resolved` in the cycle its last unissued producer issues
+        // (or in its dispatch cycle, if none was pending) and is scheduled
+        // here one cycle later: the first cycle in which a rescan of every
+        // waiting entry would have found no `UNSET` dependence.
+        for &(ra, i) in resolved.iter() {
+            // `ra` read the completion times a cycle ago; a rescan reads
+            // them now, with producers evicted since then at 0. Both give
+            // the same schedule (see the `stream_sim` module docs).
+            debug_assert!({
                 let d = c.deps[src.slot(i as usize)];
-                let ra = src
-                    .done_of(done_at, d[0])
-                    .max(src.done_of(done_at, d[1]))
-                    .max(src.done_of(done_at, d[2]));
-                if ra == UNSET {
-                    return true;
-                }
-                if ra <= now {
-                    insert_sorted(ready_pool, i);
+                let scan = src
+                    .done_of(&st.done_at, d[0])
+                    .max(src.done_of(&st.done_at, d[1]))
+                    .max(src.done_of(&st.done_at, d[2]));
+                if ra > now {
+                    scan == ra
                 } else {
-                    wake.push(Reverse((ra, i)));
+                    scan <= now
                 }
-                false
             });
+            if ra <= now {
+                wake_ring.set_ready(i as usize);
+                *ready_len += 1;
+            } else {
+                wake.push(Reverse((ra, i)));
+            }
         }
+        resolved.clear();
         while let Some(&Reverse((ra, i))) = wake.peek() {
             if ra > now {
                 break;
             }
             wake.pop();
-            insert_sorted(ready_pool, i);
+            wake_ring.set_ready(i as usize);
+            *ready_len += 1;
         }
-        // The pool is kept in ascending (program) order, matching the
-        // per-cycle rebuild of the scalar path; prioritization stable-sorts
-        // a scratch copy so the pool's canonical order survives for later
-        // cycles.
-        let selection: &[u32] = if cfg.prioritize_critical {
-            ready.clear();
-            ready.extend_from_slice(ready_pool);
+        // The selection lists the pool in ascending (program) order,
+        // matching the per-cycle rebuild of the scalar path; prioritization
+        // then stable-sorts it critical-first.
+        ready.clear();
+        let mut base = lo & !63;
+        while base < hi && ready.len() < *ready_len {
+            let mut word = wake_ring.ready_word(base);
+            if base < lo {
+                word &= u64::MAX << (lo - base);
+            }
+            if hi - base < 64 {
+                word &= (1 << (hi - base)) - 1;
+            }
+            while word != 0 {
+                ready.push((base + word.trailing_zeros() as usize) as u32);
+                word &= word - 1;
+            }
+            base += 64;
+        }
+        debug_assert_eq!(ready.len(), *ready_len, "the pool lies in [lo, hi)");
+        if cfg.prioritize_critical {
             // Critical-first, stable within each class (program order).
             let crit_table = &self.crit_table;
             ready.sort_by_key(|&i| !crit_table.is_critical(c.pc[src.slot(i as usize)]));
-            ready
-        } else {
-            ready_pool
-        };
+        }
         let mut issued_count = 0u32;
         let mut used = [0u32; 8];
-        for &i in selection {
+        for &i in ready.iter() {
             if issued_count >= cfg.width {
                 break;
             }
@@ -1114,8 +1248,32 @@ impl<'r> Pipeline<'r> {
                 u64::from(c.lat[s])
             };
             st.issued_at[s] = now;
+            wake_ring.clear_ready(hi);
             let done = now + latency;
             st.done_at[src.done_slot(hi)] = done;
+            // Walk this producer's wake list: a consumer none of whose
+            // dependences is still unissued resolves next cycle.
+            let me = i + 1;
+            let mut w = wake_ring.links(hi).head;
+            while w != NO_WAITER {
+                let ws = src.slot(w as usize);
+                let d = c.deps[ws];
+                let ra = src
+                    .done_of(&st.done_at, d[0])
+                    .max(src.done_of(&st.done_at, d[1]))
+                    .max(src.done_of(&st.done_at, d[2]));
+                if ra != UNSET {
+                    resolved.push((ra, w));
+                }
+                let k = if d[0] == me {
+                    0
+                } else if d[1] == me {
+                    1
+                } else {
+                    2
+                };
+                w = wake_ring.links(w as usize).next[k];
+            }
             // Occupy unpipelined units.
             if kind == K_INT_DIV {
                 if let Some(free) = int_div_free.iter_mut().find(|f| **f <= now) {
@@ -1137,9 +1295,7 @@ impl<'r> Pipeline<'r> {
         if issued_count == 0 {
             return false;
         }
-        // An entry issued this cycle iff its issue stamp is set: the pool
-        // only ever holds unissued entries.
-        ready_pool.retain(|&i| st.issued_at[src.slot(i as usize)] == UNSET);
+        *ready_len -= issued_count as usize;
         self.iq_len -= issued_count as usize;
         true
     }
@@ -1175,6 +1331,7 @@ impl<'r> Pipeline<'r> {
                 st.decoded_at[s] = now;
                 st.blocked_at_decode[s] = self.blocked_cum;
                 st.done_at[src.done_slot(hi)] = now;
+                self.q.seat(hi);
                 self.cdp_switches += 1;
                 // The paper conservatively charges one extra decode cycle;
                 // a pipelined decoder hides it, so only the cycles *beyond*
@@ -1194,8 +1351,33 @@ impl<'r> Pipeline<'r> {
             // tables are not bulk-filled; see `Stamps`).
             st.issued_at[s] = UNSET;
             st.done_at[src.done_slot(hi)] = UNSET;
+            self.q.seat(hi);
+            // Link the entry onto the wake list of each distinct producer
+            // that has not issued; with none, it resolves next cycle.
+            let d = c.deps[s];
+            let mut links = WakeLinks {
+                head: NO_WAITER,
+                next: [NO_WAITER; 3],
+            };
+            let mut ra = 0;
+            for k in 0..3 {
+                let dk = d[k];
+                let done = src.done_of(&st.done_at, dk);
+                if done != UNSET || d[..k].contains(&dk) {
+                    ra = ra.max(done);
+                    continue;
+                }
+                let producer = self.q.wake_ring.links(dk as usize - 1);
+                links.next[k] = producer.head;
+                producer.head = hi as u32;
+                // Pending: the last of its producers to issue resolves it.
+                ra = UNSET;
+            }
+            *self.q.wake_ring.links(hi) = links;
+            if ra != UNSET {
+                self.q.resolved.push((ra, hi as u32));
+            }
             self.q.rob.push_back(hi as u32);
-            self.q.waiting.push(hi as u32);
             self.iq_len += 1;
             dispatched += 1;
         }
@@ -1383,6 +1565,9 @@ impl<'r> Pipeline<'r> {
     /// entry wakes on unit availability, which is not in the event set).
     #[inline]
     fn skip_idle<S: Source>(&mut self, src: &S, class: CycleClass, backend_blocked: bool) {
+        // Only this cycle's issue or dispatch fills `resolved`, and a cycle
+        // that did either is not idle.
+        debug_assert!(self.q.resolved.is_empty());
         let now = self.now;
         let mut next = UNSET;
         if let Some(head) = self.q.rob.front() {
@@ -1589,6 +1774,67 @@ mod tests {
                 assert_eq!(want_ledger, got_ledger, "CycleLedger diverged");
             }
         }
+    }
+
+    /// CDPs never enter the ROB, so a run of them behind missing loads
+    /// stretches the in-flight span past the wake ring's initial size: the
+    /// ring must grow mid-run, keeping every live wake list and ready bit.
+    #[test]
+    fn wake_ring_grows_under_a_cdp_run_behind_misses() {
+        let (base, _) = mobile_trace(4, 3_000);
+        let mut entries: Vec<DynInsn> = Vec::new();
+        let mut moved = Vec::with_capacity(base.len());
+        for (j, e) in base.entries.iter().enumerate() {
+            let mut e = *e;
+            e.deps = e
+                .deps
+                .map(|d| if d == NO_DEP { d } else { moved[d as usize] });
+            moved.push(entries.len() as u32);
+            entries.push(e);
+            if j % 500 != 499 {
+                continue;
+            }
+            // Loads to never-touched lines queue on the one memory port
+            // (ready-pool entries); an add waits for the first load's data
+            // and a second add for the first (a live wake list); then the
+            // CDPs.
+            let first = entries.len() as u32;
+            let mut insn = e;
+            insn.branch = None;
+            insn.bytes = 4;
+            for k in 0..40 {
+                insn.op = Opcode::Ldr;
+                insn.deps = [NO_DEP; 3];
+                insn.mem_addr = Some(0x7000_0000 + 4096 * (64 * j + k) as u64);
+                entries.push(insn);
+            }
+            insn.op = Opcode::Add;
+            insn.mem_addr = None;
+            insn.deps = [first, NO_DEP, NO_DEP];
+            entries.push(insn);
+            insn.deps = [entries.len() as u32 - 1, NO_DEP, NO_DEP];
+            entries.push(insn);
+            insn.op = Opcode::Cdp;
+            insn.bytes = 2;
+            insn.deps = [NO_DEP; 3];
+            entries.extend(std::iter::repeat_n(insn, 600));
+        }
+        let trace = Trace {
+            name: base.name.clone(),
+            entries,
+        };
+        let fanout = trace.compute_fanout();
+        let mut cpu = CpuConfig::google_tablet();
+        cpu.cdp_bubble = 0;
+        cpu.fu.mem_ports = 1;
+        let sim = Simulator::new(cpu, MemConfig::google_tablet());
+        let mut scratch = SimScratch::new();
+        let got = sim.run_with_ledger(&trace, &fanout, &mut scratch);
+        assert_eq!(got, sim.run_reference(&trace, &fanout));
+        assert!(
+            scratch.queues.wake_ring.links.len() > 2 * cpu.rob_entries,
+            "the CDP runs never outgrew the initial wake ring"
+        );
     }
 
     #[test]

@@ -22,16 +22,26 @@
 //!   expansion (asserted by `critic-workloads`' own differential tests).
 //! * **Ring reads**: the cycle loop only ever indexes instructions in the
 //!   live span — ROB entries, fetch-queue entries, and the fetch frontier
-//!   are all ≥ the eviction floor — except dependence lookups in the
-//!   wakeup scan, which may point arbitrarily far back. For those,
-//!   `Ring::done_of` substitutes `0` for any dependence older than the
-//!   floor: an evicted dependence is *committed*, so its true completion
-//!   time is ≤ `now` at every subsequent read, and substituting `0`
-//!   changes neither the `UNSET` classification (evicted instructions
-//!   always have a completion time) nor the `max` over the dependence set
+//!   are all ≥ the eviction floor — except dependence lookups, which may
+//!   point arbitrarily far back. (The issue queue's wake lists and ready
+//!   bits live in a ring of their own over the in-flight span, the same
+//!   for both sources.) `done_of` is not read by a per-cycle scan of
+//!   waiting entries but at two events per entry: at dispatch, to link
+//!   the entry onto the wake list of each producer whose completion time
+//!   is still `UNSET`, and when the last of those producers issues, to
+//!   take the `max` of the dependences' completion times (at dispatch if
+//!   none was pending). For these reads `Ring::done_of` substitutes `0`
+//!   for any dependence older than the floor: an evicted dependence is
+//!   *committed*, so its true completion time is ≤ `now` at every
+//!   subsequent read. Substituting `0` therefore changes neither the
+//!   `UNSET` test (evicted instructions always have a completion time, so
+//!   they are never linked and never hold a resolution back) nor the `max`
 //!   when that max is in the future (a future completion can only come
-//!   from a live, in-ring dependence). The wakeup schedule is therefore
-//!   cycle-exact.
+//!   from a live, in-ring dependence), and a `max` ≤ `now` sends the entry
+//!   to the ready pool either way. So the `max`, taken one cycle before
+//!   the entry is scheduled, schedules it exactly as a rescan in that
+//!   cycle would (a debug assertion in the issue stage checks this on
+//!   every resolution). The wakeup schedule is therefore cycle-exact.
 //! * **Eviction floor**: advanced only by `Ring::feed`, to the ROB head
 //!   (or the dispatch frontier when the ROB is empty, i.e. everything
 //!   older has committed). Slots are only overwritten during a feed, and

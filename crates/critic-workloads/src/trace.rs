@@ -10,6 +10,7 @@ use critic_isa::{FuKind, Insn, Opcode};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{BlockId, InsnRef, InsnUid};
+use crate::params::MemProfile;
 use crate::path::ExecutionPath;
 use crate::program::{Layout, Program, TaggedInsn};
 
@@ -416,7 +417,17 @@ struct AddrStream {
     // program-wide indices, so a lazily-grown flat vector replaces hashing
     // on this hottest expansion path.
     visits: Vec<u64>,
+    // Per-uid address class (`CLASS_*`), load-hint override applied, filled
+    // on the uid's first visit: every later visit skips the hint lookup and
+    // the classification.
+    classes: Vec<u8>,
 }
+
+/// [`AddrStream::classes`] values.
+const CLASS_UNSET: u8 = 0;
+const CLASS_STRIDE: u8 = 1;
+const CLASS_HOT: u8 = 2;
+const CLASS_RANDOM: u8 = 3;
 
 impl AddrStream {
     /// The data address this execution of `tagged` touches (`None` for a
@@ -430,15 +441,21 @@ impl AddrStream {
         let slot = tagged.uid.0 as usize;
         if self.visits.len() <= slot {
             self.visits.resize(slot + 1, 0);
+            self.classes.resize(slot + 1, CLASS_UNSET);
         }
-        let hinted = program.load_hints.contains(&tagged.uid.0);
-        let addr = mem_address(&program.mem, tagged.uid, self.visits[slot], hinted);
+        let profile = &program.mem;
+        let h = splitmix(u64::from(tagged.uid.0) ^ profile.seed);
+        if self.classes[slot] == CLASS_UNSET {
+            let hinted = program.load_hints.contains(&tagged.uid.0);
+            self.classes[slot] = addr_class(profile, h, hinted);
+        }
+        let visit = self.visits[slot];
         self.visits[slot] += 1;
-        Some(addr)
+        Some(class_address(profile, h, self.classes[slot], visit))
     }
 
     fn resident_bytes(&self) -> usize {
-        self.visits.capacity() * std::mem::size_of::<u64>()
+        self.visits.capacity() * std::mem::size_of::<u64>() + self.classes.capacity()
     }
 }
 
@@ -511,17 +528,54 @@ fn splitmix(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The address an instruction's `visit`-th execution touches.
+/// The address class of a uid with hash `h` — `mem_address`'s
+/// classification, with the critical-load hint applied.
+fn addr_class(profile: &MemProfile, h: u64, critical_hint: bool) -> u8 {
+    // Critical (chain) loads have a suite-determined class: SPEC's stream,
+    // mobile's stay hot (Fig. 3c). The hinted values land in the stride
+    // and hot branches below by the same comparisons as the hashed ones.
+    let class = if critical_hint {
+        if profile.critical_load_stride {
+            0.0
+        } else {
+            profile.stride_frac + 1e-9
+        }
+    } else {
+        (h >> 32) as f64 / f64::from(u32::MAX)
+    };
+    if class < profile.stride_frac {
+        CLASS_STRIDE
+    } else if class < profile.stride_frac + profile.hot_frac {
+        CLASS_HOT
+    } else {
+        CLASS_RANDOM
+    }
+}
+
+/// The `visit`-th address of a uid with hash `h` and class `class`:
+/// `mem_address`'s per-class arithmetic.
+#[inline]
+fn class_address(profile: &MemProfile, h: u64, class: u8, visit: u64) -> u64 {
+    let ws = profile.working_set_bytes.max(64);
+    let addr = match class {
+        // Streaming: a fixed per-uid base walking the working set.
+        CLASS_STRIDE => (h % ws).wrapping_add(visit * 8) % ws,
+        // Hot: the same location every visit.
+        CLASS_HOT => h % profile.hot_bytes.max(64),
+        // Cold/random: a new pseudo-random location each visit.
+        _ => splitmix(h ^ visit) % ws,
+    };
+    DATA_BASE + (addr & !3)
+}
+
+/// The address an instruction's `visit`-th execution touches, in closed
+/// form: what [`AddrStream`]'s cached classes must reproduce.
 ///
 /// Each static memory instruction gets a *class* (hot / streaming / random)
 /// hashed from its uid, then a per-class address stream — the standard
 /// synthetic-trace technique for producing controlled cache behaviour.
-fn mem_address(
-    profile: &crate::params::MemProfile,
-    uid: InsnUid,
-    visit: u64,
-    critical_hint: bool,
-) -> u64 {
+#[cfg(test)]
+fn mem_address(profile: &MemProfile, uid: InsnUid, visit: u64, critical_hint: bool) -> u64 {
     let h = splitmix(u64::from(uid.0) ^ profile.seed);
     let mut class = (h >> 32) as f64 / f64::from(u32::MAX);
     if critical_hint {
@@ -855,5 +909,98 @@ mod cone_tests {
             0,
             "reader at distance 3 is outside"
         );
+    }
+}
+
+#[cfg(test)]
+mod addr_tests {
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    use super::*;
+    use crate::generate::ProgramGenerator;
+    use crate::params::GenParams;
+    use crate::suite::Suite;
+
+    /// Draws 64 visits of every memory uid of `program` through one
+    /// [`AddrStream`] and checks each against [`mem_address`]. Returns how
+    /// many of those uids carry a load hint.
+    fn assert_stream_matches_closed_form(program: &Program) -> usize {
+        let mem: Vec<&TaggedInsn> = program
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insns)
+            .filter(|t| t.insn.op().is_mem())
+            .collect();
+        assert!(
+            !mem.is_empty(),
+            "{} has no memory instructions",
+            program.name
+        );
+        let mut stream = AddrStream::default();
+        for visit in 0..64 {
+            for tagged in &mem {
+                let hinted = program.load_hints.contains(&tagged.uid.0);
+                let want = mem_address(&program.mem, tagged.uid, visit, hinted);
+                assert_eq!(
+                    stream.next(program, tagged),
+                    Some(want),
+                    "{} uid {} visit {visit} (hinted {hinted})",
+                    program.name,
+                    tagged.uid
+                );
+            }
+        }
+        mem.iter()
+            .filter(|t| program.load_hints.contains(&t.uid.0))
+            .count()
+    }
+
+    #[test]
+    fn cached_classes_match_the_closed_form_on_every_suite_app() {
+        for suite in Suite::ALL {
+            let mut hinted = 0;
+            for app in suite.apps() {
+                let mut program = app.generate_program();
+                for stride in [false, true] {
+                    program.mem.critical_load_stride = stride;
+                    hinted += assert_stream_matches_closed_form(&program);
+                }
+            }
+            assert!(hinted > 0, "{suite} has no hinted loads to check");
+        }
+    }
+
+    /// A fraction in `[0, 1]`, biased toward the class boundaries.
+    fn fraction(rng: &mut TestRng) -> f64 {
+        match rng.next_u64() % 4 {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 0.5,
+            _ => rng.next_f64(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random memory profiles (class fractions at and between the
+        /// boundaries, either critical-load class) over random programs.
+        #[test]
+        fn cached_classes_match_the_closed_form_for_any_profile(seed: u64) {
+            let mut rng = TestRng::new(seed);
+            let mut p = GenParams::mobile(rng.next_u64() % 1_000);
+            p.num_functions = 6;
+            let mut program = ProgramGenerator::new(p).generate();
+            program.mem = MemProfile {
+                seed: rng.next_u64(),
+                working_set_bytes: rng.next_u64() % (1 << 24),
+                hot_bytes: rng.next_u64() % (1 << 16),
+                stride_frac: fraction(&mut rng),
+                hot_frac: fraction(&mut rng),
+                critical_load_stride: rng.next_u64().is_multiple_of(2),
+            };
+            assert_stream_matches_closed_form(&program);
+        }
     }
 }

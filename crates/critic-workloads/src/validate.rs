@@ -19,7 +19,7 @@
 //!   could really be emitted. Real (non-Ideal) toolchain output must pass
 //!   this.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt;
 
 use critic_isa::{encode, EncodeError, Width, MAX_CDP_CHAIN_LEN};
@@ -227,6 +227,39 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// The uids a [`Program::validate`] scan has met: a bitset over the dense
+/// range every generated or compiler-allocated uid falls in, and a set for
+/// the few far above it (the marker uids fault injection plants).
+struct SeenUids {
+    /// Bit `u` set ⇔ uid `u` (< `dense.len() * 64`) was met.
+    dense: Vec<u64>,
+    far: BTreeSet<u32>,
+}
+
+impl SeenUids {
+    fn for_program(program: &Program) -> SeenUids {
+        let limit = 2 * program.static_insn_count() + 64;
+        SeenUids {
+            dense: vec![0; limit.div_ceil(64)],
+            far: BTreeSet::new(),
+        }
+    }
+
+    /// Records `uid`; `false` if it was already met.
+    fn insert(&mut self, uid: InsnUid) -> bool {
+        let u = uid.0 as usize;
+        match self.dense.get_mut(u / 64) {
+            Some(word) => {
+                let bit = 1 << (u % 64);
+                let fresh = *word & bit == 0;
+                *word |= bit;
+                fresh
+            }
+            None => self.far.insert(uid.0),
+        }
+    }
+}
+
 impl Program {
     /// Checks the program's structural invariants.
     ///
@@ -251,7 +284,7 @@ impl Program {
                 });
             }
         }
-        let mut seen_uids: HashSet<InsnUid> = HashSet::new();
+        let mut seen_uids = SeenUids::for_program(self);
         for (index, block) in self.blocks.iter().enumerate() {
             if block.id.index() != index {
                 return Err(ProgramError::BlockIdMismatch {
@@ -538,6 +571,39 @@ mod tests {
         let uid = program.blocks[block].insns[0].uid;
         program.blocks[block].insns[1].uid = uid;
         assert_eq!(program.validate(), Err(ProgramError::DuplicateUid(uid)));
+    }
+
+    /// A uid far above the dense range, like fault injection's markers.
+    const FAR: InsnUid = InsnUid(0xF000_0001);
+
+    #[test]
+    fn far_duplicate_uid_is_caught() {
+        let mut program = generated();
+        let last = program.blocks.len() - 1;
+        program.blocks[0].insns[0].uid = FAR;
+        program.validate().expect("one far uid is no duplicate");
+        let end = program.blocks[last].insns.len() - 1;
+        program.blocks[last].insns[end].uid = FAR;
+        assert_eq!(program.validate(), Err(ProgramError::DuplicateUid(FAR)));
+    }
+
+    #[test]
+    fn first_duplicate_in_arena_order_is_reported() {
+        // Two duplicates, one far and one dense, in both arena orders: the
+        // scan must report whichever repeats first, whatever the uids.
+        let base = generated();
+        let last = base.blocks.len() - 1;
+        let dense = base.blocks[last].insns[0].uid;
+        for (first, second) in [(FAR, dense), (dense, FAR)] {
+            let mut program = base.clone();
+            // `first` repeats in blocks 0 and 1, `second` in the last two.
+            program.blocks[0].insns[0].uid = first;
+            program.blocks[1].insns[0].uid = first;
+            let end = program.blocks[last].insns.len() - 1;
+            program.blocks[last - 1].insns[0].uid = second;
+            program.blocks[last].insns[end].uid = second;
+            assert_eq!(program.validate(), Err(ProgramError::DuplicateUid(first)));
+        }
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! window = 1, window ≥ trace length, and a look-ahead sitting exactly at
 //! the cone-window boundary.
 
+use critics::compiler::apply_opp16;
+use critics::compiler::opp16::OPP16_MIN_RUN;
 use critics::mem::MemConfig;
-use critics::pipeline::{CpuConfig, SimScratch, Simulator, StreamScratch};
+use critics::pipeline::{CpuConfig, DecodedTrace, SimScratch, Simulator, StreamScratch};
 use critics::profiler::{Profiler, ProfilerConfig};
 use critics::workloads::suite::Suite;
 use critics::workloads::{
@@ -253,5 +255,55 @@ fn degenerate_windows_are_exact() {
             streamed_ledger, oracle_ledger,
             "oracle, w={window} la={lookahead}"
         );
+    }
+}
+
+/// The wake-up stress leg: tiny issue queues (down to one entry) behind an
+/// eight-entry ROB, single unpipelined dividers, critical-first selection
+/// and a three-cycle CDP bubble, over OPP16 variants, whose CDP-dense code
+/// stalls dispatch often. Dispatch then runs into a full issue queue most
+/// cycles, so any change in the cycle an entry leaves its producers' wake
+/// lists shifts the schedule.
+#[test]
+fn wakeup_stress_under_tiny_queues_is_exact() {
+    for app in Suite::Mobile.apps().iter().take(3) {
+        let program = app.generate_program();
+        let mut variant = program.clone();
+        apply_opp16(&mut variant, OPP16_MIN_RUN);
+        let path = ExecutionPath::generate(&program, app.path_seed(), 3_000);
+        let trace = Trace::expand(&variant, &path);
+        let fanout = trace.compute_fanout();
+        let mut decoded = DecodedTrace::new();
+        decoded.decode_into(&trace);
+        for iq_entries in [1, 2, 8] {
+            let mut cpu = CpuConfig::google_tablet();
+            cpu.iq_entries = iq_entries;
+            cpu.rob_entries = 8;
+            cpu.fu.int_div = 1;
+            cpu.fu.float_div = 1;
+            cpu.prioritize_critical = true;
+            cpu.cdp_bubble = 3;
+            let sim = Simulator::new(cpu, MemConfig::google_tablet());
+            let oracle = sim.run_reference(&trace, &fanout);
+            assert!(oracle.0.cdp_switches > 0, "{}: no CDPs", app.name);
+            let mat = sim.run_decoded(&decoded, &fanout, &mut SimScratch::new());
+            assert_eq!(mat, oracle, "{} iq={iq_entries}: decoded", app.name);
+            let mut stream_scratch = StreamScratch::new();
+            for window in [1, 64] {
+                let cfg = StreamConfig {
+                    window,
+                    lookahead: DEFAULT_LOOKAHEAD,
+                    cone_window: None,
+                };
+                let mut stream = TraceStream::new(&variant, &path, cfg);
+                let (result, ledger, _) = sim.run_streamed(&mut stream, &mut stream_scratch);
+                assert_eq!(
+                    (result, ledger),
+                    oracle,
+                    "{} iq={iq_entries} window={window}: streamed",
+                    app.name
+                );
+            }
+        }
     }
 }
