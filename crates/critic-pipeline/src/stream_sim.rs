@@ -70,8 +70,9 @@ const BYTES_PER_SLOT: usize = 1 + 4 + 1 + 1 + 12 + 8 + 8 + 8 + 1 // decoded colu
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamRunStats {
     /// Peak bytes resident across the run: ring capacities, pipeline
-    /// queues, and the stream's own expansion state (sampled at every
-    /// feed, which is the only point the footprint can grow).
+    /// queues, and the stream's own expansion state. Sampled at every feed
+    /// (where the rings grow) and once more when the run returns, so queue
+    /// capacity grown after the last feed is counted too.
     pub peak_resident_bytes: usize,
     /// Final ring capacity in slots.
     pub ring_capacity: usize,
@@ -98,6 +99,12 @@ impl StreamScratch {
     pub fn new() -> StreamScratch {
         StreamScratch::default()
     }
+}
+
+/// Bytes a streamed run holds: ring capacity across every column and
+/// timestamp table, the pipeline queues, and the stream's expansion state.
+fn footprint(fanout: &Vec<u32>, q: &Queues, stream: &TraceStream<'_>) -> usize {
+    fanout.capacity() * BYTES_PER_SLOT + q.resident_bytes() + stream.resident_bytes()
 }
 
 /// Grows every ring to `cap` slots (a power of two), re-placing the live
@@ -133,14 +140,21 @@ struct Ring<'a, 's> {
     stats: StreamRunStats,
 }
 
+impl Ring<'_, '_> {
+    fn sample_peak(&mut self, q: &Queues) {
+        let resident = footprint(self.fanout, q, self.stream);
+        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(resident);
+    }
+}
+
 impl Source for Ring<'_, '_> {
     fn len(&self) -> usize {
         self.n
     }
 
     /// Keeps the decode frontier one fetch group ahead of fetch. This is
-    /// the only point slots are overwritten or the footprint can change,
-    /// so the floor advance, the capacity check, and the peak sample all
+    /// the only point slots are overwritten or the rings grow, so the
+    /// floor advance, the capacity check, and the per-feed peak sample all
     /// live here.
     #[inline]
     fn feed(&mut self, fetch_idx: usize, fq_head: usize, st: &mut Stamps, q: &Queues) {
@@ -173,10 +187,7 @@ impl Source for Ring<'_, '_> {
                 self.filled += 1;
             }
         }
-        let resident = self.fanout.capacity() * BYTES_PER_SLOT
-            + q.resident_bytes()
-            + self.stream.resident_bytes();
-        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(resident);
+        self.sample_peak(q);
     }
 
     #[inline]
@@ -262,6 +273,8 @@ impl Simulator {
             feed_ahead,
         };
         let (result, ledger) = self.run_source(&mut ring, stamps, queues);
+        // The queues can grow between the last feed and the end of the run.
+        ring.sample_peak(queues);
         (result, ledger, ring.stats)
     }
 }
@@ -357,6 +370,25 @@ mod tests {
                 None => first = Some(out),
                 Some(want) => assert_eq!(&out, want),
             }
+        }
+    }
+
+    /// The reported peak covers the footprint the run ends with: nothing
+    /// that grows after the last feed escapes the accounting.
+    #[test]
+    fn peak_covers_the_footprint_at_return() {
+        let (program, path) = workload(9, 20_000);
+        let sim = Simulator::new(CpuConfig::google_tablet(), MemConfig::google_tablet());
+        for window in [1, 256, 4096] {
+            let mut scratch = StreamScratch::new();
+            let mut stream = TraceStream::new(&program, &path, stream_cfg(window));
+            let (_, _, stats) = sim.run_streamed(&mut stream, &mut scratch);
+            let at_return = footprint(&scratch.fanout, &scratch.queues, &stream);
+            assert!(
+                stats.peak_resident_bytes >= at_return,
+                "window={window}: peak {} < footprint at return {at_return}",
+                stats.peak_resident_bytes
+            );
         }
     }
 

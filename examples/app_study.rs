@@ -12,7 +12,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(120_000);
     println!("running the CritIC design space over 10 mobile apps ({trace_len} insns each)…\n");
-    let rows = experiments::fig10(trace_len, 10);
+    let rows = experiments::fig10(&experiments::FigureRun::new(trace_len), 10);
     println!(
         "{:12} {:>8} {:>8} {:>8} {:>14} {:>10} {:>10}",
         "app", "hoist", "critic", "ideal", "branch-switch", "cpu-E", "system-E"

@@ -13,7 +13,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(120_000);
     println!("comparing hardware fetch mechanisms on 5 mobile apps…\n");
-    let rows = experiments::fig11(trace_len, 5);
+    let rows = experiments::fig11(&experiments::FigureRun::new(trace_len), 5);
     println!(
         "{:14} {:>9} {:>12} {:>12} {:>12}",
         "mechanism", "speedup", "with CritIC", "dStallForI", "dStallForR+D"

@@ -64,7 +64,7 @@ fn assert_matches_golden(name: &str, rendered: &str) {
 /// Fig. 3a/3b: where critical instructions spend their time, per suite.
 #[test]
 fn fig3_breakdown_matches_golden() {
-    let rows = exp::fig3(TRACE_LEN, APPS);
+    let rows = exp::fig3(&exp::FigureRun::new(TRACE_LEN), APPS);
     let mut out = String::new();
     writeln!(out, "fig3 trace_len={TRACE_LEN} apps_per_suite={APPS}").unwrap();
     for r in &rows {
@@ -92,7 +92,7 @@ fn fig3_breakdown_matches_golden() {
 /// Fig. 13: the headline speedup table — conversion schemes vs baseline.
 #[test]
 fn fig13_speedup_table_matches_golden() {
-    let rows = exp::fig13(TRACE_LEN, APPS);
+    let rows = exp::fig13(&exp::FigureRun::new(TRACE_LEN), APPS);
     let mut out = String::new();
     writeln!(out, "fig13 trace_len={TRACE_LEN} apps={APPS}").unwrap();
     for r in &rows {
@@ -323,7 +323,7 @@ fn stream_snapshot_matches_golden() {
 /// visible in review rather than silently reshaping Fig. 3.
 #[test]
 fn ledger_audit_matches_golden() {
-    let rows = exp::ledger_audit(TRACE_LEN, APPS);
+    let rows = exp::ledger_audit(&exp::FigureRun::new(TRACE_LEN), APPS);
     let mut out = String::new();
     writeln!(out, "ledger trace_len={TRACE_LEN} apps_per_suite={APPS}").unwrap();
     for r in &rows {
