@@ -12,9 +12,10 @@
 //!   once, records one execution path, then replays that same input over
 //!   every compiled/configured variant — the paper's "same parts for all
 //!   the optimizations evaluated";
-//! * [`experiments`] — typed row producers for every table and figure
-//!   (consumed by the `figures` binary and the Criterion benches in
-//!   `critic-bench`).
+//! * [`experiments`] — typed row producers for every table and figure,
+//!   all run through one executor ([`experiments::FigureRun`]: a shared
+//!   store and a worker pool) and consumed by the `figures` binary in
+//!   `critic-bench`.
 //!
 //! # Example
 //!
