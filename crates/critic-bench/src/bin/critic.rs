@@ -766,12 +766,11 @@ fn peak_rss_mib() -> Option<f64> {
 /// run number so the recovery drill can prove acknowledged cells are never
 /// re-simulated.
 ///
-/// `--stream-window N` runs every cell's trace through the chunked
-/// streaming pipeline (N instructions per window) instead of materializing
-/// it — bit-identical results at O(window) instead of O(trace) memory per
-/// worker. Cells with an armed trace fault fall back to the materialized
-/// path (the fault corrupts the materialized trace, which a re-expansion
-/// would silently undo).
+/// Every cell's trace runs through the chunked streaming pipeline at
+/// O(window) memory per worker; `--stream-window N` sets the window to N
+/// instructions (default 4096) and changes no result. Cells with an armed
+/// trace fault alone run materialized (the fault corrupts the materialized
+/// trace, which a re-expansion would silently undo).
 ///
 /// `--sys` arms deterministic systemic faults (the chaos harness's
 /// [`SysFault`](critic_workloads::SysFault) family) on the run;
@@ -895,7 +894,8 @@ fn run_campaign_command(args: &Args) -> Result<(), CliError> {
     }
 }
 
-/// `--stream-window N`, which must be at least 1 when given.
+/// `--stream-window N`, which must be at least 1 when given; `None` leaves
+/// the window at its default.
 fn stream_window(args: &Args) -> Result<Option<usize>, CliError> {
     match args.num("--stream-window")? {
         Some(0) => Err(CliError::Usage(
@@ -911,8 +911,9 @@ fn stream_window(args: &Args) -> Result<Option<usize>, CliError> {
 /// Drains gracefully on `SIGTERM` or a wire `{"shutdown":true}` — finishes
 /// in-flight cells, checkpoints the journal — and exits through code 9.
 ///
-/// `--stream-window N` makes every worker simulate through the chunked
-/// streaming pipeline at O(window) memory. `--shard N` stamps the server's
+/// Every worker simulates through the chunked streaming pipeline at
+/// O(window) memory; `--stream-window N` sets the window (default 4096)
+/// and changes no result. `--shard N` stamps the server's
 /// stats and heartbeat replies with its position in a router's fleet, and
 /// `--peers A,B` pulls missing profile/baseline artifacts from those
 /// addresses into the local store *before* binding — a restarted shard

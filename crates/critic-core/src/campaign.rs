@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use critic_obs::{EventKind, SpanKind, Telemetry, TelemetrySnapshot};
 use critic_workloads::{
     inject_program, inject_trace, AppSpec, ExecutionPath, Fault, FaultTarget, SysFault,
-    SysInjector, SysOp, Trace, DEFAULT_LOOKAHEAD,
+    SysInjector, SysOp, Trace, DEFAULT_LOOKAHEAD, DEFAULT_STREAM_WINDOW,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,12 +206,13 @@ pub struct CampaignSpec {
     /// drill uses monotonically increasing tags to prove a journaled-Ok
     /// cell is never re-simulated after a crash). `None` journals no tag.
     pub run_tag: Option<u64>,
-    /// When set, each cell's data-oriented simulations run through the
-    /// bounded-memory streaming trace pipeline with this window size
-    /// ([`Workbench::set_stream_window`]); results are bit-identical, the
-    /// cell's expansion/simulation allocations become O(window) instead of
-    /// O(trace_len), and the injected allocation budget is charged
-    /// accordingly. Trace-targeted fault cells always stay materialized
+    /// The window of the bounded-memory streaming trace pipeline every
+    /// cell's data-oriented simulations and profile folds run through
+    /// ([`Workbench::set_stream_window`]); `None` (the default) means
+    /// [`DEFAULT_STREAM_WINDOW`]. The window only tunes memory against
+    /// per-window work: results are bit-identical at every window, and a
+    /// cell's expansion/simulation allocations are O(window), not
+    /// O(trace_len). Trace-targeted fault cells alone stay materialized
     /// (the stream would re-expand past the injected corruption).
     pub stream_window: Option<usize>,
 }
@@ -553,9 +554,9 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignSummary, RunError> {
 
 /// [`run_campaign`] over a caller-owned [`ArtifactStore`].
 ///
-/// Cells share generated worlds, cone fanouts, profiles, baseline
-/// simulations, and baseline oracle executions through the store, each
-/// computed exactly once per key; fault-injected cells bypass it entirely
+/// Cells share recordings, profile folds, profiles, baseline simulations,
+/// and baseline oracle executions through the store, each computed exactly
+/// once per key; fault-injected cells bypass it entirely
 /// (they must neither consume pristine artifacts nor contribute corrupted
 /// ones). Passing the same store to a second run makes it a *warm* run:
 /// results are bit-identical, and nothing is built twice.
@@ -637,10 +638,10 @@ pub fn run_campaign_with_store(
     }
 
     // Queue order: one group per app (its fault-free cells share a
-    // workbench — one profile memo and one recycled decode, fanout and
-    // simulator scratch per app), so the initial wave of
-    // workers still seeds the store with every app's world and baseline in
-    // parallel. Fault-injected cells, and every cell when the per-cell
+    // workbench — one profile memo and one recycled set of stream
+    // buffers and simulator rings per app), so the initial wave of
+    // workers still seeds the store with every app's recording and
+    // baseline in parallel. Fault-injected cells, and every cell when the per-cell
     // isolation machinery is armed, are groups of one in scheme-major order
     // (the summary is still reported in app-major grid order below). A
     // deadline-bound attempt runs on its own thread, which cannot borrow a
@@ -881,7 +882,7 @@ pub(crate) struct CellPolicy<'a> {
 /// `bench` is the workbench the cell's app group shares: a clean cell with
 /// no deadline runs over it (building it over `store` on first use), so
 /// every scheme of the app reuses its profiles and one set of recycled
-/// decode, fanout and simulator scratch. A caller with no group (the
+/// stream buffers and simulator rings. A caller with no group (the
 /// service) passes `&mut None` and gets a fresh workbench over `store` per
 /// cell. A fault-injected cell never uses it: it assembles a workbench
 /// over its own fresh store. A failed attempt clears it (a panic may have
@@ -1094,30 +1095,23 @@ fn checkpoint(cancel: &AtomicBool) -> Result<(), RunError> {
     }
 }
 
-/// A clean cell's store-backed workbench, timed as the world-build stage:
-/// over the app's trace-free recording when the cell streams, over its
-/// materialized world otherwise.
+/// A clean cell's store-backed workbench over the app's trace-free
+/// recording, timed as the world-build stage.
 fn shared_bench(
     app: &AppSpec,
     trace_len: usize,
-    stream_window: Option<usize>,
     store: &Arc<ArtifactStore>,
     telemetry: &Telemetry,
 ) -> Result<Workbench, RunError> {
     telemetry.time(SpanKind::WorldBuild, || {
-        let store_handle = Arc::clone(store);
-        Ok(match stream_window {
-            Some(_) => {
-                Workbench::from_recording(app, store.recording(app, trace_len)?, store_handle)
-            }
-            None => Workbench::from_world(app, store.world(app, trace_len)?, store_handle),
-        })
+        let recording = store.recording(app, trace_len)?;
+        Ok(Workbench::from_recording(app, recording, Arc::clone(store)))
     })
 }
 
-/// The cell proper: fetch the shared world (or generate a private one and
-/// inject the planned fault), validate, profile/compile/simulate baseline
-/// and scheme, reduce to metrics.
+/// The cell proper: fetch the shared recording (or generate a private world
+/// and inject the planned fault), validate, profile/compile/simulate
+/// baseline and scheme, reduce to metrics.
 fn run_cell_body(
     cell: &Cell,
     attempt: &Attempt,
@@ -1126,16 +1120,15 @@ fn run_cell_body(
     shared: &mut Option<Workbench>,
 ) -> Result<(CellMetrics, Option<ValidationStats>), RunError> {
     // Charges against an injected per-attempt allocation budget. The
-    // figures are the stages' dominant allocations in bytes — the expanded
-    // trace (one ~64-byte record per dynamic instruction) and each
-    // simulation's per-instruction bookkeeping — deterministic in
-    // trace_len, so the same budget always fails at the same stage. Under
-    // the streaming pipeline the attempt's expansion and simulation state
-    // are rings sized to the window, not the trace, and the charges say so:
-    // the same long-trace budget that kills a materialized attempt admits
-    // a streamed one (asserted by `tests/stream_memory.rs`). The charges
+    // figures are the stages' dominant allocations in bytes — one
+    // expansion (a ~64-byte record per dynamic instruction) and each
+    // simulation's per-instruction bookkeeping — deterministic in the cell,
+    // so the same budget always fails at the same stage. A streamed cell's
+    // expansion and simulation state are rings sized to the window, not
+    // the trace, and the charges say so; only a trace-fault cell, the one
+    // kind that still materializes, charges the trace length. The charges
     // model the attempt only; what the store holds across attempts is
-    // measured by the same test's counting allocator.
+    // measured by `tests/stream_memory.rs`'s counting allocator.
     let charge = |bytes: u64| -> Result<(), RunError> {
         match &attempt.meter {
             Some(meter) => meter.charge(bytes),
@@ -1144,12 +1137,13 @@ fn run_cell_body(
     };
     let trace_len = attempt.trace_len;
     let telemetry = &attempt.telemetry;
-    // Trace-targeted faults corrupt the materialized trace; the stream
-    // would innocently re-expand (program, path) past the corruption, so
-    // those cells stay on the materialized path.
+    // Every cell streams, except that trace-targeted faults corrupt the
+    // materialized trace; the stream would innocently re-expand
+    // (program, path) past the corruption, so those cells stay on the
+    // materialized path.
     let stream_window = match cell.fault {
         Some((fault, _)) if fault.target() == FaultTarget::Trace => None,
-        _ => attempt.stream_window,
+        _ => Some(attempt.stream_window.unwrap_or(DEFAULT_STREAM_WINDOW)),
     };
     // Dominant per-attempt bytes of one expansion and of one simulation's
     // bookkeeping under the active pipeline.
@@ -1165,24 +1159,18 @@ fn run_cell_body(
     let mut private;
     let bench = match cell.fault {
         None => match shared {
-            // The world is already resident in the group's workbench; the
+            // The recording is already resident in the group's workbench; the
             // empty span still marks the stage so every record carries the
             // full per-phase breakdown.
             Some(bench) => {
                 telemetry.time(SpanKind::WorldBuild, || ());
                 bench
             }
-            // Clean cell: share the generated world or recording (and
-            // downstream artifacts) with every sibling cell of the app
-            // through the store.
+            // Clean cell: share the generated recording (and downstream
+            // artifacts) with every sibling cell of the app through the
+            // store.
             None => {
-                let bench = shared.insert(shared_bench(
-                    app,
-                    trace_len,
-                    stream_window,
-                    store,
-                    telemetry,
-                )?);
+                let bench = shared.insert(shared_bench(app, trace_len, store, telemetry)?);
                 checkpoint(cancel)?;
                 bench
             }
@@ -1659,10 +1647,13 @@ mod tests {
             assert_eq!(c.validation, w.validation, "{}:{}", c.app, c.scheme);
         }
 
-        // The cold run built each app's world exactly once; the warm run
-        // built nothing new and was served from cache.
-        assert_eq!(cold_stats.worlds_built, 2, "one world per app");
-        assert_eq!(warm_stats.worlds_built, cold_stats.worlds_built);
+        // The cold run recorded each app exactly once and streamed every
+        // clean cell (the fault cell builds its private world off the
+        // store); the warm run built nothing new and was served from cache.
+        assert_eq!(cold_stats.recordings_built, 2, "one recording per app");
+        assert_eq!(cold_stats.worlds_built, 0, "{cold_stats:?}");
+        assert_eq!(warm_stats.recordings_built, cold_stats.recordings_built);
+        assert_eq!(warm_stats.worlds_built, 0, "{warm_stats:?}");
         assert_eq!(warm_stats.profiles_built, cold_stats.profiles_built);
         assert_eq!(warm_stats.baselines_built, cold_stats.baselines_built);
         assert_eq!(

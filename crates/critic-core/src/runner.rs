@@ -11,8 +11,8 @@ use critic_obs::{EventKind, SpanKind, Telemetry};
 use critic_pipeline::{DecodedTrace, SimEngine, SimResult, SimScratch, Simulator, StreamScratch};
 use critic_profiler::{ChainSpec, Profile, ProfilerConfig};
 use critic_workloads::{
-    inject_variant, AppSpec, BlockId, ExecutionPath, Fault, Program, StreamConfig, Trace,
-    TraceStream,
+    inject_variant, AppSpec, BlockId, ExecutionPath, Fault, Program, StreamConfig, StreamPrep,
+    Trace, DEFAULT_LOOKAHEAD, DEFAULT_STREAM_WINDOW,
 };
 use serde::{Deserialize, Serialize};
 
@@ -86,13 +86,12 @@ pub struct Workbench {
     decoded: DecodedTrace,
     fanout: Vec<u32>,
     scratch: SimScratch,
-    /// When set, [`Workbench::simulate`] routes data-oriented runs through
-    /// the bounded-memory streaming front-end with this window size
-    /// (bit-identical results; see `critic_pipeline::stream_sim`), and a
-    /// recording-backed workbench profiles by folding the stream.
+    /// The streaming window of data-oriented runs (see
+    /// [`Workbench::set_stream_window`]).
     stream_window: Option<usize>,
-    /// Recycled ring scratch for the streaming front-end: every streamed
-    /// run, store baseline builds included, runs in it.
+    /// Recycled rings and stream buffers for the streaming front-end:
+    /// every streamed run and profile fold, store builds included, runs
+    /// in it.
     stream_scratch: StreamScratch,
     /// Span/event sink; [`Telemetry::off`] by default, so the instrumented
     /// paths cost one branch per span when telemetry is disabled.
@@ -104,9 +103,10 @@ pub struct Workbench {
 enum Backing {
     /// The store's materialized world.
     World(Arc<World>),
-    /// The store's trace-free recording: every profile and run streams,
-    /// through the store's streamed builders. Swapped for the app's world
-    /// the first time a run needs the materialized trace.
+    /// The store's trace-free recording: every profile and data-oriented
+    /// run streams, through the store's streamed builders. Swapped for the
+    /// app's world the first time a reference-engine run needs the
+    /// materialized trace.
     Recording(Arc<Recording>),
 }
 
@@ -167,12 +167,13 @@ impl Workbench {
         Workbench::with_backing(app, program, path, store, Backing::World(world))
     }
 
-    /// Builds a workbench over a store-shared [`Recording`] for streamed
-    /// runs ([`Workbench::set_stream_window`]): no trace is held, and
+    /// Builds a workbench over a store-shared [`Recording`]: no trace is
+    /// held, every data-oriented run streams (at [`DEFAULT_STREAM_WINDOW`]
+    /// unless [`Workbench::set_stream_window`] says otherwise), and
     /// profiles, baseline simulations, and baseline oracle executions come
-    /// from `store`'s streamed builders. A run that needs the materialized
-    /// trace (no window set, or the reference engine) first fetches the
-    /// app's world from `store`.
+    /// from `store`'s streamed builders. A reference-engine run, which
+    /// needs the materialized trace, first fetches the app's world from
+    /// `store`.
     pub fn from_recording(
         app: &AppSpec,
         recording: Arc<Recording>,
@@ -222,16 +223,29 @@ impl Workbench {
         self.engine = engine;
     }
 
-    /// Enables (`Some(window)`) or disables (`None`) the bounded-memory
-    /// streaming trace pipeline for data-oriented runs: the trace is
-    /// expanded, fanout-annotated, decoded, and simulated window-at-a-time
-    /// without ever materializing the dynamic stream. Results are
-    /// bit-identical to the materialized path (enforced by the
-    /// differential battery); only peak memory changes — O(window) instead
-    /// of O(trace). The reference engine ignores this and stays
-    /// materialized.
+    /// Sets the window of the bounded-memory streaming trace pipeline for
+    /// data-oriented runs: the trace is expanded, fanout-annotated,
+    /// decoded, and simulated window-at-a-time without ever materializing
+    /// the dynamic stream. Results are bit-identical to the materialized
+    /// path (enforced by the differential battery); only peak memory
+    /// changes — O(window) instead of O(trace).
+    ///
+    /// `None` means [`DEFAULT_STREAM_WINDOW`] on a recording-backed
+    /// workbench, which always streams, and the materialized engine on a
+    /// world-backed one ([`Workbench::try_new`], [`Workbench::from_world`]).
+    /// The reference engine ignores this and stays materialized.
     pub fn set_stream_window(&mut self, window: Option<usize>) {
         self.stream_window = window;
+    }
+
+    /// The window data-oriented runs stream at, `None` for the
+    /// materialized engine.
+    fn window(&self) -> Option<usize> {
+        match (&self.backing, self.stream_window) {
+            (_, Some(window)) => Some(window),
+            (Backing::Recording(..), None) => Some(DEFAULT_STREAM_WINDOW),
+            (Backing::World(..), None) => None,
+        }
     }
 
     /// Arms a deterministic miscompile: the next non-baseline variant built
@@ -280,7 +294,8 @@ impl Workbench {
     }
 
     /// Swaps a recording backing for the app's world, so the materialized
-    /// trace is at hand; a no-op on a world backing.
+    /// trace is at hand for the reference engine; a no-op on a world
+    /// backing.
     fn materialize(&mut self) -> Result<(), RunError> {
         if let Backing::Recording(recording) = &self.backing {
             let world = self.store.world(&self.app, recording.key.trace_len())?;
@@ -314,18 +329,18 @@ impl Workbench {
     fn ensure_profile(&mut self, config: &ProfilerConfig) -> Result<String, RunError> {
         let key = format!("{config:?}");
         if !self.profiles.contains_key(&key) {
-            if self.stream_window.is_none() {
-                self.materialize()?;
-            }
-            let profile = self.telemetry.time(SpanKind::Profile, || {
-                match (&self.backing, self.stream_window) {
-                    (Backing::World(world), _) => self.store.profile(world, config),
-                    (Backing::Recording(recording), Some(window)) => {
-                        self.store.profile_streamed(recording, config, window)
-                    }
-                    (Backing::Recording(..), None) => unreachable!("materialized above"),
-                }
-            })?;
+            let window = self.stream_window.unwrap_or(DEFAULT_STREAM_WINDOW);
+            let profile = self
+                .telemetry
+                .time(SpanKind::Profile, || match &self.backing {
+                    Backing::World(world) => self.store.profile(world, config),
+                    Backing::Recording(recording) => self.store.profile_streamed(
+                        recording,
+                        config,
+                        window,
+                        &mut self.stream_scratch,
+                    ),
+                })?;
             self.profiles.insert(key.clone(), profile);
         }
         Ok(key)
@@ -573,9 +588,7 @@ impl Workbench {
         let engine = self.engine;
         // Streaming covers data-oriented runs only; the reference engine
         // stays materialized.
-        let window = self
-            .stream_window
-            .filter(|_| engine == SimEngine::DataOriented);
+        let window = self.window().filter(|_| engine == SimEngine::DataOriented);
         if window.is_none() {
             self.materialize()?;
         }
@@ -601,13 +614,16 @@ impl Workbench {
             // fully drained by the run, so the thumb fraction and
             // dynamic length read back exactly what the materialized
             // trace would report.
-            let mut stream =
-                TraceStream::new(program, &self.path, StreamConfig::with_window(window));
+            let prep = Arc::new(StreamPrep::new(program, &self.path, DEFAULT_LOOKAHEAD));
             let scratch = &mut self.stream_scratch;
+            let mut stream =
+                scratch.open(program, &self.path, StreamConfig::with_window(window), prep);
             let (sim, _, _) = telemetry.time(SpanKind::Sim, || {
                 simulator.run_streamed(&mut stream, scratch)
             });
-            (sim, stream.thumb_fraction(), stream.total_len())
+            let read = (sim, stream.thumb_fraction(), stream.total_len());
+            scratch.recycle(stream);
+            read
         } else {
             let world = Arc::clone(self.world());
             let trace: &Trace = if baseline {
@@ -768,14 +784,20 @@ mod tests {
             streamed.try_run_validated(&point, seed).expect("validated"),
             own.try_run_validated(&point, seed).expect("validated")
         );
-        let stats = store.stats();
-        assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
-
-        // Without a window the workbench fetches the app's world first.
+        // Without a window it streams at the default one.
         streamed.set_stream_window(None);
         assert_eq!(
             streamed.run(&DesignPoint::opp16()),
             own.run(&DesignPoint::opp16())
+        );
+        let stats = store.stats();
+        assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
+
+        // The reference engine fetches the app's world first.
+        streamed.set_engine(SimEngine::Reference);
+        assert_eq!(
+            streamed.run(&DesignPoint::compress()),
+            own.run(&DesignPoint::compress())
         );
         assert_eq!(store.stats().worlds_built, 1);
         assert_eq!(streamed.baseline_trace(), own.baseline_trace());

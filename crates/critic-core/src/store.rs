@@ -12,6 +12,9 @@
 //!   spec's content hash and the trace length;
 //! * a ROB-cone fanout vector is keyed by the world (it is profiler-config
 //!   independent);
+//! * a [`ProfileFold`] — the trace-side half of a profile — is keyed by the
+//!   world plus the fold length, so every profiler configuration that
+//!   profiles the same prefix of the execution scores one fold;
 //! * a [`Profile`] is keyed by the world plus the profiler configuration;
 //! * a baseline [`RunOutcome`] is keyed by the world plus the CPU and
 //!   memory configurations it was simulated under.
@@ -27,15 +30,15 @@
 //!
 //! # Streamed cells
 //!
-//! A streamed cell never needs the trace: everything it consumes is
-//! re-expanded window by window from `(program, path)`. It asks for the
-//! app's [`Recording`] instead of its [`World`], and for profiles and
-//! baselines through the streamed builders ([`ArtifactStore::profile_streamed`],
-//! [`ArtifactStore::baseline_streamed`]). Those fill the *same* memo slots
-//! and disk keys as their materialized twins — sound because the two
-//! builds are bit-identical — so a store warmed in one mode serves the
-//! other, and a streamed campaign holds O(static program + path) per app
-//! instead of O(trace).
+//! A streamed cell — every clean campaign or service cell — never needs
+//! the trace: everything it consumes is re-expanded window by window from
+//! `(program, path)`. It asks for the app's [`Recording`] instead of its
+//! [`World`], and for profiles and baselines through the streamed builders
+//! ([`ArtifactStore::profile_streamed`], [`ArtifactStore::baseline_streamed`]).
+//! Those fill the *same* memo slots and disk keys as their materialized
+//! twins — sound because the two builds are bit-identical — so a store
+//! warmed in one mode serves the other, and a streamed campaign holds
+//! O(static program + path) per app instead of O(trace).
 //!
 //! # The persistent tier
 //!
@@ -61,10 +64,10 @@ use critic_compiler::BaselineExecution;
 use critic_energy::EnergyModel;
 use critic_obs::{EventKind, Telemetry};
 use critic_pipeline::{SimResult, Simulator, StreamScratch};
-use critic_profiler::{Profile, Profiler, ProfilerConfig};
+use critic_profiler::{Profile, ProfileFold, Profiler, ProfilerConfig};
 use critic_workloads::{
-    validate_stream, AppSpec, ExecutionPath, Program, StreamConfig, SysFault, SysInjector, SysOp,
-    Trace, TraceStream, DEFAULT_LOOKAHEAD,
+    validate_stream, AppSpec, ExecutionPath, Program, StreamConfig, StreamPrep, SysFault,
+    SysInjector, SysOp, Trace, TraceStream, DEFAULT_LOOKAHEAD,
 };
 use serde::{Deserialize, Serialize};
 
@@ -110,6 +113,27 @@ pub struct Recording {
     pub program: Arc<Program>,
     /// The recorded block-level input.
     pub path: Arc<ExecutionPath>,
+    /// The stream set-up of `(program, path)` at [`DEFAULT_LOOKAHEAD`]:
+    /// every stream over the baseline binary shares it.
+    pub prep: Arc<StreamPrep>,
+}
+
+impl Recording {
+    /// The recording of a checked `(program, path)` pair.
+    fn new(key: WorldKey, program: Arc<Program>, path: Arc<ExecutionPath>) -> Recording {
+        let prep = Arc::new(StreamPrep::new(&program, &path, DEFAULT_LOOKAHEAD));
+        Recording {
+            key,
+            program,
+            path,
+            prep,
+        }
+    }
+
+    /// Dynamic instructions the recorded input executes.
+    pub fn trace_len(&self) -> usize {
+        self.prep.total_len()
+    }
 }
 
 /// Everything deterministic generation produces for one app: the binary,
@@ -235,17 +259,12 @@ fn generate(app: &AppSpec, trace_len: usize) -> Result<(Program, ExecutionPath),
 /// The stream a profile folds: `window`-entry windows with the cone
 /// fanout at the profiler's ROB horizon (the Table I ROB size, as for
 /// [`ArtifactStore::cone_fanout`]).
-fn profile_stream<'a>(
-    program: &'a Program,
-    path: &'a ExecutionPath,
-    window: usize,
-) -> TraceStream<'a> {
-    let config = StreamConfig {
+fn profile_stream_config(window: usize) -> StreamConfig {
+    StreamConfig {
         window,
         lookahead: DEFAULT_LOOKAHEAD,
         cone_window: Some(128),
-    };
-    TraceStream::new(program, path, config)
+    }
 }
 
 /// Counters describing what a store computed and what it served from
@@ -262,6 +281,10 @@ pub struct StoreStats {
     pub worlds_built: u64,
     /// ROB-cone fanout vectors computed.
     pub cones_built: u64,
+    /// Profile folds computed (one per world and fold length). Absent in
+    /// records written before folds were shared.
+    #[serde(default)]
+    pub folds_built: u64,
     /// Profiles built.
     pub profiles_built: u64,
     /// Baseline simulations run.
@@ -275,6 +298,9 @@ pub struct StoreStats {
     pub worlds_hit: u64,
     /// Cone-fanout requests served from cache.
     pub cones_hit: u64,
+    /// Profile-fold requests served from cache.
+    #[serde(default)]
+    pub folds_hit: u64,
     /// Profile requests served from cache.
     pub profiles_hit: u64,
     /// Baseline-simulation requests served from cache.
@@ -297,6 +323,7 @@ impl StoreStats {
         self.recordings_built
             + self.worlds_built
             + self.cones_built
+            + self.folds_built
             + self.profiles_built
             + self.baselines_built
             + self.baseline_execs_built
@@ -329,6 +356,7 @@ pub struct ArtifactStore {
     recordings: Memo<WorldKey, Recording>,
     worlds: Memo<WorldKey, World>,
     cones: Memo<WorldKey, Vec<u32>>,
+    folds: Memo<(WorldKey, usize), ProfileFold>,
     profiles: Memo<(WorldKey, u64), Profile>,
     baselines: Memo<(WorldKey, u64), RunOutcome>,
     baseline_execs: Memo<(WorldKey, u64), BaselineExecution>,
@@ -361,6 +389,7 @@ impl ArtifactStore {
             recordings: Memo::new(),
             worlds: Memo::new(),
             cones: Memo::new(),
+            folds: Memo::new(),
             profiles: Memo::new(),
             baselines: Memo::new(),
             baseline_execs: Memo::new(),
@@ -537,22 +566,25 @@ impl ArtifactStore {
         let key = WorldKey::new(app, trace_len);
         self.recordings.get_or_try_build(key, || {
             if let Some(world) = self.worlds.peek(&key) {
-                return Ok(Recording {
+                return Ok(Recording::new(
                     key,
-                    program: Arc::clone(&world.program),
-                    path: Arc::clone(&world.path),
-                });
+                    Arc::clone(&world.program),
+                    Arc::clone(&world.path),
+                ));
             }
             let (program, path) = generate(app, trace_len)?;
+            let recording = Recording::new(key, Arc::new(program), Arc::new(path));
             validate_stream(
-                &program,
-                &mut TraceStream::new(&program, &path, StreamConfig::default()),
+                &recording.program,
+                &mut TraceStream::recycled(
+                    &recording.program,
+                    &recording.path,
+                    StreamConfig::default(),
+                    Arc::clone(&recording.prep),
+                    Default::default(),
+                ),
             )?;
-            Ok(Recording {
-                key,
-                program: Arc::new(program),
-                path: Arc::new(path),
-            })
+            Ok(recording)
         })
     }
 
@@ -592,7 +624,8 @@ impl ArtifactStore {
     }
 
     /// The profile of a world under `config`, built at most once per
-    /// distinct configuration.
+    /// distinct configuration: the world's fold at the configuration's
+    /// length (shared with every configuration of that length), scored.
     pub fn profile(
         &self,
         world: &World,
@@ -604,27 +637,31 @@ impl ArtifactStore {
             world.key,
             stable_key(config),
             || {
-                let cone = self.cone_fanout(world);
-                // The world's program/trace pair was validated when the world
-                // was built, so the per-config re-validation walk is skipped.
-                Ok(Profiler::new(config.clone()).build_profile_prevalidated(
-                    &world.program,
-                    &world.trace,
-                    &cone,
-                ))
+                let len = config.fold_len(world.trace.len());
+                let fold = self.fold(world.key, len, || {
+                    ProfileFold::of_trace(
+                        &world.program,
+                        &world.trace,
+                        &self.cone_fanout(world),
+                        len,
+                    )
+                });
+                // The world's program was validated when it was built.
+                Ok(Profiler::new(config.clone()).score(&world.program, &fold))
             },
         )
     }
 
-    /// [`ArtifactStore::profile`] built from a recording: the chain
-    /// statistics are folded over a cone-enabled stream of `window`-entry
-    /// windows, bit-identical to the materialized build, into the same
-    /// memo slot and disk key.
+    /// [`ArtifactStore::profile`] built from a recording: the fold is taken
+    /// over a cone-enabled stream of `window`-entry windows on `scratch`'s
+    /// recycled stream buffers, bit-identical to the materialized fold,
+    /// into the same fold and profile slots and disk key.
     pub fn profile_streamed(
         &self,
         recording: &Recording,
         config: &ProfilerConfig,
         window: usize,
+        scratch: &mut StreamScratch,
     ) -> Result<Arc<Profile>, RunError> {
         self.durable(
             &self.profiles,
@@ -632,12 +669,40 @@ impl ArtifactStore {
             recording.key,
             stable_key(config),
             || {
-                let mut stream = profile_stream(&recording.program, &recording.path, window);
+                let len = config.fold_len(recording.trace_len());
+                let fold = self.fold(recording.key, len, || {
+                    let mut stream = scratch.open(
+                        &recording.program,
+                        &recording.path,
+                        profile_stream_config(window),
+                        Arc::clone(&recording.prep),
+                    );
+                    let fold = ProfileFold::of_stream(&recording.program, &mut stream, len);
+                    scratch.recycle(stream);
+                    fold
+                });
                 // The recording's program was validated when it was built.
-                Ok(Profiler::new(config.clone())
-                    .build_profile_streamed_prevalidated(&recording.program, &mut stream))
+                Ok(Profiler::new(config.clone()).score(&recording.program, &fold))
             },
         )
+    }
+
+    /// The memoized fold of the first `len` instructions of `key`'s
+    /// execution, built with `build` at most once: every profiler
+    /// configuration of the same fold length shares it, whichever mode
+    /// built it.
+    fn fold(
+        &self,
+        key: WorldKey,
+        len: usize,
+        build: impl FnOnce() -> ProfileFold,
+    ) -> Arc<ProfileFold> {
+        let result: Result<Arc<ProfileFold>, RunError> =
+            self.folds.get_or_try_build((key, len), || Ok(build()));
+        match result {
+            Ok(fold) => fold,
+            Err(never) => unreachable!("infallible fold build failed: {never}"),
+        }
     }
 
     /// The baseline run outcome of a world under `point`'s hardware
@@ -667,15 +732,18 @@ impl ArtifactStore {
         scratch: &mut StreamScratch,
     ) -> Result<Arc<RunOutcome>, RunError> {
         self.baseline_from(recording.key, point, |simulator| {
-            let mut stream = TraceStream::new(
+            let mut stream = scratch.open(
                 &recording.program,
                 &recording.path,
                 StreamConfig::with_window(window),
+                Arc::clone(&recording.prep),
             );
             let (sim, _, _) = simulator.run_streamed(&mut stream, scratch);
             // The run drained the stream, so these read back exactly what
             // the materialized trace reports.
-            (sim, stream.thumb_fraction(), stream.total_len())
+            let (thumb, len) = (stream.thumb_fraction(), stream.total_len());
+            scratch.recycle(stream);
+            (sim, thumb, len)
         })
     }
 
@@ -750,6 +818,7 @@ impl ArtifactStore {
         let recordings_hit = self.recordings.hits.load(Ordering::Relaxed);
         let worlds_hit = self.worlds.hits.load(Ordering::Relaxed);
         let cones_hit = self.cones.hits.load(Ordering::Relaxed);
+        let folds_hit = self.folds.hits.load(Ordering::Relaxed);
         let profiles_hit = self.profiles.hits.load(Ordering::Relaxed);
         let baselines_hit = self.baselines.hits.load(Ordering::Relaxed);
         let baseline_execs_hit = self.baseline_execs.hits.load(Ordering::Relaxed);
@@ -757,24 +826,28 @@ impl ArtifactStore {
             recordings_built: self.recordings.computed.load(Ordering::Relaxed),
             worlds_built: self.worlds.computed.load(Ordering::Relaxed),
             cones_built: self.cones.computed.load(Ordering::Relaxed),
+            folds_built: self.folds.computed.load(Ordering::Relaxed),
             profiles_built: self.profiles.computed.load(Ordering::Relaxed),
             baselines_built: self.baselines.computed.load(Ordering::Relaxed),
             baseline_execs_built: self.baseline_execs.computed.load(Ordering::Relaxed),
             recordings_hit,
             worlds_hit,
             cones_hit,
+            folds_hit,
             profiles_hit,
             baselines_hit,
             baseline_execs_hit,
             hits: recordings_hit
                 + worlds_hit
                 + cones_hit
+                + folds_hit
                 + profiles_hit
                 + baselines_hit
                 + baseline_execs_hit,
             build_nanos: self.recordings.build_nanos.load(Ordering::Relaxed)
                 + self.worlds.build_nanos.load(Ordering::Relaxed)
                 + self.cones.build_nanos.load(Ordering::Relaxed)
+                + self.folds.build_nanos.load(Ordering::Relaxed)
                 + self.profiles.build_nanos.load(Ordering::Relaxed)
                 + self.baselines.build_nanos.load(Ordering::Relaxed)
                 + self.baseline_execs.build_nanos.load(Ordering::Relaxed),
@@ -902,6 +975,7 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.profiles_built, 2, "{stats:?}");
         assert_eq!(stats.cones_built, 1, "cone shared across configs");
+        assert_eq!(stats.folds_built, 1, "one fold length: {stats:?}");
         assert_eq!(stats.baselines_built, 1, "{stats:?}");
     }
 
@@ -924,12 +998,13 @@ mod tests {
             stats.recordings_hit
                 + stats.worlds_hit
                 + stats.cones_hit
+                + stats.folds_hit
                 + stats.profiles_hit
                 + stats.baselines_hit
                 + stats.baseline_execs_hit,
             "the rollup must equal the per-class sum"
         );
-        assert_eq!(stats.built(), 3, "world + cone + profile, {stats:?}");
+        assert_eq!(stats.built(), 4, "world + cone + fold + profile, {stats:?}");
         assert_eq!(stats.requests(), stats.built() + stats.hits);
         assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0);
         assert!(stats.build_nanos > 0, "builds take measurable time");
@@ -972,7 +1047,7 @@ mod tests {
         let config = ProfilerConfig::default();
         let point = DesignPoint::baseline();
         let streamed_profile = store
-            .profile_streamed(&recording, &config, 512)
+            .profile_streamed(&recording, &config, 512, &mut StreamScratch::new())
             .expect("streamed profile");
         let streamed_base = store
             .baseline_streamed(&recording, &point, 512, &mut StreamScratch::new())
@@ -992,6 +1067,56 @@ mod tests {
         let world = fresh.world(&app, 8_000).expect("world");
         assert_eq!(*fresh.profile(&world, &config).expect("profile"), *profile);
         assert_eq!(*fresh.baseline(&world, &point).expect("baseline"), *base);
+    }
+
+    /// The sensitivity grid's seven profiler configurations profile three
+    /// prefixes of the execution (72%, 25% and 50%), so they score three
+    /// folds, whichever mode builds them, and every profile equals the one
+    /// a fresh store builds materialized.
+    #[test]
+    fn profiler_configs_share_one_fold_per_fold_length() {
+        let app = small_app(1);
+        let capped = |n: usize| ProfilerConfig {
+            max_chain_len: Some(n),
+            ..ProfilerConfig::default()
+        };
+        let fraction = |f: f64| ProfilerConfig {
+            profile_fraction: f,
+            ..ProfilerConfig::default()
+        };
+        let configs = [
+            ProfilerConfig::default(),
+            ProfilerConfig::ideal(),
+            capped(2),
+            capped(3),
+            capped(4),
+            fraction(0.25),
+            fraction(0.5),
+        ];
+        let streamed = ArtifactStore::new();
+        let recording = streamed.recording(&app, 8_000).expect("recording");
+        let mut scratch = StreamScratch::new();
+        let world_store = ArtifactStore::new();
+        let world = world_store.world(&app, 8_000).expect("world");
+        for config in &configs {
+            let fresh = ArtifactStore::new();
+            let own = fresh.world(&app, 8_000).expect("world");
+            let want = fresh.profile(&own, config).expect("profile");
+            let got = streamed
+                .profile_streamed(&recording, config, 512, &mut scratch)
+                .expect("streamed profile");
+            assert_eq!(*got, *want, "{config:?}");
+            let got = world_store.profile(&world, config).expect("profile");
+            assert_eq!(*got, *want, "{config:?}");
+        }
+        for stats in [streamed.stats(), world_store.stats()] {
+            assert_eq!(stats.profiles_built, 7, "{stats:?}");
+            assert_eq!(stats.folds_built, 3, "{stats:?}");
+            assert_eq!(stats.folds_hit, 4, "{stats:?}");
+        }
+        let stats = streamed.stats();
+        assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
+        assert_eq!(world_store.stats().cones_built, 1);
     }
 
     /// Streamed baselines run in the caller's recycled scratch: one warmed
@@ -1017,10 +1142,16 @@ mod tests {
     #[test]
     fn stats_without_recording_counters_still_parse() {
         let mut json = serde_json::to_string(&StoreStats::default()).expect("serialise");
-        for field in ["recordings_built", "recordings_hit"] {
+        for field in [
+            "recordings_built",
+            "recordings_hit",
+            "folds_built",
+            "folds_hit",
+        ] {
             json = json.replace(&format!("\"{field}\":0,"), "");
         }
         assert!(!json.contains("recordings"), "{json}");
+        assert!(!json.contains("folds"), "{json}");
         let old: StoreStats = serde_json::from_str(&json).expect("old record parses");
         assert_eq!(old, StoreStats::default());
     }

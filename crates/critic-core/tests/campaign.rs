@@ -1,8 +1,9 @@
 //! End-to-end campaign acceptance tests: the full Mobile suite with fault
 //! injection on one cell completes, journals every cell, reports the
 //! failed cell without aborting, and resumes from the journal; a batched
-//! campaign equals per-cell runs of the scalar reference engine exactly;
-//! and a workbench builds each shared artifact once.
+//! campaign equals per-cell runs of the scalar reference engine exactly; a
+//! default campaign streams every cell and equals materialized workbenches
+//! exactly; and a workbench builds each shared artifact once.
 
 use std::collections::HashSet;
 use std::fs;
@@ -152,7 +153,8 @@ fn sensitivity_grid() -> Vec<Scheme> {
     schemes
 }
 
-/// The cold campaign (shared store, recycled decode and scratch) and the
+/// The cold campaign (shared store, streamed cells, recycled stream
+/// buffers and simulator rings) and the
 /// scalar reference pipeline (a fresh workbench per cell on
 /// `SimEngine::Reference`, baselines included) agree on every cell's
 /// metrics bit for bit,
@@ -198,6 +200,55 @@ fn scalar_reference_and_batched_campaign_agree_exactly() {
             record.app,
             record.scheme
         );
+    }
+}
+
+/// A campaign at its defaults streams every clean cell: over two apps × the
+/// 18-point grid it records each app and builds no world and no cone, and
+/// every cell equals the cell a world-backed workbench computes on the
+/// materialized engine.
+#[test]
+fn default_campaign_streams_and_matches_materialized_workbenches() {
+    let apps = shrink(Suite::Mobile.apps().into_iter().take(2).collect());
+    let mut spec = CampaignSpec::new(apps, sensitivity_grid(), 6_000);
+    spec.telemetry = Telemetry::off();
+    assert_eq!(spec.stream_window, None);
+    let store = Arc::new(ArtifactStore::new());
+    let summary = run_campaign_with_store(&spec, &store).expect("campaign runs");
+    assert!(summary.all_ok(), "{}", summary.render());
+    assert_eq!(summary.records.len(), 36);
+    let stats = store.stats();
+    assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
+    assert_eq!(stats.recordings_built, 2, "{stats:?}");
+    assert_eq!(
+        stats.folds_built, 6,
+        "three fold lengths per app: {stats:?}"
+    );
+
+    for app in &spec.apps {
+        let mut bench = Workbench::try_new(app, spec.trace_len).expect("workbench");
+        let base = bench.try_run(&DesignPoint::baseline()).expect("baseline");
+        for scheme in &spec.schemes {
+            let run = bench.try_run(&scheme.point).expect("scheme");
+            let materialized = CellMetrics {
+                speedup: run.sim.speedup_over(&base.sim),
+                cpu_energy_saving: run.energy.cpu_saving(&base.energy),
+                thumb_dyn_frac: run.thumb_dyn_frac,
+                dyn_insns: run.dyn_insns,
+            };
+            let record = summary
+                .records
+                .iter()
+                .find(|r| r.app == app.name && r.scheme == scheme.name)
+                .expect("cell");
+            assert_eq!(
+                record.metrics.as_ref(),
+                Some(&materialized),
+                "{}:{} streamed campaign and materialized workbench disagree",
+                app.name,
+                scheme.name
+            );
+        }
     }
 }
 
@@ -252,5 +303,7 @@ fn workbench_builds_each_shared_artifact_once() {
     assert_eq!(stats.cones_built, 1, "{stats:?}");
     assert_eq!(stats.baselines_built, hardware.len() as u64, "{stats:?}");
     assert_eq!(stats.profiles_built, profiles.len() as u64, "{stats:?}");
+    // Seven profiler configurations profile three prefixes (72%, 25%, 50%).
+    assert_eq!(stats.folds_built, 3, "{stats:?}");
     assert_eq!(stats.recordings_built + stats.baseline_execs_built, 0);
 }

@@ -142,9 +142,9 @@ pub struct DecodedTrace {
     flags: Vec<u8>,
     /// Instruction size in bytes (2 = Thumb, 4 = ARM).
     bytes: Vec<u8>,
-    /// Dependence indices *shifted by one* (`0` is the always-done
-    /// sentinel, insn `i` is slot `i + 1`), so the ready check is three
-    /// unconditional loads regardless of how many real deps exist — and
+    /// Dependence indices *shifted by one* (`0` is no dependence, insn
+    /// `i` is `i + 1`), so every entry carries three dependence slots
+    /// regardless of how many real deps exist — and
     /// the encoding is independent of the trace length, which is what
     /// makes prefix copying across differently-sized variants sound.
     deps: Vec<[u32; 3]>,
@@ -429,11 +429,13 @@ impl IndexRing {
 
 /// The seven per-instruction timestamp tables one run fills.
 ///
-/// The tables are indexed by the run's [`Source`]: `Source::slot` for
-/// every table but `done_at`, which is indexed by `Source::done_slot` and
-/// read for dependences through `Source::done_of`. Neither layout ever
-/// bulk-fills a table: every slot is written before it is read — fetch
-/// stamps `fetched_at`/`supply_stall`/`blocked_at_fetch`, dispatch stamps
+/// The tables are a ring over the live span of the run — from the oldest
+/// instruction in flight to the fetch frontier — indexed by the run's
+/// [`Source::stamp`] and read for dependences through `Source::done_of`,
+/// whatever the column source: a materialized run holds O(ROB + fetch
+/// buffer) stamps, not O(trace). Neither source ever bulk-fills a table:
+/// every slot is written before it is read — fetch stamps
+/// `fetched_at`/`supply_stall`/`blocked_at_fetch`, dispatch stamps
 /// `decoded_at`/`blocked_at_decode` and seeds the `issued_at`/`done_at`
 /// slots with `UNSET` (dependences always point at earlier instructions,
 /// which dispatch strictly in order, so a dependence slot is seeded before
@@ -451,19 +453,9 @@ pub(crate) struct Stamps {
 }
 
 impl Stamps {
-    /// Sizes the tables for an `n`-instruction materialized run: slot `i`
-    /// is insn `i`, except `done_at`, which is *shifted by one* — slot 0
-    /// is the always-done sentinel the padded dependence encoding points
-    /// at, insn `i` lives in slot `i + 1`.
-    fn reset_flat(&mut self, n: usize) {
-        grow(&mut self.fetched_at, n);
-        grow(&mut self.supply_stall, n);
-        grow(&mut self.blocked_at_fetch, n);
-        grow(&mut self.blocked_at_decode, n);
-        grow(&mut self.decoded_at, n);
-        grow(&mut self.issued_at, n);
-        grow(&mut self.done_at, n + 1);
-        self.done_at[0] = 0;
+    /// Slots per table: a power of two once the tables have grown.
+    fn capacity(&self) -> usize {
+        self.done_at.len()
     }
 
     /// Resizes every table to a `cap`-slot ring, re-placing the live span
@@ -637,10 +629,10 @@ impl Queues {
 
 /// Reusable per-run working memory for the materialized cycle loop.
 ///
-/// One `run` fills seven per-instruction timestamp tables plus the
-/// issue/reorder queues and a decoded-trace column set; across a campaign
-/// the simulator runs thousands of times on same-length traces, so callers
-/// on the hot path keep one `SimScratch` per worker and pass it to
+/// One `run` fills the timestamp ring, the issue/reorder queues and a
+/// decoded-trace column set; across a campaign the simulator runs
+/// thousands of times on same-length traces, so callers on the hot path
+/// keep one `SimScratch` per worker and pass it to
 /// [`Simulator::run_with_scratch`] — every table is then recycled
 /// (cleared and refilled, never reallocated once warm).
 #[derive(Debug, Default)]
@@ -663,17 +655,6 @@ impl SimScratch {
 fn fill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
     v.clear();
     v.resize(n, value);
-}
-
-/// Sets a table's length without initializing its contents: stale values
-/// from a previous run are deliberately left in place because every slot is
-/// written before it is read (see [`Stamps`]).
-fn grow<T: Default + Clone>(v: &mut Vec<T>, n: usize) {
-    if v.len() < n {
-        v.resize(n, T::default());
-    } else {
-        v.truncate(n);
-    }
 }
 
 /// Copies the live ring span `[lo, hi)` into a freshly-sized ring.
@@ -718,24 +699,23 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
 /// Where the cycle loop's instructions come from: the whole decoded trace
 /// ([`Flat`]) or a ring fed window by window from a stream
 /// (`stream_sim::Ring`). The source owns the slot layout of the columns
-/// and the timestamp tables; the loop never indexes either without it.
+/// and of the timestamp ring; the loop never indexes either without it.
 pub(crate) trait Source {
     /// Instructions in the whole run.
     fn len(&self) -> usize;
-    /// Makes the instructions fetch can reach this cycle readable; runs at
-    /// the top of every cycle. `fq_head` is the dispatch frontier. A source
-    /// that holds the whole trace has nothing to feed.
-    fn feed(&mut self, _fetch_idx: usize, _fq_head: usize, _st: &mut Stamps, _q: &Queues) {}
+    /// Makes the instructions fetch can reach this cycle readable and
+    /// their timestamp slots writable; runs at the top of every cycle.
+    /// `fq_head` is the dispatch frontier.
+    fn feed(&mut self, fetch_idx: usize, fq_head: usize, st: &mut Stamps, q: &Queues);
     /// The columns, hoisted once per cycle.
     fn cols(&self) -> Cols<'_>;
-    /// The column and timestamp slot of instruction `i`.
+    /// The column slot of instruction `i`.
     fn slot(&self, i: usize) -> usize;
-    /// The `done_at` slot of instruction `i`: its other slot unless the
-    /// source shifts `done_at`.
-    fn done_slot(&self, i: usize) -> usize {
-        self.slot(i)
-    }
-    /// The completion time of a shifted dependence index (`0` = none).
+    /// The timestamp slot of instruction `i`.
+    fn stamp(&self, i: usize) -> usize;
+    /// The completion time of a shifted dependence index (`0` = none),
+    /// with `0` for a dependence below the eviction floor (see the
+    /// `stream_sim` module docs).
     fn done_of(&self, done_at: &[u64], d: u32) -> u64;
 }
 
@@ -754,17 +734,39 @@ pub(crate) struct Cols<'a> {
     fanout: &'a [u32],
 }
 
-/// The materialized source: a whole decoded trace and its fanout. Slot `i`
-/// is insn `i`, and `done_at` is shifted by one (see
-/// [`Stamps::reset_flat`]).
+/// The materialized source: a whole decoded trace and its fanout, column
+/// slot `i` for insn `i`. The timestamps live in a ring over the in-flight
+/// span, as for the streamed source: `feed` advances the eviction floor to
+/// the oldest instruction in flight and doubles the ring when the fetch
+/// frontier would overrun it.
 struct Flat<'a> {
     decoded: &'a DecodedTrace,
     fanout: &'a [u32],
+    /// Timestamp ring mask.
+    mask: usize,
+    /// Instructions below this have committed; their stamps may be
+    /// overwritten.
+    evict_floor: usize,
+    /// Most instructions fetch delivers in one cycle.
+    fetch_ahead: usize,
 }
 
 impl Source for Flat<'_> {
     fn len(&self) -> usize {
         self.decoded.len
+    }
+
+    #[inline]
+    fn feed(&mut self, fetch_idx: usize, fq_head: usize, st: &mut Stamps, q: &Queues) {
+        self.evict_floor = q.oldest(fq_head);
+        // This cycle writes stamps up to the fetch frontier plus one fetch
+        // group; all of them must land in distinct live slots.
+        let need = fetch_idx + self.fetch_ahead - self.evict_floor;
+        if need > self.mask + 1 {
+            let cap = need.next_power_of_two();
+            st.regrow(self.mask, cap, self.evict_floor, fetch_idx);
+            self.mask = cap - 1;
+        }
     }
 
     #[inline]
@@ -778,15 +780,21 @@ impl Source for Flat<'_> {
     }
 
     #[inline]
-    fn done_slot(&self, i: usize) -> usize {
-        i + 1
+    fn stamp(&self, i: usize) -> usize {
+        i & self.mask
     }
 
-    /// Slot 0 is the always-done sentinel, so three unconditional loads
-    /// replace the variable-length dependence walk.
     #[inline]
     fn done_of(&self, done_at: &[u64], d: u32) -> u64 {
-        done_at[d as usize]
+        if d == 0 {
+            return 0;
+        }
+        let i = (d - 1) as usize;
+        if i < self.evict_floor {
+            0
+        } else {
+            done_at[i & self.mask]
+        }
     }
 }
 
@@ -899,9 +907,23 @@ impl Simulator {
             fanout.len(),
             "fanout slice must match the decoded trace"
         );
-        scratch.stamps.reset_flat(decoded.len());
-        let mut flat = Flat { decoded, fanout };
-        self.run_source(&mut flat, &mut scratch.stamps, &mut scratch.queues)
+        // The in-flight span: the ROB, the fetch buffer and one fetch
+        // group, plus headroom for the ROB-invisible CDPs between them.
+        let fetch_ahead = self.cpu.fetch_width as usize * 2;
+        let cap =
+            (self.cpu.rob_entries + self.cpu.fetch_buffer + fetch_ahead + 64).next_power_of_two();
+        let st = &mut scratch.stamps;
+        if st.capacity() < cap {
+            st.regrow(st.capacity().wrapping_sub(1), cap, 0, 0);
+        }
+        let mut flat = Flat {
+            decoded,
+            fanout,
+            mask: st.capacity() - 1,
+            evict_floor: 0,
+            fetch_ahead,
+        };
+        self.run_source(&mut flat, st, &mut scratch.queues)
     }
 
     /// The cycle loop, over any column source whose slot layout `st` was
@@ -1076,7 +1098,8 @@ impl<'r> Pipeline<'r> {
                 break;
             };
             let hi = head as usize;
-            let done = st.done_at[src.done_slot(hi)];
+            let t = src.stamp(hi);
+            let done = st.done_at[t];
             if done > now {
                 break;
             }
@@ -1090,20 +1113,20 @@ impl<'r> Pipeline<'r> {
             // back-pressure, not fetch-stage time — gem5 charges it to
             // rename-blocked-on-ROB, the paper to "ROB queue
             // residencies" — so it lands in the commit bucket.
-            let buffer_total = st.decoded_at[s]
-                .saturating_sub(st.fetched_at[s])
+            let buffer_total = st.decoded_at[t]
+                .saturating_sub(st.fetched_at[t])
                 .saturating_sub(1);
             let buffer_blocked =
-                (st.blocked_at_decode[s] - st.blocked_at_fetch[s]).min(buffer_total);
+                (st.blocked_at_decode[t] - st.blocked_at_fetch[t]).min(buffer_total);
             let buffer = buffer_total - buffer_blocked;
-            let issue_wait = st.issued_at[s].saturating_sub(st.decoded_at[s]);
-            let execute = done.saturating_sub(st.issued_at[s]);
+            let issue_wait = st.issued_at[t].saturating_sub(st.decoded_at[t]);
+            let execute = done.saturating_sub(st.issued_at[t]);
             // Head-blocking time plus backend-blocked buffer time: the
             // ROB bucket charges culprits and back-pressure, not every
             // instruction queued behind them.
             let commit_wait = now.saturating_sub(done.max(self.head_since)) + buffer_blocked;
             self.head_since = now;
-            let supply = u64::from(st.supply_stall[s]);
+            let supply = u64::from(st.supply_stall[t]);
             self.stage_all
                 .add(supply, buffer, 1, issue_wait, execute, commit_wait);
             let fanout = c.fanout[s];
@@ -1186,37 +1209,17 @@ impl<'r> Pipeline<'r> {
             wake_ring.set_ready(i as usize);
             *ready_len += 1;
         }
-        // The selection lists the pool in ascending (program) order,
-        // matching the per-cycle rebuild of the scalar path; prioritization
-        // then stable-sorts it critical-first.
-        ready.clear();
-        let mut base = lo & !63;
-        while base < hi && ready.len() < *ready_len {
-            let mut word = wake_ring.ready_word(base);
-            if base < lo {
-                word &= u64::MAX << (lo - base);
-            }
-            if hi - base < 64 {
-                word &= (1 << (hi - base)) - 1;
-            }
-            while word != 0 {
-                ready.push((base + word.trailing_zeros() as usize) as u32);
-                word &= word - 1;
-            }
-            base += 64;
-        }
-        debug_assert_eq!(ready.len(), *ready_len, "the pool lies in [lo, hi)");
-        if cfg.prioritize_critical {
-            // Critical-first, stable within each class (program order).
-            let crit_table = &self.crit_table;
-            ready.sort_by_key(|&i| !crit_table.is_critical(c.pc[src.slot(i as usize)]));
-        }
+        let width = cfg.width;
         let mut issued_count = 0u32;
         let mut used = [0u32; 8];
-        for &i in ready.iter() {
-            if issued_count >= cfg.width {
-                break;
-            }
+        let fu_cap = &self.fu_cap;
+        let mem = &mut self.mem;
+        let fetch_blocked_on = &mut self.fetch_blocked_on;
+        let fetch_resume_at = &mut self.fetch_resume_at;
+        let resume_reason = &mut self.resume_reason;
+        // Issues ready entry `i` if a functional unit is free for it;
+        // returns whether it issued.
+        let mut try_issue = |i: u32, wake_ring: &mut WakeRing| -> bool {
             let hi = i as usize;
             let s = src.slot(hi);
             let kind = c.kind[s];
@@ -1226,31 +1229,32 @@ impl<'r> Pipeline<'r> {
                 K_FLOAT_DIV => !float_div_free.iter().any(|&f| f <= now),
                 _ => false,
             };
-            if div_busy || used[kind as usize] >= self.fu_cap[kind as usize] {
-                continue;
+            if div_busy || used[kind as usize] >= fu_cap[kind as usize] {
+                return false;
             }
             used[kind as usize] += 1;
             // Latency.
             let latency = if kind == K_MEM {
                 let addr = c.mem_addr[s];
                 if c.flags[s] & F_LOAD != 0 {
-                    let lat = self.mem.data_access(addr, now);
-                    self.mem.observe_load(c.pc[s], addr, now);
+                    let lat = mem.data_access(addr, now);
+                    mem.observe_load(c.pc[s], addr, now);
                     lat
                 } else {
                     // Stores retire through the store buffer at L1 speed;
                     // the access is still performed for traffic/energy
                     // accounting.
-                    let _ = self.mem.data_access(addr, now);
+                    let _ = mem.data_access(addr, now);
                     u64::from(c.lat[s])
                 }
             } else {
                 u64::from(c.lat[s])
             };
-            st.issued_at[s] = now;
+            let t = src.stamp(hi);
+            st.issued_at[t] = now;
             wake_ring.clear_ready(hi);
             let done = now + latency;
-            st.done_at[src.done_slot(hi)] = done;
+            st.done_at[t] = done;
             // Walk this producer's wake list: a consumer none of whose
             // dependences is still unissued resolves next cycle.
             let me = i + 1;
@@ -1285,12 +1289,69 @@ impl<'r> Pipeline<'r> {
                 }
             }
             // Resolve a blocking mispredicted branch.
-            if self.fetch_blocked_on == Some(i) {
-                self.fetch_blocked_on = None;
-                self.fetch_resume_at = done + u64::from(cfg.redirect_penalty);
-                self.resume_reason = SupplyStall::Branch;
+            if *fetch_blocked_on == Some(i) {
+                *fetch_blocked_on = None;
+                *fetch_resume_at = done + u64::from(cfg.redirect_penalty);
+                *resume_reason = SupplyStall::Branch;
             }
-            issued_count += 1;
+            true
+        };
+        // Selection visits the pool in ascending (program) order, matching
+        // the per-cycle rebuild of the scalar path, and stops after `width`
+        // issues.
+        if cfg.prioritize_critical {
+            // Critical-first, stable within each class (program order):
+            // list the pool, then stable-sort it.
+            ready.clear();
+            let mut base = lo & !63;
+            while base < hi && ready.len() < *ready_len {
+                let mut word = wake_ring.ready_word(base);
+                if base < lo {
+                    word &= u64::MAX << (lo - base);
+                }
+                if hi - base < 64 {
+                    word &= (1 << (hi - base)) - 1;
+                }
+                while word != 0 {
+                    ready.push((base + word.trailing_zeros() as usize) as u32);
+                    word &= word - 1;
+                }
+                base += 64;
+            }
+            debug_assert_eq!(ready.len(), *ready_len, "the pool lies in [lo, hi)");
+            let crit_table = &self.crit_table;
+            ready.sort_by_key(|&i| !crit_table.is_critical(c.pc[src.slot(i as usize)]));
+            for &i in ready.iter() {
+                if issued_count >= width {
+                    break;
+                }
+                issued_count += u32::from(try_issue(i, wake_ring));
+            }
+        } else {
+            // In program order the ready bits are the selection list: walk
+            // them in place. Each word is read before any of its entries
+            // issues, and issuing only clears the issued entry's own bit.
+            let mut seen = 0;
+            let mut base = lo & !63;
+            'walk: while base < hi && seen < *ready_len {
+                let mut word = wake_ring.ready_word(base);
+                if base < lo {
+                    word &= u64::MAX << (lo - base);
+                }
+                if hi - base < 64 {
+                    word &= (1 << (hi - base)) - 1;
+                }
+                while word != 0 {
+                    if issued_count >= width {
+                        break 'walk;
+                    }
+                    let i = (base + word.trailing_zeros() as usize) as u32;
+                    word &= word - 1;
+                    seen += 1;
+                    issued_count += u32::from(try_issue(i, wake_ring));
+                }
+                base += 64;
+            }
         }
         if issued_count == 0 {
             return false;
@@ -1316,7 +1377,7 @@ impl<'r> Pipeline<'r> {
         while dispatched < cfg.width && self.fq_head < self.fetch_idx {
             let hi = self.fq_head;
             let s = src.slot(hi);
-            if now < st.fetched_at[s] + 1 {
+            if now < st.fetched_at[src.stamp(hi)] + 1 {
                 break; // still in the decode pipe
             }
             if c.flags[s] & F_CDP != 0 {
@@ -1328,9 +1389,10 @@ impl<'r> Pipeline<'r> {
                 // conservative +1 decode cycle is a latency (pipeline-fill)
                 // effect with no steady-state bandwidth cost.
                 self.fq_head += 1;
-                st.decoded_at[s] = now;
-                st.blocked_at_decode[s] = self.blocked_cum;
-                st.done_at[src.done_slot(hi)] = now;
+                let t = src.stamp(hi);
+                st.decoded_at[t] = now;
+                st.blocked_at_decode[t] = self.blocked_cum;
+                st.done_at[t] = now;
                 self.q.seat(hi);
                 self.cdp_switches += 1;
                 // The paper conservatively charges one extra decode cycle;
@@ -1345,12 +1407,13 @@ impl<'r> Pipeline<'r> {
                 break;
             }
             self.fq_head += 1;
-            st.decoded_at[s] = now;
-            st.blocked_at_decode[s] = self.blocked_cum;
+            let t = src.stamp(hi);
+            st.decoded_at[t] = now;
+            st.blocked_at_decode[t] = self.blocked_cum;
             // Seed the lazily-initialized issue/completion slots (the
             // tables are not bulk-filled; see `Stamps`).
-            st.issued_at[s] = UNSET;
-            st.done_at[src.done_slot(hi)] = UNSET;
+            st.issued_at[t] = UNSET;
+            st.done_at[t] = UNSET;
             self.q.seat(hi);
             // Link the entry onto the wake list of each distinct producer
             // that has not issued; with none, it resolves next cycle.
@@ -1458,12 +1521,13 @@ impl<'r> Pipeline<'r> {
                 break; // per-cycle fetch bandwidth exhausted
             }
             bytes -= u64::from(insn_bytes);
-            st.fetched_at[s] = now;
-            st.blocked_at_fetch[s] = self.blocked_cum;
+            let t = src.stamp(idx);
+            st.fetched_at[t] = now;
+            st.blocked_at_fetch[t] = self.blocked_cum;
             // Every instruction delivered in this cycle waited out the same
             // supply stall (they sat in the missed line / post-redirect
             // shadow together); the counter clears at end of cycle.
-            st.supply_stall[s] = self.pending_supply;
+            st.supply_stall[t] = self.pending_supply;
             if insn_bytes == 2 {
                 self.thumb_fetched += 1;
             }
@@ -1535,7 +1599,7 @@ impl<'r> Pipeline<'r> {
             CycleClass::Commit
         } else if let Some(head) = self.q.rob.front() {
             let s = src.slot(head as usize);
-            if self.st.issued_at[s] != UNSET {
+            if self.st.issued_at[src.stamp(head as usize)] != UNSET {
                 if c.flags[s] & F_MEM != 0 {
                     CycleClass::Mem
                 } else {
@@ -1571,7 +1635,7 @@ impl<'r> Pipeline<'r> {
         let now = self.now;
         let mut next = UNSET;
         if let Some(head) = self.q.rob.front() {
-            let done = self.st.done_at[src.done_slot(head as usize)];
+            let done = self.st.done_at[src.stamp(head as usize)];
             if done != UNSET {
                 next = next.min(done);
             }
@@ -1592,7 +1656,7 @@ impl<'r> Pipeline<'r> {
             && now >= self.dispatch_block_until
         {
             // Dispatch is waiting only on the decode pipe.
-            next = next.min(self.st.fetched_at[src.slot(self.fq_head)] + 1);
+            next = next.min(self.st.fetched_at[src.stamp(self.fq_head)] + 1);
         }
         if next != UNSET && next > now + 1 {
             let skipped = next - now - 1;

@@ -42,6 +42,8 @@
 //!   the entry is scheduled, schedules it exactly as a rescan in that
 //!   cycle would (a debug assertion in the issue stage checks this on
 //!   every resolution). The wakeup schedule is therefore cycle-exact.
+//!   The materialized source keeps its timestamps in the same kind of
+//!   ring and answers below its floor the same way (`Flat::done_of`).
 //! * **Eviction floor**: advanced only by `Ring::feed`, to the ROB head
 //!   (or the dispatch frontier when the ROB is empty, i.e. everything
 //!   older has committed). Slots are only overwritten during a feed, and
@@ -54,8 +56,12 @@
 //! live span under the new mask) in the rare case a CDP-dense region
 //! stretches the span past the initial capacity.
 
+use std::sync::Arc;
+
 use critic_obs::CycleLedger;
-use critic_workloads::TraceStream;
+use critic_workloads::{
+    ExecutionPath, Program, StreamBuffers, StreamConfig, StreamPrep, TraceStream,
+};
 
 use crate::sim::{regrow, Cols, DecodedTrace, Queues, Simulator, Source, Stamps};
 use crate::stats::SimResult;
@@ -87,17 +93,40 @@ pub struct StreamScratch {
     /// length is the ring capacity.
     cols: DecodedTrace,
     fanout: Vec<u32>,
-    /// Timestamp tables, ring-indexed. `done_at` is *unshifted* here (slot
-    /// `i & mask` holds insn `i`); the sentinel and eviction substitution
-    /// live in `Ring::done_of`.
+    /// Timestamp tables, ring-indexed like the columns; the eviction
+    /// substitution lives in `Ring::done_of`.
     stamps: Stamps,
     queues: Queues,
+    /// The buffers of the stream the next run reads, recycled through
+    /// [`StreamScratch::open`] and [`StreamScratch::recycle`].
+    buffers: StreamBuffers,
 }
 
 impl StreamScratch {
     /// Empty scratch; rings grow on first use and are then recycled.
     pub fn new() -> StreamScratch {
         StreamScratch::default()
+    }
+
+    /// Opens a stream over `(program, path)` on this scratch's recycled
+    /// stream buffers, with `prep` built for the pair
+    /// ([`TraceStream::recycled`]). Hand the stream back with
+    /// [`StreamScratch::recycle`] once the run is read out, so the next
+    /// stream reuses its buffers.
+    pub fn open<'a>(
+        &mut self,
+        program: &'a Program,
+        path: &'a ExecutionPath,
+        cfg: StreamConfig,
+        prep: Arc<StreamPrep>,
+    ) -> TraceStream<'a> {
+        let buffers = std::mem::take(&mut self.buffers);
+        TraceStream::recycled(program, path, cfg, prep, buffers)
+    }
+
+    /// Keeps a finished stream's buffers for the next [`StreamScratch::open`].
+    pub fn recycle(&mut self, stream: TraceStream<'_>) {
+        self.buffers = stream.into_buffers();
     }
 }
 
@@ -200,6 +229,12 @@ impl Source for Ring<'_, '_> {
         i & self.mask
     }
 
+    /// The timestamp ring shares the columns' slots.
+    #[inline]
+    fn stamp(&self, i: usize) -> usize {
+        i & self.mask
+    }
+
     /// Completion-time lookup through the ring for a *shifted* dependence
     /// index (`0` = always-done sentinel, insn `i` = `i + 1`), with the
     /// eviction substitution documented in the module header.
@@ -248,6 +283,7 @@ impl Simulator {
             fanout,
             stamps,
             queues,
+            ..
         } = scratch;
         // Initial ring capacity: the steady-state live span (one stream
         // window ahead of fetch, the fetch buffer, the ROB) plus headroom
@@ -282,9 +318,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use critic_mem::MemConfig;
-    use critic_workloads::{
-        ExecutionPath, GenParams, Program, ProgramGenerator, StreamConfig, Trace, TraceStream,
-    };
+    use critic_workloads::{GenParams, ProgramGenerator, Trace};
 
     use super::*;
     use crate::config::CpuConfig;

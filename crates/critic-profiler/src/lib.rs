@@ -58,4 +58,4 @@ pub use dfg::Dfg;
 pub use error::ProfileError;
 pub use gaps::GapHistogram;
 pub use io::{load_profile, save_profile};
-pub use profile::{ChainSpec, Profile, Profiler, ProfilerConfig};
+pub use profile::{ChainSpec, Profile, ProfileFold, Profiler, ProfilerConfig};

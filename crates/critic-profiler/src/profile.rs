@@ -79,6 +79,12 @@ impl ProfilerConfig {
             ..ProfilerConfig::default()
         }
     }
+
+    /// Instructions profiled out of a `trace_len`-instruction execution:
+    /// the length of the [`ProfileFold`] this configuration scores.
+    pub fn fold_len(&self, trace_len: usize) -> usize {
+        ((trace_len as f64) * self.profile_fraction.clamp(0.0, 1.0)) as usize
+    }
 }
 
 /// One selected CritIC: a static chain the compiler will hoist and convert.
@@ -192,137 +198,56 @@ impl Profiler {
         program.validate()?;
         trace.validate(program)?;
         let cone = trace.compute_cone_fanout(128);
-        Ok(self.build_validated(program, trace, &cone))
-    }
-
-    /// Like [`Profiler::try_build_profile`] but consumes a precomputed
-    /// ROB-cone fanout vector (`trace.compute_cone_fanout(128)`, which is
-    /// configuration-independent, so one cone serves every configuration)
-    /// and skips the program/trace re-validation. The caller guarantees
-    /// that `trace` was expanded from `program` and that both already
-    /// passed validation — the contract of a campaign store's shared world,
-    /// whose parts are validated once at construction and shared
-    /// read-only. A mismatched pair panics mid-analysis instead of
-    /// returning an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cone.len() != trace.len()`, or (possibly) if the trace
-    /// was not expanded from the program.
-    pub fn build_profile_prevalidated(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        cone: &[u32],
-    ) -> Profile {
-        assert_eq!(
-            cone.len(),
-            trace.len(),
-            "cone fanout does not match the trace"
-        );
-        self.build_validated(program, trace, cone)
+        let len = self.config.fold_len(trace.len());
+        Ok(self.score(program, &ProfileFold::of_trace(program, trace, &cone, len)))
     }
 
     /// Streaming variant of [`Profiler::try_build_profile`]: folds the
     /// chain/CritIC statistics over a [`TraceStream`]'s windows without
     /// ever holding the trace, and produces a bit-identical [`Profile`]
     /// (the fold accumulates the same integer sums in the same order, and
-    /// the scoring tail is shared code).
-    ///
-    /// The stream must be fresh (nothing emitted yet) and cone-enabled
-    /// with the profiler's ROB horizon
-    /// (`StreamConfig::cone_window == Some(128)`); only the profiled
-    /// prefix is consumed.
+    /// the scoring is shared code).
     ///
     /// # Panics
     ///
-    /// Panics if the stream has already emitted entries or was opened
-    /// without a cone window.
+    /// As [`ProfileFold::of_stream`].
     pub fn try_build_profile_streamed(
         &self,
         program: &Program,
         stream: &mut TraceStream<'_>,
     ) -> Result<Profile, ProfileError> {
         program.validate()?;
-        Ok(self.build_profile_streamed_prevalidated(program, stream))
+        let len = self.config.fold_len(stream.total_len());
+        Ok(self.score(program, &ProfileFold::of_stream(program, stream, len)))
     }
 
-    /// Like [`Profiler::try_build_profile_streamed`] but skips the program
-    /// re-validation: the streamed twin of
-    /// [`Profiler::build_profile_prevalidated`], for a program a campaign
-    /// store already checked when it recorded it.
+    /// The selection/ranking half of the analysis: scores each executed
+    /// block's static chains against the fold's per-instruction averages and
+    /// assembles the ranked profile. Every front-end — materialized,
+    /// streamed, or a fold memoized for several configurations — ends
+    /// here.
     ///
-    /// # Panics
-    ///
-    /// As [`Profiler::try_build_profile_streamed`], and (possibly) if the
-    /// program is malformed.
-    pub fn build_profile_streamed_prevalidated(
-        &self,
-        program: &Program,
-        stream: &mut TraceStream<'_>,
-    ) -> Profile {
+    /// The caller guarantees that `fold` was taken over an execution of
+    /// `program` ([`ProfileFold::of_trace`] / [`ProfileFold::of_stream`])
+    /// at this configuration's [`ProfilerConfig::fold_len`]; a fold of
+    /// another program may panic mid-analysis.
+    pub fn score(&self, program: &Program, fold: &ProfileFold) -> Profile {
         let cfg = &self.config;
-        let window = ((stream.total_len() as f64) * cfg.profile_fraction.clamp(0.0, 1.0)) as usize;
-        assert_eq!(stream.emitted(), 0, "profiling requires a fresh stream");
-        let mut agg = ProfileAggregate::default();
-        let mut seen = 0usize;
-        'fold: while seen < window {
-            let Some(w) = stream.next_window() else {
-                break;
-            };
-            assert_eq!(
-                w.cone.len(),
-                w.entries.len(),
-                "profiling requires a cone-enabled stream"
-            );
-            for (entry, &cone) in w.entries.iter().zip(w.cone) {
-                if seen >= window {
-                    break 'fold;
-                }
-                agg.observe(entry, cone);
-                seen += 1;
-            }
-        }
-        self.score(program, &agg, window)
-    }
-
-    /// The analysis proper; every trace-side reference is known to resolve.
-    fn build_validated(&self, program: &Program, trace: &Trace, fanout: &[u32]) -> Profile {
-        let cfg = &self.config;
-        let window = ((trace.len() as f64) * cfg.profile_fraction.clamp(0.0, 1.0)) as usize;
-        let mut agg = ProfileAggregate::default();
-        for (i, entry) in trace.iter().enumerate().take(window) {
-            agg.observe(entry, fanout[i]);
-        }
-        self.score(program, &agg, window)
-    }
-
-    /// The selection/ranking tail, shared by the materialized and streaming
-    /// front-ends: scores each executed block's static chains against the
-    /// folded per-uid averages and assembles the ranked profile.
-    fn score(&self, program: &Program, agg: &ProfileAggregate, window: usize) -> Profile {
-        let cfg = &self.config;
-        let uid_fanout = &agg.uid_fanout;
-        let block_visits = &agg.block_visits;
-        let avg_of = |uid: InsnUid| -> f64 {
-            uid_fanout
-                .get(uid.0 as usize)
-                .map_or(0.0, |&(sum, count)| sum as f64 / count.max(1) as f64)
-        };
+        let window = fold.len;
 
         let mut unique_chains = 0u64;
         let mut critical_chains = 0u64;
         let mut convertible_count = 0u64;
         let mut specs: Vec<ChainSpec> = Vec::new();
-        // Index order over the dense table is ascending-BlockId order, the
-        // same deterministic iteration the sorted map produced.
-        for (bslot, &visits) in block_visits.iter().enumerate() {
-            if visits == 0 {
-                continue;
-            }
-            let block_id = BlockId(bslot as u32);
+        // The entered blocks in ascending-BlockId order, the same
+        // deterministic iteration the sorted map produced; each block's
+        // averages follow the previous block's.
+        let mut next = 0;
+        for &(block_id, visits) in &fold.blocks {
             let block = program.block(block_id);
-            for chain in block_static_chains(block, &avg_of) {
+            let avgs = &fold.avgs[next..next + block.insns.len()];
+            next += block.insns.len();
+            for chain in block_static_chains(block, avgs) {
                 unique_chains += 1;
                 let mut positions: &[usize] = &chain;
                 if let Some(cap) = cfg.max_chain_len {
@@ -331,11 +256,8 @@ impl Profiler {
                 if positions.len() < 2 {
                     continue;
                 }
-                let avg_fanout = positions
-                    .iter()
-                    .map(|&p| avg_of(block.insns[p].uid))
-                    .sum::<f64>()
-                    / positions.len() as f64;
+                let avg_fanout =
+                    positions.iter().map(|&p| avgs[p]).sum::<f64>() / positions.len() as f64;
                 if avg_fanout < cfg.chain_avg_threshold {
                     continue;
                 }
@@ -352,7 +274,7 @@ impl Profiler {
                 specs.push(ChainSpec {
                     block: block_id,
                     uids: positions.iter().map(|&p| block.insns[p].uid).collect(),
-                    dynamic_count: visits,
+                    dynamic_count: u64::from(visits),
                     avg_fanout,
                     thumb_convertible,
                 });
@@ -385,20 +307,97 @@ impl Profiler {
     }
 }
 
-/// The profiler's trace-side fold state: per-uid cone-fanout sums and
-/// per-block execution counts over the profiled window. Uids and block ids
-/// are dense program-wide indices, so lazily-grown flat vectors replace
-/// hashing on this hot aggregation pass. Both vectors are O(static
-/// program), which is what lets the streaming front-end profile without
-/// holding the trace; the sums are unsigned integers, so accumulation
-/// order cannot perturb the result.
-#[derive(Debug, Default)]
-struct ProfileAggregate {
-    uid_fanout: Vec<(u64, u64)>,
-    block_visits: Vec<u64>,
+/// The trace-side half of the analysis: each entered block's execution
+/// count and its instructions' mean cone fanout over the first `len`
+/// instructions of an execution. It depends on the execution and the fold
+/// length only, not on the rest of the [`ProfilerConfig`], so every
+/// configuration with the same [`ProfilerConfig::fold_len`] scores one
+/// fold ([`Profiler::score`]).
+///
+/// Only the blocks the fold entered are kept, with one mean per
+/// instruction — the one value scoring reads, computed by the same
+/// division scoring used to do — so a memoized fold costs 8 bytes per
+/// *executed* static instruction. A mobile app's profiled prefix enters
+/// 5–30% of its code, so that is a fraction of a dense per-uid table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProfileFold {
+    len: usize,
+    /// Entered blocks, ascending by id, with their entry counts.
+    blocks: Vec<(BlockId, u32)>,
+    /// Mean cone fanout of each entered block's instructions by position,
+    /// block after block in `blocks` order.
+    avgs: Vec<f64>,
 }
 
-impl ProfileAggregate {
+impl ProfileFold {
+    /// Folds the first `len` instructions of `trace`, an execution of
+    /// `program`, with their cone fanout (`trace.compute_cone_fanout(128)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cone` is shorter than the fold.
+    pub fn of_trace(program: &Program, trace: &Trace, cone: &[u32], len: usize) -> ProfileFold {
+        let len = len.min(trace.len());
+        assert!(cone.len() >= len, "cone fanout does not cover the fold");
+        let mut acc = FoldAcc::default();
+        for (entry, &c) in trace.entries[..len].iter().zip(cone) {
+            acc.observe(entry, c);
+        }
+        acc.finish(program, len)
+    }
+
+    /// Folds the first `len` instructions of a fresh, cone-enabled stream
+    /// over `program` (`StreamConfig::cone_window == Some(128)`, the
+    /// profiler's ROB horizon); only that prefix is consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream has already emitted entries or was opened
+    /// without a cone window.
+    pub fn of_stream(program: &Program, stream: &mut TraceStream<'_>, len: usize) -> ProfileFold {
+        assert_eq!(stream.emitted(), 0, "profiling requires a fresh stream");
+        let len = len.min(stream.total_len());
+        let mut acc = FoldAcc::default();
+        let mut seen = 0usize;
+        while seen < len {
+            let Some(w) = stream.next_window() else {
+                break;
+            };
+            assert_eq!(
+                w.cone.len(),
+                w.entries.len(),
+                "profiling requires a cone-enabled stream"
+            );
+            let take = (len - seen).min(w.entries.len());
+            for (entry, &c) in w.entries[..take].iter().zip(w.cone) {
+                acc.observe(entry, c);
+            }
+            seen += take;
+        }
+        acc.finish(program, len)
+    }
+
+    /// Instructions folded.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing was folded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// A fold in progress: per-uid `(cone sum, count)` and per-block entry
+/// counts, lazily grown. Entry counts fit in `u32`: dependence indices are
+/// `u32`, so no trace is longer.
+#[derive(Debug, Default)]
+struct FoldAcc {
+    uid_fanout: Vec<(u64, u64)>,
+    block_visits: Vec<u32>,
+}
+
+impl FoldAcc {
     /// Folds one profiled dynamic instruction and its cone fanout.
     #[inline]
     fn observe(&mut self, entry: &DynInsn, cone: u32) {
@@ -417,15 +416,40 @@ impl ProfileAggregate {
             self.block_visits[bslot] += 1;
         }
     }
+
+    /// The compact fold of `len` instructions of `program`. Every block
+    /// execution starts at its first instruction, so every instruction
+    /// the fold saw lies in an entered block.
+    fn finish(self, program: &Program, len: usize) -> ProfileFold {
+        let avg_of = |uid: InsnUid| -> f64 {
+            self.uid_fanout
+                .get(uid.0 as usize)
+                .map_or(0.0, |&(sum, count)| sum as f64 / count.max(1) as f64)
+        };
+        let mut blocks = Vec::new();
+        let mut avgs = Vec::new();
+        for (bslot, &visits) in self.block_visits.iter().enumerate() {
+            if visits == 0 {
+                continue;
+            }
+            let block_id = BlockId(bslot as u32);
+            blocks.push((block_id, visits));
+            avgs.extend(program.block(block_id).insns.iter().map(|t| avg_of(t.uid)));
+        }
+        blocks.shrink_to_fit();
+        avgs.shrink_to_fit();
+        ProfileFold { len, blocks, avgs }
+    }
 }
 
-/// Extracts the disjoint, self-contained chains of one static basic block.
+/// Extracts the disjoint, self-contained chains of one static basic block,
+/// given each instruction's average fanout by position in `scores`.
 ///
 /// Local def-use edges come from a last-writer scan over the block;
 /// dependences on values defined before the block are external inputs.
 /// Greedy growth starts from the highest-fanout heads and prefers
 /// continuations that lead toward further critical members.
-pub fn block_static_chains(block: &BasicBlock, avg_of: &dyn Fn(InsnUid) -> f64) -> Vec<Vec<usize>> {
+pub fn block_static_chains(block: &BasicBlock, scores: &[f64]) -> Vec<Vec<usize>> {
     let n = block.insns.len();
     // Local producer of each instruction's sources.
     let mut last_writer: [Option<usize>; 16] = [None; 16];
@@ -445,7 +469,7 @@ pub fn block_static_chains(block: &BasicBlock, avg_of: &dyn Fn(InsnUid) -> f64) 
         }
     }
 
-    let score = |i: usize| -> f64 { avg_of(block.insns[i].uid) };
+    let score = |i: usize| -> f64 { scores[i] };
     let mut heads: Vec<usize> = (0..n).collect();
     heads.sort_by(|&a, &b| {
         score(b)
@@ -643,7 +667,7 @@ mod tests {
         }
         for &bid in visited.iter().take(50) {
             let block = program.block(bid);
-            let chains = block_static_chains(block, &|_| 1.0);
+            let chains = block_static_chains(block, &vec![1.0; block.insns.len()]);
             let mut seen = std::collections::HashSet::new();
             for chain in &chains {
                 assert!(chain.len() >= 2);

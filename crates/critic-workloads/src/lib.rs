@@ -60,7 +60,8 @@ pub use params::GenParams;
 pub use path::ExecutionPath;
 pub use program::{BasicBlock, Function, Layout, Program, TaggedInsn, Terminator};
 pub use stream::{
-    StreamConfig, StreamWindow, TraceStream, DEFAULT_LOOKAHEAD, DEFAULT_STREAM_WINDOW,
+    StreamBuffers, StreamConfig, StreamPrep, StreamWindow, TraceStream, DEFAULT_LOOKAHEAD,
+    DEFAULT_STREAM_WINDOW,
 };
 pub use suite::{AppSpec, Suite};
 pub use sysfault::{SysFault, SysFaultSpec, SysInjector, SysOp};

@@ -234,6 +234,13 @@ pub struct Layout {
 }
 
 impl Layout {
+    /// The start address of every block, by block id: all the layout a
+    /// sequential walk needs, since an instruction's address is its
+    /// block's plus the sizes of the instructions before it.
+    pub(crate) fn into_block_addrs(self) -> Vec<u64> {
+        self.block_addr
+    }
+
     /// Start address of a block.
     pub fn block_addr(&self, id: BlockId) -> u64 {
         self.block_addr[id.index()]

@@ -36,11 +36,11 @@
 //! Peak memory is O(`lookahead` + `window` + static program), reported
 //! exactly by [`TraceStream::resident_bytes`]; the trace is never resident.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::path::ExecutionPath;
 use crate::program::Program;
-use crate::trace::{sets_flags, DynInsn, ExpandCursor, NO_DEP};
+use crate::trace::{mem_uid_bound, sets_flags, AddrStream, DynInsn, ExpandCursor, NO_DEP};
 
 /// Default entries per emitted window (the `--stream-window` default).
 pub const DEFAULT_STREAM_WINDOW: usize = 4096;
@@ -81,6 +81,70 @@ impl StreamConfig {
             ..StreamConfig::default()
         }
     }
+
+    /// The look-ahead a stream opened with this configuration runs at:
+    /// [`StreamConfig::lookahead`], clamped to ≥ 1 and to the cone window
+    /// (cones are only final once that many successors are visible). A
+    /// [`StreamPrep`] serves the stream only if built at this depth.
+    pub fn effective_lookahead(&self) -> usize {
+        self.lookahead.max(1).max(self.cone_window.unwrap_or(0))
+    }
+}
+
+/// What a stream over one `(program, path)` pair computes before its first
+/// entry: the program's block start addresses (its code layout, as far as
+/// a sequential walk needs it), the size of its per-uid address tables
+/// (one past its largest memory-instruction uid), and the fanout prepass's
+/// exception list at one look-ahead depth. All three are pure functions of the pair (and the depth), not of
+/// the window or the cone, so one prep, built once, serves every stream
+/// over the pair through [`TraceStream::recycled`].
+#[derive(Debug)]
+pub struct StreamPrep {
+    block_addrs: Vec<u64>,
+    uids: usize,
+    lookahead: usize,
+    /// Producers whose fanout the ring cannot see completely (a consumer
+    /// lies beyond the look-ahead), with their exact final counts, in
+    /// emission order.
+    exceptions: Vec<(u32, u32)>,
+    total_len: usize,
+}
+
+impl StreamPrep {
+    /// The prep of `(program, path)` for streams at `lookahead`
+    /// ([`StreamConfig::effective_lookahead`]).
+    pub fn new(program: &Program, path: &ExecutionPath, lookahead: usize) -> StreamPrep {
+        let lookahead = lookahead.max(1);
+        StreamPrep {
+            block_addrs: program.layout().into_block_addrs(),
+            uids: mem_uid_bound(program),
+            lookahead,
+            exceptions: fanout_exceptions(program, path, lookahead),
+            total_len: path.dyn_insns(program),
+        }
+    }
+
+    /// Dynamic instructions of the pair: the length of every stream over it.
+    pub fn total_len(&self) -> usize {
+        self.total_len
+    }
+}
+
+/// The growable buffers of one [`TraceStream`]: its look-ahead rings,
+/// window copies, cone masks and per-uid address tables. A caller that
+/// opens many streams recycles one set through [`TraceStream::recycled`]
+/// and [`TraceStream::into_buffers`], so a warm stream allocates nothing.
+/// The contents carry no state between streams: every buffer is cleared or
+/// written before it is read.
+#[derive(Debug, Default)]
+pub struct StreamBuffers {
+    ring: Vec<DynInsn>,
+    fanout_ring: Vec<u32>,
+    cone_masks: Vec<u128>,
+    win_entries: Vec<DynInsn>,
+    win_fanout: Vec<u32>,
+    win_cone: Vec<u32>,
+    addrs: AddrStream,
 }
 
 /// One finalized window of the stream, borrowed from the stream's reused
@@ -102,6 +166,7 @@ pub struct StreamWindow<'a> {
 /// bit-identical to the materialized `Trace` path at bounded memory.
 pub struct TraceStream<'a> {
     cursor: ExpandCursor<'a>,
+    prep: Arc<StreamPrep>,
     window: usize,
     lookahead: usize,
     cone_window: Option<usize>,
@@ -119,10 +184,8 @@ pub struct TraceStream<'a> {
     emit_pos: u32,
     /// Set once the cursor is exhausted (== the final length).
     finished: Option<u32>,
-    /// Producers whose fanout the ring cannot see completely (a consumer
-    /// lies beyond the look-ahead), with their exact final counts, in
-    /// emission order.
-    exceptions: VecDeque<(u32, u32)>,
+    /// The next of `prep`'s exceptions to patch in.
+    next_exception: usize,
     total_len: usize,
     thumb: u64,
     name: String,
@@ -132,7 +195,8 @@ pub struct TraceStream<'a> {
 }
 
 impl<'a> TraceStream<'a> {
-    /// Opens a stream over `(program, path)`.
+    /// Opens a stream over `(program, path)`, computing its own
+    /// [`StreamPrep`] and buffers.
     ///
     /// # Panics
     ///
@@ -143,6 +207,27 @@ impl<'a> TraceStream<'a> {
         path: &'a ExecutionPath,
         cfg: StreamConfig,
     ) -> TraceStream<'a> {
+        let prep = StreamPrep::new(program, path, cfg.effective_lookahead());
+        TraceStream::recycled(program, path, cfg, Arc::new(prep), StreamBuffers::default())
+    }
+
+    /// Opens a stream over `(program, path)` with a prep built for the pair
+    /// and recycled buffers: the same stream [`TraceStream::new`] opens,
+    /// without its set-up.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceStream::new`], and if `prep` was built at another
+    /// look-ahead than the configuration's, or for a pair of another
+    /// length. (A prep of another pair of the same length is not caught:
+    /// the caller keeps each prep with its pair.)
+    pub fn recycled(
+        program: &'a Program,
+        path: &'a ExecutionPath,
+        cfg: StreamConfig,
+        prep: Arc<StreamPrep>,
+        buffers: StreamBuffers,
+    ) -> TraceStream<'a> {
         if let Some(w) = cfg.cone_window {
             assert!(
                 (1..=128).contains(&w),
@@ -150,9 +235,17 @@ impl<'a> TraceStream<'a> {
             );
         }
         let window = cfg.window.max(1);
-        // Cones are only final once `cone_window` successors are visible.
-        let lookahead = cfg.lookahead.max(1).max(cfg.cone_window.unwrap_or(0));
-        let total_len = path.dyn_insns(program);
+        let lookahead = cfg.effective_lookahead();
+        assert_eq!(
+            prep.lookahead, lookahead,
+            "stream prep built for another look-ahead"
+        );
+        let total_len = prep.total_len;
+        assert_eq!(
+            total_len,
+            path.dyn_insns(program),
+            "stream prep built for another program or path"
+        );
         // The ring spans [emit_pos, filled]: a full window awaiting bulk
         // emission, its `lookahead` of finalizing successors, and the one
         // being filled. A window larger than the trace holds the trace.
@@ -162,28 +255,58 @@ impl<'a> TraceStream<'a> {
             Some(w) => (1u128 << w) - 1,
             None => 0,
         };
-        let exceptions = fanout_exceptions(program, path, lookahead);
+        let StreamBuffers {
+            mut ring,
+            mut fanout_ring,
+            cone_masks,
+            mut win_entries,
+            mut win_fanout,
+            mut win_cone,
+            addrs,
+        } = buffers;
+        ring.clear();
+        ring.reserve(cap);
+        // Every slot is zeroed as it is filled (`fill_one`).
+        fanout_ring.resize(cap, 0);
+        win_entries.clear();
+        win_fanout.clear();
+        win_cone.clear();
+        let cursor = ExpandCursor::new(program, path, &prep.block_addrs, addrs.reset(prep.uids));
         TraceStream {
-            cursor: ExpandCursor::new(program, path),
+            cursor,
             window,
             lookahead,
             cone_window: cfg.cone_window,
             cone_keep,
             mask: cap - 1,
             cap,
-            ring: Vec::with_capacity(cap),
-            fanout_ring: vec![0; cap],
-            cone_masks: Vec::new(),
+            ring,
+            fanout_ring,
+            cone_masks,
             filled: 0,
             emit_pos: 0,
             finished: None,
-            exceptions,
+            next_exception: 0,
             total_len,
             thumb: 0,
             name: program.name.clone(),
-            win_entries: Vec::new(),
-            win_fanout: Vec::new(),
-            win_cone: Vec::new(),
+            win_entries,
+            win_fanout,
+            win_cone,
+            prep,
+        }
+    }
+
+    /// Ends the stream, handing back its buffers for the next one.
+    pub fn into_buffers(self) -> StreamBuffers {
+        StreamBuffers {
+            ring: self.ring,
+            fanout_ring: self.fanout_ring,
+            cone_masks: self.cone_masks,
+            win_entries: self.win_entries,
+            win_fanout: self.win_fanout,
+            win_cone: self.win_cone,
+            addrs: self.cursor.into_addrs(),
         }
     }
 
@@ -233,7 +356,7 @@ impl<'a> TraceStream<'a> {
         self.ring.capacity() * size_of::<DynInsn>()
             + self.fanout_ring.capacity() * size_of::<u32>()
             + self.cone_masks.capacity() * size_of::<u128>()
-            + self.exceptions.capacity() * size_of::<(u32, u32)>()
+            + self.prep.exceptions.capacity() * size_of::<(u32, u32)>()
             + self.cursor.resident_bytes()
             + self.win_entries.capacity() * size_of::<DynInsn>()
             + self.win_fanout.capacity() * size_of::<u32>()
@@ -243,7 +366,7 @@ impl<'a> TraceStream<'a> {
     /// Expands one more entry into the ring, wiring its dependence edges
     /// into the pending fanout accumulators.
     fn fill_one(&mut self) {
-        let Some(entry) = self.cursor.next() else {
+        let Some(entry) = self.cursor.next(&self.prep.block_addrs) else {
             self.finished = Some(self.filled);
             return;
         };
@@ -346,12 +469,12 @@ impl<'a> TraceStream<'a> {
         if let Some(w) = self.cone_window {
             self.window_cones(w, base, emit_end);
         }
-        while let Some(&(idx, count)) = self.exceptions.front() {
+        while let Some(&(idx, count)) = self.prep.exceptions.get(self.next_exception) {
             if (idx as usize) >= emit_end {
                 break;
             }
             self.win_fanout[idx as usize - base] = count;
-            self.exceptions.pop_front();
+            self.next_exception += 1;
         }
         self.thumb += self
             .win_entries
@@ -397,11 +520,7 @@ impl std::fmt::Debug for TraceStream<'_> {
 /// predication's flags producer is appended after the register edges (so it
 /// never displaces one), and flag-setting compares are excluded from fanout
 /// and own no register slot, exactly as in `compute_fanout`.
-fn fanout_exceptions(
-    program: &Program,
-    path: &ExecutionPath,
-    lookahead: usize,
-) -> VecDeque<(u32, u32)> {
+fn fanout_exceptions(program: &Program, path: &ExecutionPath, lookahead: usize) -> Vec<(u32, u32)> {
     // Per register: (producer index, edges counted, consumer beyond the
     // look-ahead seen). `slots[r].0 == last_writer[r]` throughout.
     let mut slots: [(u32, u32, bool); 16] = [(NO_DEP, 0, false); 16];
@@ -443,7 +562,7 @@ fn fanout_exceptions(
     // Slots finalize in overwrite order, not producer order; emission
     // consumes the queue front-to-back by producer index.
     out.sort_unstable();
-    out.into()
+    out
 }
 
 #[cfg(test)]
@@ -704,7 +823,7 @@ mod tests {
         };
         let stream = TraceStream::new(&program, &path, cfg);
         assert!(
-            !stream.exceptions.is_empty(),
+            !stream.prep.exceptions.is_empty(),
             "the far readers must be prepass exceptions"
         );
         drop(stream);

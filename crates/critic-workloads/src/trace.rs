@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::ids::{BlockId, InsnRef, InsnUid};
 use crate::params::MemProfile;
 use crate::path::ExecutionPath;
-use crate::program::{Layout, Program, TaggedInsn};
+use crate::program::{Program, TaggedInsn};
 
 /// Sentinel dependence slot value: no producer.
 pub const NO_DEP: u32 = u32::MAX;
@@ -115,8 +115,10 @@ impl Trace {
         // The materialized expansion and the streaming expansion
         // ([`crate::stream::TraceStream`]) share one cursor, so they are
         // identical entry-for-entry by construction.
-        let mut cursor = ExpandCursor::new(program, path);
-        while let Some(entry) = cursor.next() {
+        let block_addrs = program.layout().into_block_addrs();
+        let addrs = AddrStream::for_program(program);
+        let mut cursor = ExpandCursor::new(program, path, &block_addrs, addrs);
+        while let Some(entry) = cursor.next(&block_addrs) {
             entries.push(entry);
         }
     }
@@ -285,36 +287,54 @@ pub(crate) fn resolve_deps(insn: &Insn, last_writer: &[u32; 16], flags_writer: u
 /// The cursor owns all expansion state — last-writer tables, the uid-keyed
 /// address stream, and the block/instruction position — so one `next` call
 /// yields exactly the entry the materialized loop would have pushed next.
+/// The program's block start addresses are the caller's
+/// ([`Layout`](crate::Layout)'s, by block id), passed to every call, so a stream can
+/// share them with every other stream over the program; an instruction's
+/// PC is its block's address plus the sizes of the instructions before it,
+/// exactly as [`Program::layout`] places it.
 pub(crate) struct ExpandCursor<'a> {
     program: &'a Program,
     path: &'a ExecutionPath,
-    layout: Layout,
     // Last dynamic writer of each architected register, plus the flags.
     last_writer: [u32; 16],
     flags_writer: u32,
     addrs: AddrStream,
     step: usize,
     index: usize,
+    /// The PC of the instruction at (`step`, `index`).
+    pc: u64,
     next_block_pc: Option<u64>,
     emitted: u32,
 }
 
 impl<'a> ExpandCursor<'a> {
-    pub(crate) fn new(program: &'a Program, path: &'a ExecutionPath) -> ExpandCursor<'a> {
-        let layout = program.layout();
-        let next_block_pc = path.blocks.get(1).map(|&next| layout.block_addr(next));
+    /// A cursor at the start of `path`; `block_addrs` must be `program`'s
+    /// block start addresses, and `addrs` sized for it
+    /// ([`AddrStream::for_program`]).
+    pub(crate) fn new(
+        program: &'a Program,
+        path: &'a ExecutionPath,
+        block_addrs: &[u64],
+        addrs: AddrStream,
+    ) -> ExpandCursor<'a> {
+        let addr_of = |step: usize| path.blocks.get(step).map(|b| block_addrs[b.index()]);
         ExpandCursor {
             program,
             path,
-            layout,
             last_writer: [NO_DEP; 16],
             flags_writer: NO_DEP,
-            addrs: AddrStream::default(),
+            addrs,
             step: 0,
             index: 0,
-            next_block_pc,
+            pc: addr_of(0).unwrap_or(0),
+            next_block_pc: addr_of(1),
             emitted: 0,
         }
+    }
+
+    /// Hands back the address tables for the next cursor over a program.
+    pub(crate) fn into_addrs(self) -> AddrStream {
+        self.addrs
     }
 
     /// Bytes resident in the cursor's own state (the visit counters are
@@ -324,21 +344,23 @@ impl<'a> ExpandCursor<'a> {
     }
 
     /// Yields the next dynamic instruction, or `None` once the path is
-    /// exhausted.
-    #[allow(clippy::should_implement_trait)]
+    /// exhausted. `block_addrs` are the ones the cursor was opened with.
     #[inline]
-    pub(crate) fn next(&mut self) -> Option<DynInsn> {
+    pub(crate) fn next(&mut self, block_addrs: &[u64]) -> Option<DynInsn> {
         loop {
             let &bid = self.path.blocks.get(self.step)?;
             let block = self.program.block(bid);
             if self.index >= block.insns.len() {
                 self.step += 1;
                 self.index = 0;
+                // The block now at `step` starts where the previous one
+                // said its successor does.
+                self.pc = self.next_block_pc.unwrap_or(0);
                 self.next_block_pc = self
                     .path
                     .blocks
                     .get(self.step + 1)
-                    .map(|&next| self.layout.block_addr(next));
+                    .map(|next| block_addrs[next.index()]);
                 continue;
             }
             let last_index = block.insns.len() - 1;
@@ -347,7 +369,7 @@ impl<'a> ExpandCursor<'a> {
             let insn = &tagged.insn;
             let op = insn.op();
             let idx = self.emitted;
-            let pc = self.layout.insn_addr(InsnRef::new(bid, index as u32));
+            let pc = self.pc;
 
             let deps = resolve_deps(insn, &self.last_writer, self.flags_writer);
 
@@ -401,6 +423,7 @@ impl<'a> ExpandCursor<'a> {
             }
             self.emitted += 1;
             self.index += 1;
+            self.pc = pc + insn.fetch_bytes();
             return Some(entry);
         }
     }
@@ -411,11 +434,11 @@ impl<'a> ExpandCursor<'a> {
 /// [`ExpandCursor`] and [`ArchWalk`] both draw their addresses from it, so
 /// the traced and the architectural walks of one (program, path) pair
 /// touch identical addresses by construction.
-#[derive(Default)]
-struct AddrStream {
+#[derive(Debug, Default)]
+pub(crate) struct AddrStream {
     // Per-uid visit counters of memory instructions. Uids are dense
-    // program-wide indices, so a lazily-grown flat vector replaces hashing
-    // on this hottest expansion path.
+    // program-wide indices, so a flat vector sized once per program
+    // replaces hashing on this hottest expansion path.
     visits: Vec<u64>,
     // Per-uid address class (`CLASS_*`), load-hint override applied, filled
     // on the uid's first visit: every later visit skips the hint lookup and
@@ -430,19 +453,31 @@ const CLASS_HOT: u8 = 2;
 const CLASS_RANDOM: u8 = 3;
 
 impl AddrStream {
+    /// Fresh tables for a program whose memory instructions' uids are below
+    /// `uids` (see [`mem_uid_bound`]), recycling `self`'s buffers.
+    pub(crate) fn reset(mut self, uids: usize) -> AddrStream {
+        self.visits.clear();
+        self.visits.resize(uids, 0);
+        self.classes.clear();
+        self.classes.resize(uids, CLASS_UNSET);
+        self
+    }
+
+    /// Fresh tables sized for `program`.
+    pub(crate) fn for_program(program: &Program) -> AddrStream {
+        AddrStream::default().reset(mem_uid_bound(program))
+    }
+
     /// The data address this execution of `tagged` touches (`None` for a
     /// non-memory instruction), advancing its uid's visit count. `program`
-    /// must be the program `tagged` belongs to, on every call.
+    /// must be the program `tagged` belongs to, on every call, and the
+    /// tables sized for it.
     #[inline]
     fn next(&mut self, program: &Program, tagged: &TaggedInsn) -> Option<u64> {
         if !tagged.insn.op().is_mem() {
             return None;
         }
         let slot = tagged.uid.0 as usize;
-        if self.visits.len() <= slot {
-            self.visits.resize(slot + 1, 0);
-            self.classes.resize(slot + 1, CLASS_UNSET);
-        }
         let profile = &program.mem;
         let h = splitmix(u64::from(tagged.uid.0) ^ profile.seed);
         if self.classes[slot] == CLASS_UNSET {
@@ -454,9 +489,24 @@ impl AddrStream {
         Some(class_address(profile, h, self.classes[slot], visit))
     }
 
-    fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.visits.capacity() * std::mem::size_of::<u64>() + self.classes.capacity()
     }
+}
+
+/// One past the largest uid of a memory instruction in `program`: the size
+/// of its address tables, which no other uid indexes. (Injected faults
+/// plant uids far above the program's, mostly on non-memory instructions;
+/// a bound over every uid would size the tables to them.)
+pub(crate) fn mem_uid_bound(program: &Program) -> usize {
+    program
+        .blocks
+        .iter()
+        .flat_map(|block| &block.insns)
+        .filter(|tagged| tagged.insn.op().is_mem())
+        .map(|tagged| tagged.uid.0 as usize + 1)
+        .max()
+        .unwrap_or(0)
 }
 
 /// One dynamic instruction of an [`ArchWalk`].
@@ -495,7 +545,7 @@ impl<'a> ArchWalk<'a> {
             blocks: path.blocks.iter(),
             block: BlockId(0),
             insns: [].iter().enumerate(),
-            addrs: AddrStream::default(),
+            addrs: AddrStream::for_program(program),
         }
     }
 }
@@ -937,7 +987,7 @@ mod addr_tests {
             "{} has no memory instructions",
             program.name
         );
-        let mut stream = AddrStream::default();
+        let mut stream = AddrStream::for_program(program);
         for visit in 0..64 {
             for tagged in &mem {
                 let hinted = program.load_hints.contains(&tagged.uid.0);

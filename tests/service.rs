@@ -8,11 +8,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use critics::core::campaign::{CellRecord, CellStatus};
+use critics::core::campaign::{CellMetrics, CellRecord, CellStatus};
+use critics::core::design::DesignPoint;
+use critics::core::runner::Workbench;
 use critics::core::service::{
     CampaignService, ServiceConfig, SubmitOutcome, TokenBucket, WorkPool,
 };
 use critics::obs::Telemetry;
+use critics::workloads::suite::Suite;
 use proptest::prelude::*;
 
 /// Mirror of the bucket's internal refill granularity: nanoseconds to
@@ -253,8 +256,9 @@ proptest! {
 
 /// The server's `--stream-window` knob reaches the cell executor
 /// and is a pure memory bound: a service simulating through a small
-/// bounded window produces bit-identical cell metrics to one that
-/// materializes every trace in full.
+/// bounded window produces bit-identical cell metrics to one at the
+/// default window, and both to the materialized engine (a world-backed
+/// workbench) running the same cells.
 #[test]
 fn stream_windowed_service_matches_materialized_metrics() {
     let run = |window: Option<usize>| {
@@ -289,10 +293,29 @@ fn stream_windowed_service_matches_materialized_metrics() {
         records
     };
     let streamed = run(Some(64));
-    let materialized = run(None);
+    let default = run(None);
+    let materialized: Vec<CellMetrics> = [("Acrobat", "critic"), ("Browser", "opp16")]
+        .into_iter()
+        .map(|(app, scheme)| {
+            let app = Suite::Mobile
+                .apps()
+                .into_iter()
+                .find(|a| a.name == app)
+                .expect("Table II app");
+            let mut bench = Workbench::try_new(&app, 300).expect("workbench");
+            let base = bench.run(&DesignPoint::baseline());
+            let run = bench.run(&DesignPoint::named(scheme).expect("wire scheme"));
+            CellMetrics {
+                speedup: run.sim.speedup_over(&base.sim),
+                cpu_energy_saving: run.energy.cpu_saving(&base.energy),
+                thumb_dyn_frac: run.thumb_dyn_frac,
+                dyn_insns: run.dyn_insns,
+            }
+        })
+        .collect();
     assert_eq!(streamed.len(), 2);
-    assert_eq!(materialized.len(), 2);
-    for (s, m) in streamed.iter().zip(&materialized) {
+    assert_eq!(default.len(), 2);
+    for ((s, d), m) in streamed.iter().zip(&default).zip(&materialized) {
         assert_eq!(
             s.status,
             CellStatus::Ok,
@@ -302,9 +325,16 @@ fn stream_windowed_service_matches_materialized_metrics() {
         );
         assert!(s.metrics.is_some(), "{}/{} has no metrics", s.app, s.scheme);
         assert_eq!(
-            s.metrics, m.metrics,
+            s.metrics, d.metrics,
             "stream window changed {}/{} metrics",
             s.app, s.scheme
+        );
+        assert_eq!(
+            s.metrics.as_ref(),
+            Some(m),
+            "streaming changed {}/{} metrics",
+            s.app,
+            s.scheme
         );
     }
 }

@@ -1,8 +1,9 @@
-//! Cross-mode store battery: a streamed campaign and a materialized one
-//! produce bit-identical cell metrics, and because their profile and
-//! baseline builders fill the same memo slots and disk keys, a persistent
-//! store warmed in either mode serves the other without building anything.
-//! The same grid also runs identically however its cells are executed.
+//! Cross-mode store battery: a streamed campaign and the materialized
+//! engine (world-backed workbenches, as the figures use) produce
+//! bit-identical cell metrics, and because their profile and baseline
+//! builders fill the same memo slots and disk keys, a persistent store
+//! warmed in either mode serves the other without building anything. The
+//! same grid also runs identically however its cells are executed.
 
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -12,17 +13,17 @@ use critics::core::campaign::{
     run_campaign_with_store, CampaignSpec, CellMetrics, CellRecord, Scheme,
 };
 use critics::core::design::DesignPoint;
+use critics::core::runner::Workbench;
 use critics::core::service::{CampaignService, ServiceConfig, SubmitOutcome};
 use critics::core::store::{ArtifactStore, StoreStats};
 use critics::obs::Telemetry;
 use critics::workloads::suite::Suite;
 
 const TRACE_LEN: usize = 40_000;
-const WINDOW: usize = 4_096;
 
 /// The 10 mobile apps × {critic, hoist, opp16, ideal, a Fig. 11 hardware
-/// point}, validated.
-fn spec(stream_window: Option<usize>) -> CampaignSpec {
+/// point}, validated, at the default stream window.
+fn spec() -> CampaignSpec {
     let schemes = vec![
         Scheme::new("critic", DesignPoint::critic()),
         Scheme::new("hoist", DesignPoint::hoist()),
@@ -32,17 +33,46 @@ fn spec(stream_window: Option<usize>) -> CampaignSpec {
     ];
     let mut spec = CampaignSpec::new(Suite::Mobile.apps(), schemes, TRACE_LEN);
     spec.validate = true;
-    spec.stream_window = stream_window;
     spec
 }
 
-/// Runs `spec` over a fresh persistent store at `dir`; returns the cells'
-/// metrics in grid order and the store's counters.
+/// Opens a persistent store at `dir`.
+fn open(dir: &Path) -> Arc<ArtifactStore> {
+    Arc::new(ArtifactStore::persistent(dir, None, Telemetry::off()).expect("store"))
+}
+
+/// Runs `spec` as a campaign over a fresh persistent store at `dir`;
+/// returns the cells' metrics in grid order and the store's counters.
 fn run(spec: &CampaignSpec, dir: &Path) -> (Vec<Option<CellMetrics>>, StoreStats) {
-    let store = Arc::new(ArtifactStore::persistent(dir, None, Telemetry::off()).expect("store"));
+    let store = open(dir);
     let summary = run_campaign_with_store(spec, &store).expect("campaign runs");
     assert!(summary.all_ok(), "{}", summary.render());
     let metrics = summary.records.iter().map(|r| r.metrics.clone()).collect();
+    (metrics, store.stats())
+}
+
+/// Runs `spec`'s cells on the materialized engine — one world-backed
+/// workbench per app over a fresh persistent store at `dir`, validated as
+/// the campaign validates — and returns the same as [`run`].
+fn run_materialized(spec: &CampaignSpec, dir: &Path) -> (Vec<Option<CellMetrics>>, StoreStats) {
+    let store = open(dir);
+    let mut metrics = Vec::new();
+    for app in &spec.apps {
+        let world = store.world(app, spec.trace_len).expect("world");
+        let mut bench = Workbench::from_world(app, world, Arc::clone(&store));
+        let base = bench.try_run(&DesignPoint::baseline()).expect("baseline");
+        for scheme in &spec.schemes {
+            let (run, _) = bench
+                .try_run_validated(&scheme.point, app.path_seed())
+                .expect("validated run");
+            metrics.push(Some(CellMetrics {
+                speedup: run.sim.speedup_over(&base.sim),
+                cpu_energy_saving: run.energy.cpu_saving(&base.energy),
+                thumb_dyn_frac: run.thumb_dyn_frac,
+                dyn_insns: run.dyn_insns,
+            }));
+        }
+    }
     (metrics, store.stats())
 }
 
@@ -53,16 +83,16 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Checks a campaign that ran over a store the other mode warmed: every
+/// Checks a pass that ran over a store the other mode warmed: every
 /// profile and baseline it needed came off disk (`*_built` counts disk
 /// loads too, so each must be matched by a disk hit), and nothing was
 /// rebuilt or saved.
 fn assert_served_from_disk(stats: &StoreStats, order: &str) {
     let disk = stats.disk.expect("persistent store has disk stats");
-    assert_eq!(disk.saves, 0, "{order}: the warm campaign saved: {stats:?}");
+    assert_eq!(disk.saves, 0, "{order}: the warm pass saved: {stats:?}");
     assert_eq!(
         disk.disk_misses, 0,
-        "{order}: the warm campaign missed: {stats:?}"
+        "{order}: the warm pass missed: {stats:?}"
     );
     assert!(
         disk.disk_hits > 0,
@@ -84,22 +114,22 @@ fn assert_streamed(stats: &StoreStats, order: &str) {
 
 #[test]
 fn either_mode_warms_the_store_for_the_other_bit_identically() {
-    let streamed = spec(Some(WINDOW));
-    let materialized = spec(None);
+    let spec = spec();
 
-    // Streamed first, then materialized over the same directory.
+    // A streamed campaign first, then materialized workbenches over the
+    // same directory.
     let dir = scratch("streamed-first");
-    let (streamed_cold, stats) = run(&streamed, &dir);
+    let (streamed_cold, stats) = run(&spec, &dir);
     assert_streamed(&stats, "streamed cold");
-    let (materialized_warm, stats) = run(&materialized, &dir);
+    let (materialized_warm, stats) = run_materialized(&spec, &dir);
     assert_served_from_disk(&stats, "streamed then materialized");
     let _ = std::fs::remove_dir_all(&dir);
 
     // Materialized first, then streamed.
     let dir = scratch("materialized-first");
-    let (materialized_cold, stats) = run(&materialized, &dir);
+    let (materialized_cold, stats) = run_materialized(&spec, &dir);
     assert!(stats.worlds_built > 0, "{stats:?}");
-    let (streamed_warm, stats) = run(&streamed, &dir);
+    let (streamed_warm, stats) = run(&spec, &dir);
     assert_streamed(&stats, "materialized then streamed");
     assert_served_from_disk(&stats, "materialized then streamed");
     let _ = std::fs::remove_dir_all(&dir);
@@ -133,7 +163,7 @@ fn outcome(r: &CellRecord) -> impl PartialEq + std::fmt::Debug {
 /// submitted to a `CampaignService` — agree cell for cell.
 #[test]
 fn batched_isolated_and_service_cells_agree() {
-    let mut batched = spec(None);
+    let mut batched = spec();
     // The service resolves schemes by wire name, which hardware points lack.
     batched
         .schemes
