@@ -15,3 +15,13 @@ pub mod loadgen;
 pub mod router;
 pub mod serve;
 pub mod soak;
+
+/// Recovers the guard from a poisoned lock: the state behind these locks
+/// (load-generator ledgers, route tables, shard slots, reply streams) is
+/// only mutated by whole-value operations, so a panicked sibling cannot
+/// leave it half-written, and giving it up would lose replies.
+pub(crate) fn lock_clean<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

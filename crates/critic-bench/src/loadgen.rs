@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use crate::audit::BenchError;
+use crate::lock_clean;
 use crate::serve::{parse_reply, send_line, Reply, SubmitBody, SubmitRequest};
 
 /// One load-generation run's parameters.
@@ -232,9 +233,7 @@ fn flush_due_retries(
     loop {
         let now = Instant::now();
         let item = {
-            let mut state = state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut state = lock_clean(state);
             let due = state.retries.iter().position(|r| r.due <= now);
             due.map(|index| state.retries.swap_remove(index))
         };
@@ -242,18 +241,14 @@ fn flush_due_retries(
             return true;
         };
         let id = item.body.id;
-        state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pending
-            .insert(
-                id,
-                Pending {
-                    sent: Instant::now(),
-                    body: item.body.clone(),
-                    retries_left: item.retries_left,
-                },
-            );
+        lock_clean(state).pending.insert(
+            id,
+            Pending {
+                sent: Instant::now(),
+                body: item.body.clone(),
+                retries_left: item.retries_left,
+            },
+        );
         if send_submit(writer, &item.body) {
             outcome.requests += 1;
             if item.hinted {
@@ -262,11 +257,7 @@ fn flush_due_retries(
                 outcome.blind_retries += 1;
             }
         } else {
-            state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pending
-                .remove(&id);
+            lock_clean(state).pending.remove(&id);
             return false;
         }
     }
@@ -317,17 +308,13 @@ fn run_client(config: &LoadgenConfig, client_index: usize, epoch: Instant) -> Cl
             let Some(reply) = parse_reply(&line) else {
                 continue;
             };
-            let mut results = reader_results
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut results = lock_clean(&reader_results);
             match reply {
                 Reply::Accepted(_) => results.accepted += 1,
                 Reply::Rejected(body) => {
                     results.rejected += 1;
                     results.retry_after_sum += body.retry_after_ms;
-                    let mut state = reader_state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let mut state = lock_clean(&reader_state);
                     if let Some(pending) = state.pending.remove(&body.id) {
                         if pending.retries_left > 0 {
                             // Honour the server's hint; a zero hint means
@@ -345,11 +332,7 @@ fn run_client(config: &LoadgenConfig, client_index: usize, epoch: Instant) -> Cl
                     }
                 }
                 Reply::Done(body) => {
-                    let sent = reader_state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .pending
-                        .remove(&body.id);
+                    let sent = lock_clean(&reader_state).pending.remove(&body.id);
                     if let Some(pending) = sent {
                         results
                             .latencies_micros
@@ -408,26 +391,18 @@ fn run_client(config: &LoadgenConfig, client_index: usize, epoch: Instant) -> Cl
         };
         // Register before writing: the reply can beat the map update
         // otherwise.
-        state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pending
-            .insert(
-                id,
-                Pending {
-                    sent: Instant::now(),
-                    body: body.clone(),
-                    retries_left: config.retries,
-                },
-            );
+        lock_clean(&state).pending.insert(
+            id,
+            Pending {
+                sent: Instant::now(),
+                body: body.clone(),
+                retries_left: config.retries,
+            },
+        );
         if !send_submit(&mut writer, &body) {
             // Server gone (soak SIGKILL): stop sending; whatever is
             // pending becomes unanswered.
-            state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pending
-                .remove(&id);
+            lock_clean(&state).pending.remove(&id);
             break;
         }
         outcome.requests += 1;
@@ -441,9 +416,7 @@ fn run_client(config: &LoadgenConfig, client_index: usize, epoch: Instant) -> Cl
             break;
         }
         let outstanding = {
-            let state = state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let state = lock_clean(&state);
             state.pending.len() + state.retries.len()
         };
         if outstanding == 0 || Instant::now() >= deadline || reader.is_finished() {
@@ -454,9 +427,7 @@ fn run_client(config: &LoadgenConfig, client_index: usize, epoch: Instant) -> Cl
     let _ = writer.shutdown(Shutdown::Both);
     let _ = reader.join();
 
-    let mut results = results
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut results = lock_clean(&results);
     outcome.accepted = results.accepted;
     outcome.rejected = results.rejected;
     outcome.retry_after_sum = results.retry_after_sum;
@@ -466,11 +437,7 @@ fn run_client(config: &LoadgenConfig, client_index: usize, epoch: Instant) -> Cl
     outcome.shed = results.shed;
     outcome.ok = results.ok;
     outcome.failed = results.failed;
-    outcome.unanswered = state
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .pending
-        .len() as u64;
+    outcome.unanswered = lock_clean(&state).pending.len() as u64;
     outcome
 }
 

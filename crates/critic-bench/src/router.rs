@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 use critic_core::ring::{placement_key, HashRing, DEFAULT_VNODES};
 use serde::{Deserialize, Serialize};
 
+use crate::lock_clean;
 use crate::serve::{
     encode_line, parse_reply, send_line, AcceptedReply, DoneBody, DoneReply, IdBody, PingRequest,
     PongReply, RejectedBody, RejectedReply, Reply, ShutdownRequest, StatsRequest, SubmitBody,
@@ -205,9 +206,7 @@ fn write_line<T: Serialize>(stream: &Arc<Mutex<TcpStream>>, reply: &T) -> bool {
     let Ok(line) = encode_line(reply) else {
         return false;
     };
-    let mut guard = stream
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut guard = lock_clean(stream);
     guard.write_all(&line).is_ok() && guard.flush().is_ok()
 }
 
@@ -246,15 +245,11 @@ impl Fabric {
     }
 
     fn slot(&self, shard: u32) -> std::sync::MutexGuard<'_, ShardState> {
-        self.slots[shard as usize]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock_clean(&self.slots[shard as usize])
     }
 
     fn routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, RouteEntry>> {
-        self.routes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock_clean(&self.routes)
     }
 
     /// The live connection to `shard`, or `None` while it is down.

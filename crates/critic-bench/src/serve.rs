@@ -51,6 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use crate::lock_clean;
 use critic_core::campaign::CellRecord;
 use critic_core::disk::ArtifactClass;
 use critic_core::keys::crc32;
@@ -343,9 +344,7 @@ fn write_line<T: Serialize>(stream: &Arc<Mutex<TcpStream>>, reply: &T) {
     let Ok(line) = encode_line(reply) else {
         return;
     };
-    let mut guard = stream
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut guard = lock_clean(stream);
     let _ = guard.write_all(&line);
     let _ = guard.flush();
 }

@@ -33,6 +33,8 @@ use serde::{Deserialize, Serialize};
 use crate::design::DesignPoint;
 use crate::error::RunError;
 use crate::journal::Journal;
+use crate::keys;
+use crate::lock_clean;
 use crate::runner::{ValidationStats, Workbench};
 use crate::service::{Breaker, BreakerDecision};
 use crate::store::{ArtifactStore, StoreStats};
@@ -108,7 +110,9 @@ impl SupervisionPolicy {
         if self.backoff_base_millis == 0 || retries == 0 {
             return vec![0; retries as usize];
         }
-        let key = fnv1a(format!("{app}:{scheme}").as_bytes());
+        // FNV-1a (the store's content hash) folds the cell identity into
+        // the jitter seed.
+        let key = keys::fnv1a_fold(keys::FNV_OFFSET, format!("{app}:{scheme}").as_bytes());
         let mut rng = StdRng::seed_from_u64(self.backoff_seed ^ key);
         (0..retries)
             .map(|k| {
@@ -124,28 +128,6 @@ impl SupervisionPolicy {
             })
             .collect()
     }
-}
-
-/// FNV-1a (the store's content hash) over a byte string — used here to
-/// fold cell identity into the backoff jitter seed.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Recovers the guard from a poisoned lock. Campaign state behind these
-/// locks (queue, record list, journal file) is only mutated by whole-value
-/// pushes/pops, so a worker that panicked mid-cell cannot leave it halfway
-/// written; discarding records because a *sibling* panicked would be a
-/// silent drop.
-fn lock_clean<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The full description of a campaign.

@@ -54,6 +54,7 @@ use critic_obs::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::keys::{crc32, KEY_FORMAT_VERSION};
+use crate::lock_clean;
 
 /// Magic bytes opening every entry file.
 pub const ENTRY_MAGIC: [u8; 4] = *b"CRAS";
@@ -300,12 +301,6 @@ impl fmt::Debug for DiskStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "DiskStore({}, {:?})", self.dir.display(), self.stats())
     }
-}
-
-fn lock_clean<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl DiskStore {

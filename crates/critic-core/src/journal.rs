@@ -28,7 +28,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use critic_obs::{EventKind, Telemetry, TelemetrySnapshot};
 use critic_workloads::{SysFault, SysInjector, SysOp};
@@ -36,6 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::campaign::{CampaignStoreRecord, CampaignTelemetryRecord, CellRecord, CellStatus};
 use crate::keys::crc32;
+use crate::lock_clean;
 use crate::store::StoreStats;
 
 /// A typed journal filesystem error. Replay *tolerates* corruption (bad
@@ -220,15 +221,6 @@ pub struct Journal {
     segment_max_lines: usize,
     telemetry: Telemetry,
     active: Mutex<Active>,
-}
-
-/// Recovers the guard from a poisoned lock; journal state is only mutated
-/// by whole-value operations, so a panicked sibling cannot leave it
-/// half-written.
-fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Appends `,"crc32":"<8 hex>"` (CRC-32 of the bare JSON body) as the last

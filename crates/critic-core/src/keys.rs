@@ -87,8 +87,11 @@ fn encode(value: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// The FNV-1a offset basis: where a fresh [`fnv1a_fold`] starts.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a folded over `bytes`, continuing from `h`.
-fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -100,7 +103,7 @@ fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
 fn stable_key_versioned<T: Serialize + ?Sized>(value: &T, version: u32) -> u64 {
     let mut buf = Vec::with_capacity(128);
     encode(&value.to_value(), &mut buf);
-    let h = fnv1a_fold(0xcbf2_9ce4_8422_2325, &version.to_le_bytes());
+    let h = fnv1a_fold(FNV_OFFSET, &version.to_le_bytes());
     fnv1a_fold(h, &buf)
 }
 

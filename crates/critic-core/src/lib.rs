@@ -65,6 +65,18 @@ pub use service::{
 };
 pub use store::{ArtifactStore, StoreStats, World, WorldKey};
 
+/// Recovers the guard from a poisoned lock. All state behind this crate's
+/// locks (campaign queues and records, store slots, service queues and
+/// counters, the disk index, the journal's active segment) is only mutated
+/// by whole-value operations, so a thread that panicked mid-cell cannot
+/// leave it half-written; giving up the state because a *sibling* panicked
+/// would silently drop work.
+pub(crate) fn lock_clean<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Default dynamic instructions per app for full experiments (the paper
 /// samples ~50M over 100 samples; we use one contiguous window per app,
 /// scaled to laptop time).

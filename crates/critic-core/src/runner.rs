@@ -8,7 +8,7 @@ use critic_compiler::{
 };
 use critic_energy::{EnergyBreakdown, EnergyModel};
 use critic_obs::{EventKind, SpanKind, Telemetry};
-use critic_pipeline::{DecodedTrace, SimEngine, SimResult, SimScratch, Simulator, StreamScratch};
+use critic_pipeline::{SimEngine, SimResult, SimScratch, Simulator};
 use critic_profiler::{ChainSpec, Profile, ProfilerConfig};
 use critic_workloads::{
     inject_variant, AppSpec, BlockId, ExecutionPath, Fault, Program, StreamConfig, StreamPrep,
@@ -79,20 +79,17 @@ pub struct Workbench {
     /// Defaults to the data-oriented core; differential checks switch to
     /// [`SimEngine::Reference`] to run the scalar oracle.
     engine: SimEngine,
-    /// Reusable variant buffers: each non-baseline run re-expands its
-    /// trace, decodes it, derives its fanout and simulates it in these
-    /// instead of allocating multi-megabyte vectors per (app, scheme) cell.
+    /// Reusable variant buffers: each non-baseline materialized run
+    /// re-expands its trace and derives its fanout in these instead of
+    /// allocating multi-megabyte vectors per (app, scheme) cell.
     variant_trace: Trace,
-    decoded: DecodedTrace,
     fanout: Vec<u32>,
-    scratch: SimScratch,
     /// The streaming window of data-oriented runs (see
     /// [`Workbench::set_stream_window`]).
     stream_window: Option<usize>,
-    /// Recycled rings and stream buffers for the streaming front-end:
-    /// every streamed run and profile fold, store builds included, runs
-    /// in it.
-    stream_scratch: StreamScratch,
+    /// Recycled rings, queues and stream buffers: every data-oriented run
+    /// and profile fold, store builds included, runs in it.
+    scratch: SimScratch,
     /// Span/event sink; [`Telemetry::off`] by default, so the instrumented
     /// paths cost one branch per span when telemetry is disabled.
     telemetry: Telemetry,
@@ -202,11 +199,9 @@ impl Workbench {
             variant_fault: None,
             engine: SimEngine::default(),
             variant_trace: Trace::default(),
-            decoded: DecodedTrace::new(),
             fanout: Vec::new(),
-            scratch: SimScratch::new(),
             stream_window: None,
-            stream_scratch: StreamScratch::new(),
+            scratch: SimScratch::new(),
             telemetry: Telemetry::off(),
         }
     }
@@ -334,12 +329,10 @@ impl Workbench {
                 .telemetry
                 .time(SpanKind::Profile, || match &self.backing {
                     Backing::World(world) => self.store.profile(world, config),
-                    Backing::Recording(recording) => self.store.profile_streamed(
-                        recording,
-                        config,
-                        window,
-                        &mut self.stream_scratch,
-                    ),
+                    Backing::Recording(recording) => {
+                        self.store
+                            .profile_streamed(recording, config, window, &mut self.scratch)
+                    }
                 })?;
             self.profiles.insert(key.clone(), profile);
         }
@@ -600,7 +593,7 @@ impl Workbench {
             let outcome = telemetry.time(SpanKind::Sim, || match (&self.backing, window) {
                 (Backing::Recording(recording), Some(window)) => {
                     self.store
-                        .baseline_streamed(recording, point, window, &mut self.stream_scratch)
+                        .baseline_streamed(recording, point, window, &mut self.scratch)
                 }
                 _ => self.store.baseline(self.world(), point),
             })?;
@@ -615,7 +608,7 @@ impl Workbench {
             // dynamic length read back exactly what the materialized
             // trace would report.
             let prep = Arc::new(StreamPrep::new(program, &self.path, DEFAULT_LOOKAHEAD));
-            let scratch = &mut self.stream_scratch;
+            let scratch = &mut self.scratch;
             let mut stream =
                 scratch.open(program, &self.path, StreamConfig::with_window(window), prep);
             let (sim, _, _) = telemetry.time(SpanKind::Sim, || {
@@ -626,34 +619,25 @@ impl Workbench {
             read
         } else {
             let world = Arc::clone(self.world());
-            let trace: &Trace = if baseline {
-                &world.trace
+            let (trace, fanout): (&Trace, &[u32]) = if baseline {
+                (&world.trace, &world.fanout)
             } else {
                 Trace::expand_into(program, &self.path, &mut self.variant_trace);
-                &self.variant_trace
+                self.variant_trace.compute_fanout_into(&mut self.fanout);
+                (&self.variant_trace, &self.fanout)
             };
-            let sim = match engine {
+            let sim = telemetry.time(SpanKind::Sim, || match engine {
                 // The scalar oracle: a decode-free walk with fresh working
                 // memory per run, preserved verbatim.
-                SimEngine::Reference => {
-                    let fanout: &[u32] = if baseline {
-                        &world.fanout
-                    } else {
-                        trace.compute_fanout_into(&mut self.fanout);
-                        &self.fanout
-                    };
-                    telemetry.time(SpanKind::Sim, || simulator.run_reference(trace, fanout).0)
-                }
-                // The data-oriented core over the workbench's recycled
-                // decode, fanout and scratch.
-                SimEngine::DataOriented => telemetry.time(SpanKind::Sim, || {
-                    self.decoded.decode_into(trace);
-                    self.decoded.compute_fanout_into(&mut self.fanout);
+                SimEngine::Reference => simulator.run_reference(trace, fanout).0,
+                // The data-oriented core, decoding the trace slice by slice
+                // into the workbench's recycled ring.
+                SimEngine::DataOriented => {
                     simulator
-                        .run_decoded(&self.decoded, &self.fanout, &mut self.scratch)
+                        .run_with_ledger(trace, fanout, &mut self.scratch)
                         .0
-                }),
-            };
+                }
+            });
             (sim, trace.thumb_fraction(), trace.len())
         };
         let energy = self.energy_model.evaluate(&sim);

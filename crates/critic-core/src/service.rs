@@ -28,7 +28,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -42,16 +42,8 @@ use crate::campaign::{
 use crate::design::DesignPoint;
 use crate::error::RunError;
 use crate::journal::Journal;
+use crate::lock_clean;
 use crate::store::{ArtifactStore, StoreStats};
-
-/// Recovers the guard from a poisoned lock; service state is only mutated
-/// by whole-value operations, so a panicked sibling cannot leave it
-/// half-written.
-fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// A token bucket over millitoken integers: `capacity` whole tokens of
 /// burst, refilled continuously at `rate` tokens per second. One request

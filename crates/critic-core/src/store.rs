@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex};
 use critic_compiler::BaselineExecution;
 use critic_energy::EnergyModel;
 use critic_obs::{EventKind, Telemetry};
-use critic_pipeline::{SimResult, Simulator, StreamScratch};
+use critic_pipeline::{SimResult, SimScratch, Simulator};
 use critic_profiler::{Profile, ProfileFold, Profiler, ProfilerConfig};
 use critic_workloads::{
     validate_stream, AppSpec, ExecutionPath, Program, StreamConfig, StreamPrep, SysFault,
@@ -75,6 +75,7 @@ use crate::design::DesignPoint;
 use crate::disk::{ArtifactClass, DiskStore, DiskStoreStats, StoreError};
 use crate::error::RunError;
 use crate::keys::stable_key;
+use crate::lock_clean;
 use crate::runner::RunOutcome;
 
 /// Identity of one generated world: app content hash × trace length.
@@ -190,12 +191,6 @@ struct Memo<K, V> {
     computed: AtomicU64,
     hits: AtomicU64,
     build_nanos: AtomicU64,
-}
-
-fn lock_clean<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl<K: Eq + Hash + Clone, V> Memo<K, V> {
@@ -661,7 +656,7 @@ impl ArtifactStore {
         recording: &Recording,
         config: &ProfilerConfig,
         window: usize,
-        scratch: &mut StreamScratch,
+        scratch: &mut SimScratch,
     ) -> Result<Arc<Profile>, RunError> {
         self.durable(
             &self.profiles,
@@ -729,7 +724,7 @@ impl ArtifactStore {
         recording: &Recording,
         point: &DesignPoint,
         window: usize,
-        scratch: &mut StreamScratch,
+        scratch: &mut SimScratch,
     ) -> Result<Arc<RunOutcome>, RunError> {
         self.baseline_from(recording.key, point, |simulator| {
             let mut stream = scratch.open(
@@ -1047,10 +1042,10 @@ mod tests {
         let config = ProfilerConfig::default();
         let point = DesignPoint::baseline();
         let streamed_profile = store
-            .profile_streamed(&recording, &config, 512, &mut StreamScratch::new())
+            .profile_streamed(&recording, &config, 512, &mut SimScratch::new())
             .expect("streamed profile");
         let streamed_base = store
-            .baseline_streamed(&recording, &point, 512, &mut StreamScratch::new())
+            .baseline_streamed(&recording, &point, 512, &mut SimScratch::new())
             .expect("streamed baseline");
         let world = store.world(&app, 8_000).expect("world");
         let profile = store.profile(&world, &config).expect("profile");
@@ -1095,7 +1090,7 @@ mod tests {
         ];
         let streamed = ArtifactStore::new();
         let recording = streamed.recording(&app, 8_000).expect("recording");
-        let mut scratch = StreamScratch::new();
+        let mut scratch = SimScratch::new();
         let world_store = ArtifactStore::new();
         let world = world_store.world(&app, 8_000).expect("world");
         for config in &configs {
@@ -1125,7 +1120,7 @@ mod tests {
     #[test]
     fn streamed_baselines_on_a_reused_scratch_match_a_fresh_scratch() {
         let app = small_app(2);
-        let build = |point: &DesignPoint, window: usize, scratch: &mut StreamScratch| {
+        let build = |point: &DesignPoint, window: usize, scratch: &mut SimScratch| {
             let store = ArtifactStore::new();
             let recording = store.recording(&app, 6_000).expect("recording");
             store
@@ -1133,8 +1128,8 @@ mod tests {
                 .expect("streamed baseline")
         };
         let point = DesignPoint::baseline();
-        let fresh = build(&point, 512, &mut StreamScratch::new());
-        let mut reused = StreamScratch::new();
+        let fresh = build(&point, 512, &mut SimScratch::new());
+        let mut reused = SimScratch::new();
         build(&DesignPoint::all_hw(), 4096, &mut reused);
         assert_eq!(*build(&point, 512, &mut reused), *fresh);
     }

@@ -28,6 +28,14 @@
 //! trace-driven simplification; it preserves every effect the paper's
 //! experiments measure.
 //!
+//! Every run reads its instructions through one bounded column ring
+//! ([`stream_sim`]), whatever feeds it: [`Simulator::run_streamed`] fills
+//! it from a [`critic_workloads::TraceStream`], [`Simulator::run`] and
+//! [`Simulator::run_with_ledger`] decode a materialized trace into it
+//! slice by slice, and [`Simulator::run_decoded`] copies an existing
+//! [`DecodedTrace`] into it. A run's working memory is one recycled
+//! [`SimScratch`] and stays O(ROB + window), not O(trace).
+//!
 //! # Example
 //!
 //! ```
@@ -65,6 +73,6 @@ pub use config::{CpuConfig, FuPool};
 pub use crit::CritTable;
 pub use critic_obs::{CycleClass, CycleLedger};
 pub use reference::run_reference;
-pub use sim::{with_thread_scratch, DecodedTrace, SimEngine, SimScratch, Simulator};
+pub use sim::{DecodedTrace, SimEngine, SimScratch, Simulator};
 pub use stats::{FetchStalls, SimResult, StageBreakdown};
 pub use stream_sim::{StreamRunStats, StreamScratch};

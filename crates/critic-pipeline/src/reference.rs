@@ -36,14 +36,12 @@ enum SupplyStall {
 
 const UNSET: u64 = u64::MAX;
 
-/// Reusable per-run working memory for the cycle loop.
+/// Per-run working memory for the scalar loop.
 ///
-/// One `run` allocates seven per-instruction timestamp tables plus the
-/// fetch/issue/reorder queues; across a campaign the simulator runs
-/// thousands of times on same-length traces, so callers on the hot path
-/// keep one `SimScratch` per worker and pass it to
-/// [`Simulator::run_with_scratch`] — every table is then recycled
-/// (cleared and refilled, never reallocated once warm).
+/// One run fills seven per-instruction timestamp tables, each as long as
+/// the trace, plus the fetch/issue/reorder queues. [`run_reference`]
+/// allocates a fresh one per call; the data-oriented core recycles a
+/// bounded ring instead (see [`crate::SimScratch`]).
 #[derive(Debug, Default)]
 struct ReferenceScratch {
     fetched_at: Vec<u64>,

@@ -31,17 +31,17 @@
 //! delivers trace order, so no buffer is needed at all) and the ROB is a
 //! power-of-two index ring (`IndexRing`).
 //!
-//! # One loop, two column sources
+//! # One loop, one column source
 //!
-//! There is exactly one cycle loop (`Simulator::run_source`), generic over
-//! a `Source` that owns where the columns live and how an instruction
-//! index maps to a column and timestamp slot. [`Simulator::run_decoded`]
-//! runs it over `Flat` — a whole [`DecodedTrace`] plus its fanout, slot
-//! `i` = insn `i`, nothing to feed — and [`Simulator::run_streamed`] over
-//! the bounded-memory ring of [`crate::stream_sim`]. Monomorphization
-//! gives each source its own copy of the loop, so the materialized path
-//! pays nothing for the ring's masking. Each cycle takes the columns once
-//! as a `Cols` of plain slices.
+//! There is exactly one cycle loop (`Simulator::run_source`) and one
+//! column source: the ring of [`crate::stream_sim`], whose decoded
+//! columns, fanout and timestamp tables hold only the live span of the
+//! run and are indexed by `i & mask`. What varies is how the ring is fed:
+//! [`Simulator::run_streamed`] fills it window by window from a stream,
+//! [`Simulator::run_with_ledger`] decodes slices of a materialized trace
+//! into it, and [`Simulator::run_decoded`] copies slices of an
+//! already-decoded trace. Each cycle takes the ring once as a `Cols` of
+//! plain slices.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -50,12 +50,13 @@ use std::collections::BinaryHeap;
 use critic_isa::{FuKind, Opcode};
 use critic_mem::{MemConfig, MemSystem};
 use critic_obs::{CycleClass, CycleLedger};
-use critic_workloads::{DynInsn, Trace, NO_DEP};
+use critic_workloads::{DynInsn, StreamBuffers, Trace, NO_DEP};
 
 use crate::bpu::Bpu;
 use crate::config::CpuConfig;
 use crate::crit::CritTable;
 use crate::stats::{FetchStalls, SimResult, StageBreakdown};
+use crate::stream_sim::{Fill, Ring, StreamRunStats};
 
 /// Why the fetch stage is currently unable to supply instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,22 +246,38 @@ impl DecodedTrace {
         }
     }
 
-    /// The columns as plain slices, beside `fanout`: one cycle's view.
+    /// The columns as plain slices, beside `fanout`, with the ring
+    /// geometry they are read through: one cycle's view.
     #[inline]
-    pub(crate) fn cols<'a>(&'a self, fanout: &'a [u32]) -> Cols<'a> {
-        let n = self.len;
+    pub(crate) fn cols<'a>(&'a self, fanout: &'a [u32], mask: usize, floor: usize) -> Cols<'a> {
         Cols {
-            kind: &self.kind[..n],
-            lat: &self.lat[..n],
-            flags: &self.flags[..n],
-            bytes: &self.bytes[..n],
-            deps: &self.deps[..n],
-            pc: &self.pc[..n],
-            mem_addr: &self.mem_addr[..n],
-            target: &self.target[..n],
-            br_class: &self.br_class[..n],
-            fanout: &fanout[..n],
+            kind: &self.kind,
+            lat: &self.lat,
+            flags: &self.flags,
+            bytes: &self.bytes,
+            deps: &self.deps,
+            pc: &self.pc,
+            mem_addr: &self.mem_addr,
+            target: &self.target,
+            br_class: &self.br_class,
+            fanout,
+            mask,
+            floor,
         }
+    }
+
+    /// Copies `src`'s entries `[from, to)` into this ring's slots under
+    /// `mask`; the span must fit the ring.
+    pub(crate) fn copy_span(&mut self, src: &DecodedTrace, from: usize, to: usize, mask: usize) {
+        copy_wrapped(&mut self.kind, &src.kind[from..to], from & mask);
+        copy_wrapped(&mut self.lat, &src.lat[from..to], from & mask);
+        copy_wrapped(&mut self.flags, &src.flags[from..to], from & mask);
+        copy_wrapped(&mut self.bytes, &src.bytes[from..to], from & mask);
+        copy_wrapped(&mut self.deps, &src.deps[from..to], from & mask);
+        copy_wrapped(&mut self.pc, &src.pc[from..to], from & mask);
+        copy_wrapped(&mut self.mem_addr, &src.mem_addr[from..to], from & mask);
+        copy_wrapped(&mut self.target, &src.target[from..to], from & mask);
+        copy_wrapped(&mut self.br_class, &src.br_class[from..to], from & mask);
     }
 
     /// Resizes every column to a `cap`-slot ring, re-placing the live span
@@ -302,10 +319,10 @@ impl DecodedTrace {
     }
 
     /// Decodes one dynamic instruction into slot `s`: the one per-entry
-    /// decode, shared by the materialized columns and the streamed ring
-    /// (which keeps its ring in a `DecodedTrace` whose length is the ring
-    /// size). Keeping the body in one place is what makes the streamed
-    /// columns identical to the materialized ones by construction.
+    /// decode, shared by [`DecodedTrace::decode_into`] and every fill of
+    /// the ring (which keeps its columns in a `DecodedTrace` whose length
+    /// is the ring size). Keeping the body in one place is what makes the
+    /// ring's columns identical to a whole-trace decode by construction.
     #[inline]
     pub(crate) fn decode_at(&mut self, s: usize, e: &DynInsn) {
         let mut kind = e.op.fu_kind();
@@ -429,18 +446,17 @@ impl IndexRing {
 
 /// The seven per-instruction timestamp tables one run fills.
 ///
-/// The tables are a ring over the live span of the run — from the oldest
-/// instruction in flight to the fetch frontier — indexed by the run's
-/// [`Source::stamp`] and read for dependences through `Source::done_of`,
-/// whatever the column source: a materialized run holds O(ROB + fetch
-/// buffer) stamps, not O(trace). Neither source ever bulk-fills a table:
-/// every slot is written before it is read — fetch stamps
-/// `fetched_at`/`supply_stall`/`blocked_at_fetch`, dispatch stamps
-/// `decoded_at`/`blocked_at_decode` and seeds the `issued_at`/`done_at`
-/// slots with `UNSET` (dependences always point at earlier instructions,
-/// which dispatch strictly in order, so a dependence slot is seeded before
-/// any wakeup scan can read it). A warm table therefore pays no O(n)
-/// memset per run.
+/// The tables are a ring over the live span of the run, from the oldest
+/// instruction in flight to the decode frontier, sharing the columns'
+/// slots (`i & mask`) and read for dependences through `Cols::done_of`:
+/// a run holds O(ROB + fetch buffer + fill window) stamps, not O(trace).
+/// No table is ever bulk-filled: every slot is written before it is
+/// read — fetch stamps `fetched_at`/`supply_stall`/`blocked_at_fetch`,
+/// dispatch stamps `decoded_at`/`blocked_at_decode` and seeds the
+/// `issued_at`/`done_at` slots with `UNSET` (dependences always point at
+/// earlier instructions, which dispatch strictly in order, so a
+/// dependence slot is seeded before any wakeup scan can read it). A warm
+/// table therefore pays no O(n) memset per run.
 #[derive(Debug, Default)]
 pub(crate) struct Stamps {
     fetched_at: Vec<u64>,
@@ -453,11 +469,6 @@ pub(crate) struct Stamps {
 }
 
 impl Stamps {
-    /// Slots per table: a power of two once the tables have grown.
-    fn capacity(&self) -> usize {
-        self.done_at.len()
-    }
-
     /// Resizes every table to a `cap`-slot ring, re-placing the live span
     /// `[lo, hi)` from the old ring (mask `old_mask`) under the new mask.
     pub(crate) fn regrow(&mut self, old_mask: usize, cap: usize, lo: usize, hi: usize) {
@@ -492,8 +503,8 @@ struct WakeLinks {
 ///
 /// Every issue-queue entry, and every producer one waits for, is in the
 /// ROB, so the ring only has to hold the in-flight span from the oldest
-/// instruction to the dispatch frontier, whatever the column source — not
-/// the whole trace, nor a stream window. It grows by doubling when
+/// instruction to the dispatch frontier — not the fill window the column
+/// ring also holds. It grows by doubling when
 /// dispatch would overrun it (the CDPs, which never enter the ROB, can
 /// stretch the span past the ROB's capacity). Dispatch writes an entry's
 /// links and clears its bit before anything reads them, so the ring is
@@ -573,7 +584,7 @@ impl WakeRing {
 const NO_WAITER: u32 = u32::MAX;
 
 /// The pipeline queues, the divider timers and the recycled models: the
-/// working memory whose shape does not depend on the column source.
+/// working memory whose shape does not depend on the fill window.
 #[derive(Debug, Default)]
 pub(crate) struct Queues {
     /// Issue-queue entries whose last unissued producer issued (or that
@@ -627,21 +638,30 @@ impl Queues {
     }
 }
 
-/// Reusable per-run working memory for the materialized cycle loop.
+/// Reusable working memory for every run of the cycle loop: the column
+/// ring, its fanout and timestamp tables, the pipeline queues and models,
+/// and the buffers of the stream a streamed run reads.
 ///
-/// One `run` fills the timestamp ring, the issue/reorder queues and a
-/// decoded-trace column set; across a campaign the simulator runs
-/// thousands of times on same-length traces, so callers on the hot path
-/// keep one `SimScratch` per worker and pass it to
-/// [`Simulator::run_with_scratch`] — every table is then recycled
-/// (cleared and refilled, never reallocated once warm).
+/// Across a campaign the simulator runs thousands of times, so callers on
+/// the hot path keep one `SimScratch` per worker and pass it to every run
+/// ([`Simulator::run_with_ledger`], [`Simulator::run_streamed`],
+/// [`Simulator::run_decoded`]): every table is then recycled (cleared and
+/// refilled, never reallocated once warm). The ring holds the live span
+/// of a run, so what a scratch keeps does not grow with the trace.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    stamps: Stamps,
-    queues: Queues,
-    /// Owned decode for the entry points that take a plain [`Trace`];
-    /// `Option` so it can be moved out while the scratch is borrowed.
-    decoded: Option<DecodedTrace>,
+    /// Decoded columns, ring-indexed by `i & mask`: a `DecodedTrace` whose
+    /// length is the ring capacity.
+    pub(crate) cols: DecodedTrace,
+    /// Direct fanout, ring-indexed like the columns.
+    pub(crate) fanout: Vec<u32>,
+    /// Timestamp tables, ring-indexed like the columns.
+    pub(crate) stamps: Stamps,
+    /// Pipeline queues and recycled models.
+    pub(crate) queues: Queues,
+    /// The buffers of the stream the next streamed run reads, recycled
+    /// through [`SimScratch::open`] and [`SimScratch::recycle`].
+    pub(crate) buffers: StreamBuffers,
 }
 
 impl SimScratch {
@@ -675,19 +695,23 @@ pub(crate) fn regrow<T: Copy + Default>(
     *v = next;
 }
 
+/// Copies `src` into the ring `ring` from slot `at`, wrapping at its end;
+/// `src` must fit the ring.
+pub(crate) fn copy_wrapped<T: Copy>(ring: &mut [T], src: &[T], at: usize) {
+    let first = src.len().min(ring.len() - at);
+    ring[at..at + first].copy_from_slice(&src[..first]);
+    ring[..src.len() - first].copy_from_slice(&src[first..]);
+}
+
 thread_local! {
     /// Worker-owned scratch behind [`Simulator::run`]: every plain `run`
     /// call on a thread recycles the same tables instead of allocating a
-    /// fresh `SimScratch` per call (the satellite audit found `figures`,
-    /// the validation oracle path, and the store's baseline builder all
-    /// paying that allocation).
+    /// fresh `SimScratch` per call.
     static THREAD_SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
 }
 
-/// Runs `f` with this thread's recycled [`SimScratch`] — the worker-owned
-/// scratch used by [`Simulator::run`] and by call sites (store baseline
-/// builds, figure regeneration) that have no natural scratch owner.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
+/// Runs `f` with this thread's recycled [`SimScratch`].
+fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
     THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         // Re-entrant use (a caller already holds the thread scratch):
@@ -696,31 +720,9 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
     })
 }
 
-/// Where the cycle loop's instructions come from: the whole decoded trace
-/// ([`Flat`]) or a ring fed window by window from a stream
-/// (`stream_sim::Ring`). The source owns the slot layout of the columns
-/// and of the timestamp ring; the loop never indexes either without it.
-pub(crate) trait Source {
-    /// Instructions in the whole run.
-    fn len(&self) -> usize;
-    /// Makes the instructions fetch can reach this cycle readable and
-    /// their timestamp slots writable; runs at the top of every cycle.
-    /// `fq_head` is the dispatch frontier.
-    fn feed(&mut self, fetch_idx: usize, fq_head: usize, st: &mut Stamps, q: &Queues);
-    /// The columns, hoisted once per cycle.
-    fn cols(&self) -> Cols<'_>;
-    /// The column slot of instruction `i`.
-    fn slot(&self, i: usize) -> usize;
-    /// The timestamp slot of instruction `i`.
-    fn stamp(&self, i: usize) -> usize;
-    /// The completion time of a shifted dependence index (`0` = none),
-    /// with `0` for a dependence below the eviction floor (see the
-    /// `stream_sim` module docs).
-    fn done_of(&self, done_at: &[u64], d: u32) -> u64;
-}
-
-/// One cycle's view of the decoded columns and the fanout, as plain
-/// slices indexed by [`Source::slot`].
+/// One cycle's view of the ring: the decoded columns and the fanout as
+/// plain slices, all indexed by [`Cols::slot`], and the eviction floor
+/// dependence lookups answer below.
 pub(crate) struct Cols<'a> {
     kind: &'a [u8],
     lat: &'a [u32],
@@ -732,65 +734,27 @@ pub(crate) struct Cols<'a> {
     target: &'a [u64],
     br_class: &'a [u8],
     fanout: &'a [u32],
-}
-
-/// The materialized source: a whole decoded trace and its fanout, column
-/// slot `i` for insn `i`. The timestamps live in a ring over the in-flight
-/// span, as for the streamed source: `feed` advances the eviction floor to
-/// the oldest instruction in flight and doubles the ring when the fetch
-/// frontier would overrun it.
-struct Flat<'a> {
-    decoded: &'a DecodedTrace,
-    fanout: &'a [u32],
-    /// Timestamp ring mask.
     mask: usize,
-    /// Instructions below this have committed; their stamps may be
-    /// overwritten.
-    evict_floor: usize,
-    /// Most instructions fetch delivers in one cycle.
-    fetch_ahead: usize,
+    floor: usize,
 }
 
-impl Source for Flat<'_> {
-    fn len(&self) -> usize {
-        self.decoded.len
-    }
-
-    #[inline]
-    fn feed(&mut self, fetch_idx: usize, fq_head: usize, st: &mut Stamps, q: &Queues) {
-        self.evict_floor = q.oldest(fq_head);
-        // This cycle writes stamps up to the fetch frontier plus one fetch
-        // group; all of them must land in distinct live slots.
-        let need = fetch_idx + self.fetch_ahead - self.evict_floor;
-        if need > self.mask + 1 {
-            let cap = need.next_power_of_two();
-            st.regrow(self.mask, cap, self.evict_floor, fetch_idx);
-            self.mask = cap - 1;
-        }
-    }
-
-    #[inline]
-    fn cols(&self) -> Cols<'_> {
-        self.decoded.cols(self.fanout)
-    }
-
+impl Cols<'_> {
+    /// The column and timestamp slot of instruction `i`.
     #[inline]
     fn slot(&self, i: usize) -> usize {
-        i
-    }
-
-    #[inline]
-    fn stamp(&self, i: usize) -> usize {
         i & self.mask
     }
 
+    /// The completion time of a shifted dependence index (`0` = none),
+    /// with `0` for a dependence below the eviction floor (see the
+    /// `stream_sim` module docs).
     #[inline]
     fn done_of(&self, done_at: &[u64], d: u32) -> u64 {
         if d == 0 {
             return 0;
         }
         let i = (d - 1) as usize;
-        if i < self.evict_floor {
+        if i < self.floor {
             0
         } else {
             done_at[i & self.mask]
@@ -823,38 +787,23 @@ impl Simulator {
     /// observations — the true dynamic fanout is the converged version of
     /// that) and the critical-instruction stage aggregation of Fig. 3a.
     ///
-    /// Working memory comes from the calling thread's recycled scratch
-    /// ([`with_thread_scratch`]), so repeated `run` calls on one thread
-    /// allocate nothing once warm.
+    /// Working memory comes from the calling thread's recycled scratch,
+    /// so repeated `run` calls on one thread allocate nothing once warm.
     ///
     /// # Panics
     ///
     /// Panics if `fanout.len() != trace.len()`.
     pub fn run(&self, trace: &Trace, fanout: &[u32]) -> SimResult {
-        with_thread_scratch(|scratch| self.run_with_scratch(trace, fanout, scratch))
+        with_thread_scratch(|scratch| self.run_with_ledger(trace, fanout, scratch).0)
     }
 
-    /// [`Simulator::run`] with caller-owned working memory: behaviour and
-    /// results are identical, but the per-instruction tables and pipeline
-    /// queues are recycled from `scratch` instead of allocated per run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fanout.len() != trace.len()`.
-    pub fn run_with_scratch(
-        &self,
-        trace: &Trace,
-        fanout: &[u32],
-        scratch: &mut SimScratch,
-    ) -> SimResult {
-        self.run_with_ledger(trace, fanout, scratch).0
-    }
-
-    /// [`Simulator::run_with_scratch`] returning the per-cycle accounting
-    /// ledger alongside the result. The ledger is maintained on every run
-    /// (one bucket increment per cycle — it *is* the stall bookkeeping, not
-    /// an extra layer); this entry point merely hands the partition back
-    /// instead of reducing it to [`FetchStalls`].
+    /// [`Simulator::run`] with caller-owned working memory, returning the
+    /// per-cycle accounting ledger alongside the result. The trace is
+    /// decoded slice by slice into the scratch's ring as fetch reaches it,
+    /// so no trace-length decode is built. The ledger is maintained on
+    /// every run (one bucket increment per cycle — it *is* the stall
+    /// bookkeeping, not an extra layer); this entry point merely hands the
+    /// partition back instead of reducing it to [`FetchStalls`].
     ///
     /// Invariant: `ledger.total() == result.cycles`, enforced by a debug
     /// assertion here and by the observability test suite.
@@ -873,13 +822,8 @@ impl Simulator {
             fanout.len(),
             "fanout slice must match the trace"
         );
-        // Move the owned decode out so the rest of the scratch can be
-        // borrowed mutably while the decode is borrowed.
-        let mut decoded = scratch.decoded.take().unwrap_or_default();
-        decoded.decode_into(trace);
-        let out = self.run_decoded(&decoded, fanout, scratch);
-        scratch.decoded = Some(decoded);
-        out
+        let (result, ledger, _) = self.run_source(Fill::Trace { trace, fanout }, scratch);
+        (result, ledger)
     }
 
     /// Runs the preserved scalar loop (see [`crate::reference`]): the
@@ -889,9 +833,9 @@ impl Simulator {
         crate::reference::run_reference(&self.cpu, &self.mem_config, trace, fanout)
     }
 
-    /// The data-oriented core: runs an already-decoded trace. The caller
-    /// owns the decode and may reuse it across configurations (and its
-    /// buffers across traces), as a `Workbench` does for its variants.
+    /// Runs an already-decoded trace, copying its columns into the
+    /// scratch's ring slice by slice; bit-identical to
+    /// [`Simulator::run_with_ledger`] on the trace it was decoded from.
     ///
     /// # Panics
     ///
@@ -907,48 +851,40 @@ impl Simulator {
             fanout.len(),
             "fanout slice must match the decoded trace"
         );
-        // The in-flight span: the ROB, the fetch buffer and one fetch
-        // group, plus headroom for the ROB-invisible CDPs between them.
-        let fetch_ahead = self.cpu.fetch_width as usize * 2;
-        let cap =
-            (self.cpu.rob_entries + self.cpu.fetch_buffer + fetch_ahead + 64).next_power_of_two();
-        let st = &mut scratch.stamps;
-        if st.capacity() < cap {
-            st.regrow(st.capacity().wrapping_sub(1), cap, 0, 0);
-        }
-        let mut flat = Flat {
-            decoded,
-            fanout,
-            mask: st.capacity() - 1,
-            evict_floor: 0,
-            fetch_ahead,
-        };
-        self.run_source(&mut flat, st, &mut scratch.queues)
+        let (result, ledger, _) = self.run_source(Fill::Decoded { decoded, fanout }, scratch);
+        (result, ledger)
     }
 
-    /// The cycle loop, over any column source whose slot layout `st` was
-    /// sized for. Stage order within a cycle is commit → issue → dispatch →
-    /// fetch, each stage reading the state its predecessors left; then the
-    /// cycle is classified, and an idle cycle skips ahead.
-    pub(crate) fn run_source<S: Source>(
+    /// The cycle loop, over the scratch's ring fed by `fill`. Stage order
+    /// within a cycle is commit → issue → dispatch → fetch, each stage
+    /// reading the state its predecessors left; then the cycle is
+    /// classified, and an idle cycle skips ahead.
+    pub(crate) fn run_source(
         &self,
-        src: &mut S,
-        st: &mut Stamps,
-        q: &mut Queues,
-    ) -> (SimResult, CycleLedger) {
-        let n = src.len();
-        let mut p = Pipeline::new(&self.cpu, &self.mem_config, n, st, q);
+        mut fill: Fill<'_, '_>,
+        scratch: &mut SimScratch,
+    ) -> (SimResult, CycleLedger, StreamRunStats) {
+        let SimScratch {
+            cols,
+            fanout,
+            stamps,
+            queues,
+            ..
+        } = scratch;
+        let mut ring = Ring::new(&fill, &self.cpu, cols, fanout, stamps);
+        let n = ring.len();
+        let mut p = Pipeline::new(&self.cpu, &self.mem_config, n, stamps, queues);
         let hard_cap = (n as u64).saturating_mul(1000).max(1_000_000);
         while p.fetch_idx < n || p.fq_head < p.fetch_idx || !p.q.rob.is_empty() {
-            src.feed(p.fetch_idx, p.fq_head, p.st, p.q);
-            let c = src.cols();
-            let commits = p.commit(src, &c);
-            let issued = p.issue(src, &c);
+            ring.feed(&mut fill, p.fetch_idx, p.fq_head, p.st, p.q);
+            let c = ring.cols();
+            let commits = p.commit(&c);
+            let issued = p.issue(&c);
             let fq_was = p.fq_head;
-            let (dispatched, backend_blocked) = p.dispatch(src, &c);
+            let (dispatched, backend_blocked) = p.dispatch(&c);
             let fetch_was = p.fetch_idx;
-            let fetch_stall = p.fetch(src, &c, dispatched);
-            let class = p.classify(src, &c, fetch_stall, commits, dispatched);
+            let fetch_stall = p.fetch(&c, dispatched);
+            let class = p.classify(&c, fetch_stall, commits, dispatched);
             p.ledger.charge(class);
             // A cycle that made no progress at all (no commit, no issue, no
             // dispatch or CDP consumption, no fetch delivery) may open an
@@ -960,14 +896,17 @@ impl Simulator {
                 && p.fetch_idx == fetch_was
                 && p.q.ready_len == 0
             {
-                p.skip_idle(src, class, backend_blocked);
+                p.skip_idle(&c, class, backend_blocked);
             }
             p.now += 1;
             if p.now > hard_cap {
                 panic!("simulation exceeded the cycle cap: deadlock in the pipeline model");
             }
         }
-        p.finish()
+        let (result, ledger) = p.finish();
+        // The queues can grow between the last feed and the end of the run.
+        ring.sample_peak(&fill, queues);
+        (result, ledger, ring.stats)
     }
 }
 
@@ -1089,7 +1028,7 @@ impl<'r> Pipeline<'r> {
     /// Retires up to `width` completed instructions from the ROB head,
     /// charging their stage residencies. Returns how many retired.
     #[inline]
-    fn commit<S: Source>(&mut self, src: &S, c: &Cols<'_>) -> u32 {
+    fn commit(&mut self, c: &Cols<'_>) -> u32 {
         let now = self.now;
         let st = &*self.st;
         let mut commits = 0;
@@ -1098,12 +1037,11 @@ impl<'r> Pipeline<'r> {
                 break;
             };
             let hi = head as usize;
-            let t = src.stamp(hi);
-            let done = st.done_at[t];
+            let s = c.slot(hi);
+            let done = st.done_at[s];
             if done > now {
                 break;
             }
-            let s = src.slot(hi);
             self.q.rob.pop_front();
             commits += 1;
             self.committed += 1;
@@ -1113,20 +1051,20 @@ impl<'r> Pipeline<'r> {
             // back-pressure, not fetch-stage time — gem5 charges it to
             // rename-blocked-on-ROB, the paper to "ROB queue
             // residencies" — so it lands in the commit bucket.
-            let buffer_total = st.decoded_at[t]
-                .saturating_sub(st.fetched_at[t])
+            let buffer_total = st.decoded_at[s]
+                .saturating_sub(st.fetched_at[s])
                 .saturating_sub(1);
             let buffer_blocked =
-                (st.blocked_at_decode[t] - st.blocked_at_fetch[t]).min(buffer_total);
+                (st.blocked_at_decode[s] - st.blocked_at_fetch[s]).min(buffer_total);
             let buffer = buffer_total - buffer_blocked;
-            let issue_wait = st.issued_at[t].saturating_sub(st.decoded_at[t]);
-            let execute = done.saturating_sub(st.issued_at[t]);
+            let issue_wait = st.issued_at[s].saturating_sub(st.decoded_at[s]);
+            let execute = done.saturating_sub(st.issued_at[s]);
             // Head-blocking time plus backend-blocked buffer time: the
             // ROB bucket charges culprits and back-pressure, not every
             // instruction queued behind them.
             let commit_wait = now.saturating_sub(done.max(self.head_since)) + buffer_blocked;
             self.head_since = now;
-            let supply = u64::from(st.supply_stall[t]);
+            let supply = u64::from(st.supply_stall[s]);
             self.stage_all
                 .add(supply, buffer, 1, issue_wait, execute, commit_wait);
             let fanout = c.fanout[s];
@@ -1151,7 +1089,7 @@ impl<'r> Pipeline<'r> {
     /// to `width` of them to free functional units. Returns whether any
     /// issued.
     #[inline]
-    fn issue<S: Source>(&mut self, src: &S, c: &Cols<'_>) -> bool {
+    fn issue(&mut self, c: &Cols<'_>) -> bool {
         if self.iq_len == 0 {
             return false;
         }
@@ -1182,11 +1120,11 @@ impl<'r> Pipeline<'r> {
             // them now, with producers evicted since then at 0. Both give
             // the same schedule (see the `stream_sim` module docs).
             debug_assert!({
-                let d = c.deps[src.slot(i as usize)];
-                let scan = src
+                let d = c.deps[c.slot(i as usize)];
+                let scan = c
                     .done_of(&st.done_at, d[0])
-                    .max(src.done_of(&st.done_at, d[1]))
-                    .max(src.done_of(&st.done_at, d[2]));
+                    .max(c.done_of(&st.done_at, d[1]))
+                    .max(c.done_of(&st.done_at, d[2]));
                 if ra > now {
                     scan == ra
                 } else {
@@ -1221,7 +1159,7 @@ impl<'r> Pipeline<'r> {
         // returns whether it issued.
         let mut try_issue = |i: u32, wake_ring: &mut WakeRing| -> bool {
             let hi = i as usize;
-            let s = src.slot(hi);
+            let s = c.slot(hi);
             let kind = c.kind[s];
             // An unpipelined divider also needs a unit that is free now.
             let div_busy = match kind {
@@ -1250,22 +1188,21 @@ impl<'r> Pipeline<'r> {
             } else {
                 u64::from(c.lat[s])
             };
-            let t = src.stamp(hi);
-            st.issued_at[t] = now;
+            st.issued_at[s] = now;
             wake_ring.clear_ready(hi);
             let done = now + latency;
-            st.done_at[t] = done;
+            st.done_at[s] = done;
             // Walk this producer's wake list: a consumer none of whose
             // dependences is still unissued resolves next cycle.
             let me = i + 1;
             let mut w = wake_ring.links(hi).head;
             while w != NO_WAITER {
-                let ws = src.slot(w as usize);
+                let ws = c.slot(w as usize);
                 let d = c.deps[ws];
-                let ra = src
+                let ra = c
                     .done_of(&st.done_at, d[0])
-                    .max(src.done_of(&st.done_at, d[1]))
-                    .max(src.done_of(&st.done_at, d[2]));
+                    .max(c.done_of(&st.done_at, d[1]))
+                    .max(c.done_of(&st.done_at, d[2]));
                 if ra != UNSET {
                     resolved.push((ra, w));
                 }
@@ -1320,7 +1257,7 @@ impl<'r> Pipeline<'r> {
             }
             debug_assert_eq!(ready.len(), *ready_len, "the pool lies in [lo, hi)");
             let crit_table = &self.crit_table;
-            ready.sort_by_key(|&i| !crit_table.is_critical(c.pc[src.slot(i as usize)]));
+            ready.sort_by_key(|&i| !crit_table.is_critical(c.pc[c.slot(i as usize)]));
             for &i in ready.iter() {
                 if issued_count >= width {
                     break;
@@ -1365,7 +1302,7 @@ impl<'r> Pipeline<'r> {
     /// and issue queue. Returns how many dispatched (CDPs excluded) and
     /// whether a full ROB/IQ blocked dispatch outright.
     #[inline]
-    fn dispatch<S: Source>(&mut self, src: &S, c: &Cols<'_>) -> (u32, bool) {
+    fn dispatch(&mut self, c: &Cols<'_>) -> (u32, bool) {
         let now = self.now;
         if now < self.dispatch_block_until {
             return (0, false);
@@ -1376,8 +1313,8 @@ impl<'r> Pipeline<'r> {
         let mut backend_blocked = false;
         while dispatched < cfg.width && self.fq_head < self.fetch_idx {
             let hi = self.fq_head;
-            let s = src.slot(hi);
-            if now < st.fetched_at[src.stamp(hi)] + 1 {
+            let s = c.slot(hi);
+            if now < st.fetched_at[s] + 1 {
                 break; // still in the decode pipe
             }
             if c.flags[s] & F_CDP != 0 {
@@ -1389,10 +1326,9 @@ impl<'r> Pipeline<'r> {
                 // conservative +1 decode cycle is a latency (pipeline-fill)
                 // effect with no steady-state bandwidth cost.
                 self.fq_head += 1;
-                let t = src.stamp(hi);
-                st.decoded_at[t] = now;
-                st.blocked_at_decode[t] = self.blocked_cum;
-                st.done_at[t] = now;
+                st.decoded_at[s] = now;
+                st.blocked_at_decode[s] = self.blocked_cum;
+                st.done_at[s] = now;
                 self.q.seat(hi);
                 self.cdp_switches += 1;
                 // The paper conservatively charges one extra decode cycle;
@@ -1407,13 +1343,12 @@ impl<'r> Pipeline<'r> {
                 break;
             }
             self.fq_head += 1;
-            let t = src.stamp(hi);
-            st.decoded_at[t] = now;
-            st.blocked_at_decode[t] = self.blocked_cum;
+            st.decoded_at[s] = now;
+            st.blocked_at_decode[s] = self.blocked_cum;
             // Seed the lazily-initialized issue/completion slots (the
             // tables are not bulk-filled; see `Stamps`).
-            st.issued_at[t] = UNSET;
-            st.done_at[t] = UNSET;
+            st.issued_at[s] = UNSET;
+            st.done_at[s] = UNSET;
             self.q.seat(hi);
             // Link the entry onto the wake list of each distinct producer
             // that has not issued; with none, it resolves next cycle.
@@ -1425,7 +1360,7 @@ impl<'r> Pipeline<'r> {
             let mut ra = 0;
             for k in 0..3 {
                 let dk = d[k];
-                let done = src.done_of(&st.done_at, dk);
+                let done = c.done_of(&st.done_at, dk);
                 if done != UNSET || d[..k].contains(&dk) {
                     ra = ra.max(done);
                     continue;
@@ -1456,7 +1391,7 @@ impl<'r> Pipeline<'r> {
     /// misses), and blocked by a full fetch buffer. Returns the fetch-side
     /// stall this cycle is charged to, if any.
     #[inline]
-    fn fetch<S: Source>(&mut self, src: &S, c: &Cols<'_>, dispatched: u32) -> Option<CycleClass> {
+    fn fetch(&mut self, c: &Cols<'_>, dispatched: u32) -> Option<CycleClass> {
         if self.fetch_idx >= self.n {
             return None;
         }
@@ -1497,7 +1432,7 @@ impl<'r> Pipeline<'r> {
                 break;
             }
             let idx = self.fetch_idx;
-            let s = src.slot(idx);
+            let s = c.slot(idx);
             let pc = c.pc[s];
             let insn_bytes = c.bytes[s];
             let flags = c.flags[s];
@@ -1521,13 +1456,12 @@ impl<'r> Pipeline<'r> {
                 break; // per-cycle fetch bandwidth exhausted
             }
             bytes -= u64::from(insn_bytes);
-            let t = src.stamp(idx);
-            st.fetched_at[t] = now;
-            st.blocked_at_fetch[t] = self.blocked_cum;
+            st.fetched_at[s] = now;
+            st.blocked_at_fetch[s] = self.blocked_cum;
             // Every instruction delivered in this cycle waited out the same
             // supply stall (they sat in the missed line / post-redirect
             // shadow together); the counter clears at end of cycle.
-            st.supply_stall[t] = self.pending_supply;
+            st.supply_stall[s] = self.pending_supply;
             if insn_bytes == 2 {
                 self.thumb_fetched += 1;
             }
@@ -1585,9 +1519,8 @@ impl<'r> Pipeline<'r> {
     /// progress by what the ROB head was doing, then front-end-only
     /// progress, then drain.
     #[inline]
-    fn classify<S: Source>(
+    fn classify(
         &self,
-        src: &S,
         c: &Cols<'_>,
         fetch_stall: Option<CycleClass>,
         commits: u32,
@@ -1598,8 +1531,8 @@ impl<'r> Pipeline<'r> {
         } else if commits > 0 {
             CycleClass::Commit
         } else if let Some(head) = self.q.rob.front() {
-            let s = src.slot(head as usize);
-            if self.st.issued_at[src.stamp(head as usize)] != UNSET {
+            let s = c.slot(head as usize);
+            if self.st.issued_at[s] != UNSET {
                 if c.flags[s] & F_MEM != 0 {
                     CycleClass::Mem
                 } else {
@@ -1628,14 +1561,14 @@ impl<'r> Pipeline<'r> {
     /// A non-empty ready pool disqualifies the window (a div-unit-blocked
     /// entry wakes on unit availability, which is not in the event set).
     #[inline]
-    fn skip_idle<S: Source>(&mut self, src: &S, class: CycleClass, backend_blocked: bool) {
+    fn skip_idle(&mut self, c: &Cols<'_>, class: CycleClass, backend_blocked: bool) {
         // Only this cycle's issue or dispatch fills `resolved`, and a cycle
         // that did either is not idle.
         debug_assert!(self.q.resolved.is_empty());
         let now = self.now;
         let mut next = UNSET;
         if let Some(head) = self.q.rob.front() {
-            let done = self.st.done_at[src.stamp(head as usize)];
+            let done = self.st.done_at[c.slot(head as usize)];
             if done != UNSET {
                 next = next.min(done);
             }
@@ -1656,7 +1589,7 @@ impl<'r> Pipeline<'r> {
             && now >= self.dispatch_block_until
         {
             // Dispatch is waiting only on the decode pipe.
-            next = next.min(self.st.fetched_at[src.stamp(self.fq_head)] + 1);
+            next = next.min(self.st.fetched_at[c.slot(self.fq_head)] + 1);
         }
         if next != UNSET && next > now + 1 {
             let skipped = next - now - 1;

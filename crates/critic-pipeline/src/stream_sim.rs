@@ -1,49 +1,54 @@
-//! The streamed column source: bounded memory, bit-identical results.
+//! The column ring every run reads: bounded memory, bit-identical results.
 //!
-//! [`Simulator::run_streamed`] runs the one cycle loop
-//! (`Simulator::run_source`) over a `Ring` fed window-at-a-time from a
-//! [`TraceStream`], instead of over a materialized
-//! [`critic_workloads::Trace`] + `DecodedTrace` pair. Decoded columns,
-//! fanout and per-instruction timestamp tables live in power-of-two
-//! *rings* sized to the live span of the pipeline — the range between the
-//! oldest un-committed instruction and the fetch frontier plus one stream
-//! window — so peak memory is O(window + look-ahead + ROB), independent of
-//! the trace length.
+//! The one cycle loop (`Simulator::run_source`) reads its decoded
+//! columns, fanout and per-instruction timestamp tables from a `Ring`:
+//! power-of-two rings sized to the live span of the pipeline — the range
+//! between the oldest un-committed instruction and the fetch frontier plus
+//! one fill window — so a run's memory is O(window + look-ahead + ROB),
+//! independent of the trace length. Only the ring's feed varies, with
+//! three fills (`Fill`):
+//!
+//! * **Stream windows** ([`Simulator::run_streamed`]): a [`TraceStream`]
+//!   expands, fanout-annotates and hands over one window at a time; no
+//!   trace is ever materialized.
+//! * **Slices of a materialized trace** plus its fanout
+//!   ([`Simulator::run_with_ledger`], [`Simulator::run`]).
+//! * **Slices of already-decoded columns** ([`Simulator::run_decoded`]),
+//!   copied into the ring.
 //!
 //! # Why the results are bit-identical
 //!
-//! The stages are the materialized run's own; only the source differs,
-//! and every way a ring could differ from the whole trace is a property of
-//! `Ring`:
+//! Every run shares the stages and the ring; the fills differ only in
+//! where an entry comes from, and every way the ring could differ from a
+//! whole-trace table is a property of `Ring`:
 //!
-//! * **Columns**: every entry is decoded by the same
-//!   `DecodedTrace::decode_at` the materialized decode uses, and the stream's entries and
+//! * **Columns**: the stream and trace fills decode every entry with the
+//!   same `DecodedTrace::decode_at` a whole-trace decode uses, and the
+//!   decoded fill copies that decode's columns; the stream's entries and
 //!   fanout values are themselves bit-identical to the materialized
 //!   expansion (asserted by `critic-workloads`' own differential tests).
 //! * **Ring reads**: the cycle loop only ever indexes instructions in the
 //!   live span — ROB entries, fetch-queue entries, and the fetch frontier
 //!   are all ≥ the eviction floor — except dependence lookups, which may
 //!   point arbitrarily far back. (The issue queue's wake lists and ready
-//!   bits live in a ring of their own over the in-flight span, the same
-//!   for both sources.) `done_of` is not read by a per-cycle scan of
-//!   waiting entries but at two events per entry: at dispatch, to link
-//!   the entry onto the wake list of each producer whose completion time
-//!   is still `UNSET`, and when the last of those producers issues, to
-//!   take the `max` of the dependences' completion times (at dispatch if
-//!   none was pending). For these reads `Ring::done_of` substitutes `0`
-//!   for any dependence older than the floor: an evicted dependence is
-//!   *committed*, so its true completion time is ≤ `now` at every
-//!   subsequent read. Substituting `0` therefore changes neither the
-//!   `UNSET` test (evicted instructions always have a completion time, so
-//!   they are never linked and never hold a resolution back) nor the `max`
-//!   when that max is in the future (a future completion can only come
-//!   from a live, in-ring dependence), and a `max` ≤ `now` sends the entry
-//!   to the ready pool either way. So the `max`, taken one cycle before
-//!   the entry is scheduled, schedules it exactly as a rescan in that
-//!   cycle would (a debug assertion in the issue stage checks this on
-//!   every resolution). The wakeup schedule is therefore cycle-exact.
-//!   The materialized source keeps its timestamps in the same kind of
-//!   ring and answers below its floor the same way (`Flat::done_of`).
+//!   bits live in a ring of their own over the in-flight span.)
+//!   `Cols::done_of` is not read by a per-cycle scan of waiting entries
+//!   but at two events per entry: at dispatch, to link the entry onto the
+//!   wake list of each producer whose completion time is still `UNSET`,
+//!   and when the last of those producers issues, to take the `max` of
+//!   the dependences' completion times (at dispatch if none was pending).
+//!   For these reads it substitutes `0` for any dependence older than the
+//!   floor: an evicted dependence is *committed*, so its true completion
+//!   time is ≤ `now` at every subsequent read. Substituting `0` therefore
+//!   changes neither the `UNSET` test (evicted instructions always have a
+//!   completion time, so they are never linked and never hold a
+//!   resolution back) nor the `max` when that max is in the future (a
+//!   future completion can only come from a live, in-ring dependence),
+//!   and a `max` ≤ `now` sends the entry to the ready pool either way. So
+//!   the `max`, taken one cycle before the entry is scheduled, schedules
+//!   it exactly as a rescan in that cycle would (a debug assertion in the
+//!   issue stage checks this on every resolution). The wakeup schedule is
+//!   therefore cycle-exact, whatever the fill window.
 //! * **Eviction floor**: advanced only by `Ring::feed`, to the ROB head
 //!   (or the dispatch frontier when the ROB is empty, i.e. everything
 //!   older has committed). Slots are only overwritten during a feed, and
@@ -60,10 +65,11 @@ use std::sync::Arc;
 
 use critic_obs::CycleLedger;
 use critic_workloads::{
-    ExecutionPath, Program, StreamBuffers, StreamConfig, StreamPrep, TraceStream,
+    DynInsn, ExecutionPath, Program, StreamConfig, StreamPrep, Trace, TraceStream,
 };
 
-use crate::sim::{regrow, Cols, DecodedTrace, Queues, Simulator, Source, Stamps};
+use crate::config::CpuConfig;
+use crate::sim::{copy_wrapped, regrow, Cols, DecodedTrace, Queues, SimScratch, Simulator, Stamps};
 use crate::stats::SimResult;
 
 /// Bytes per ring slot across every column and timestamp ring (used for
@@ -71,6 +77,9 @@ use crate::stats::SimResult;
 const BYTES_PER_SLOT: usize = 1 + 4 + 1 + 1 + 12 + 8 + 8 + 8 + 1 // decoded columns
     + 4 // fanout
     + 8 + 4 + 8 + 8 + 8 + 8 + 8; // timestamp tables
+
+/// Entries a materialized fill hands the ring at a time.
+const FILL_WINDOW: usize = 1024;
 
 /// Memory accounting for one streamed run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,34 +93,15 @@ pub struct StreamRunStats {
     pub ring_capacity: usize,
 }
 
-/// Reusable working memory for [`Simulator::run_streamed`]: the ring
-/// counterpart of [`crate::SimScratch`]. Keep one per worker and reuse it
-/// across runs; rings are recycled, never reallocated once warm.
-#[derive(Debug, Default)]
-pub struct StreamScratch {
-    /// Decoded columns, ring-indexed by `i & mask`: a `DecodedTrace` whose
-    /// length is the ring capacity.
-    cols: DecodedTrace,
-    fanout: Vec<u32>,
-    /// Timestamp tables, ring-indexed like the columns; the eviction
-    /// substitution lives in `Ring::done_of`.
-    stamps: Stamps,
-    queues: Queues,
-    /// The buffers of the stream the next run reads, recycled through
-    /// [`StreamScratch::open`] and [`StreamScratch::recycle`].
-    buffers: StreamBuffers,
-}
+/// The one scratch type under its streaming name: every run, streamed or
+/// not, works in a [`SimScratch`].
+pub type StreamScratch = SimScratch;
 
-impl StreamScratch {
-    /// Empty scratch; rings grow on first use and are then recycled.
-    pub fn new() -> StreamScratch {
-        StreamScratch::default()
-    }
-
+impl SimScratch {
     /// Opens a stream over `(program, path)` on this scratch's recycled
     /// stream buffers, with `prep` built for the pair
     /// ([`TraceStream::recycled`]). Hand the stream back with
-    /// [`StreamScratch::recycle`] once the run is read out, so the next
+    /// [`SimScratch::recycle`] once the run is read out, so the next
     /// stream reuses its buffers.
     pub fn open<'a>(
         &mut self,
@@ -124,14 +114,47 @@ impl StreamScratch {
         TraceStream::recycled(program, path, cfg, prep, buffers)
     }
 
-    /// Keeps a finished stream's buffers for the next [`StreamScratch::open`].
+    /// Keeps a finished stream's buffers for the next [`SimScratch::open`].
     pub fn recycle(&mut self, stream: TraceStream<'_>) {
         self.buffers = stream.into_buffers();
     }
 }
 
-/// Bytes a streamed run holds: ring capacity across every column and
-/// timestamp table, the pipeline queues, and the stream's expansion state.
+/// Where the ring's entries come from.
+pub(crate) enum Fill<'a, 's> {
+    /// One stream window at a time.
+    Stream(&'a mut TraceStream<'s>),
+    /// [`FILL_WINDOW`]-entry slices of a materialized trace, decoded as
+    /// they enter the ring.
+    Trace { trace: &'a Trace, fanout: &'a [u32] },
+    /// [`FILL_WINDOW`]-entry slices of a whole-trace decode, copied.
+    Decoded {
+        decoded: &'a DecodedTrace,
+        fanout: &'a [u32],
+    },
+}
+
+impl Fill<'_, '_> {
+    /// Instructions in the whole run.
+    fn len(&self) -> usize {
+        match self {
+            Fill::Stream(stream) => stream.total_len(),
+            Fill::Trace { trace, .. } => trace.len(),
+            Fill::Decoded { decoded, .. } => decoded.len(),
+        }
+    }
+
+    /// The most entries one fill step hands the ring.
+    fn window(&self) -> usize {
+        match self {
+            Fill::Stream(stream) => stream.window(),
+            Fill::Trace { .. } | Fill::Decoded { .. } => FILL_WINDOW,
+        }
+    }
+}
+
+/// Bytes a run holds: ring capacity across every column and timestamp
+/// table, the pipeline queues, and the stream's expansion state.
 fn footprint(fanout: &Vec<u32>, q: &Queues, stream: &TraceStream<'_>) -> usize {
     fanout.capacity() * BYTES_PER_SLOT + q.resident_bytes() + stream.resident_bytes()
 }
@@ -152,102 +175,159 @@ fn grow_rings(
     st.regrow(old_mask, cap, lo, hi);
 }
 
-/// The streamed source: columns, fanout and timestamp tables in rings
-/// indexed by `i & mask`, fed one stream window at a time.
-struct Ring<'a, 's> {
-    stream: &'a mut TraceStream<'s>,
+/// The column source: columns, fanout and timestamp tables in rings
+/// indexed by `i & mask`, fed one fill window at a time.
+pub(crate) struct Ring<'a> {
     cols: &'a mut DecodedTrace,
     fanout: &'a mut Vec<u32>,
     n: usize,
     mask: usize,
-    /// Entries decoded into the rings so far (absolute).
+    /// Entries placed in the rings so far (absolute).
     filled: usize,
     /// Ring indices below this are committed and may be overwritten.
     evict_floor: usize,
-    /// How far the decode frontier runs ahead of fetch: one fetch group.
+    /// How far the fill frontier runs ahead of fetch: one fetch group.
     feed_ahead: usize,
-    stats: StreamRunStats,
+    pub(crate) stats: StreamRunStats,
 }
 
-impl Ring<'_, '_> {
-    fn sample_peak(&mut self, q: &Queues) {
-        let resident = footprint(self.fanout, q, self.stream);
-        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(resident);
+impl<'a> Ring<'a> {
+    /// A ring for `fill`'s run on `cpu`, in the scratch's recycled
+    /// tables. The initial capacity is the steady-state live span (one
+    /// fill window ahead of fetch, the fetch buffer, the ROB) plus
+    /// headroom for the ROB-invisible CDPs interleaved in it; a window
+    /// larger than the trace contributes at most the trace.
+    pub(crate) fn new(
+        fill: &Fill<'_, '_>,
+        cpu: &CpuConfig,
+        cols: &'a mut DecodedTrace,
+        fanout: &'a mut Vec<u32>,
+        st: &mut Stamps,
+    ) -> Ring<'a> {
+        let n = fill.len();
+        let feed_ahead = cpu.fetch_width as usize * 2;
+        let cap = (fill.window().min(n) + cpu.fetch_buffer + cpu.rob_entries + feed_ahead + 64)
+            .next_power_of_two();
+        if fanout.len() < cap {
+            grow_rings(cols, fanout, st, cap, 0, 0);
+        }
+        Ring {
+            cols,
+            mask: fanout.len() - 1,
+            stats: StreamRunStats {
+                ring_capacity: fanout.len(),
+                ..StreamRunStats::default()
+            },
+            fanout,
+            n,
+            filled: 0,
+            evict_floor: 0,
+            feed_ahead,
+        }
     }
-}
 
-impl Source for Ring<'_, '_> {
-    fn len(&self) -> usize {
+    /// Instructions in the whole run.
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// Keeps the decode frontier one fetch group ahead of fetch. This is
-    /// the only point slots are overwritten or the rings grow, so the
-    /// floor advance, the capacity check, and the per-feed peak sample all
-    /// live here.
+    /// The ring as one cycle's [`Cols`].
     #[inline]
-    fn feed(&mut self, fetch_idx: usize, fq_head: usize, st: &mut Stamps, q: &Queues) {
-        let feed_target = self.n.min(fetch_idx + self.feed_ahead);
-        if self.filled >= feed_target {
-            return;
+    pub(crate) fn cols(&self) -> Cols<'_> {
+        self.cols.cols(self.fanout, self.mask, self.evict_floor)
+    }
+
+    /// Keeps the fill frontier one fetch group ahead of fetch; runs at the
+    /// top of every cycle. `fq_head` is the dispatch frontier.
+    #[inline]
+    pub(crate) fn feed(
+        &mut self,
+        fill: &mut Fill<'_, '_>,
+        fetch_idx: usize,
+        fq_head: usize,
+        st: &mut Stamps,
+        q: &Queues,
+    ) {
+        let target = self.n.min(fetch_idx + self.feed_ahead);
+        if self.filled < target {
+            self.refill(fill, target, fq_head, st, q);
         }
+    }
+
+    /// Fills the rings up to `target`. This is the only point slots are
+    /// overwritten or the rings grow, so the floor advance, the capacity
+    /// check, and the per-feed peak sample all live here.
+    fn refill(
+        &mut self,
+        fill: &mut Fill<'_, '_>,
+        target: usize,
+        fq_head: usize,
+        st: &mut Stamps,
+        q: &Queues,
+    ) {
         self.evict_floor = self.evict_floor.max(q.oldest(fq_head));
-        while self.filled < feed_target {
-            let Some(w) = self.stream.next_window() else {
-                unreachable!(
-                    "stream ended at {} before its total_len {}",
-                    self.filled, self.n
-                );
-            };
-            let need = self.filled + w.entries.len() - self.evict_floor;
-            if need > self.fanout.len() {
-                // Mid-window growth: re-place the live span. (Borrow note:
-                // `w` borrows the stream, not the rings, so the rings are
-                // free to move.)
-                let (cap, lo, hi) = (need.next_power_of_two(), self.evict_floor, self.filled);
-                grow_rings(self.cols, self.fanout, st, cap, lo, hi);
-                self.mask = cap - 1;
-                self.stats.ring_capacity = cap;
-            }
-            for (k, e) in w.entries.iter().enumerate() {
-                let s = self.filled & self.mask;
-                self.cols.decode_at(s, e);
-                self.fanout[s] = w.fanout[k];
-                self.filled += 1;
+        while self.filled < target {
+            let from = self.filled;
+            match fill {
+                Fill::Stream(stream) => {
+                    let Some(w) = stream.next_window() else {
+                        unreachable!("stream ended at {from} before its total_len {}", self.n);
+                    };
+                    self.reserve(w.entries.len(), st);
+                    self.decode(w.entries, w.fanout);
+                }
+                Fill::Trace { trace, fanout } => {
+                    let to = self.n.min(from + FILL_WINDOW);
+                    self.reserve(to - from, st);
+                    self.decode(&trace.entries[from..to], &fanout[from..to]);
+                }
+                Fill::Decoded { decoded, fanout } => {
+                    let to = self.n.min(from + FILL_WINDOW);
+                    self.reserve(to - from, st);
+                    self.cols.copy_span(decoded, from, to, self.mask);
+                    copy_wrapped(self.fanout, &fanout[from..to], from & self.mask);
+                    self.filled = to;
+                }
             }
         }
-        self.sample_peak(q);
+        self.sample_peak(fill, q);
     }
 
-    #[inline]
-    fn cols(&self) -> Cols<'_> {
-        self.cols.cols(self.fanout)
-    }
-
-    #[inline]
-    fn slot(&self, i: usize) -> usize {
-        i & self.mask
-    }
-
-    /// The timestamp ring shares the columns' slots.
-    #[inline]
-    fn stamp(&self, i: usize) -> usize {
-        i & self.mask
-    }
-
-    /// Completion-time lookup through the ring for a *shifted* dependence
-    /// index (`0` = always-done sentinel, insn `i` = `i + 1`), with the
-    /// eviction substitution documented in the module header.
-    #[inline]
-    fn done_of(&self, done_at: &[u64], d: u32) -> u64 {
-        if d == 0 {
-            return 0;
+    /// Makes room for `len` more entries past the fill frontier: grows the
+    /// rings, re-placing the live span, when they would overrun it.
+    fn reserve(&mut self, len: usize, st: &mut Stamps) {
+        let need = self.filled + len - self.evict_floor;
+        if need > self.fanout.len() {
+            let cap = need.next_power_of_two();
+            grow_rings(
+                self.cols,
+                self.fanout,
+                st,
+                cap,
+                self.evict_floor,
+                self.filled,
+            );
+            self.mask = cap - 1;
+            self.stats.ring_capacity = cap;
         }
-        let i = (d - 1) as usize;
-        if i < self.evict_floor {
-            0
-        } else {
-            done_at[i & self.mask]
+    }
+
+    /// Decodes `entries`, with their `fanout`, into the slots from the
+    /// fill frontier on.
+    fn decode(&mut self, entries: &[DynInsn], fanout: &[u32]) {
+        for (k, e) in entries.iter().enumerate() {
+            self.cols.decode_at((self.filled + k) & self.mask, e);
+        }
+        copy_wrapped(self.fanout, fanout, self.filled & self.mask);
+        self.filled += entries.len();
+    }
+
+    /// Folds the run's current footprint into its peak; only a streamed
+    /// run reports one.
+    pub(crate) fn sample_peak(&mut self, fill: &Fill<'_, '_>, q: &Queues) {
+        if let Fill::Stream(stream) = fill {
+            let resident = footprint(self.fanout, q, stream);
+            self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(resident);
         }
     }
 }
@@ -255,9 +335,9 @@ impl Source for Ring<'_, '_> {
 impl Simulator {
     /// Runs a [`TraceStream`] to completion with bounded memory, returning
     /// the timing result, the per-cycle ledger, and the run's memory
-    /// accounting. Results are bit-identical to decoding the materialized
-    /// trace and calling [`Simulator::run_decoded`] (asserted by this
-    /// module's differential tests and the repo-level battery).
+    /// accounting. Results are bit-identical to
+    /// [`Simulator::run_with_ledger`] on the materialized trace (asserted
+    /// by this module's differential tests and the repo-level battery).
     ///
     /// The stream supplies both entries and their exact direct fanout, so
     /// no caller-side `compute_fanout` pass (or trace materialization) is
@@ -275,43 +355,7 @@ impl Simulator {
         scratch: &mut StreamScratch,
     ) -> (SimResult, CycleLedger, StreamRunStats) {
         assert_eq!(stream.emitted(), 0, "run_streamed requires a fresh stream");
-        let cfg = self.cpu_config();
-        let n = stream.total_len();
-        let feed_ahead = cfg.fetch_width as usize * 2;
-        let StreamScratch {
-            cols,
-            fanout,
-            stamps,
-            queues,
-            ..
-        } = scratch;
-        // Initial ring capacity: the steady-state live span (one stream
-        // window ahead of fetch, the fetch buffer, the ROB) plus headroom
-        // for the ROB-invisible CDPs interleaved in it. A window larger
-        // than the trace contributes at most the trace.
-        let cap = (stream.window().min(n) + cfg.fetch_buffer + cfg.rob_entries + feed_ahead + 64)
-            .next_power_of_two();
-        if fanout.len() < cap {
-            grow_rings(cols, fanout, stamps, cap, 0, 0);
-        }
-        let mut ring = Ring {
-            stream,
-            cols,
-            mask: fanout.len() - 1,
-            stats: StreamRunStats {
-                ring_capacity: fanout.len(),
-                ..StreamRunStats::default()
-            },
-            fanout,
-            n,
-            filled: 0,
-            evict_floor: 0,
-            feed_ahead,
-        };
-        let (result, ledger) = self.run_source(&mut ring, stamps, queues);
-        // The queues can grow between the last feed and the end of the run.
-        ring.sample_peak(queues);
-        (result, ledger, ring.stats)
+        self.run_source(Fill::Stream(stream), scratch)
     }
 }
 
@@ -380,11 +424,14 @@ mod tests {
         cpu.cdp_bubble = 2;
         let sim = Simulator::new(cpu, MemConfig::google_tablet());
         let want = materialized(&sim, &program, &path);
-        // The streamed and materialized runs share one cycle loop; the
-        // scalar oracle shares none of it.
+        // The three fills share one cycle loop; the scalar oracle shares
+        // none of it.
         let trace = Trace::expand(&program, &path);
-        let oracle = sim.run_reference(&trace, &trace.compute_fanout());
-        assert_eq!(want, oracle, "materialized run diverges from the oracle");
+        let fanout = trace.compute_fanout();
+        let oracle = sim.run_reference(&trace, &fanout);
+        assert_eq!(want, oracle, "decoded run diverges from the oracle");
+        let ledgered = sim.run_with_ledger(&trace, &fanout, &mut SimScratch::new());
+        assert_eq!(ledgered, oracle, "trace run diverges from the oracle");
         let mut scratch = StreamScratch::new();
         let mut stream = TraceStream::new(&program, &path, stream_cfg(256));
         let (result, ledger, _) = sim.run_streamed(&mut stream, &mut scratch);

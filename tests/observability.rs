@@ -102,8 +102,9 @@ proptest! {
             sim.run_with_ledger(first.baseline_trace(), first.baseline_fanout(), &mut scratch);
         let (r2, l2) =
             sim.run_with_ledger(second.baseline_trace(), second.baseline_fanout(), &mut scratch);
-        let plain =
-            sim.run_with_scratch(first.baseline_trace(), first.baseline_fanout(), &mut scratch);
+        let plain = sim
+            .run_with_ledger(first.baseline_trace(), first.baseline_fanout(), &mut scratch)
+            .0;
         prop_assert_eq!(&r1, &r2);
         prop_assert_eq!(l1, l2);
         prop_assert_eq!(&r1, &plain);

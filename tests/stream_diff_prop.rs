@@ -288,6 +288,8 @@ fn wakeup_stress_under_tiny_queues_is_exact() {
             assert!(oracle.0.cdp_switches > 0, "{}: no CDPs", app.name);
             let mat = sim.run_decoded(&decoded, &fanout, &mut SimScratch::new());
             assert_eq!(mat, oracle, "{} iq={iq_entries}: decoded", app.name);
+            let ledgered = sim.run_with_ledger(&trace, &fanout, &mut SimScratch::new());
+            assert_eq!(ledgered, oracle, "{} iq={iq_entries}: trace", app.name);
             let mut stream_scratch = StreamScratch::new();
             for window in [1, 64] {
                 let cfg = StreamConfig {

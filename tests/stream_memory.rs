@@ -1,8 +1,9 @@
 //! Memory-regression battery for the streaming trace pipeline: the same
 //! long-trace allocation budget that a materialized cell's heap blows
 //! admits a streamed campaign cell, the streaming simulator's *measured*
-//! peak is bounded by the window, not the trace, and a streamed campaign's
-//! measured peak live heap stays flat in the trace length.
+//! peak is bounded by the window, not the trace, a streamed campaign's
+//! measured peak live heap stays flat in the trace length, and so does
+//! the heap a simulator scratch keeps after a materialized run.
 //!
 //! Every clean campaign cell streams, so the materialized side of each
 //! comparison is a world-backed [`Workbench`] — the engine the figures and
@@ -26,10 +27,10 @@ use critics::core::design::DesignPoint;
 use critics::core::runner::Workbench;
 use critics::core::store::{ArtifactStore, StoreStats};
 use critics::mem::MemConfig;
-use critics::pipeline::{CpuConfig, Simulator, StreamScratch};
+use critics::pipeline::{CpuConfig, SimScratch, Simulator, StreamScratch};
 use critics::workloads::suite::Suite;
 use critics::workloads::{
-    AppSpec, ExecutionPath, StreamConfig, SysFault, SysFaultSpec, SysInjector, TraceStream,
+    AppSpec, ExecutionPath, StreamConfig, SysFault, SysFaultSpec, SysInjector, Trace, TraceStream,
     DEFAULT_LOOKAHEAD,
 };
 
@@ -250,6 +251,41 @@ fn streamed_peak_bytes_are_window_bounded_not_trace_bounded() {
              clearly below the materialized footprint {materialized_estimate} B"
         );
     }
+}
+
+/// The live heap a fresh scratch still holds after one
+/// `run_with_ledger` over [`app`]'s `trace_len`-instruction trace.
+fn heap_kept_by_scratch(trace_len: usize) -> usize {
+    let app = app();
+    let program = app.generate_program();
+    let path = ExecutionPath::generate(&program, app.path_seed(), trace_len);
+    let trace = Trace::expand(&program, &path);
+    let fanout = trace.compute_fanout();
+    let sim = Simulator::new(CpuConfig::google_tablet(), MemConfig::google_tablet());
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut scratch = SimScratch::new();
+    let (result, ledger) = sim.run_with_ledger(&trace, &fanout, &mut scratch);
+    let kept = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    ledger.check(result.cycles).expect("ledger partitions");
+    drop(scratch);
+    kept
+}
+
+/// A materialized run decodes its trace slice by slice into the scratch's
+/// ring, so the scratch keeps the same heap after a run four times longer:
+/// no trace-length decode (44 B per instruction) stays behind.
+#[test]
+fn scratch_heap_after_a_materialized_run_is_flat_in_trace_length() {
+    let _serial = serial();
+    const SLACK: usize = 1 << 20;
+    let short = heap_kept_by_scratch(LONG_TRACE);
+    let long = heap_kept_by_scratch(4 * LONG_TRACE);
+    assert!(
+        long.abs_diff(short) < SLACK,
+        "the scratch kept {short} B after {LONG_TRACE} instructions but {long} B \
+         after {}",
+        4 * LONG_TRACE
+    );
 }
 
 /// One store-backed one-app campaign at `trace_len` with the default
