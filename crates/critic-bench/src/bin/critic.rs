@@ -766,11 +766,11 @@ fn peak_rss_mib() -> Option<f64> {
 /// run number so the recovery drill can prove acknowledged cells are never
 /// re-simulated.
 ///
-/// Every cell's trace runs through the chunked streaming pipeline at
-/// O(window) memory per worker; `--stream-window N` sets the window to N
-/// instructions (default 4096) and changes no result. Cells with an armed
-/// trace fault alone run materialized (the fault corrupts the materialized
-/// trace, which a re-expansion would silently undo).
+/// Every cell that runs streams its trace through the chunked pipeline
+/// at O(window) memory per worker; `--stream-window N` sets the window to
+/// N instructions (default 4096) and changes no result. A cell with an
+/// armed trace fault corrupts the clean trace, fails its trace check and
+/// simulates nothing.
 ///
 /// `--sys` arms deterministic systemic faults (the chaos harness's
 /// [`SysFault`](critic_workloads::SysFault) family) on the run;

@@ -34,12 +34,15 @@ use std::fmt;
 use std::sync::Arc;
 
 use critic_core::campaign::{
-    run_campaign, CampaignSpec, CellMetrics, CellStatus, PlannedFault, Scheme, SupervisionPolicy,
+    attempt_charges, run_campaign, CampaignSpec, CellMetrics, CellStatus, PlannedFault, Scheme,
+    SupervisionPolicy,
 };
 use critic_core::design::DesignPoint;
 use critic_obs::Telemetry;
 use critic_workloads::suite::Suite;
-use critic_workloads::{AppSpec, Fault, SysFault, SysFaultSpec, SysInjector};
+use critic_workloads::{
+    AppSpec, Fault, SysFault, SysFaultSpec, SysInjector, DEFAULT_STREAM_WINDOW,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -168,12 +171,20 @@ fn chaos_trace_len(config: &ChaosConfig) -> usize {
     }
 }
 
+/// The bytes one attempt of the chaos campaign charges against an alloc
+/// budget.
+fn attempt_charge(config: &ChaosConfig) -> u64 {
+    attempt_charges(chaos_trace_len(config), DEFAULT_STREAM_WINDOW)
+        .iter()
+        .sum()
+}
+
 /// Draws a schedule from the seed: 3–6 entries, each a coin flip between
 /// a data fault on a random cell and a systemic fault at a random index.
 ///
 /// The systemic pool spans every deterministic fault family. Alloc budgets
-/// are drawn below the first pipeline charge (`trace_len * 64` bytes) so
-/// an injected budget always fails its attempt — firing-but-harmless
+/// are drawn below what one attempt charges ([`attempt_charges`], summed)
+/// so an injected budget always fails its attempt — firing-but-harmless
 /// faults would water the drill down. `WorkerStall` is excluded: its
 /// observable effect depends on host timing.
 pub fn generate_schedule(config: &ChaosConfig) -> Vec<ScheduleEntry> {
@@ -199,7 +210,7 @@ pub fn generate_schedule(config: &ChaosConfig) -> Vec<ScheduleEntry> {
                 seed: rng.gen_range(1..=1_000),
             }));
         } else {
-            let budget_cap = (chaos_trace_len(config) as u64 * 64).saturating_sub(1);
+            let budget_cap = attempt_charge(config).saturating_sub(1);
             let kind = rng.gen_range(0..6);
             let fault = match kind {
                 0 => SysFault::JournalWrite,
@@ -402,6 +413,8 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, BenchError> {
 
 #[cfg(test)]
 mod tests {
+    use critic_core::RunError;
+
     use super::*;
 
     fn smoke_config(seed: u64) -> ChaosConfig {
@@ -424,6 +437,56 @@ mod tests {
         let a = generate_schedule(&smoke_config(1));
         let b = generate_schedule(&smoke_config(2));
         assert_ne!(a, b, "different seeds draw different schedules");
+    }
+
+    /// Every alloc budget a schedule draws fails the attempt it lands on:
+    /// each is below the bytes one attempt charges, smoke and full, and
+    /// the largest one drawn fails a real cell of the chaos grid.
+    #[test]
+    fn every_drawn_alloc_budget_fails_its_attempt() {
+        for smoke in [true, false] {
+            let config = ChaosConfig {
+                smoke,
+                ..smoke_config(0)
+            };
+            let charge = attempt_charge(&config);
+            let mut largest = 0;
+            for seed in 0..400 {
+                let config = ChaosConfig { seed, ..config };
+                for entry in generate_schedule(&config) {
+                    if let ScheduleEntry::Sys(SysFaultSpec {
+                        fault: SysFault::AllocBudget { bytes },
+                        ..
+                    }) = entry
+                    {
+                        assert!(bytes < charge, "seed {seed}: {bytes} >= {charge}");
+                        largest = largest.max(bytes);
+                    }
+                }
+            }
+            assert!(largest > charge / 2, "smoke {smoke}: no budget drawn");
+            let (apps, schemes) = chaos_grid(&config);
+            let mut spec = CampaignSpec::new(
+                apps[..1].to_vec(),
+                schemes[..1].to_vec(),
+                chaos_trace_len(&config),
+            );
+            spec.workers = 1;
+            spec.validate = true;
+            spec.sys = Some(Arc::new(SysInjector::new(vec![SysFaultSpec {
+                fault: SysFault::AllocBudget { bytes: largest },
+                at: 0,
+            }])));
+            let summary = run_campaign(&spec).expect("campaign runs");
+            assert!(
+                matches!(
+                    summary.records[0].error,
+                    Some(RunError::Sys(SysFault::AllocBudget { .. }))
+                ),
+                "smoke {smoke}: a {largest} B budget did not fire: {}",
+                summary.render()
+            );
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@ use std::time::{Duration, Instant};
 
 use critic_obs::{EventKind, SpanKind, Telemetry, TelemetrySnapshot};
 use critic_workloads::{
-    inject_program, inject_trace, AppSpec, ExecutionPath, Fault, FaultTarget, SysFault,
-    SysInjector, SysOp, Trace, DEFAULT_LOOKAHEAD, DEFAULT_STREAM_WINDOW,
+    inject_program, inject_trace, validate_stream, AppSpec, ExecutionPath, Fault, FaultTarget,
+    InjectError, StreamConfig, SysFault, SysInjector, SysOp, Trace, TraceStream, DEFAULT_LOOKAHEAD,
+    DEFAULT_STREAM_WINDOW,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -190,12 +191,12 @@ pub struct CampaignSpec {
     pub run_tag: Option<u64>,
     /// The window of the bounded-memory streaming trace pipeline every
     /// cell's data-oriented simulations and profile folds run through
-    /// ([`Workbench::set_stream_window`]); `None` (the default) means
+    /// ([`Workbench::from_recording`]); `None` (the default) means
     /// [`DEFAULT_STREAM_WINDOW`]. The window only tunes memory against
     /// per-window work: results are bit-identical at every window, and a
     /// cell's expansion/simulation allocations are O(window), not
-    /// O(trace_len). Trace-targeted fault cells alone stay materialized
-    /// (the stream would re-expand past the injected corruption).
+    /// O(trace_len). Every cell that runs streams: a trace-targeted fault
+    /// cell ends at its trace check and simulates nothing.
     pub stream_window: Option<usize>,
 }
 
@@ -913,7 +914,7 @@ pub(crate) fn execute(
         }
         let setup = Attempt {
             trace_len: policy.trace_len,
-            stream_window: policy.stream_window,
+            window: policy.stream_window.unwrap_or(DEFAULT_STREAM_WINDOW),
             validate: policy.validate && level < 1,
             telemetry: if level >= 2 {
                 Telemetry::off()
@@ -999,7 +1000,7 @@ pub(crate) fn execute(
 /// it onto its own thread.
 struct Attempt {
     trace_len: usize,
-    stream_window: Option<usize>,
+    window: usize,
     validate: bool,
     telemetry: Telemetry,
     meter: Option<Arc<AllocMeter>>,
@@ -1077,21 +1078,94 @@ fn checkpoint(cancel: &AtomicBool) -> Result<(), RunError> {
     }
 }
 
+/// The bytes one attempt streaming at `window` charges against an
+/// injected [`SysFault::AllocBudget`], stage by stage: one expansion
+/// (~64 bytes per entry of a window plus the look-ahead), then the
+/// baseline's and the scheme's simulation bookkeeping (16 bytes per window
+/// entry each). The figures are deterministic in the cell, so the same
+/// budget always fails at the same stage, and a budget below their sum
+/// always fails the attempt. They model the attempt only; what the store
+/// holds across attempts is measured by `tests/stream_memory.rs`'s
+/// counting allocator.
+pub fn attempt_charges(trace_len: usize, window: usize) -> [u64; 3] {
+    let expansion = (window + DEFAULT_LOOKAHEAD).min(trace_len) as u64 * 64;
+    let sim = window.min(trace_len) as u64 * 16;
+    [expansion, sim, sim]
+}
+
 /// A clean cell's store-backed workbench over the app's trace-free
 /// recording, timed as the world-build stage.
 fn shared_bench(
     app: &AppSpec,
     trace_len: usize,
+    window: usize,
     store: &Arc<ArtifactStore>,
     telemetry: &Telemetry,
 ) -> Result<Workbench, RunError> {
     telemetry.time(SpanKind::WorldBuild, || {
         let recording = store.recording(app, trace_len)?;
-        Ok(Workbench::from_recording(app, recording, Arc::clone(store)))
+        Ok(Workbench::from_recording(
+            app,
+            recording,
+            Arc::clone(store),
+            window,
+        ))
     })
 }
 
-/// The cell proper: fetch the shared recording (or generate a private world
+/// A fault-injected cell's workbench, over its own fresh store: a
+/// corrupted program must never reach the campaign store, and even the
+/// cell's pristine stages stay off it so a fault drill measures the
+/// uncached pipeline it is drilling.
+///
+/// The input is recorded on the clean binary, and every fault is checked
+/// against that recording, the way the paper replays one recorded input
+/// over every binary. A program fault must pass the static checks and
+/// then replay the clean input ([`validate_stream`]). A trace fault
+/// corrupts the clean trace, which must then fail its check, so the cell
+/// ends in a typed error and simulates nothing. A miscompile fault is
+/// armed on the workbench: the baseline design point is never injected
+/// (the oracle needs an honest reference), only the scheme's variant is.
+fn faulted_bench(
+    app: &AppSpec,
+    (fault, seed): (Fault, u64),
+    trace_len: usize,
+    window: usize,
+    cancel: &AtomicBool,
+) -> Result<Workbench, RunError> {
+    let inject = |e: InjectError| RunError::Inject(e.to_string());
+    let clean = app.generate_program();
+    // Validate before walking the CFG: path generation indexes blocks by id.
+    clean.validate()?;
+    let path = ExecutionPath::generate(&clean, app.path_seed(), trace_len);
+    checkpoint(cancel)?;
+    match fault.target() {
+        FaultTarget::Trace => {
+            let mut trace = Trace::expand(&clean, &path);
+            inject_trace(&mut trace, fault, seed).map_err(inject)?;
+            trace.validate_recorded(&clean, &path)?;
+            Err(RunError::Inject(format!(
+                "trace fault `{fault}` passed every trace check"
+            )))
+        }
+        FaultTarget::Program => {
+            let mut program = clean.clone();
+            inject_program(&mut program, fault, seed).map_err(inject)?;
+            program.validate_encoding()?;
+            let config = StreamConfig::default();
+            validate_stream(&program, &mut TraceStream::new(&clean, &path, config))?;
+            checkpoint(cancel)?;
+            Workbench::try_assemble(app, program, path, window)
+        }
+        FaultTarget::Variant => {
+            let mut bench = Workbench::try_assemble(app, clean, path, window)?;
+            bench.set_variant_fault(fault, seed);
+            Ok(bench)
+        }
+    }
+}
+
+/// The cell proper: fetch the shared recording (or assemble a private one
 /// and inject the planned fault), validate, profile/compile/simulate
 /// baseline and scheme, reduce to metrics.
 fn run_cell_body(
@@ -1101,16 +1175,7 @@ fn run_cell_body(
     store: &Arc<ArtifactStore>,
     shared: &mut Option<Workbench>,
 ) -> Result<(CellMetrics, Option<ValidationStats>), RunError> {
-    // Charges against an injected per-attempt allocation budget. The
-    // figures are the stages' dominant allocations in bytes — one
-    // expansion (a ~64-byte record per dynamic instruction) and each
-    // simulation's per-instruction bookkeeping — deterministic in the cell,
-    // so the same budget always fails at the same stage. A streamed cell's
-    // expansion and simulation state are rings sized to the window, not
-    // the trace, and the charges say so; only a trace-fault cell, the one
-    // kind that still materializes, charges the trace length. The charges
-    // model the attempt only; what the store holds across attempts is
-    // measured by `tests/stream_memory.rs`'s counting allocator.
+    // Charges against an injected per-attempt allocation budget.
     let charge = |bytes: u64| -> Result<(), RunError> {
         match &attempt.meter {
             Some(meter) => meter.charge(bytes),
@@ -1118,25 +1183,9 @@ fn run_cell_body(
         }
     };
     let trace_len = attempt.trace_len;
+    let window = attempt.window;
+    let [expansion, base_sim, scheme_sim] = attempt_charges(trace_len, window);
     let telemetry = &attempt.telemetry;
-    // Every cell streams, except that trace-targeted faults corrupt the
-    // materialized trace; the stream would innocently re-expand
-    // (program, path) past the corruption, so those cells stay on the
-    // materialized path.
-    let stream_window = match cell.fault {
-        Some((fault, _)) if fault.target() == FaultTarget::Trace => None,
-        _ => Some(attempt.stream_window.unwrap_or(DEFAULT_STREAM_WINDOW)),
-    };
-    // Dominant per-attempt bytes of one expansion and of one simulation's
-    // bookkeeping under the active pipeline.
-    let expansion_span = match stream_window {
-        Some(window) => (window + DEFAULT_LOOKAHEAD).min(trace_len),
-        None => trace_len,
-    };
-    let sim_span = match stream_window {
-        Some(window) => window.min(trace_len),
-        None => trace_len,
-    };
     let app = &cell.app;
     let mut private;
     let bench = match cell.fault {
@@ -1152,54 +1201,25 @@ fn run_cell_body(
             // artifacts) with every sibling cell of the app through the
             // store.
             None => {
-                let bench = shared.insert(shared_bench(app, trace_len, store, telemetry)?);
+                let bench = shared.insert(shared_bench(app, trace_len, window, store, telemetry)?);
                 checkpoint(cancel)?;
                 bench
             }
         },
-        // Fault-injected cell: build everything over the workbench's own
-        // fresh store. A corrupted program/trace must never be published to
-        // the campaign store, and even the cell's *pristine* stages stay off
-        // it so a fault drill measures the uncached pipeline it is drilling.
-        Some((fault, seed)) => {
+        Some(fault) => {
             private = telemetry.time(SpanKind::WorldBuild, || {
-                let mut program = app.generate_program();
-                if fault.target() == FaultTarget::Program {
-                    inject_program(&mut program, fault, seed)
-                        .map_err(|e| RunError::Inject(e.to_string()))?;
-                }
-                // Validate before walking the CFG: path generation and
-                // trace expansion index blocks by id and would panic on
-                // e.g. a dangling terminator.
-                program.validate()?;
-                checkpoint(cancel)?;
-                let path = ExecutionPath::generate(&program, app.path_seed(), trace_len);
-                let mut trace = Trace::expand(&program, &path);
-                if fault.target() == FaultTarget::Trace {
-                    inject_trace(&mut trace, fault, seed)
-                        .map_err(|e| RunError::Inject(e.to_string()))?;
-                }
-                checkpoint(cancel)?;
-                Workbench::try_assemble(app, program, path, trace)
+                faulted_bench(app, fault, trace_len, window, cancel)
             })?;
-            // Miscompile faults corrupt the *rewritten* variant, so they
-            // are armed on the workbench: the baseline design point is
-            // never injected (the oracle needs an honest reference), only
-            // the scheme's variant is.
-            if fault.target() == FaultTarget::Variant {
-                private.set_variant_fault(fault, seed);
-            }
             &mut private
         }
     };
-    charge(expansion_span as u64 * 64)?;
+    charge(expansion)?;
     bench.set_telemetry(telemetry.clone());
-    bench.set_stream_window(stream_window);
     checkpoint(cancel)?;
-    charge(sim_span as u64 * 16)?;
+    charge(base_sim)?;
     let base = bench.try_run(&DesignPoint::baseline())?;
     checkpoint(cancel)?;
-    charge(sim_span as u64 * 16)?;
+    charge(scheme_sim)?;
     let (outcome, validation) = if attempt.validate {
         let (outcome, stats) = bench.try_run_validated(&cell.scheme.point, app.path_seed())?;
         (outcome, Some(stats))
@@ -1807,6 +1827,38 @@ mod tests {
             let stats = store.stats();
             assert_eq!(stats.built(), 0, "{fault:?}: {stats:?}");
             assert_eq!(stats.hits, 0, "{fault:?}: {stats:?}");
+        }
+    }
+
+    /// Every trace fault, and the program faults only a replay of the
+    /// clean binary's input can see, fail their one-cell campaign with a
+    /// typed trace error: nothing corrupted is simulated.
+    #[test]
+    fn input_faults_fail_their_cell_with_a_trace_error() {
+        let faults = Fault::ALL
+            .into_iter()
+            .filter(|f| f.target() == FaultTarget::Trace)
+            .chain([Fault::TruncateBlock, Fault::ScrambleBlock]);
+        for fault in faults {
+            let mut spec = CampaignSpec::new(
+                tiny_apps(1),
+                vec![Scheme::new("critic", DesignPoint::critic())],
+                8_000,
+            );
+            spec.faults.push(PlannedFault {
+                app: spec.apps[0].name.clone(),
+                scheme: "critic".into(),
+                fault,
+                seed: 3,
+            });
+            let summary = run_campaign(&spec).expect("campaign runs");
+            let record = &summary.records[0];
+            assert_eq!(record.status, CellStatus::Failed, "{fault}");
+            assert!(
+                matches!(record.error, Some(RunError::Trace(_))),
+                "{fault}: {:?}",
+                record.error
+            );
         }
     }
 

@@ -12,7 +12,7 @@ use critic_pipeline::{SimEngine, SimResult, SimScratch, Simulator};
 use critic_profiler::{ChainSpec, Profile, ProfilerConfig};
 use critic_workloads::{
     inject_variant, AppSpec, BlockId, ExecutionPath, Fault, Program, StreamConfig, StreamPrep,
-    Trace, DEFAULT_LOOKAHEAD, DEFAULT_STREAM_WINDOW,
+    Trace, DEFAULT_LOOKAHEAD,
 };
 use serde::{Deserialize, Serialize};
 
@@ -58,6 +58,12 @@ pub struct RunOutcome {
 /// simulations, baseline oracle executions) comes from an
 /// [`ArtifactStore`]: a campaign's, or a fresh in-memory one owned by a
 /// [`Workbench::try_new`] / [`Workbench::try_assemble`] workbench.
+///
+/// The backing picks the engine: a world-backed workbench
+/// ([`Workbench::try_new`], [`Workbench::from_world`]) runs materialized,
+/// and a recording-backed one ([`Workbench::from_recording`],
+/// [`Workbench::try_assemble`]) streams every data-oriented run and
+/// profile at the window it was built with.
 #[derive(Debug)]
 pub struct Workbench {
     /// The workload.
@@ -84,9 +90,6 @@ pub struct Workbench {
     /// allocating multi-megabyte vectors per (app, scheme) cell.
     variant_trace: Trace,
     fanout: Vec<u32>,
-    /// The streaming window of data-oriented runs (see
-    /// [`Workbench::set_stream_window`]).
-    stream_window: Option<usize>,
     /// Recycled rings, queues and stream buffers: every data-oriented run
     /// and profile fold, store builds included, runs in it.
     scratch: SimScratch,
@@ -95,16 +98,20 @@ pub struct Workbench {
     telemetry: Telemetry,
 }
 
-/// Where a [`Workbench`]'s baseline trace comes from.
+/// Where a [`Workbench`]'s baseline trace comes from, and so how its
+/// data-oriented runs execute.
 #[derive(Debug)]
 enum Backing {
-    /// The store's materialized world.
+    /// The store's materialized world: every run is materialized.
     World(Arc<World>),
-    /// The store's trace-free recording: every profile and data-oriented
-    /// run streams, through the store's streamed builders. Swapped for the
-    /// app's world the first time a reference-engine run needs the
+    /// A trace-free recording: every profile and data-oriented run streams
+    /// at `window`, through the store's streamed builders. Swapped for the
+    /// recording's world the first time a reference-engine run needs the
     /// materialized trace.
-    Recording(Arc<Recording>),
+    Recording {
+        recording: Arc<Recording>,
+        window: usize,
+    },
 }
 
 impl Workbench {
@@ -132,25 +139,29 @@ impl Workbench {
         Ok(Workbench::from_world(app, world, store))
     }
 
-    /// Builds a workbench from externally supplied (possibly corrupted)
-    /// parts, validating the program and the trace against it, over a
-    /// fresh in-memory [`ArtifactStore`]. This is the fault-injection
-    /// entry point: campaigns inject faults into the program or trace and
-    /// still get a typed error instead of a panic deep inside the
-    /// analyses, and nothing corrupted reaches a shared store.
+    /// Builds a recording-backed workbench from externally supplied
+    /// (possibly corrupted) parts over a fresh in-memory [`ArtifactStore`]:
+    /// checks the program's encoding and that `path` stays inside it, then
+    /// checks the trace of `path` over it entry by entry on a stream, as
+    /// [`ArtifactStore::recording`] does.
+    /// Every data-oriented run streams at `window`. This is the
+    /// fault-injection entry point: campaigns inject faults into the
+    /// program and still get a typed error instead of a panic deep inside
+    /// the analyses, and nothing corrupted reaches a shared store.
     pub fn try_assemble(
         app: &AppSpec,
         program: Program,
         path: ExecutionPath,
-        base_trace: Trace,
+        window: usize,
     ) -> Result<Workbench, RunError> {
         program.validate_encoding()?;
-        let key = WorldKey::new(app, base_trace.len());
-        let world = World::try_assemble(key, Arc::new(program), Arc::new(path), base_trace)?;
-        Ok(Workbench::from_world(
+        let key = WorldKey::new(app, path.checked_dyn_insns(&program)?);
+        let recording = Recording::try_new(key, Arc::new(program), Arc::new(path))?;
+        Ok(Workbench::from_recording(
             app,
-            Arc::new(world),
+            Arc::new(recording),
             Arc::new(ArtifactStore::new()),
+            window,
         ))
     }
 
@@ -165,19 +176,21 @@ impl Workbench {
     }
 
     /// Builds a workbench over a store-shared [`Recording`]: no trace is
-    /// held, every data-oriented run streams (at [`DEFAULT_STREAM_WINDOW`]
-    /// unless [`Workbench::set_stream_window`] says otherwise), and
-    /// profiles, baseline simulations, and baseline oracle executions come
-    /// from `store`'s streamed builders. A reference-engine run, which
-    /// needs the materialized trace, first fetches the app's world from
-    /// `store`.
+    /// held, every data-oriented run and profile streams at `window`
+    /// instructions per window (results are bit-identical at every
+    /// window), and profiles, baseline simulations, and baseline oracle
+    /// executions come from `store`'s streamed builders. A reference-engine
+    /// run, which needs the materialized trace, first fetches the
+    /// recording's world from `store`.
     pub fn from_recording(
         app: &AppSpec,
         recording: Arc<Recording>,
         store: Arc<ArtifactStore>,
+        window: usize,
     ) -> Workbench {
         let (program, path) = (Arc::clone(&recording.program), Arc::clone(&recording.path));
-        Workbench::with_backing(app, program, path, store, Backing::Recording(recording))
+        let backing = Backing::Recording { recording, window };
+        Workbench::with_backing(app, program, path, store, backing)
     }
 
     fn with_backing(
@@ -200,7 +213,6 @@ impl Workbench {
             engine: SimEngine::default(),
             variant_trace: Trace::default(),
             fanout: Vec::new(),
-            stream_window: None,
             scratch: SimScratch::new(),
             telemetry: Telemetry::off(),
         }
@@ -216,31 +228,6 @@ impl Workbench {
     /// engines; [`SimEngine::Reference`] exists for differential checks.
     pub fn set_engine(&mut self, engine: SimEngine) {
         self.engine = engine;
-    }
-
-    /// Sets the window of the bounded-memory streaming trace pipeline for
-    /// data-oriented runs: the trace is expanded, fanout-annotated,
-    /// decoded, and simulated window-at-a-time without ever materializing
-    /// the dynamic stream. Results are bit-identical to the materialized
-    /// path (enforced by the differential battery); only peak memory
-    /// changes — O(window) instead of O(trace).
-    ///
-    /// `None` means [`DEFAULT_STREAM_WINDOW`] on a recording-backed
-    /// workbench, which always streams, and the materialized engine on a
-    /// world-backed one ([`Workbench::try_new`], [`Workbench::from_world`]).
-    /// The reference engine ignores this and stays materialized.
-    pub fn set_stream_window(&mut self, window: Option<usize>) {
-        self.stream_window = window;
-    }
-
-    /// The window data-oriented runs stream at, `None` for the
-    /// materialized engine.
-    fn window(&self) -> Option<usize> {
-        match (&self.backing, self.stream_window) {
-            (_, Some(window)) => Some(window),
-            (Backing::Recording(..), None) => Some(DEFAULT_STREAM_WINDOW),
-            (Backing::World(..), None) => None,
-        }
     }
 
     /// Arms a deterministic miscompile: the next non-baseline variant built
@@ -261,7 +248,7 @@ impl Workbench {
     fn world(&self) -> &Arc<World> {
         match &self.backing {
             Backing::World(world) => world,
-            Backing::Recording(..) => panic!(
+            Backing::Recording { .. } => panic!(
                 "{}: a recording-backed workbench holds no materialized trace",
                 self.app.name
             ),
@@ -272,8 +259,8 @@ impl Workbench {
     ///
     /// # Panics
     ///
-    /// Panics on a [`Workbench::from_recording`] workbench that has not yet
-    /// fetched its world: its trace exists only as a stream.
+    /// Panics on a recording-backed workbench that has not yet fetched its
+    /// world: its trace exists only as a stream.
     pub fn baseline_trace(&self) -> &Trace {
         &self.world().trace
     }
@@ -288,12 +275,12 @@ impl Workbench {
         &self.world().fanout
     }
 
-    /// Swaps a recording backing for the app's world, so the materialized
-    /// trace is at hand for the reference engine; a no-op on a world
-    /// backing.
+    /// Swaps a recording backing for the recording's world, so the
+    /// materialized trace is at hand for the reference engine; a no-op on
+    /// a world backing.
     fn materialize(&mut self) -> Result<(), RunError> {
-        if let Backing::Recording(recording) = &self.backing {
-            let world = self.store.world(&self.app, recording.key.trace_len())?;
+        if let Backing::Recording { recording, .. } = &self.backing {
+            let world = self.store.world_of(recording)?;
             self.backing = Backing::World(world);
         }
         Ok(())
@@ -324,14 +311,13 @@ impl Workbench {
     fn ensure_profile(&mut self, config: &ProfilerConfig) -> Result<String, RunError> {
         let key = format!("{config:?}");
         if !self.profiles.contains_key(&key) {
-            let window = self.stream_window.unwrap_or(DEFAULT_STREAM_WINDOW);
             let profile = self
                 .telemetry
                 .time(SpanKind::Profile, || match &self.backing {
                     Backing::World(world) => self.store.profile(world, config),
-                    Backing::Recording(recording) => {
+                    Backing::Recording { recording, window } => {
                         self.store
-                            .profile_streamed(recording, config, window, &mut self.scratch)
+                            .profile_streamed(recording, config, *window, &mut self.scratch)
                     }
                 })?;
             self.profiles.insert(key.clone(), profile);
@@ -504,7 +490,7 @@ impl Workbench {
         // captures it once.
         let baseline_exec = match &self.backing {
             Backing::World(world) => self.store.baseline_execution(world, seed),
-            Backing::Recording(recording) => {
+            Backing::Recording { recording, .. } => {
                 self.store.recorded_baseline_execution(recording, seed)
             }
         };
@@ -579,66 +565,72 @@ impl Workbench {
         let baseline = matches!(point.software, Software::Baseline);
         let telemetry = self.telemetry.clone();
         let engine = self.engine;
-        // Streaming covers data-oriented runs only; the reference engine
-        // stays materialized.
-        let window = self.window().filter(|_| engine == SimEngine::DataOriented);
-        if window.is_none() {
+        // The scalar oracle walks a materialized trace.
+        if engine == SimEngine::Reference {
             self.materialize()?;
         }
-        // Data-oriented baselines are hardware-keyed and variant-independent:
-        // the store shares one simulation per (world, cpu+mem config) with
-        // every sibling cell. A reference baseline runs the scalar oracle
-        // below instead.
-        if baseline && engine == SimEngine::DataOriented {
-            let outcome = telemetry.time(SpanKind::Sim, || match (&self.backing, window) {
-                (Backing::Recording(recording), Some(window)) => {
-                    self.store
-                        .baseline_streamed(recording, point, window, &mut self.scratch)
-                }
-                _ => self.store.baseline(self.world(), point),
-            })?;
-            return Ok((*outcome).clone());
-        }
         let simulator = Simulator::new(point.cpu_config(), point.mem_config());
-        let (sim, thumb_dyn_frac, dyn_insns) = if let Some(window) = window {
-            // Streaming route: expansion, fanout, decode, and the cycle
-            // loop all run window-at-a-time over (program, path) —
-            // nothing trace-length-sized is materialized. The stream is
-            // fully drained by the run, so the thumb fraction and
-            // dynamic length read back exactly what the materialized
-            // trace would report.
-            let prep = Arc::new(StreamPrep::new(program, &self.path, DEFAULT_LOOKAHEAD));
-            let scratch = &mut self.scratch;
-            let mut stream =
-                scratch.open(program, &self.path, StreamConfig::with_window(window), prep);
-            let (sim, _, _) = telemetry.time(SpanKind::Sim, || {
-                simulator.run_streamed(&mut stream, scratch)
-            });
-            let read = (sim, stream.thumb_fraction(), stream.total_len());
-            scratch.recycle(stream);
-            read
-        } else {
-            let world = Arc::clone(self.world());
-            let (trace, fanout): (&Trace, &[u32]) = if baseline {
-                (&world.trace, &world.fanout)
-            } else {
-                Trace::expand_into(program, &self.path, &mut self.variant_trace);
-                self.variant_trace.compute_fanout_into(&mut self.fanout);
-                (&self.variant_trace, &self.fanout)
-            };
-            let sim = telemetry.time(SpanKind::Sim, || match engine {
-                // The scalar oracle: a decode-free walk with fresh working
-                // memory per run, preserved verbatim.
-                SimEngine::Reference => simulator.run_reference(trace, fanout).0,
-                // The data-oriented core, decoding the trace slice by slice
-                // into the workbench's recycled ring.
-                SimEngine::DataOriented => {
-                    simulator
-                        .run_with_ledger(trace, fanout, &mut self.scratch)
-                        .0
+        let (sim, thumb_dyn_frac, dyn_insns) = match &self.backing {
+            Backing::Recording { recording, window } => {
+                // Data-oriented baselines are hardware-keyed and
+                // variant-independent: the store shares one simulation per
+                // (recording, cpu+mem config) with every sibling cell.
+                if baseline {
+                    let outcome = telemetry.time(SpanKind::Sim, || {
+                        self.store
+                            .baseline_streamed(recording, point, *window, &mut self.scratch)
+                    })?;
+                    return Ok((*outcome).clone());
                 }
-            });
-            (sim, trace.thumb_fraction(), trace.len())
+                // Expansion, fanout, decode, and the cycle loop all run
+                // window-at-a-time over (program, path): nothing
+                // trace-length-sized is materialized. The run drains the
+                // stream, so the thumb fraction and dynamic length read
+                // back exactly what the materialized trace would report.
+                let prep = Arc::new(StreamPrep::new(program, &self.path, DEFAULT_LOOKAHEAD));
+                let scratch = &mut self.scratch;
+                let mut stream = scratch.open(
+                    program,
+                    &self.path,
+                    StreamConfig::with_window(*window),
+                    prep,
+                );
+                let (sim, _, _) = telemetry.time(SpanKind::Sim, || {
+                    simulator.run_streamed(&mut stream, scratch)
+                });
+                let read = (sim, stream.thumb_fraction(), stream.total_len());
+                scratch.recycle(stream);
+                read
+            }
+            Backing::World(world) => {
+                // As above, but per (world, cpu+mem config); a reference
+                // baseline runs the scalar oracle below instead.
+                if baseline && engine == SimEngine::DataOriented {
+                    let outcome =
+                        telemetry.time(SpanKind::Sim, || self.store.baseline(world, point))?;
+                    return Ok((*outcome).clone());
+                }
+                let (trace, fanout): (&Trace, &[u32]) = if baseline {
+                    (&world.trace, &world.fanout)
+                } else {
+                    Trace::expand_into(program, &self.path, &mut self.variant_trace);
+                    self.variant_trace.compute_fanout_into(&mut self.fanout);
+                    (&self.variant_trace, &self.fanout)
+                };
+                let sim = telemetry.time(SpanKind::Sim, || match engine {
+                    // The scalar oracle: a decode-free walk with fresh
+                    // working memory per run, preserved verbatim.
+                    SimEngine::Reference => simulator.run_reference(trace, fanout).0,
+                    // The data-oriented core, decoding the trace slice by
+                    // slice into the workbench's recycled ring.
+                    SimEngine::DataOriented => {
+                        simulator
+                            .run_with_ledger(trace, fanout, &mut self.scratch)
+                            .0
+                    }
+                });
+                (sim, trace.thumb_fraction(), trace.len())
+            }
         };
         let energy = self.energy_model.evaluate(&sim);
         Ok(RunOutcome {
@@ -655,6 +647,7 @@ impl Workbench {
 #[cfg(test)]
 mod tests {
     use critic_workloads::suite::Suite;
+    use critic_workloads::DEFAULT_STREAM_WINDOW;
 
     use super::*;
     use crate::SMOKE_TRACE_LEN;
@@ -755,36 +748,71 @@ mod tests {
     #[test]
     fn recording_backed_workbench_streams_then_materializes_on_demand() {
         let app = small_app();
-        let store = Arc::new(ArtifactStore::new());
-        let recording = store.recording(&app, SMOKE_TRACE_LEN).expect("recording");
-        let mut streamed = Workbench::from_recording(&app, recording, Arc::clone(&store));
-        streamed.set_stream_window(Some(512));
         let mut own = Workbench::new(&app, SMOKE_TRACE_LEN);
+        for window in [512, DEFAULT_STREAM_WINDOW] {
+            let store = Arc::new(ArtifactStore::new());
+            let recording = store.recording(&app, SMOKE_TRACE_LEN).expect("recording");
+            let mut streamed =
+                Workbench::from_recording(&app, recording, Arc::clone(&store), window);
+            for point in [
+                DesignPoint::baseline(),
+                DesignPoint::critic(),
+                DesignPoint::opp16(),
+            ] {
+                assert_eq!(streamed.run(&point), own.run(&point), "window {window}");
+            }
+            let (seed, point) = (app.path_seed(), DesignPoint::hoist());
+            assert_eq!(
+                streamed.try_run_validated(&point, seed).expect("validated"),
+                own.try_run_validated(&point, seed).expect("validated"),
+                "window {window}"
+            );
+            let stats = store.stats();
+            assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
+
+            // The reference engine fetches the app's world first.
+            streamed.set_engine(SimEngine::Reference);
+            assert_eq!(
+                streamed.run(&DesignPoint::compress()),
+                own.run(&DesignPoint::compress())
+            );
+            assert_eq!(store.stats().worlds_built, 1);
+            assert_eq!(streamed.baseline_trace(), own.baseline_trace());
+        }
+    }
+
+    /// A workbench assembled from clean parts is a recording-backed one
+    /// over its own store: it streams, builds no world or cone, and
+    /// reports what a world-backed workbench of the same app reports.
+    #[test]
+    fn assembled_workbench_streams_and_matches_a_world_backed_one() {
+        let app = small_app();
+        let program = app.generate_program();
+        let path = ExecutionPath::generate(&program, app.path_seed(), SMOKE_TRACE_LEN);
+        let mut assembled = Workbench::try_assemble(&app, program, path, DEFAULT_STREAM_WINDOW)
+            .expect("clean parts assemble");
+        let mut own = Workbench::try_new(&app, SMOKE_TRACE_LEN).expect("world");
         for point in [DesignPoint::baseline(), DesignPoint::critic()] {
-            assert_eq!(streamed.run(&point), own.run(&point));
+            assert_eq!(assembled.run(&point), own.run(&point), "{}", point.label());
         }
         let (seed, point) = (app.path_seed(), DesignPoint::hoist());
         assert_eq!(
-            streamed.try_run_validated(&point, seed).expect("validated"),
+            assembled
+                .try_run_validated(&point, seed)
+                .expect("validated"),
             own.try_run_validated(&point, seed).expect("validated")
         );
-        // Without a window it streams at the default one.
-        streamed.set_stream_window(None);
-        assert_eq!(
-            streamed.run(&DesignPoint::opp16()),
-            own.run(&DesignPoint::opp16())
-        );
-        let stats = store.stats();
+        let stats = assembled.store.stats();
         assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
 
-        // The reference engine fetches the app's world first.
-        streamed.set_engine(SimEngine::Reference);
-        assert_eq!(
-            streamed.run(&DesignPoint::compress()),
-            own.run(&DesignPoint::compress())
-        );
-        assert_eq!(store.stats().worlds_built, 1);
-        assert_eq!(streamed.baseline_trace(), own.baseline_trace());
+        // A path that leaves the program is a typed error, not a panic.
+        let program = app.generate_program();
+        let mut stray = ExecutionPath::generate(&program, app.path_seed(), 100);
+        stray.blocks.push(BlockId(program.blocks.len() as u32));
+        assert!(matches!(
+            Workbench::try_assemble(&app, program, stray, 64),
+            Err(RunError::Trace(_))
+        ));
     }
 
     /// The reference engine covers baselines too: a store-backed workbench

@@ -482,11 +482,12 @@ pub struct ServiceConfig {
     pub store_budget: Option<u64>,
     /// Run tag stamped on every journaled record of this server process.
     pub run_tag: Option<u64>,
-    /// Streaming window for cell execution: every cell's trace runs
-    /// through the chunked streaming pipeline, `n` instructions per window
-    /// for `Some(n)` and [`critic_workloads::DEFAULT_STREAM_WINDOW`] for
-    /// `None`, at O(window) memory per worker. Results are bit-identical
-    /// at every window.
+    /// Streaming window for cell execution: every cell streams its trace
+    /// through the chunked pipeline of a recording-backed workbench, `n`
+    /// instructions per window for `Some(n)` and
+    /// [`critic_workloads::DEFAULT_STREAM_WINDOW`] for `None`, at
+    /// O(window) memory per worker. Results are bit-identical at every
+    /// window.
     pub stream_window: Option<usize>,
     /// Service-wide telemetry sink.
     pub telemetry: Telemetry,

@@ -131,6 +131,31 @@ impl Recording {
         }
     }
 
+    /// The recording of `(program, path)` with its trace checked entry by
+    /// entry over a stream ([`validate_stream`]), so it is as checked as a
+    /// world without its trace ever being resident.
+    /// [`ArtifactStore::recording`] builds every fresh recording through
+    /// here, and so does the fault-injection entry `Workbench::try_assemble`,
+    /// whose parts may be corrupted.
+    pub(crate) fn try_new(
+        key: WorldKey,
+        program: Arc<Program>,
+        path: Arc<ExecutionPath>,
+    ) -> Result<Recording, RunError> {
+        let recording = Recording::new(key, program, path);
+        validate_stream(
+            &recording.program,
+            &mut TraceStream::recycled(
+                &recording.program,
+                &recording.path,
+                StreamConfig::default(),
+                Arc::clone(&recording.prep),
+                Default::default(),
+            ),
+        )?;
+        Ok(recording)
+    }
+
     /// Dynamic instructions the recorded input executes.
     pub fn trace_len(&self) -> usize {
         self.prep.total_len()
@@ -155,18 +180,16 @@ pub struct World {
 }
 
 impl World {
-    /// Assembles a world from a checked program, its recorded input and
-    /// that input's expanded trace: checks the trace against the program
-    /// and derives its direct fanout. [`ArtifactStore::world`] builds every
-    /// world through here, and so does the fault-injection entry
-    /// `Workbench::try_assemble`, whose trace may be corrupted.
-    pub(crate) fn try_assemble(
+    /// Assembles a world from a checked program and its recorded input:
+    /// expands the trace, checks it against both
+    /// ([`Trace::validate_recorded`]) and derives its direct fanout.
+    fn try_assemble(
         key: WorldKey,
         program: Arc<Program>,
         path: Arc<ExecutionPath>,
-        trace: Trace,
     ) -> Result<World, RunError> {
-        trace.validate(&program)?;
+        let trace = Trace::expand(&program, &path);
+        trace.validate_recorded(&program, &path)?;
         let fanout = trace.compute_fanout();
         Ok(World {
             key,
@@ -551,11 +574,10 @@ impl ArtifactStore {
 
     /// The recording for `app` at `trace_len`, built at most once.
     ///
-    /// The program is checked as for a world, and the trace check runs
-    /// entry by entry over a stream ([`validate_stream`]), so a recording
-    /// is as checked as a world without its trace ever being resident.
-    /// When the app's world is already resident its parts are shared
-    /// instead: its trace passed the same check materialized.
+    /// The program is checked as for a world, and the trace entry by entry
+    /// over a stream ([`validate_stream`]). When the app's world is already
+    /// resident its parts are shared instead: its trace passed the same
+    /// check materialized.
     pub fn recording(&self, app: &AppSpec, trace_len: usize) -> Result<Arc<Recording>, RunError> {
         self.sys_tap()?;
         let key = WorldKey::new(app, trace_len);
@@ -568,18 +590,7 @@ impl ArtifactStore {
                 ));
             }
             let (program, path) = generate(app, trace_len)?;
-            let recording = Recording::new(key, Arc::new(program), Arc::new(path));
-            validate_stream(
-                &recording.program,
-                &mut TraceStream::recycled(
-                    &recording.program,
-                    &recording.path,
-                    StreamConfig::default(),
-                    Arc::clone(&recording.prep),
-                    Default::default(),
-                ),
-            )?;
-            Ok(recording)
+            Recording::try_new(key, Arc::new(program), Arc::new(path))
         })
     }
 
@@ -600,8 +611,22 @@ impl ArtifactStore {
                     (Arc::new(program), Arc::new(path))
                 }
             };
-            let trace = Trace::expand(&program, &path);
-            World::try_assemble(key, program, path, trace)
+            World::try_assemble(key, program, path)
+        })
+    }
+
+    /// The world of `recording`'s own parts, built at most once under its
+    /// key. On the store that built the recording this is the app's world
+    /// ([`ArtifactStore::world`]); on an assembled workbench's store it is
+    /// the world of the assembled parts.
+    pub(crate) fn world_of(&self, recording: &Recording) -> Result<Arc<World>, RunError> {
+        self.sys_tap()?;
+        self.worlds.get_or_try_build(recording.key, || {
+            World::try_assemble(
+                recording.key,
+                Arc::clone(&recording.program),
+                Arc::clone(&recording.path),
+            )
         })
     }
 

@@ -1,8 +1,8 @@
 //! Differential property suite for the simulation engines.
 //!
-//! The data-oriented core ([`Simulator::run`]), also when it runs
-//! interleaved decodes over one recycled [`SimScratch`] as a `Workbench`
-//! does, must be *bit-identical* to the preserved scalar reference loop
+//! The data-oriented core ([`Simulator::run`]), also when one recycled
+//! [`SimScratch`] serves interleaved runs of a base trace and a variant,
+//! must be *bit-identical* to the preserved scalar reference loop
 //! ([`Simulator::run_reference`]) — every [`SimResult`] field and every
 //! [`CycleLedger`] bucket — for any core configuration, memory
 //! configuration, and trace. These properties drive randomized cores and
@@ -132,8 +132,9 @@ proptest! {
         prop_assert_eq!(&dec_var_ledger, &ref_var_ledger);
 
         // Two interleaved passes — base, variant, base, variant — through
-        // one recycled decode, fanout buffer and scratch, the way a
-        // `Workbench` runs its variants: no state may leak between runs.
+        // one recycled decode, fanout buffer and scratch, the way one
+        // workbench scratch serves every run: no state may leak between
+        // runs.
         let mut decoded = DecodedTrace::new();
         let mut fanout = Vec::new();
         let runs: Vec<_> = [&base, &variant, &base, &variant]

@@ -20,7 +20,7 @@
 //! | `DanglingTerminator`  | `ProgramError::DanglingTerminator`                  |
 //! | `DuplicateUid`        | `ProgramError::DuplicateUid`                        |
 //! | `EmptyTrace`          | `TraceError::Empty`                                 |
-//! | `OversizeTrace`       | `TraceError::Oversized` (under a lowered cap)       |
+//! | `OversizeTrace`       | `TraceError::LengthMismatch`                        |
 //! | `ForwardDep`          | `TraceError::ForwardDep`                            |
 //!
 //! A second family — the *miscompile* faults, [`FaultTarget::Variant`] —
@@ -654,13 +654,13 @@ mod tests {
     use crate::params::GenParams;
     use crate::path::ExecutionPath;
 
-    fn setup() -> (Program, Trace) {
+    fn setup() -> (Program, ExecutionPath, Trace) {
         let mut p = GenParams::mobile(31);
         p.num_functions = 10;
         let program = ProgramGenerator::new(p).generate();
         let path = ExecutionPath::generate(&program, 5, 3_000);
         let trace = Trace::expand(&program, &path);
-        (program, trace)
+        (program, path, trace)
     }
 
     /// A hand-built "transformed variant": one block whose tail is a
@@ -717,12 +717,12 @@ mod tests {
 
     #[test]
     fn every_fault_is_detected_by_some_validator() {
-        let (clean_program, clean_trace) = setup();
+        let (clean_program, clean_path, clean_trace) = setup();
         clean_program
             .validate_encoding()
             .expect("clean program validates");
         clean_trace
-            .validate(&clean_program)
+            .validate_recorded(&clean_program, &clean_path)
             .expect("clean trace validates");
 
         for (k, fault) in Fault::ALL.into_iter().enumerate() {
@@ -740,16 +740,12 @@ mod tests {
                 FaultTarget::Trace => {
                     let mut trace = clean_trace.clone();
                     inject_trace(&mut trace, fault, seed).expect("site exists");
-                    if fault == Fault::OversizeTrace {
-                        // The miniature runaway stays under the global cap;
-                        // its signature is growth beyond the recorded window.
-                        assert!(trace.len() >= clean_trace.len() * 2 || trace.len() >= 4096);
-                    } else {
-                        assert!(
-                            trace.validate(&clean_program).is_err(),
-                            "fault {fault} escaped validation"
-                        );
-                    }
+                    assert!(
+                        trace
+                            .validate_recorded(&clean_program, &clean_path)
+                            .is_err(),
+                        "fault {fault} escaped validation"
+                    );
                 }
                 FaultTarget::Variant => {
                     // Miscompiles are *designed* to slip past every static
@@ -771,7 +767,7 @@ mod tests {
 
     #[test]
     fn injection_is_deterministic() {
-        let (program, trace) = setup();
+        let (program, _, trace) = setup();
         for fault in Fault::ALL {
             match fault.target() {
                 FaultTarget::Program => {
@@ -803,7 +799,7 @@ mod tests {
 
     #[test]
     fn miscompiles_have_no_site_in_an_untransformed_program() {
-        let (program, _) = setup();
+        let (program, _, _) = setup();
         let executed: HashSet<BlockId> = program.blocks.iter().map(|b| b.id).collect();
         for fault in Fault::MISCOMPILES {
             let mut p = program.clone();

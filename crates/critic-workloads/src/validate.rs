@@ -26,6 +26,7 @@ use critic_isa::{encode, EncodeError, Width, MAX_CDP_CHAIN_LEN};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{BlockId, FuncId, InsnRef, InsnUid};
+use crate::path::ExecutionPath;
 use crate::program::{Program, Terminator};
 use crate::stream::TraceStream;
 use crate::trace::{DynInsn, Trace};
@@ -163,6 +164,14 @@ pub enum TraceError {
         /// The runaway length.
         len: usize,
     },
+    /// The trace's length differs from the dynamic instruction count of
+    /// the path it claims to record ([`Trace::validate_recorded`]).
+    LengthMismatch {
+        /// The trace's length.
+        len: usize,
+        /// What the path executes in the program.
+        expected: usize,
+    },
     /// An entry references a block outside the program.
     BlockOutOfRange {
         /// The entry's position in the trace.
@@ -201,6 +210,12 @@ impl fmt::Display for TraceError {
             TraceError::Empty => write!(f, "trace is empty"),
             TraceError::Oversized { len } => {
                 write!(f, "trace length {len} exceeds the {MAX_TRACE_LEN} cap")
+            }
+            TraceError::LengthMismatch { len, expected } => {
+                write!(
+                    f,
+                    "trace has {len} entries but its path executes {expected}"
+                )
             }
             TraceError::BlockOutOfRange { step, block } => {
                 write!(f, "entry {step} references out-of-range block {block}")
@@ -403,6 +418,50 @@ impl Trace {
         }
         Ok(())
     }
+
+    /// [`Trace::validate`] for a trace that claims to be `path`'s
+    /// expansion over `program`: it must also have exactly
+    /// `path.dyn_insns(program)` entries.
+    ///
+    /// # Errors
+    ///
+    /// The first [`TraceError`] of [`Trace::validate`], then of
+    /// [`ExecutionPath::checked_dyn_insns`], else
+    /// [`TraceError::LengthMismatch`].
+    pub fn validate_recorded(
+        &self,
+        program: &Program,
+        path: &ExecutionPath,
+    ) -> Result<(), TraceError> {
+        self.validate(program)?;
+        let expected = path.checked_dyn_insns(program)?;
+        if self.entries.len() != expected {
+            return Err(TraceError::LengthMismatch {
+                len: self.entries.len(),
+                expected,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl ExecutionPath {
+    /// [`ExecutionPath::dyn_insns`] for a path from outside the program:
+    /// every block it visits must be in `program`.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::BlockOutOfRange`] for the first block outside the
+    /// program, at the position its first trace entry would take.
+    pub fn checked_dyn_insns(&self, program: &Program) -> Result<usize, TraceError> {
+        self.blocks.iter().try_fold(0, |step, &block| {
+            let insns = program
+                .blocks
+                .get(block.index())
+                .ok_or(TraceError::BlockOutOfRange { step, block })?;
+            Ok(step + insns.len())
+        })
+    }
 }
 
 /// [`Trace::validate`] over a stream: the same checks, entry by entry, in
@@ -477,7 +536,6 @@ mod tests {
     use super::*;
     use crate::generate::ProgramGenerator;
     use crate::params::GenParams;
-    use crate::path::ExecutionPath;
     use crate::program::TaggedInsn;
 
     fn generated() -> Program {
@@ -503,6 +561,41 @@ mod tests {
         trace
             .validate(&program)
             .expect("expander output is well-formed");
+    }
+
+    #[test]
+    fn recorded_traces_must_have_their_paths_length() {
+        let program = generated();
+        let path = ExecutionPath::generate(&program, 3, 5_000);
+        let mut trace = Trace::expand(&program, &path);
+        trace
+            .validate_recorded(&program, &path)
+            .expect("an expansion records its path");
+        // A repeated tail entry passes every per-entry check.
+        let expected = trace.len();
+        trace.entries.push(trace.entries[expected - 1]);
+        trace.validate(&program).expect("entries still check");
+        assert_eq!(
+            trace.validate_recorded(&program, &path),
+            Err(TraceError::LengthMismatch {
+                len: expected + 1,
+                expected
+            })
+        );
+        // A path block outside the program is an error, not a panic, at
+        // the position its entries would start.
+        let mut stray = path.clone();
+        let outside = BlockId(program.blocks.len() as u32);
+        stray.blocks.insert(1, outside);
+        let step = program.block(path.blocks[0]).len();
+        assert_eq!(
+            stray.checked_dyn_insns(&program),
+            Err(TraceError::BlockOutOfRange {
+                step,
+                block: outside
+            })
+        );
+        assert_eq!(path.checked_dyn_insns(&program), Ok(expected));
     }
 
     #[test]

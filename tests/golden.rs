@@ -117,7 +117,7 @@ fn fig13_speedup_table_matches_golden() {
 #[test]
 fn sim_engine_snapshot_matches_golden() {
     use critics::core::{campaign::default_schemes, DesignPoint, Workbench};
-    use critics::pipeline::{DecodedTrace, SimScratch, Simulator, StreamScratch};
+    use critics::pipeline::{DecodedTrace, SimScratch, Simulator};
     use critics::workloads::{StreamConfig, Suite, Trace, TraceStream};
 
     let apps: Vec<_> = Suite::Mobile.apps().into_iter().take(APPS).collect();
@@ -130,7 +130,6 @@ fn sim_engine_snapshot_matches_golden() {
         let mut scratch = SimScratch::new();
         let mut decoded = DecodedTrace::new();
         let mut decoded_fanout = Vec::new();
-        let mut stream_scratch = StreamScratch::new();
         // Baseline plus every default scheme, plus one hardware-only
         // point (2xFD) to pin the config-sensitive baseline replay.
         let mut points = vec![("baseline".to_string(), DesignPoint::baseline())];
@@ -168,7 +167,7 @@ fn sim_engine_snapshot_matches_golden() {
             );
             // Two interleaved passes — base, this point, base, this point —
             // through one recycled decode, fanout buffer and scratch, the
-            // way a `Workbench` runs its variants.
+            // way one workbench scratch serves every run.
             let runs: Vec<_> = [&base_trace, &trace, &base_trace, &trace]
                 .into_iter()
                 .map(|t| {
@@ -195,7 +194,7 @@ fn sim_engine_snapshot_matches_golden() {
             // Fourth engine: the bounded-memory streaming front-end,
             // re-expanding (program, path) in 512-instruction windows.
             let mut stream = TraceStream::new(&program, &wb.path, StreamConfig::with_window(512));
-            let (res_str, led_str, _) = sim.run_streamed(&mut stream, &mut stream_scratch);
+            let (res_str, led_str, _) = sim.run_streamed(&mut stream, &mut scratch);
             assert_eq!(res_str, res_ref, "{}/{name}: streamed diverges", app.name);
             assert_eq!(
                 led_str, led_ref,
@@ -240,7 +239,7 @@ fn sim_engine_snapshot_matches_golden() {
 #[test]
 fn stream_snapshot_matches_golden() {
     use critics::core::{campaign::default_schemes, DesignPoint, Workbench};
-    use critics::pipeline::{SimScratch, Simulator, StreamScratch};
+    use critics::pipeline::{SimScratch, Simulator};
     use critics::workloads::{StreamConfig, Suite, Trace, TraceStream};
 
     const WINDOWS: [usize; 3] = [64, 4_096, 2 * TRACE_LEN];
@@ -249,7 +248,6 @@ fn stream_snapshot_matches_golden() {
     let mut out = String::new();
     writeln!(out, "stream trace_len={TRACE_LEN} apps={APPS}").unwrap();
     let mut scratch = SimScratch::new();
-    let mut stream_scratch = StreamScratch::new();
     for app in &apps {
         let mut wb = Workbench::try_new(app, TRACE_LEN).expect("workbench");
         let mut points = vec![("baseline".to_string(), DesignPoint::baseline())];
@@ -275,7 +273,7 @@ fn stream_snapshot_matches_golden() {
                 let mut stream =
                     TraceStream::new(&program, &wb.path, StreamConfig::with_window(window));
                 let (streamed, streamed_ledger, stats) =
-                    sim.run_streamed(&mut stream, &mut stream_scratch);
+                    sim.run_streamed(&mut stream, &mut scratch);
                 assert_eq!(
                     streamed, mat,
                     "{}/{name} w={window}: streamed diverges",

@@ -16,7 +16,7 @@
 use critics::compiler::apply_opp16;
 use critics::compiler::opp16::OPP16_MIN_RUN;
 use critics::mem::MemConfig;
-use critics::pipeline::{CpuConfig, DecodedTrace, SimScratch, Simulator, StreamScratch};
+use critics::pipeline::{CpuConfig, DecodedTrace, SimScratch, Simulator};
 use critics::profiler::{Profiler, ProfilerConfig};
 use critics::workloads::suite::Suite;
 use critics::workloads::{
@@ -188,12 +188,11 @@ proptest! {
         prop_assert_eq!(&mat, &oracle, "materialized sim diverges from the oracle");
         prop_assert_eq!(&mat_ledger, &oracle_ledger, "materialized ledger diverges from the oracle");
 
-        let mut stream_scratch = StreamScratch::new();
         for _ in 0..2 {
             let cfg = random_stream_config(&mut rng, trace.len(), None);
             let mut stream = TraceStream::new(&program, &path, cfg);
             let (streamed, streamed_ledger, stats) =
-                sim.run_streamed(&mut stream, &mut stream_scratch);
+                sim.run_streamed(&mut stream, &mut scratch);
             prop_assert!(streamed_ledger.check(streamed.cycles).is_ok());
             prop_assert_eq!(&streamed, &mat, "streamed sim diverges (window {})", cfg.window);
             prop_assert_eq!(&streamed_ledger, &mat_ledger, "streamed ledger diverges");
@@ -227,7 +226,6 @@ fn degenerate_windows_are_exact() {
         "materialized ledger diverges from the oracle"
     );
 
-    let mut stream_scratch = StreamScratch::new();
     for (window, lookahead) in [
         (1, 1),
         (1, 128),
@@ -246,7 +244,7 @@ fn degenerate_windows_are_exact() {
         assert_eq!(s_cone, cone, "w={window} la={lookahead}");
 
         let mut stream = TraceStream::new(&program, &path, cfg);
-        let (streamed, streamed_ledger, _) = sim.run_streamed(&mut stream, &mut stream_scratch);
+        let (streamed, streamed_ledger, _) = sim.run_streamed(&mut stream, &mut scratch);
         streamed_ledger.check(streamed.cycles).expect("partition");
         assert_eq!(streamed, mat, "w={window} la={lookahead}");
         assert_eq!(streamed_ledger, mat_ledger, "w={window} la={lookahead}");
@@ -286,11 +284,11 @@ fn wakeup_stress_under_tiny_queues_is_exact() {
             let sim = Simulator::new(cpu, MemConfig::google_tablet());
             let oracle = sim.run_reference(&trace, &fanout);
             assert!(oracle.0.cdp_switches > 0, "{}: no CDPs", app.name);
-            let mat = sim.run_decoded(&decoded, &fanout, &mut SimScratch::new());
+            let mut scratch = SimScratch::new();
+            let mat = sim.run_decoded(&decoded, &fanout, &mut scratch);
             assert_eq!(mat, oracle, "{} iq={iq_entries}: decoded", app.name);
-            let ledgered = sim.run_with_ledger(&trace, &fanout, &mut SimScratch::new());
+            let ledgered = sim.run_with_ledger(&trace, &fanout, &mut scratch);
             assert_eq!(ledgered, oracle, "{} iq={iq_entries}: trace", app.name);
-            let mut stream_scratch = StreamScratch::new();
             for window in [1, 64] {
                 let cfg = StreamConfig {
                     window,
@@ -298,7 +296,7 @@ fn wakeup_stress_under_tiny_queues_is_exact() {
                     cone_window: None,
                 };
                 let mut stream = TraceStream::new(&variant, &path, cfg);
-                let (result, ledger, _) = sim.run_streamed(&mut stream, &mut stream_scratch);
+                let (result, ledger, _) = sim.run_streamed(&mut stream, &mut scratch);
                 assert_eq!(
                     (result, ledger),
                     oracle,
