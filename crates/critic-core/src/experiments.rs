@@ -5,6 +5,9 @@
 //! values. Every figure runs through one executor, a [`FigureRun`]: one
 //! [`ArtifactStore`] shared by all the figures of a run, at one trace
 //! length, and one pool of workers that runs a figure's apps in parallel.
+//! Every simulation and profile streams from the app's recording; only
+//! the trace analyses (Figs. 1a, 1b, 3 and 5a and the ledger audit) ask
+//! the store for the app's materialized world.
 //! Most figures also take an `apps` cap so tests can run scaled-down
 //! versions of the same code path.
 
@@ -20,7 +23,7 @@ use critic_profiler::{
     CriticalitySummary, Dfg, GapHistogram, ProfilerConfig,
 };
 use critic_workloads::suite::Suite;
-use critic_workloads::AppSpec;
+use critic_workloads::{AppSpec, DEFAULT_STREAM_WINDOW};
 use serde::{Deserialize, Serialize};
 
 use crate::design::{DesignPoint, Software};
@@ -51,7 +54,7 @@ fn fetch_stall(sim: &SimResult) -> f64 {
 /// all the figures of a run, and the run's trace length.
 ///
 /// Figures asked of one run share everything the store memoizes — each
-/// app's world, cone fanout, profiles and baseline simulations — so a
+/// app's recording, world, profiles and baseline simulations — so a
 /// second figure over an app builds none of them again. Sharing and
 /// scheduling never change a number: each app's work is deterministic, and
 /// every mean is reduced in app order.
@@ -95,8 +98,9 @@ impl FigureRun {
     /// order.
     ///
     /// Apps go to `available_parallelism()` scoped workers. Each worker
-    /// builds its app's workbench over the shared store and drops it when
-    /// `f` returns, so at most one workbench per worker is alive. A panic
+    /// builds its app's recording-backed workbench over the shared store
+    /// and drops it when `f` returns, so at most one workbench per worker
+    /// is alive. A panic
     /// in a worker is re-raised here with its own payload once every
     /// worker has stopped.
     fn per_app<T: Send>(&self, apps: &[AppSpec], f: impl Fn(&mut Workbench) -> T + Sync) -> Vec<T> {
@@ -108,11 +112,13 @@ impl FigureRun {
                 let Some(app) = apps.get(i) else {
                     return done;
                 };
-                let world = match self.store.world(app, self.trace_len) {
-                    Ok(world) => world,
+                let recording = match self.store.recording(app, self.trace_len) {
+                    Ok(recording) => recording,
                     Err(e) => panic!("workbench setup for {} failed: {e}", app.name),
                 };
-                let mut bench = Workbench::from_world(app, world, Arc::clone(&self.store));
+                let store = Arc::clone(&self.store);
+                let mut bench =
+                    Workbench::from_recording(app, recording, store, DEFAULT_STREAM_WINDOW);
                 done.push((i, f(&mut bench)));
             }
         };
@@ -800,18 +806,20 @@ mod tests {
         );
     }
 
-    /// Figures over the same apps share worlds and baselines: a second
-    /// figure over the first's apps builds neither again.
+    /// Figures over the same apps share recordings and baselines: a second
+    /// figure over the first's apps builds neither again, and neither
+    /// figure, having no trace analysis, builds a world.
     #[test]
-    fn figures_share_worlds_and_baselines() {
+    fn figures_share_recordings_and_baselines() {
         let run = FigureRun::new(LEN);
         fig10(&run, 3);
         let before = run.store().stats();
-        assert_eq!(before.worlds_built, 3, "{before:?}");
+        assert_eq!(before.recordings_built, 3, "{before:?}");
         fig13(&run, 3);
         let after = run.store().stats();
-        assert_eq!(after.worlds_built, before.worlds_built, "{after:?}");
+        assert_eq!(after.recordings_built, before.recordings_built, "{after:?}");
         assert_eq!(after.baselines_built, before.baselines_built, "{after:?}");
+        assert_eq!(after.worlds_built + after.cones_built, 0, "{after:?}");
     }
 
     /// A worker's panic reaches the caller with its own message, so the

@@ -1,7 +1,7 @@
 //! The experiment workbench: one app, one recorded input, many variants.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use critic_compiler::{
     try_apply_compress, try_apply_critic_pass, try_apply_opp16, CriticPassOptions, PassReport,
@@ -12,7 +12,7 @@ use critic_pipeline::{SimEngine, SimResult, SimScratch, Simulator};
 use critic_profiler::{ChainSpec, Profile, ProfilerConfig};
 use critic_workloads::{
     inject_variant, AppSpec, BlockId, ExecutionPath, Fault, Program, StreamConfig, StreamPrep,
-    Trace, DEFAULT_LOOKAHEAD,
+    Trace, DEFAULT_LOOKAHEAD, DEFAULT_STREAM_WINDOW,
 };
 use serde::{Deserialize, Serialize};
 
@@ -54,64 +54,46 @@ pub struct RunOutcome {
 /// over the identical input — the paper's methodology of running "the same
 /// parts for all the optimizations evaluated".
 ///
-/// Every shared artifact (the world, cone fanout, profiles, baseline
-/// simulations, baseline oracle executions) comes from an
+/// Every shared artifact (the recording, profiles, baseline simulations,
+/// baseline oracle executions and, on demand, the world) comes from an
 /// [`ArtifactStore`]: a campaign's, or a fresh in-memory one owned by a
 /// [`Workbench::try_new`] / [`Workbench::try_assemble`] workbench.
 ///
-/// The backing picks the engine: a world-backed workbench
-/// ([`Workbench::try_new`], [`Workbench::from_world`]) runs materialized,
-/// and a recording-backed one ([`Workbench::from_recording`],
-/// [`Workbench::try_assemble`]) streams every data-oriented run and
-/// profile at the window it was built with.
+/// A workbench has one data-oriented engine: every profile and every
+/// [`SimEngine::DataOriented`] run streams from the app's [`Recording`] at
+/// the window the workbench was built with. The app's [`World`] is fetched
+/// from the store only for what needs the materialized trace: a
+/// [`SimEngine::Reference`] baseline and the trace analyses behind
+/// [`Workbench::baseline_trace`] and [`Workbench::baseline_fanout`].
 #[derive(Debug)]
 pub struct Workbench {
     /// The workload.
     pub app: AppSpec,
-    /// The original (baseline) binary, shared with the store's world or
-    /// recording.
+    /// The original (baseline) binary, shared with the store's recording.
     pub program: Arc<Program>,
     /// The recorded block-level input.
     pub path: Arc<ExecutionPath>,
     /// The store the shared artifacts are served from and contributed to.
     store: Arc<ArtifactStore>,
-    /// Where the baseline trace comes from.
-    backing: Backing,
+    /// The trace-free input every profile and data-oriented run streams.
+    recording: Arc<Recording>,
+    /// The stream window of every profile fold and data-oriented run.
+    window: usize,
+    /// The recording's world, fetched from the store on first use.
+    world: OnceLock<Arc<World>>,
     energy_model: EnergyModel,
     profiles: HashMap<String, Arc<Profile>>,
-    variants: HashMap<String, (Program, PassReport)>,
     variant_fault: Option<(Fault, u64)>,
     /// Which simulation engine [`Workbench::simulate`] routes through.
     /// Defaults to the data-oriented core; differential checks switch to
     /// [`SimEngine::Reference`] to run the scalar oracle.
     engine: SimEngine,
-    /// Reusable variant buffers: each non-baseline materialized run
-    /// re-expands its trace and derives its fanout in these instead of
-    /// allocating multi-megabyte vectors per (app, scheme) cell.
-    variant_trace: Trace,
-    fanout: Vec<u32>,
     /// Recycled rings, queues and stream buffers: every data-oriented run
     /// and profile fold, store builds included, runs in it.
     scratch: SimScratch,
     /// Span/event sink; [`Telemetry::off`] by default, so the instrumented
     /// paths cost one branch per span when telemetry is disabled.
     telemetry: Telemetry,
-}
-
-/// Where a [`Workbench`]'s baseline trace comes from, and so how its
-/// data-oriented runs execute.
-#[derive(Debug)]
-enum Backing {
-    /// The store's materialized world: every run is materialized.
-    World(Arc<World>),
-    /// A trace-free recording: every profile and data-oriented run streams
-    /// at `window`, through the store's streamed builders. Swapped for the
-    /// recording's world the first time a reference-engine run needs the
-    /// materialized trace.
-    Recording {
-        recording: Arc<Recording>,
-        window: usize,
-    },
 }
 
 impl Workbench {
@@ -129,14 +111,21 @@ impl Workbench {
         }
     }
 
-    /// Fallible variant of [`Workbench::new`]: the app's world from a
-    /// fresh in-memory [`ArtifactStore`] ([`ArtifactStore::world`]), which
-    /// validates the generated binary and the trace against it and
-    /// returns a typed [`RunError`] on either mismatch.
+    /// Fallible variant of [`Workbench::new`]: the app's recording from a
+    /// fresh in-memory [`ArtifactStore`] ([`ArtifactStore::recording`]),
+    /// which validates the generated binary and the trace against it and
+    /// returns a typed [`RunError`] on either mismatch. Every run streams
+    /// at [`DEFAULT_STREAM_WINDOW`]; no world is built until something
+    /// asks for the materialized trace.
     pub fn try_new(app: &AppSpec, trace_len: usize) -> Result<Workbench, RunError> {
         let store = Arc::new(ArtifactStore::new());
-        let world = store.world(app, trace_len)?;
-        Ok(Workbench::from_world(app, world, store))
+        let recording = store.recording(app, trace_len)?;
+        Ok(Workbench::from_recording(
+            app,
+            recording,
+            store,
+            DEFAULT_STREAM_WINDOW,
+        ))
     }
 
     /// Builds a recording-backed workbench from externally supplied
@@ -165,54 +154,43 @@ impl Workbench {
         ))
     }
 
-    /// Builds a workbench over a store-shared [`World`]: the generated
-    /// program, path, trace, and fanout are reused as-is (they were
-    /// validated when the world was built), and profiles, cone fanouts,
-    /// baseline simulations, and baseline oracle executions are served
-    /// from — and contributed to — `store`.
+    /// Builds a workbench over a store-shared [`World`]: it streams on the
+    /// world's recording ([`ArtifactStore::recording_of`], which shares
+    /// the world's checked program and path) at [`DEFAULT_STREAM_WINDOW`],
+    /// and keeps `world` for the reference engine and the trace analyses.
     pub fn from_world(app: &AppSpec, world: Arc<World>, store: Arc<ArtifactStore>) -> Workbench {
-        let (program, path) = (Arc::clone(&world.program), Arc::clone(&world.path));
-        Workbench::with_backing(app, program, path, store, Backing::World(world))
+        let recording = store.recording_of(&world);
+        Workbench {
+            world: OnceLock::from(world),
+            ..Workbench::from_recording(app, recording, store, DEFAULT_STREAM_WINDOW)
+        }
     }
 
     /// Builds a workbench over a store-shared [`Recording`]: no trace is
     /// held, every data-oriented run and profile streams at `window`
     /// instructions per window (results are bit-identical at every
     /// window), and profiles, baseline simulations, and baseline oracle
-    /// executions come from `store`'s streamed builders. A reference-engine
-    /// run, which needs the materialized trace, first fetches the
-    /// recording's world from `store`.
+    /// executions come from `store`'s streamed builders. The recording's
+    /// world is fetched from `store` the first time a reference-engine
+    /// baseline or a trace analysis needs the materialized trace.
     pub fn from_recording(
         app: &AppSpec,
         recording: Arc<Recording>,
         store: Arc<ArtifactStore>,
         window: usize,
     ) -> Workbench {
-        let (program, path) = (Arc::clone(&recording.program), Arc::clone(&recording.path));
-        let backing = Backing::Recording { recording, window };
-        Workbench::with_backing(app, program, path, store, backing)
-    }
-
-    fn with_backing(
-        app: &AppSpec,
-        program: Arc<Program>,
-        path: Arc<ExecutionPath>,
-        store: Arc<ArtifactStore>,
-        backing: Backing,
-    ) -> Workbench {
         Workbench {
             app: app.clone(),
-            program,
-            path,
+            program: Arc::clone(&recording.program),
+            path: Arc::clone(&recording.path),
             store,
-            backing,
+            recording,
+            window,
+            world: OnceLock::new(),
             energy_model: EnergyModel::default(),
             profiles: HashMap::new(),
-            variants: HashMap::new(),
             variant_fault: None,
             engine: SimEngine::default(),
-            variant_trace: Trace::default(),
-            fanout: Vec::new(),
             scratch: SimScratch::new(),
             telemetry: Telemetry::off(),
         }
@@ -230,39 +208,40 @@ impl Workbench {
         self.engine = engine;
     }
 
-    /// Arms a deterministic miscompile: the next non-baseline variant built
-    /// is corrupted with `fault` (seeded by `seed`) after its compiler pass
-    /// runs. The corruption is silent — only the differential oracle
+    /// Arms a deterministic miscompile: every non-baseline variant built
+    /// from now on is corrupted with `fault` (seeded by `seed`) after its
+    /// compiler pass runs. The corruption is silent — only the differential oracle
     /// ([`Workbench::try_run_validated`]) can see it.
     pub fn set_variant_fault(&mut self, fault: Fault, seed: u64) {
         self.variant_fault = Some((fault, seed));
-        // Drop any variants built before the fault was armed.
-        self.variants.clear();
     }
 
-    /// The materialized world.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a recording backing: its trace exists only as a stream.
-    fn world(&self) -> &Arc<World> {
-        match &self.backing {
-            Backing::World(world) => world,
-            Backing::Recording { .. } => panic!(
-                "{}: a recording-backed workbench holds no materialized trace",
-                self.app.name
-            ),
+    /// The recording's world, fetched from the store on first use and kept.
+    fn world(&self) -> Result<&World, RunError> {
+        if let Some(world) = self.world.get() {
+            return Ok(world);
+        }
+        let world = self.store.world_of(&self.recording)?;
+        Ok(self.world.get_or_init(|| world))
+    }
+
+    /// [`Workbench::world`] for the trace accessors, which cannot fail.
+    fn fetched_world(&self) -> &World {
+        match self.world() {
+            Ok(world) => world,
+            Err(e) => panic!("{}: building the world failed: {e}", self.app.name),
         }
     }
 
-    /// The baseline dynamic trace.
+    /// The baseline dynamic trace, from the app's world (built by the
+    /// store on the first call).
     ///
     /// # Panics
     ///
-    /// Panics on a recording-backed workbench that has not yet fetched its
-    /// world: its trace exists only as a stream.
+    /// Panics if the store cannot build the world. The recording's input
+    /// was already checked, so only an injected store fault does that.
     pub fn baseline_trace(&self) -> &Trace {
-        &self.world().trace
+        &self.fetched_world().trace
     }
 
     /// The baseline trace's direct-fanout vector
@@ -272,26 +251,15 @@ impl Workbench {
     ///
     /// As [`Workbench::baseline_trace`].
     pub fn baseline_fanout(&self) -> &[u32] {
-        &self.world().fanout
-    }
-
-    /// Swaps a recording backing for the recording's world, so the
-    /// materialized trace is at hand for the reference engine; a no-op on
-    /// a world backing.
-    fn materialize(&mut self) -> Result<(), RunError> {
-        if let Backing::Recording { recording, .. } = &self.backing {
-            let world = self.store.world_of(recording)?;
-            self.backing = Backing::World(world);
-        }
-        Ok(())
+        &self.fetched_world().fanout
     }
 
     /// Builds (or returns the cached) profile for a profiler configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the store cannot serve the profile (e.g. a recording
-    /// backing whose world fails to build).
+    /// Panics if the store cannot serve the profile (e.g. an injected
+    /// store fault).
     pub fn profile(&mut self, config: &ProfilerConfig) -> &Profile {
         match self.ensure_profile(config) {
             Ok(key) => &self.profiles[&key],
@@ -311,35 +279,21 @@ impl Workbench {
     fn ensure_profile(&mut self, config: &ProfilerConfig) -> Result<String, RunError> {
         let key = format!("{config:?}");
         if !self.profiles.contains_key(&key) {
-            let profile = self
-                .telemetry
-                .time(SpanKind::Profile, || match &self.backing {
-                    Backing::World(world) => self.store.profile(world, config),
-                    Backing::Recording { recording, window } => {
-                        self.store
-                            .profile_streamed(recording, config, *window, &mut self.scratch)
-                    }
-                })?;
+            let profile = self.telemetry.time(SpanKind::Profile, || {
+                self.store
+                    .profile_streamed(&self.recording, config, self.window, &mut self.scratch)
+            })?;
             self.profiles.insert(key.clone(), profile);
         }
         Ok(key)
     }
 
-    /// Builds (or returns the cached) transformed binary for a software
-    /// scheme — the program [`Workbench::try_run`] would simulate for it.
-    /// Exposed for benches and probes that need the variant trace itself.
+    /// Builds the transformed binary for a software scheme — the program
+    /// [`Workbench::try_run`] would simulate for it. Exposed for benches
+    /// and probes that need the variant trace itself.
     pub fn try_variant(&mut self, software: &Software) -> Result<(Program, PassReport), RunError> {
-        self.variant(software)
-    }
-
-    fn variant(&mut self, software: &Software) -> Result<(Program, PassReport), RunError> {
-        let key = software.label();
-        if let Some(cached) = self.variants.get(&key) {
-            return Ok(cached.clone());
-        }
-        let built = self.build_variant(software)?;
-        self.variants.insert(key.clone(), built.clone());
-        Ok(built)
+        let (program, pass) = self.build_variant(software)?;
+        Ok((Arc::unwrap_or_clone(program), pass))
     }
 
     /// The profile a software scheme consumes (with any scheme-specific
@@ -409,20 +363,28 @@ impl Workbench {
         })
     }
 
-    fn build_variant(&mut self, software: &Software) -> Result<(Program, PassReport), RunError> {
+    /// The binary a scheme runs: the baseline's own for
+    /// [`Software::Baseline`] (never injected: the oracle needs an honest
+    /// reference), else a fresh compile of it with the armed miscompile,
+    /// if any, planted. Nothing is cached; a run drops its variant.
+    fn build_variant(
+        &mut self,
+        software: &Software,
+    ) -> Result<(Arc<Program>, PassReport), RunError> {
+        if matches!(software, Software::Baseline) {
+            return Ok((Arc::clone(&self.program), PassReport::default()));
+        }
         let profile = self.software_profile(software)?;
         let telemetry = self.telemetry.clone();
         telemetry.time(SpanKind::Passes, || {
             let mut program = (*self.program).clone();
             let report = Self::apply_software(&mut program, software, profile.as_ref())?;
             if let Some((fault, seed)) = self.variant_fault {
-                if !matches!(software, Software::Baseline) {
-                    let executed: HashSet<BlockId> = self.path.blocks.iter().copied().collect();
-                    inject_variant(&mut program, fault, seed, &executed)
-                        .map_err(|e| RunError::Inject(e.to_string()))?;
-                }
+                let executed: HashSet<BlockId> = self.path.blocks.iter().copied().collect();
+                inject_variant(&mut program, fault, seed, &executed)
+                    .map_err(|e| RunError::Inject(e.to_string()))?;
             }
-            Ok((program, report))
+            Ok((Arc::new(program), report))
         })
     }
 
@@ -442,16 +404,8 @@ impl Workbench {
     /// Fallible variant of [`Workbench::run`]: every rejection along the
     /// profile → pass → simulate pipeline surfaces as a typed [`RunError`].
     pub fn try_run(&mut self, point: &DesignPoint) -> Result<RunOutcome, RunError> {
-        let key = point.software.label();
-        // Lend the cached variant to the simulator instead of cloning it:
-        // the binary is multi-megabyte and this runs once per cell.
-        let (program, pass) = match self.variants.remove(&key) {
-            Some(built) => built,
-            None => self.build_variant(&point.software)?,
-        };
-        let outcome = self.simulate(point, &program, pass);
-        self.variants.insert(key, (program, pass));
-        outcome
+        let (program, pass) = self.build_variant(&point.software)?;
+        self.simulate(point, &program, pass)
     }
 
     /// Runs one design point with the differential oracle in the loop.
@@ -479,7 +433,7 @@ impl Workbench {
             .as_ref()
             .map(|p| p.chains.clone())
             .unwrap_or_default();
-        let (mut program, mut pass) = self.variant(software)?;
+        let (mut program, mut pass) = self.build_variant(software)?;
         let mut stats = ValidationStats {
             chains_checked: chains.len() as u64,
             ..Default::default()
@@ -488,13 +442,10 @@ impl Workbench {
         // The baseline's oracle execution is identical across demotion
         // iterations (and across every scheme of the app), so the store
         // captures it once.
-        let baseline_exec = match &self.backing {
-            Backing::World(world) => self.store.baseline_execution(world, seed),
-            Backing::Recording { recording, .. } => {
-                self.store.recorded_baseline_execution(recording, seed)
-            }
-        };
-        let baseline_exec = match baseline_exec {
+        let baseline_exec = match self
+            .store
+            .recorded_baseline_execution(&self.recording, seed)
+        {
             Ok(exec) => exec,
             Err(e) => {
                 stats.failed += 1;
@@ -546,7 +497,7 @@ impl Workbench {
                         let mut rebuilt = (*self.program).clone();
                         pass = Self::apply_software(&mut rebuilt, software, Some(&filtered))?;
                         pass.chains_demoted += demoted.len() as u64;
-                        program = rebuilt;
+                        program = Arc::new(rebuilt);
                     }
                 }
             }
@@ -564,37 +515,32 @@ impl Workbench {
     ) -> Result<RunOutcome, RunError> {
         let baseline = matches!(point.software, Software::Baseline);
         let telemetry = self.telemetry.clone();
-        let engine = self.engine;
-        // The scalar oracle walks a materialized trace.
-        if engine == SimEngine::Reference {
-            self.materialize()?;
-        }
         let simulator = Simulator::new(point.cpu_config(), point.mem_config());
-        let (sim, thumb_dyn_frac, dyn_insns) = match &self.backing {
-            Backing::Recording { recording, window } => {
-                // Data-oriented baselines are hardware-keyed and
-                // variant-independent: the store shares one simulation per
-                // (recording, cpu+mem config) with every sibling cell.
-                if baseline {
-                    let outcome = telemetry.time(SpanKind::Sim, || {
-                        self.store
-                            .baseline_streamed(recording, point, *window, &mut self.scratch)
-                    })?;
-                    return Ok((*outcome).clone());
-                }
-                // Expansion, fanout, decode, and the cycle loop all run
-                // window-at-a-time over (program, path): nothing
-                // trace-length-sized is materialized. The run drains the
-                // stream, so the thumb fraction and dynamic length read
-                // back exactly what the materialized trace would report.
+        let (sim, thumb_dyn_frac, dyn_insns) = match self.engine {
+            // Data-oriented baselines are hardware-keyed and
+            // variant-independent: the store shares one simulation per
+            // (recording, cpu+mem config) with every sibling cell.
+            SimEngine::DataOriented if baseline => {
+                let outcome = telemetry.time(SpanKind::Sim, || {
+                    self.store.baseline_streamed(
+                        &self.recording,
+                        point,
+                        self.window,
+                        &mut self.scratch,
+                    )
+                })?;
+                return Ok((*outcome).clone());
+            }
+            // Expansion, fanout, decode, and the cycle loop all run
+            // window-at-a-time over (program, path): nothing
+            // trace-length-sized is materialized. The run drains the
+            // stream, so the thumb fraction and dynamic length read back
+            // exactly what the materialized trace would report.
+            SimEngine::DataOriented => {
                 let prep = Arc::new(StreamPrep::new(program, &self.path, DEFAULT_LOOKAHEAD));
                 let scratch = &mut self.scratch;
-                let mut stream = scratch.open(
-                    program,
-                    &self.path,
-                    StreamConfig::with_window(*window),
-                    prep,
-                );
+                let config = StreamConfig::with_window(self.window);
+                let mut stream = scratch.open(program, &self.path, config, prep);
                 let (sim, _, _) = telemetry.time(SpanKind::Sim, || {
                     simulator.run_streamed(&mut stream, scratch)
                 });
@@ -602,33 +548,23 @@ impl Workbench {
                 scratch.recycle(stream);
                 read
             }
-            Backing::World(world) => {
-                // As above, but per (world, cpu+mem config); a reference
-                // baseline runs the scalar oracle below instead.
-                if baseline && engine == SimEngine::DataOriented {
-                    let outcome =
-                        telemetry.time(SpanKind::Sim, || self.store.baseline(world, point))?;
-                    return Ok((*outcome).clone());
-                }
+            // The scalar oracle: a decode-free walk over a materialized
+            // trace with fresh working memory per run, preserved verbatim.
+            // A baseline walks the world's trace; a variant's trace is
+            // expanded for this run alone.
+            SimEngine::Reference => {
+                let variant;
                 let (trace, fanout): (&Trace, &[u32]) = if baseline {
+                    let world = self.world()?;
                     (&world.trace, &world.fanout)
                 } else {
-                    Trace::expand_into(program, &self.path, &mut self.variant_trace);
-                    self.variant_trace.compute_fanout_into(&mut self.fanout);
-                    (&self.variant_trace, &self.fanout)
+                    let trace = Trace::expand(program, &self.path);
+                    let fanout = trace.compute_fanout();
+                    variant = (trace, fanout);
+                    (&variant.0, &variant.1)
                 };
-                let sim = telemetry.time(SpanKind::Sim, || match engine {
-                    // The scalar oracle: a decode-free walk with fresh
-                    // working memory per run, preserved verbatim.
-                    SimEngine::Reference => simulator.run_reference(trace, fanout).0,
-                    // The data-oriented core, decoding the trace slice by
-                    // slice into the workbench's recycled ring.
-                    SimEngine::DataOriented => {
-                        simulator
-                            .run_with_ledger(trace, fanout, &mut self.scratch)
-                            .0
-                    }
-                });
+                let sim =
+                    telemetry.time(SpanKind::Sim, || simulator.run_reference(trace, fanout).0);
                 (sim, trace.thumb_fraction(), trace.len())
             }
         };
@@ -745,10 +681,14 @@ mod tests {
         assert!(outcome.pass.chains_applied > 0);
     }
 
+    /// A recording-backed workbench streams at any window and reports what
+    /// the scalar oracle reports; it fetches the app's world only for a
+    /// reference-engine baseline.
     #[test]
     fn recording_backed_workbench_streams_then_materializes_on_demand() {
         let app = small_app();
-        let mut own = Workbench::new(&app, SMOKE_TRACE_LEN);
+        let mut oracle = Workbench::new(&app, SMOKE_TRACE_LEN);
+        oracle.set_engine(SimEngine::Reference);
         for window in [512, DEFAULT_STREAM_WINDOW] {
             let store = Arc::new(ArtifactStore::new());
             let recording = store.recording(&app, SMOKE_TRACE_LEN).expect("recording");
@@ -759,48 +699,56 @@ mod tests {
                 DesignPoint::critic(),
                 DesignPoint::opp16(),
             ] {
-                assert_eq!(streamed.run(&point), own.run(&point), "window {window}");
+                assert_eq!(streamed.run(&point), oracle.run(&point), "window {window}");
             }
             let (seed, point) = (app.path_seed(), DesignPoint::hoist());
             assert_eq!(
                 streamed.try_run_validated(&point, seed).expect("validated"),
-                own.try_run_validated(&point, seed).expect("validated"),
+                oracle.try_run_validated(&point, seed).expect("validated"),
                 "window {window}"
             );
             let stats = store.stats();
             assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
 
-            // The reference engine fetches the app's world first.
+            // A reference variant expands its own trace; a reference
+            // baseline fetches the app's world first.
             streamed.set_engine(SimEngine::Reference);
-            assert_eq!(
-                streamed.run(&DesignPoint::compress()),
-                own.run(&DesignPoint::compress())
-            );
+            let point = DesignPoint::compress();
+            assert_eq!(streamed.run(&point), oracle.run(&point));
+            assert_eq!(store.stats().worlds_built, 0);
+            let point = DesignPoint::double_fd();
+            assert_eq!(streamed.run(&point), oracle.run(&point));
             assert_eq!(store.stats().worlds_built, 1);
-            assert_eq!(streamed.baseline_trace(), own.baseline_trace());
+            assert_eq!(streamed.baseline_trace(), oracle.baseline_trace());
         }
     }
 
     /// A workbench assembled from clean parts is a recording-backed one
     /// over its own store: it streams, builds no world or cone, and
-    /// reports what a world-backed workbench of the same app reports.
+    /// reports what the scalar oracle reports for the same app.
     #[test]
-    fn assembled_workbench_streams_and_matches_a_world_backed_one() {
+    fn assembled_workbench_streams_and_matches_the_reference_engine() {
         let app = small_app();
         let program = app.generate_program();
         let path = ExecutionPath::generate(&program, app.path_seed(), SMOKE_TRACE_LEN);
         let mut assembled = Workbench::try_assemble(&app, program, path, DEFAULT_STREAM_WINDOW)
             .expect("clean parts assemble");
-        let mut own = Workbench::try_new(&app, SMOKE_TRACE_LEN).expect("world");
+        let mut oracle = Workbench::try_new(&app, SMOKE_TRACE_LEN).expect("workbench");
+        oracle.set_engine(SimEngine::Reference);
         for point in [DesignPoint::baseline(), DesignPoint::critic()] {
-            assert_eq!(assembled.run(&point), own.run(&point), "{}", point.label());
+            assert_eq!(
+                assembled.run(&point),
+                oracle.run(&point),
+                "{}",
+                point.label()
+            );
         }
         let (seed, point) = (app.path_seed(), DesignPoint::hoist());
         assert_eq!(
             assembled
                 .try_run_validated(&point, seed)
                 .expect("validated"),
-            own.try_run_validated(&point, seed).expect("validated")
+            oracle.try_run_validated(&point, seed).expect("validated")
         );
         let stats = assembled.store.stats();
         assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
@@ -813,6 +761,37 @@ mod tests {
             Workbench::try_assemble(&app, program, stray, 64),
             Err(RunError::Trace(_))
         ));
+    }
+
+    /// A workbench's data-oriented runs, profiles and validation build no
+    /// world and no cone. The first call that needs the materialized trace
+    /// (a trace accessor or a reference-engine baseline) builds exactly one
+    /// world, and the workbench keeps it for every later call.
+    #[test]
+    fn try_new_builds_a_world_only_for_the_materialized_trace() {
+        let app = small_app();
+        for accessor_first in [true, false] {
+            let mut bench = Workbench::try_new(&app, SMOKE_TRACE_LEN).expect("workbench");
+            bench.run(&DesignPoint::baseline());
+            bench.run(&DesignPoint::critic());
+            bench
+                .try_run_validated(&DesignPoint::hoist(), app.path_seed())
+                .expect("validated");
+            let stats = bench.store.stats();
+            assert_eq!(stats.worlds_built + stats.cones_built, 0, "{stats:?}");
+            if accessor_first {
+                assert!(!bench.baseline_trace().is_empty());
+            } else {
+                bench.set_engine(SimEngine::Reference);
+                bench.run(&DesignPoint::baseline());
+            }
+            assert_eq!(bench.store.stats().worlds_built, 1);
+            bench.set_engine(SimEngine::Reference);
+            bench.run(&DesignPoint::double_fd());
+            assert!(!bench.baseline_fanout().is_empty());
+            let stats = bench.store.stats();
+            assert_eq!((stats.worlds_built, stats.worlds_hit), (1, 0), "{stats:?}");
+        }
     }
 
     /// The reference engine covers baselines too: a store-backed workbench
@@ -839,14 +818,5 @@ mod tests {
             assert_eq!(&bench.run(point), outcome, "{}", point.label());
         }
         assert_eq!(store.stats().baselines_built, 2);
-    }
-
-    #[test]
-    fn variants_are_cached() {
-        let mut bench = Workbench::new(&small_app(), SMOKE_TRACE_LEN);
-        let _ = bench.run(&DesignPoint::critic());
-        let _ = bench.run(&DesignPoint::critic().with_critic());
-        assert!(!bench.variants.is_empty());
-        assert!(!bench.profiles.is_empty());
     }
 }

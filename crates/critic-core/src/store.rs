@@ -30,15 +30,18 @@
 //!
 //! # Streamed cells
 //!
-//! A streamed cell — every clean campaign or service cell — never needs
-//! the trace: everything it consumes is re-expanded window by window from
-//! `(program, path)`. It asks for the app's [`Recording`] instead of its
-//! [`World`], and for profiles and baselines through the streamed builders
-//! ([`ArtifactStore::profile_streamed`], [`ArtifactStore::baseline_streamed`]).
-//! Those fill the *same* memo slots and disk keys as their materialized
-//! twins — sound because the two builds are bit-identical — so a store
-//! warmed in one mode serves the other, and a streamed campaign holds
-//! O(static program + path) per app instead of O(trace).
+//! Every workbench streams: everything a profile or a data-oriented run
+//! consumes is re-expanded window by window from `(program, path)`. A
+//! workbench asks for the app's [`Recording`], and for profiles and
+//! baselines through the streamed builders
+//! ([`ArtifactStore::profile_streamed`], [`ArtifactStore::baseline_streamed`]),
+//! so a campaign holds O(static program + path) per app instead of
+//! O(trace). The [`World`] is built only for what needs the materialized
+//! trace: the reference engine's baselines, the figures' trace analyses,
+//! and the benchmark's layer walk, whose materialized profile
+//! ([`ArtifactStore::profile`]) fills the *same* memo slots and disk keys
+//! as the streamed one — sound because the two builds are bit-identical —
+//! so a store warmed in one mode serves the other.
 //!
 //! # The persistent tier
 //!
@@ -55,6 +58,7 @@
 //! never fatal.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,7 +67,7 @@ use std::sync::{Arc, Mutex};
 use critic_compiler::BaselineExecution;
 use critic_energy::EnergyModel;
 use critic_obs::{EventKind, Telemetry};
-use critic_pipeline::{SimResult, SimScratch, Simulator};
+use critic_pipeline::{SimScratch, Simulator};
 use critic_profiler::{Profile, ProfileFold, Profiler, ProfilerConfig};
 use critic_workloads::{
     validate_stream, AppSpec, ExecutionPath, Program, StreamConfig, StreamPrep, SysFault,
@@ -250,6 +254,14 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         self.computed.fetch_add(1, Ordering::Relaxed);
         self.build_nanos.fetch_add(nanos, Ordering::Relaxed);
         Ok(value)
+    }
+
+    /// [`Memo::get_or_try_build`] for a build that cannot fail.
+    fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+        match self.get_or_try_build(key, || Ok::<V, Infallible>(build())) {
+            Ok(value) => value,
+            Err(never) => match never {},
+        }
     }
 
     /// The cached value for `key`, if one is resident and not being
@@ -573,6 +585,8 @@ impl ArtifactStore {
     }
 
     /// The recording for `app` at `trace_len`, built at most once.
+    /// `Workbench::try_new` is this call on a fresh store, so a workbench
+    /// fails with the same typed error as a campaign cell.
     ///
     /// The program is checked as for a world, and the trace entry by entry
     /// over a stream ([`validate_stream`]). When the app's world is already
@@ -596,10 +610,8 @@ impl ArtifactStore {
 
     /// The world for `app` at `trace_len`, generated at most once.
     ///
-    /// `Workbench::try_new` is this call on a fresh store, so a workbench
-    /// fails with the same typed error as a campaign cell. A resident
-    /// recording of the app lends its (already checked) program and path;
-    /// the trace is still expanded and checked once.
+    /// A resident recording of the app lends its (already checked) program
+    /// and path; the trace is still expanded and checked once.
     pub fn world(&self, app: &AppSpec, trace_len: usize) -> Result<Arc<World>, RunError> {
         self.sys_tap()?;
         let key = WorldKey::new(app, trace_len);
@@ -630,17 +642,25 @@ impl ArtifactStore {
         })
     }
 
+    /// The recording of a world's own parts, built at most once under its
+    /// key and sharing the world's program and path. The world's trace was
+    /// checked when it was built, so nothing is checked again.
+    pub fn recording_of(&self, world: &World) -> Arc<Recording> {
+        self.recordings.get_or_build(world.key, || {
+            Recording::new(
+                world.key,
+                Arc::clone(&world.program),
+                Arc::clone(&world.path),
+            )
+        })
+    }
+
     /// The ROB-cone fanout vector of a world's baseline trace (horizon =
     /// the Table I ROB size), computed at most once; every profiler
     /// configuration shares it.
     pub fn cone_fanout(&self, world: &World) -> Arc<Vec<u32>> {
-        let result: Result<Arc<Vec<u32>>, RunError> = self
-            .cones
-            .get_or_try_build(world.key, || Ok(world.trace.compute_cone_fanout(128)));
-        match result {
-            Ok(cone) => cone,
-            Err(never) => unreachable!("infallible cone build failed: {never}"),
-        }
+        self.cones
+            .get_or_build(world.key, || world.trace.compute_cone_fanout(128))
     }
 
     /// The profile of a world under `config`, built at most once per
@@ -717,31 +737,13 @@ impl ArtifactStore {
         len: usize,
         build: impl FnOnce() -> ProfileFold,
     ) -> Arc<ProfileFold> {
-        let result: Result<Arc<ProfileFold>, RunError> =
-            self.folds.get_or_try_build((key, len), || Ok(build()));
-        match result {
-            Ok(fold) => fold,
-            Err(never) => unreachable!("infallible fold build failed: {never}"),
-        }
+        self.folds.get_or_build((key, len), build)
     }
 
-    /// The baseline run outcome of a world under `point`'s hardware
-    /// configuration, simulated at most once. `point`'s software must be
-    /// the baseline binary (the world's own trace is simulated as-is).
-    pub fn baseline(
-        &self,
-        world: &World,
-        point: &DesignPoint,
-    ) -> Result<Arc<RunOutcome>, RunError> {
-        self.baseline_from(world.key, point, |simulator| {
-            let sim = simulator.run(&world.trace, &world.fanout);
-            (sim, world.trace.thumb_fraction(), world.trace.len())
-        })
-    }
-
-    /// [`ArtifactStore::baseline`] built from a recording: the baseline is
-    /// simulated over a stream of `window`-entry windows, bit-identical to
-    /// the materialized run, into the same memo slot and disk key. A build
+    /// The baseline run outcome of a recording under `point`'s hardware
+    /// configuration, simulated at most once over a stream of
+    /// `window`-entry windows (bit-identical to a materialized run at every
+    /// window). `point`'s software must be the baseline binary. A build
     /// runs in the caller's recycled `scratch` (a workbench passes the one
     /// its own streamed runs use); a memo or disk hit leaves it untouched.
     pub fn baseline_streamed(
@@ -751,40 +753,26 @@ impl ArtifactStore {
         window: usize,
         scratch: &mut SimScratch,
     ) -> Result<Arc<RunOutcome>, RunError> {
-        self.baseline_from(recording.key, point, |simulator| {
-            let mut stream = scratch.open(
-                &recording.program,
-                &recording.path,
-                StreamConfig::with_window(window),
-                Arc::clone(&recording.prep),
-            );
-            let (sim, _, _) = simulator.run_streamed(&mut stream, scratch);
-            // The run drained the stream, so these read back exactly what
-            // the materialized trace reports.
-            let (thumb, len) = (stream.thumb_fraction(), stream.total_len());
-            scratch.recycle(stream);
-            (sim, thumb, len)
-        })
-    }
-
-    /// The shared body of the baseline builders: `run` simulates the
-    /// baseline and returns `(result, thumb fraction, dynamic length)`.
-    fn baseline_from(
-        &self,
-        key: WorldKey,
-        point: &DesignPoint,
-        run: impl FnOnce(&Simulator) -> (SimResult, f64, usize),
-    ) -> Result<Arc<RunOutcome>, RunError> {
         let cpu = point.cpu_config();
         let mem = point.mem_config();
         let config_key = stable_key(&(&cpu, &mem));
         self.durable(
             &self.baselines,
             ArtifactClass::Baseline,
-            key,
+            recording.key,
             config_key,
             || {
-                let (sim, thumb_dyn_frac, dyn_insns) = run(&Simulator::new(cpu, mem));
+                let mut stream = scratch.open(
+                    &recording.program,
+                    &recording.path,
+                    StreamConfig::with_window(window),
+                    Arc::clone(&recording.prep),
+                );
+                let (sim, _, _) = Simulator::new(cpu, mem).run_streamed(&mut stream, scratch);
+                // The run drained the stream, so these read back exactly
+                // what the materialized trace reports.
+                let (thumb_dyn_frac, dyn_insns) = (stream.thumb_fraction(), stream.total_len());
+                scratch.recycle(stream);
                 let energy = EnergyModel::default().evaluate(&sim);
                 Ok(RunOutcome {
                     design: point.label(),
@@ -985,18 +973,22 @@ mod tests {
             .profile(&world, &ProfilerConfig::ideal())
             .expect("ideal profile");
         assert!(!Arc::ptr_eq(&p1, &ideal));
-        let b1 = store
-            .baseline(&world, &DesignPoint::baseline())
-            .expect("baseline");
-        let b2 = store
-            .baseline(&world, &DesignPoint::baseline())
-            .expect("baseline again");
+        let recording = store.recording_of(&world);
+        let mut scratch = SimScratch::new();
+        let mut baseline = |window| {
+            store
+                .baseline_streamed(&recording, &DesignPoint::baseline(), window, &mut scratch)
+                .expect("baseline")
+        };
+        let b1 = baseline(512);
+        let b2 = baseline(4096);
         assert!(Arc::ptr_eq(&b1, &b2));
         let stats = store.stats();
         assert_eq!(stats.profiles_built, 2, "{stats:?}");
         assert_eq!(stats.cones_built, 1, "cone shared across configs");
         assert_eq!(stats.folds_built, 1, "one fold length: {stats:?}");
         assert_eq!(stats.baselines_built, 1, "{stats:?}");
+        assert_eq!(stats.recordings_built, 1, "{stats:?}");
     }
 
     #[test]
@@ -1049,16 +1041,21 @@ mod tests {
         assert!(Arc::ptr_eq(&world.program, &recording.program));
         assert!(Arc::ptr_eq(&world.path, &recording.path));
 
-        // And a recording built after a world borrows the world's.
+        // And a recording built after a world borrows the world's, whether
+        // asked for by app or by world.
         let other = small_app(1);
         let world = store.world(&other, 6_000).expect("world first");
         let recording = store.recording(&other, 6_000).expect("recording second");
         assert!(Arc::ptr_eq(&world.program, &recording.program));
         assert!(Arc::ptr_eq(&world.path, &recording.path));
+        assert!(Arc::ptr_eq(&store.recording_of(&world), &recording));
+        assert_eq!(store.stats().recordings_built, 2);
     }
 
-    /// The streamed builders fill the materialized twins' slots: whichever
-    /// mode asks first builds, the other hits, and the values are equal.
+    /// The streamed profile builder fills the materialized twin's slot:
+    /// whichever mode asks first builds, the other hits, and the values are
+    /// equal. The streamed baseline equals a materialized run of the
+    /// world's trace.
     #[test]
     fn streamed_builders_share_the_materialized_slots() {
         let store = ArtifactStore::new();
@@ -1069,24 +1066,24 @@ mod tests {
         let streamed_profile = store
             .profile_streamed(&recording, &config, 512, &mut SimScratch::new())
             .expect("streamed profile");
-        let streamed_base = store
+        let base = store
             .baseline_streamed(&recording, &point, 512, &mut SimScratch::new())
             .expect("streamed baseline");
         let world = store.world(&app, 8_000).expect("world");
         let profile = store.profile(&world, &config).expect("profile");
-        let base = store.baseline(&world, &point).expect("baseline");
         assert!(Arc::ptr_eq(&streamed_profile, &profile));
-        assert!(Arc::ptr_eq(&streamed_base, &base));
         let stats = store.stats();
         assert_eq!(stats.profiles_built, 1, "{stats:?}");
-        assert_eq!(stats.baselines_built, 1, "{stats:?}");
         assert_eq!(stats.cones_built, 0, "{stats:?}");
 
         // Built fresh in the other mode, the values are bit-identical.
         let fresh = ArtifactStore::new();
         let world = fresh.world(&app, 8_000).expect("world");
         assert_eq!(*fresh.profile(&world, &config).expect("profile"), *profile);
-        assert_eq!(*fresh.baseline(&world, &point).expect("baseline"), *base);
+        let simulator = Simulator::new(point.cpu_config(), point.mem_config());
+        assert_eq!(simulator.run(&world.trace, &world.fanout), base.sim);
+        assert_eq!(world.trace.len(), base.dyn_insns);
+        assert_eq!(world.trace.thumb_fraction(), base.thumb_dyn_frac);
     }
 
     /// The sensitivity grid's seven profiler configurations profile three
@@ -1184,13 +1181,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("critic-store-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let app = small_app(0);
+        let point = DesignPoint::baseline();
+        let mut scratch = SimScratch::new();
         let cold = ArtifactStore::persistent(&dir, None, Telemetry::off()).expect("open");
         let world = cold.world(&app, 6_000).expect("world");
         let p_cold = cold
             .profile(&world, &ProfilerConfig::default())
             .expect("profile");
+        let recording = cold.recording_of(&world);
         let b_cold = cold
-            .baseline(&world, &DesignPoint::baseline())
+            .baseline_streamed(&recording, &point, 4096, &mut scratch)
             .expect("baseline");
         let cold_disk = cold.stats().disk.expect("disk stats");
         assert_eq!(cold_disk.saves, 2, "{cold_disk:?}");
@@ -1202,8 +1202,9 @@ mod tests {
         let p_warm = warm
             .profile(&world, &ProfilerConfig::default())
             .expect("disk profile");
+        let recording = warm.recording_of(&world);
         let b_warm = warm
-            .baseline(&world, &DesignPoint::baseline())
+            .baseline_streamed(&recording, &point, 4096, &mut scratch)
             .expect("disk baseline");
         assert_eq!(*p_cold, *p_warm, "disk round-trip is lossless");
         assert_eq!(*b_cold, *b_warm, "disk round-trip is lossless");

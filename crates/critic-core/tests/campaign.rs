@@ -2,8 +2,9 @@
 //! injection on one cell completes, journals every cell, reports the
 //! failed cell without aborting, and resumes from the journal; a batched
 //! campaign equals per-cell runs of the scalar reference engine exactly; a
-//! default campaign streams every cell and equals materialized workbenches
-//! exactly; and a workbench builds each shared artifact once.
+//! default campaign streams every cell and equals a workbench per app on
+//! the reference engine exactly; and a workbench builds each shared
+//! artifact once.
 
 use std::collections::HashSet;
 use std::fs;
@@ -205,10 +206,10 @@ fn scalar_reference_and_batched_campaign_agree_exactly() {
 
 /// A campaign at its defaults streams every clean cell: over two apps × the
 /// 18-point grid it records each app and builds no world and no cone, and
-/// every cell equals the cell a world-backed workbench computes on the
-/// materialized engine.
+/// every cell equals the cell one workbench per app computes on the
+/// reference engine, which walks the materialized trace.
 #[test]
-fn default_campaign_streams_and_matches_materialized_workbenches() {
+fn default_campaign_streams_and_matches_the_reference_engine() {
     let apps = shrink(Suite::Mobile.apps().into_iter().take(2).collect());
     let mut spec = CampaignSpec::new(apps, sensitivity_grid(), 6_000);
     spec.telemetry = Telemetry::off();
@@ -227,6 +228,7 @@ fn default_campaign_streams_and_matches_materialized_workbenches() {
 
     for app in &spec.apps {
         let mut bench = Workbench::try_new(app, spec.trace_len).expect("workbench");
+        bench.set_engine(SimEngine::Reference);
         let base = bench.try_run(&DesignPoint::baseline()).expect("baseline");
         for scheme in &spec.schemes {
             let run = bench.try_run(&scheme.point).expect("scheme");
@@ -244,7 +246,7 @@ fn default_campaign_streams_and_matches_materialized_workbenches() {
             assert_eq!(
                 record.metrics.as_ref(),
                 Some(&materialized),
-                "{}:{} streamed campaign and materialized workbench disagree",
+                "{}:{} streamed campaign and reference workbench disagree",
                 app.name,
                 scheme.name
             );
@@ -274,8 +276,10 @@ fn profiler_config(software: &Software) -> Option<ProfilerConfig> {
 
 /// One workbench over an explicit store builds each shared artifact once:
 /// the baseline, every hardware point and every software scheme of the
-/// grid cost exactly one world, one cone, one baseline per distinct
-/// (cpu, mem) pair and one profile per distinct profiler configuration.
+/// grid cost exactly one recording (of the world the test built), no
+/// cone, one baseline per distinct (cpu, mem) pair and one profile per
+/// distinct profiler configuration. The workbench streams, so the world is
+/// the only one built.
 #[test]
 fn workbench_builds_each_shared_artifact_once() {
     let app = &Suite::Mobile.apps()[0];
@@ -300,10 +304,11 @@ fn workbench_builds_each_shared_artifact_once() {
 
     let stats = store.stats();
     assert_eq!(stats.worlds_built, 1, "{stats:?}");
-    assert_eq!(stats.cones_built, 1, "{stats:?}");
+    assert_eq!(stats.recordings_built, 1, "{stats:?}");
+    assert_eq!(stats.cones_built, 0, "{stats:?}");
     assert_eq!(stats.baselines_built, hardware.len() as u64, "{stats:?}");
     assert_eq!(stats.profiles_built, profiles.len() as u64, "{stats:?}");
     // Seven profiler configurations profile three prefixes (72%, 25%, 50%).
     assert_eq!(stats.folds_built, 3, "{stats:?}");
-    assert_eq!(stats.recordings_built + stats.baseline_execs_built, 0);
+    assert_eq!(stats.baseline_execs_built, 0, "{stats:?}");
 }

@@ -43,7 +43,6 @@
 //! already-decoded trace. Each cycle takes the ring once as a `Cols` of
 //! plain slices.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -703,23 +702,6 @@ pub(crate) fn copy_wrapped<T: Copy>(ring: &mut [T], src: &[T], at: usize) {
     ring[..src.len() - first].copy_from_slice(&src[first..]);
 }
 
-thread_local! {
-    /// Worker-owned scratch behind [`Simulator::run`]: every plain `run`
-    /// call on a thread recycles the same tables instead of allocating a
-    /// fresh `SimScratch` per call.
-    static THREAD_SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
-}
-
-/// Runs `f` with this thread's recycled [`SimScratch`].
-fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
-    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        // Re-entrant use (a caller already holds the thread scratch):
-        // fall back to a fresh scratch rather than panicking.
-        Err(_) => f(&mut SimScratch::new()),
-    })
-}
-
 /// One cycle's view of the ring: the decoded columns and the fanout as
 /// plain slices, all indexed by [`Cols::slot`], and the eviction floor
 /// dependence lookups answer below.
@@ -787,14 +769,15 @@ impl Simulator {
     /// observations — the true dynamic fanout is the converged version of
     /// that) and the critical-instruction stage aggregation of Fig. 3a.
     ///
-    /// Working memory comes from the calling thread's recycled scratch,
-    /// so repeated `run` calls on one thread allocate nothing once warm.
+    /// Working memory is a fresh [`SimScratch`]; callers that run many
+    /// traces pass a recycled one to [`Simulator::run_with_ledger`].
     ///
     /// # Panics
     ///
     /// Panics if `fanout.len() != trace.len()`.
     pub fn run(&self, trace: &Trace, fanout: &[u32]) -> SimResult {
-        with_thread_scratch(|scratch| self.run_with_ledger(trace, fanout, scratch).0)
+        self.run_with_ledger(trace, fanout, &mut SimScratch::new())
+            .0
     }
 
     /// [`Simulator::run`] with caller-owned working memory, returning the

@@ -15,6 +15,7 @@ use critics::core::service::{
     CampaignService, ServiceConfig, SubmitOutcome, TokenBucket, WorkPool,
 };
 use critics::obs::Telemetry;
+use critics::pipeline::SimEngine;
 use critics::workloads::suite::Suite;
 use proptest::prelude::*;
 
@@ -257,8 +258,8 @@ proptest! {
 /// The server's `--stream-window` knob reaches the cell executor
 /// and is a pure memory bound: a service simulating through a small
 /// bounded window produces bit-identical cell metrics to one at the
-/// default window, and both to the materialized engine (a world-backed
-/// workbench) running the same cells.
+/// default window, and both to the reference engine (the scalar oracle
+/// over the materialized trace) running the same cells.
 #[test]
 fn stream_windowed_service_matches_materialized_metrics() {
     let run = |window: Option<usize>| {
@@ -303,6 +304,7 @@ fn stream_windowed_service_matches_materialized_metrics() {
                 .find(|a| a.name == app)
                 .expect("Table II app");
             let mut bench = Workbench::try_new(&app, 300).expect("workbench");
+            bench.set_engine(SimEngine::Reference);
             let base = bench.run(&DesignPoint::baseline());
             let run = bench.run(&DesignPoint::named(scheme).expect("wire scheme"));
             CellMetrics {

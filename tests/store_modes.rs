@@ -1,9 +1,11 @@
-//! Cross-mode store battery: a streamed campaign and the materialized
-//! engine (world-backed workbenches, as the figures use) produce
-//! bit-identical cell metrics, and because their profile and baseline
-//! builders fill the same memo slots and disk keys, a persistent store
-//! warmed in either mode serves the other without building anything. The
-//! same grid also runs identically however its cells are executed.
+//! Cross-mode store battery: a streamed campaign and the materialized side
+//! (the store's materialized profile builder, and workbenches on the
+//! reference engine, which walks the materialized trace) produce
+//! bit-identical cell metrics. Because the materialized and streamed
+//! profile builders fill the same memo slots and disk keys, a persistent
+//! store warmed in either mode serves the other's profiles without
+//! building any. The same grid also runs identically however its cells
+//! are executed.
 
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -17,6 +19,8 @@ use critics::core::runner::Workbench;
 use critics::core::service::{CampaignService, ServiceConfig, SubmitOutcome};
 use critics::core::store::{ArtifactStore, StoreStats};
 use critics::obs::Telemetry;
+use critics::pipeline::SimEngine;
+use critics::profiler::ProfilerConfig;
 use critics::workloads::suite::Suite;
 
 const TRACE_LEN: usize = 40_000;
@@ -51,15 +55,25 @@ fn run(spec: &CampaignSpec, dir: &Path) -> (Vec<Option<CellMetrics>>, StoreStats
     (metrics, store.stats())
 }
 
-/// Runs `spec`'s cells on the materialized engine — one world-backed
-/// workbench per app over a fresh persistent store at `dir`, validated as
-/// the campaign validates — and returns the same as [`run`].
+/// Runs `spec`'s cells on the materialized side over a fresh persistent
+/// store at `dir` and returns the same as [`run`]. Per app, the world's
+/// profiles come from the store's materialized builder
+/// ([`ArtifactStore::profile`]) under every configuration [`spec`]'s
+/// schemes use, and the cells run on one workbench on the reference
+/// engine, validated as the campaign validates. The reference engine asks
+/// the store for no baseline.
 fn run_materialized(spec: &CampaignSpec, dir: &Path) -> (Vec<Option<CellMetrics>>, StoreStats) {
     let store = open(dir);
     let mut metrics = Vec::new();
     for app in &spec.apps {
         let world = store.world(app, spec.trace_len).expect("world");
+        // critic and hoist profile under the default configuration, ideal
+        // under the ideal one; opp16 and the hardware point profile nothing.
+        for config in [ProfilerConfig::default(), ProfilerConfig::ideal()] {
+            store.profile(&world, &config).expect("profile");
+        }
         let mut bench = Workbench::from_world(app, world, Arc::clone(&store));
+        bench.set_engine(SimEngine::Reference);
         let base = bench.try_run(&DesignPoint::baseline()).expect("baseline");
         for scheme in &spec.schemes {
             let (run, _) = bench
@@ -84,14 +98,21 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Checks a pass that ran over a store the other mode warmed: every
-/// profile and baseline it needed came off disk (`*_built` counts disk
-/// loads too, so each must be matched by a disk hit), and nothing was
-/// rebuilt or saved.
-fn assert_served_from_disk(stats: &StoreStats, order: &str) {
+/// profile it needed came off disk (`*_built` counts disk loads too, so
+/// each must be matched by a disk hit), and so did every baseline when
+/// `baselines_warm`. Otherwise (the materialized side runs the reference
+/// engine, which builds no baseline) each baseline missed, was built and
+/// was saved, and nothing else was.
+fn assert_served_from_disk(stats: &StoreStats, order: &str, baselines_warm: bool) {
     let disk = stats.disk.expect("persistent store has disk stats");
-    assert_eq!(disk.saves, 0, "{order}: the warm pass saved: {stats:?}");
+    let cold = if baselines_warm {
+        0
+    } else {
+        stats.baselines_built
+    };
+    assert_eq!(disk.saves, cold, "{order}: the warm pass saved: {stats:?}");
     assert_eq!(
-        disk.disk_misses, 0,
+        disk.disk_misses, cold,
         "{order}: the warm pass missed: {stats:?}"
     );
     assert!(
@@ -100,7 +121,7 @@ fn assert_served_from_disk(stats: &StoreStats, order: &str) {
     );
     assert_eq!(
         disk.disk_hits,
-        stats.profiles_built + stats.baselines_built,
+        stats.profiles_built + stats.baselines_built - cold,
         "{order}: a profile or baseline was built, not loaded: {stats:?}"
     );
 }
@@ -122,7 +143,7 @@ fn either_mode_warms_the_store_for_the_other_bit_identically() {
     let (streamed_cold, stats) = run(&spec, &dir);
     assert_streamed(&stats, "streamed cold");
     let (materialized_warm, stats) = run_materialized(&spec, &dir);
-    assert_served_from_disk(&stats, "streamed then materialized");
+    assert_served_from_disk(&stats, "streamed then materialized", true);
     let _ = std::fs::remove_dir_all(&dir);
 
     // Materialized first, then streamed.
@@ -131,7 +152,7 @@ fn either_mode_warms_the_store_for_the_other_bit_identically() {
     assert!(stats.worlds_built > 0, "{stats:?}");
     let (streamed_warm, stats) = run(&spec, &dir);
     assert_streamed(&stats, "materialized then streamed");
-    assert_served_from_disk(&stats, "materialized then streamed");
+    assert_served_from_disk(&stats, "materialized then streamed", false);
     let _ = std::fs::remove_dir_all(&dir);
 
     // The cold campaigns built every artifact in their own mode; their

@@ -1,20 +1,20 @@
-//! Memory-regression battery for the streaming trace pipeline: the same
-//! long-trace allocation budget that a materialized cell's heap blows
-//! admits a streamed campaign cell, the streaming simulator's *measured*
-//! peak is bounded by the window, not the trace, a streamed campaign's
-//! measured peak live heap stays flat in the trace length, and so does
-//! the heap a simulator scratch keeps after a materialized run.
+//! Memory-regression battery for the streaming trace pipeline: a
+//! workbench cell's measured heap and a streamed campaign cell's charged
+//! allocations both fit one long-trace budget, the streaming simulator's
+//! *measured* peak is bounded by the window, not the trace, a streamed
+//! campaign's measured peak live heap stays flat in the trace length, and
+//! so does the heap a simulator scratch keeps after a materialized run.
 //!
-//! Every clean campaign cell streams, so the materialized side of each
-//! comparison is a world-backed [`Workbench`] — the engine the figures and
-//! `critic run` still use — measured through this binary's global
-//! allocator. The budget half rides the existing [`SysFault::AllocBudget`]
-//! meter: `run_cell_body` charges each attempt's dominant allocations
-//! against the injected budget (O(window) bytes for a streamed cell), so a
-//! budget between the streamed charge and the measured materialized heap
-//! is a tripwire on both. The charges are a model, though: they never saw
-//! the store-resident world a streamed campaign used to hold. The measured
-//! half counts every heap byte, so nothing resident can hide from it.
+//! Every workbench streams its data-oriented runs, so the materialized
+//! side of each comparison is a [`Workbench`] on [`SimEngine::Reference`],
+//! which walks the app's world and an expanded variant trace, measured
+//! through this binary's global allocator. The budget half rides the
+//! existing [`SysFault::AllocBudget`] meter: `run_cell_body` charges each
+//! attempt's dominant allocations against the injected budget (O(window)
+//! bytes for a streamed cell). The charges are a model, though: they never
+//! saw the store-resident world a streamed campaign used to hold. The
+//! measured half counts every heap byte, so nothing resident can hide
+//! from it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +27,7 @@ use critics::core::design::DesignPoint;
 use critics::core::runner::Workbench;
 use critics::core::store::{ArtifactStore, StoreStats};
 use critics::mem::MemConfig;
-use critics::pipeline::{CpuConfig, SimScratch, Simulator, StreamScratch};
+use critics::pipeline::{CpuConfig, SimEngine, SimScratch, Simulator, StreamScratch};
 use critics::workloads::suite::Suite;
 use critics::workloads::{
     AppSpec, ExecutionPath, StreamConfig, SysFault, SysFaultSpec, SysInjector, Trace, TraceStream,
@@ -108,14 +108,20 @@ fn peak_heap_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// Long enough that the materialized footprint dwarfs every windowed one:
-/// a materialized cell holds the trace (64 B/insn), its fanout, decode and
-/// a variant trace — well over 11 MB here — while a 4 Ki window charges
+/// a materialized cell holds the trace (64 B/insn), its fanout and a
+/// variant trace — well over 11 MB here — while a 4 Ki window charges
 /// ~0.5 MB.
 const LONG_TRACE: usize = 120_000;
 
-/// Between the streamed charge (~0.5 MB) and the materialized heap
-/// (> 11 MB), with an order of magnitude of slack on both sides.
+/// Above the streamed charge (~0.5 MB) and far below the materialized
+/// heap (> 11 MB).
 const BUDGET_BYTES: u64 = 2_000_000;
+
+/// A workbench cell's measured heap at the default window: its scratch
+/// keeps 8192-slot simulator rings (100 B a slot) and the stream's
+/// buffers, ~3.2 MB at every trace length, against the reference
+/// engine's 27 MB at [`LONG_TRACE`].
+const CELL_BUDGET_BYTES: u64 = 4_000_000;
 
 const WINDOW: usize = 4_096;
 
@@ -144,11 +150,12 @@ fn one_cell_spec(stream_window: Option<usize>) -> CampaignSpec {
     spec
 }
 
-/// The `critic` cell of [`app`] at `trace_len` on a world-backed workbench
-/// (the materialized engine): its metrics and the peak live heap it added.
-fn materialized_cell(trace_len: usize) -> (CellMetrics, usize) {
+/// The `critic` cell of [`app`] at `trace_len` on a fresh workbench
+/// running `engine`: its metrics and the peak live heap it added.
+fn workbench_cell(trace_len: usize, engine: SimEngine) -> (CellMetrics, usize) {
     peak_heap_of(|| {
         let mut bench = Workbench::try_new(&app(), trace_len).expect("workbench");
+        bench.set_engine(engine);
         let base = bench.run(&DesignPoint::baseline());
         let run = bench.run(&DesignPoint::critic());
         CellMetrics {
@@ -160,17 +167,21 @@ fn materialized_cell(trace_len: usize) -> (CellMetrics, usize) {
     })
 }
 
-/// The materialized engine holds O(trace) bytes: a world-backed cell's
-/// measured heap blows the budget a streamed campaign cell fits.
+/// A workbench streams every data-oriented run and profile from its
+/// trace-free recording, so a `try_new` cell's measured heap (store,
+/// recording, profile, scratch and both runs) is window-sized: it fits one
+/// fixed budget at [`LONG_TRACE`] and at four times that.
 #[test]
-fn materialized_long_trace_blows_the_alloc_budget() {
+fn workbench_long_trace_cell_fits_a_window_sized_budget() {
     let _serial = serial();
-    let (_, peak) = materialized_cell(LONG_TRACE);
-    assert!(
-        peak as u64 > BUDGET_BYTES,
-        "a materialized {LONG_TRACE}-instruction cell held only {peak} B, \
-         under the {BUDGET_BYTES} B budget"
-    );
+    for trace_len in [LONG_TRACE, 4 * LONG_TRACE] {
+        let (_, peak) = workbench_cell(trace_len, SimEngine::DataOriented);
+        assert!(
+            (peak as u64) < CELL_BUDGET_BYTES,
+            "a {trace_len}-instruction workbench cell held {peak} B, over the \
+             {CELL_BUDGET_BYTES} B budget"
+        );
+    }
 }
 
 /// The streamed path charges O(window) bytes and sails under the same
@@ -190,13 +201,12 @@ fn streamed_long_trace_fits_the_same_alloc_budget() {
 }
 
 /// The streamed campaign cell, at an explicit window and at the default
-/// one, agrees with the materialized workbench's cell when the budget is
-/// not in the way: same speedup, energy, and instruction counts, bit for
-/// bit.
+/// one, agrees with the reference engine's cell when the budget is not in
+/// the way: same speedup, energy, and instruction counts, bit for bit.
 #[test]
 fn streamed_campaign_cell_is_bit_identical_to_materialized() {
     let _serial = serial();
-    let (materialized, _) = materialized_cell(LONG_TRACE);
+    let (materialized, _) = workbench_cell(LONG_TRACE, SimEngine::Reference);
     for window in [Some(WINDOW), None] {
         let mut streamed = one_cell_spec(window);
         streamed.sys = None;
@@ -307,8 +317,8 @@ fn measured_campaign(trace_len: usize) -> (StoreStats, usize) {
 
 /// The measured tripwire: a default campaign streams, holding the app's
 /// trace-free recording, never its world, so quadrupling the trace leaves
-/// its peak live heap within a small constant, while a materialized cell's
-/// peak grows with the trace.
+/// its peak live heap within a small constant, while a materialized
+/// (reference-engine) cell's peak grows with the trace.
 #[test]
 fn streamed_campaign_peak_heap_is_flat_in_trace_length() {
     let _serial = serial();
@@ -331,8 +341,8 @@ fn streamed_campaign_peak_heap_is_flat_in_trace_length() {
          vs {streamed_long} B at {LONG}"
     );
 
-    let (_, materialized_short) = materialized_cell(SHORT);
-    let (_, materialized_long) = materialized_cell(LONG);
+    let (_, materialized_short) = workbench_cell(SHORT, SimEngine::Reference);
+    let (_, materialized_long) = workbench_cell(LONG, SimEngine::Reference);
     assert!(
         materialized_long >= 3 * materialized_short,
         "materialized peak heap should scale with the trace: \
