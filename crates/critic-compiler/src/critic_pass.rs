@@ -467,7 +467,8 @@ mod tests {
         let program = app.generate_program();
         let path = ExecutionPath::generate(&program, 21, len);
         let trace = Trace::expand(&program, &path);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+        let profile =
+            Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
         (program, path, trace, profile)
     }
 
@@ -584,7 +585,8 @@ mod tests {
     #[test]
     fn ideal_mode_converts_unconvertible_chains() {
         let (program, path, trace, _) = setup(30_000);
-        let ideal_profile = Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &trace);
+        let ideal_profile =
+            Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &path, &trace);
         let _ = path;
         let _ = trace;
         let mut optimized = program.clone();
@@ -606,8 +608,9 @@ mod tests {
 
     #[test]
     fn cdp_cover_never_exceeds_nine() {
-        let (program, _, trace, _) = setup(30_000);
-        let ideal_profile = Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &trace);
+        let (program, path, trace, _) = setup(30_000);
+        let ideal_profile =
+            Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &path, &trace);
         let mut optimized = program.clone();
         apply_critic_pass(&mut optimized, &ideal_profile, CriticPassOptions::ideal());
         for block in &optimized.blocks {
@@ -661,14 +664,14 @@ mod tests {
 
     #[test]
     fn clean_passes_never_demote() {
-        let (program, _, trace, profile) = setup(30_000);
+        let (program, path, trace, profile) = setup(30_000);
         for (opts, prof) in [
             (CriticPassOptions::default(), profile.clone()),
             (CriticPassOptions::hoist_only(), profile.clone()),
             (CriticPassOptions::branch_switch(), profile.clone()),
             (
                 CriticPassOptions::ideal(),
-                Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &trace),
+                Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &path, &trace),
             ),
         ] {
             let mut optimized = program.clone();

@@ -37,7 +37,7 @@
 //! let program = app.generate_program();
 //! let path = ExecutionPath::generate(&program, 7, 20_000);
 //! let trace = Trace::expand(&program, &path);
-//! let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+//! let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
 //!
 //! let mut optimized = program.clone();
 //! let report = apply_critic_pass(&mut optimized, &profile, CriticPassOptions::default());

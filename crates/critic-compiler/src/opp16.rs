@@ -185,7 +185,8 @@ mod tests {
         let original = program();
         let path = ExecutionPath::generate(&original, 5, 30_000);
         let trace = Trace::expand(&original, &path);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&original, &trace);
+        let profile =
+            Profiler::new(ProfilerConfig::default()).build_profile(&original, &path, &trace);
 
         let mut with_critic = original.clone();
         crate::apply_critic_pass(&mut with_critic, &profile, Default::default());
@@ -207,7 +208,8 @@ mod tests {
         let original = program();
         let path = ExecutionPath::generate(&original, 5, 30_000);
         let trace = Trace::expand(&original, &path);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&original, &trace);
+        let profile =
+            Profiler::new(ProfilerConfig::default()).build_profile(&original, &path, &trace);
 
         let mut combined = original.clone();
         let critic_report = crate::apply_critic_pass(&mut combined, &profile, Default::default());

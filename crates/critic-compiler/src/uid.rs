@@ -13,16 +13,13 @@ pub struct UidAllocator {
 }
 
 impl UidAllocator {
-    /// Starts after the program's largest existing uid.
+    /// Starts at [`Program::uid_bound`], just after the program's largest
+    /// existing uid (at 1 for a program with no instructions), so a
+    /// rewritten program's uids stay dense.
     pub fn for_program(program: &Program) -> UidAllocator {
-        let max = program
-            .blocks
-            .iter()
-            .flat_map(|b| &b.insns)
-            .map(|t| t.uid.0)
-            .max()
-            .unwrap_or(0);
-        UidAllocator { next: max + 1 }
+        UidAllocator {
+            next: program.uid_bound().max(1) as u32,
+        }
     }
 
     /// A fresh uid.

@@ -250,82 +250,6 @@ impl Execution {
     }
 }
 
-/// Dense keys for one program's uids, in uid order.
-///
-/// Uids below `direct` key themselves. The few far above the program's
-/// static size — marker uids that fault injection plants — are ranked
-/// after them, so every flat per-uid table stays O(static program)
-/// whatever the uids.
-struct UidKeys {
-    direct: u32,
-    /// Bit `u` set ⇔ uid `u` (< `direct`) occurs in the program.
-    present: Vec<u64>,
-    /// The program's uids ≥ `direct`, sorted and deduplicated.
-    outliers: Vec<u32>,
-}
-
-impl UidKeys {
-    fn for_program(program: &Program) -> UidKeys {
-        let limit = u32::try_from(2 * program.static_insn_count() + 64).unwrap_or(u32::MAX);
-        let mut present = vec![0u64; (limit as usize).div_ceil(64)];
-        let mut outliers = Vec::new();
-        let mut direct = 0;
-        for block in &program.blocks {
-            for tagged in &block.insns {
-                let uid = tagged.uid.0;
-                if uid < limit {
-                    present[uid as usize / 64] |= 1 << (uid % 64);
-                    direct = direct.max(uid + 1);
-                } else {
-                    outliers.push(uid);
-                }
-            }
-        }
-        present.truncate((direct as usize).div_ceil(64));
-        outliers.sort_unstable();
-        outliers.dedup();
-        UidKeys {
-            direct,
-            present,
-            outliers,
-        }
-    }
-
-    /// Number of keys: the size of a flat per-uid table.
-    fn len(&self) -> usize {
-        self.direct as usize + self.outliers.len()
-    }
-
-    /// The key of a uid that occurs in the program.
-    #[inline]
-    fn key(&self, uid: InsnUid) -> usize {
-        if uid.0 < self.direct {
-            uid.0 as usize
-        } else {
-            let rank = self.outliers.binary_search(&uid.0);
-            debug_assert!(rank.is_ok(), "{uid} is not in the program");
-            self.direct as usize + rank.unwrap_or_else(|r| r)
-        }
-    }
-
-    /// The uid keyed by `key`.
-    fn uid(&self, key: usize) -> InsnUid {
-        match key.checked_sub(self.direct as usize) {
-            None => InsnUid(key as u32),
-            Some(rank) => InsnUid(self.outliers[rank]),
-        }
-    }
-
-    /// Whether `uid` occurs in the program.
-    fn contains(&self, uid: InsnUid) -> bool {
-        if uid.0 < self.direct {
-            self.present[uid.0 as usize / 64] & (1 << (uid.0 % 64)) != 0
-        } else {
-            self.outliers.binary_search(&uid.0).is_ok()
-        }
-    }
-}
-
 /// A baseline execution captured once and replayed against many variants.
 ///
 /// The demotion loop of a validated run re-validates after every demoted
@@ -340,8 +264,9 @@ pub struct BaselineExecution {
     /// (e.g. Compress's two-address `mov` expansion); such a write is not a
     /// divergence in itself — any observable effect it has flows through an
     /// original instruction's write stream, a store sequence, or the final
-    /// state, all of which are still compared.
-    program_uids: UidKeys,
+    /// state, all of which are still compared. Indexed by uid, sized by
+    /// [`Program::uid_bound`].
+    program_uids: Vec<bool>,
     seed: u64,
 }
 
@@ -368,9 +293,11 @@ impl BaselineExecution {
         path: &ExecutionPath,
         seed: u64,
     ) -> Result<BaselineExecution, ValidationError> {
-        let program_uids = UidKeys::for_program(baseline);
-        let exec = execute(baseline, &program_uids, path, seed)
-            .map_err(|(uid, e)| internal_error(uid, e))?;
+        let mut program_uids = vec![false; baseline.uid_bound()];
+        for tagged in baseline.blocks.iter().flat_map(|b| &b.insns) {
+            program_uids[tagged.uid.0 as usize] = true;
+        }
+        let exec = execute(baseline, path, seed).map_err(|(uid, e)| internal_error(uid, e))?;
         Ok(BaselineExecution {
             exec,
             program_uids,
@@ -435,8 +362,7 @@ fn validate_against(
 
     let base = &baseline.exec;
     let seed = baseline.seed;
-    let var = execute(variant, &UidKeys::for_program(variant), path, seed)
-        .map_err(|(uid, e)| internal_error(uid, e))?;
+    let var = execute(variant, path, seed).map_err(|(uid, e)| internal_error(uid, e))?;
 
     // Collect the execution-earliest divergence across register dataflow
     // and store sequences. The root cause (the rewritten instruction that
@@ -460,7 +386,7 @@ fn validate_against(
                 );
             }
             (None, Some(first)) => {
-                if baseline.program_uids.contains(uid) {
+                if baseline.program_uids.get(uid.0 as usize) == Some(&true) {
                     consider(
                         &mut earliest,
                         first.step,
@@ -569,29 +495,29 @@ fn validate_against(
 
 /// Runs one program over the path, recording every observable effect.
 ///
-/// `keys` must be `program`'s own [`UidKeys`]: they index the dense
-/// per-uid visit counters and the counting sort that groups the register
-/// writes by uid.
+/// The per-uid visit counters and the counting sort that groups the
+/// register writes by uid are flat tables indexed by uid and sized by
+/// [`Program::uid_bound`].
 fn execute(
     program: &Program,
-    keys: &UidKeys,
     path: &ExecutionPath,
     seed: u64,
 ) -> Result<Execution, (InsnUid, StepError)> {
     let mut state = MachineState::seeded(seed);
-    let mut visits = vec![0u32; keys.len()];
-    // Register writes in execution order, with their uid keys, and the
-    // number of writes per key: the counting sort's first pass.
+    let uids = program.uid_bound();
+    let mut visits = vec![0u32; uids];
+    // Register writes in execution order, with their uids, and the number
+    // of writes per uid: the counting sort's first pass.
     let mut log: Vec<(u32, RegWrite)> = Vec::new();
-    let mut ends = vec![0u32; keys.len()];
+    let mut ends = vec![0u32; uids];
     let mut stores: Vec<StoreRec> = Vec::new();
     let mut steps = 0u64;
     for s in ArchWalk::new(program, path) {
         let uid = s.tagged.uid;
         let insn = &s.tagged.insn;
-        let key = keys.key(uid);
-        let visit = u64::from(visits[key]);
-        visits[key] += 1;
+        let slot = uid.0 as usize;
+        let visit = u64::from(visits[slot]);
+        visits[slot] += 1;
         let op = insn.op();
         let io = StepIo {
             mem_addr: s.mem_addr,
@@ -606,8 +532,8 @@ fn execute(
         let step = steps;
         steps += 1;
         if let Some((reg, value)) = effect.reg_write {
-            log.push((key as u32, RegWrite { step, reg, value }));
-            ends[key] += 1;
+            log.push((uid.0, RegWrite { step, reg, value }));
+            ends[slot] += 1;
         }
         if let Some(w) = effect.mem_write {
             stores.push(StoreRec {
@@ -619,17 +545,17 @@ fn execute(
         }
     }
 
-    // The rest of the counting sort by key: after placement `ends[k]` is
-    // where key `k`'s group ends. Placement walks the log in order, so each
+    // The rest of the counting sort by uid: after placement `ends[u]` is
+    // where uid `u`'s group ends. Placement walks the log in order, so each
     // group keeps execution order.
     let mut next = 0u32;
     let mut group_ends = Vec::new();
-    for (key, end) in ends.iter_mut().enumerate() {
+    for (u, end) in ends.iter_mut().enumerate() {
         let count = *end;
         *end = next; // the group's start, until placement advances it
         next += count;
         if count > 0 {
-            group_ends.push((keys.uid(key), next));
+            group_ends.push((InsnUid(u as u32), next));
         }
     }
     let mut writes = vec![
@@ -640,8 +566,8 @@ fn execute(
         };
         log.len()
     ];
-    for &(key, w) in &log {
-        let at = &mut ends[key as usize];
+    for &(u, w) in &log {
+        let at = &mut ends[u as usize];
         writes[*at as usize] = w;
         *at += 1;
     }
@@ -829,7 +755,8 @@ mod tests {
         let program = app.generate_program();
         let path = ExecutionPath::generate(&program, 21, len);
         let trace = Trace::expand(&program, &path);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+        let profile =
+            Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
         (program, path, trace, profile)
     }
 
@@ -862,7 +789,7 @@ mod tests {
             (
                 "ideal",
                 CriticPassOptions::ideal(),
-                Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &trace),
+                Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &path, &trace),
             ),
         ];
         for (name, opts, prof) in modes {
@@ -939,40 +866,6 @@ mod tests {
         assert!(text.contains("chain #3"), "{text}");
         assert!(text.contains("42"), "{text}");
         assert!(text.contains("register write #0"), "{text}");
-    }
-
-    #[test]
-    fn uid_keys_stay_dense_and_ordered_with_far_uids() {
-        let (mut program, path, _, profile) = setup(5_000);
-        // Plant two marker uids far above the program, as fault injection
-        // does, on instructions the path executes.
-        let far = [InsnUid(0xF000_0002), InsnUid(0xF000_0001)];
-        for (&bid, uid) in path.blocks.iter().zip(far) {
-            program.block_mut(bid).insns[0].uid = uid;
-        }
-        let keys = UidKeys::for_program(&program);
-        let mut uids: Vec<InsnUid> = program
-            .blocks
-            .iter()
-            .flat_map(|b| b.insns.iter().map(|t| t.uid))
-            .collect();
-        uids.sort_unstable();
-        uids.dedup();
-        assert!(keys.len() <= 2 * program.static_insn_count() + 64 + far.len());
-        for pair in uids.windows(2) {
-            assert!(
-                keys.key(pair[0]) < keys.key(pair[1]),
-                "keys follow uid order"
-            );
-        }
-        for &uid in &uids {
-            assert!(keys.contains(uid));
-            assert_eq!(keys.uid(keys.key(uid)), uid);
-        }
-        assert!(!keys.contains(InsnUid(0xF000_0003)));
-        assert!(!keys.contains(InsnUid(keys.direct)));
-        let report = validate_transform(&program, &program, &path, &profile.chains, 3).unwrap();
-        assert_eq!(report.baseline_steps, report.variant_steps);
     }
 
     /// A one-block program over `insns` (uid, instruction), and its path.

@@ -9,7 +9,7 @@ fn diag_legal() {
     let program = app.generate_program();
     let path = ExecutionPath::generate(&program, app.path_seed(), 240_000);
     let trace = Trace::expand(&program, &path);
-    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
     let mut shown = 0;
     for spec in &profile.chains {
         let block = program.block(spec.block);

@@ -20,7 +20,7 @@ fn setup() -> (Program, Profile) {
     let program = app.generate_program();
     let path = ExecutionPath::generate(&program, 11, 20_000);
     let trace = Trace::expand(&program, &path);
-    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
     (program, profile)
 }
 

@@ -32,8 +32,8 @@ fn render_app(app_index: usize) -> Vec<String> {
     let program = app.generate_program();
     let path = ExecutionPath::generate(&program, PATH_SEED, TRACE_LEN);
     let trace = Trace::expand(&program, &path);
-    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
-    let ideal = Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &trace);
+    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
+    let ideal = Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &path, &trace);
     let baseline = BaselineExecution::capture(&program, &path, INPUT_SEED).expect("capture");
 
     let mut lines = Vec::new();

@@ -763,6 +763,50 @@ mod tests {
         ));
     }
 
+    /// Passes mint uids from `Program::uid_bound` and variant faults mint
+    /// none, so every scheme's variant of every Mobile app is still a
+    /// valid program, its uids dense.
+    #[test]
+    fn every_schemes_variant_keeps_uids_dense() {
+        for app in Suite::Mobile.apps() {
+            let mut bench = Workbench::try_new(&app, SMOKE_TRACE_LEN).expect("workbench");
+            for scheme in crate::campaign::default_schemes() {
+                let (variant, _) = bench
+                    .try_variant(&scheme.point.software)
+                    .expect("variant builds");
+                assert_eq!(variant.validate(), Ok(()), "{} {}", app.name, scheme.name);
+            }
+        }
+    }
+
+    /// A uid far above the program on an executed load is a typed program
+    /// error at assembly: nothing downstream sizes a per-uid table by it.
+    #[test]
+    fn far_uid_on_an_executed_load_is_a_program_error() {
+        use critic_workloads::{InsnRef, InsnUid, ProgramError};
+        let app = small_app();
+        let mut program = app.generate_program();
+        let path = ExecutionPath::generate(&program, app.path_seed(), SMOKE_TRACE_LEN);
+        let far = InsnUid(0xF000_0000);
+        let at = path
+            .blocks
+            .iter()
+            .find_map(|&block| {
+                let index = program
+                    .block(block)
+                    .insns
+                    .iter()
+                    .position(|t| t.insn.op().is_load())?;
+                Some(InsnRef::new(block, index as u32))
+            })
+            .expect("the path executes a load");
+        program.block_mut(at.block).insns[at.index as usize].uid = far;
+        assert!(matches!(
+            Workbench::try_assemble(&app, program, path, DEFAULT_STREAM_WINDOW),
+            Err(RunError::Program(ProgramError::UidOutOfRange { uid, .. })) if uid == far
+        ));
+    }
+
     /// A workbench's data-oriented runs, profiles and validation build no
     /// world and no cone. The first call that needs the materialized trace
     /// (a trace accessor or a reference-engine baseline) builds exactly one

@@ -226,9 +226,10 @@ impl DecodedTrace {
     /// this decode came from: dependences point strictly backwards and
     /// the compare classification is a pure function of the opcode, so
     /// checking the producer's `F_CMP` flag here matches the reference's
-    /// forward-filled `is_compare` table exactly. A `Workbench` variant
-    /// run uses it in place of a second walk over the multi-megabyte
-    /// `DynInsn` records, reading two already-hot decoded columns.
+    /// forward-filled `is_compare` table exactly. It reads two
+    /// already-hot decoded columns in place of a second walk over the
+    /// multi-megabyte `DynInsn` records; the benchmark's layer walk and
+    /// the engine tests (`engine_diff_prop.rs`, `tests/golden.rs`) call it.
     pub fn compute_fanout_into(&self, fanout: &mut Vec<u32>) {
         fanout.clear();
         fanout.resize(self.len, 0u32);

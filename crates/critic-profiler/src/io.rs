@@ -46,7 +46,8 @@ mod tests {
         let program = app.generate_program();
         let path = ExecutionPath::generate(&program, 9, 10_000);
         let trace = Trace::expand(&program, &path);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+        let profile =
+            Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
 
         let dir = std::env::temp_dir().join("critic_profile_io_test");
         let _ = fs::create_dir_all(&dir);

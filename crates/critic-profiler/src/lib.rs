@@ -36,7 +36,7 @@
 //! let trace = Trace::expand(&program, &path);
 //!
 //! let profiler = Profiler::new(ProfilerConfig::default());
-//! let profile = profiler.build_profile(&program, &trace);
+//! let profile = profiler.build_profile(&program, &path, &trace);
 //! assert!(!profile.chains.is_empty(), "mobile apps are full of CritICs");
 //! ```
 

@@ -21,7 +21,9 @@
 //! * `profile_fraction` reproduces Fig. 12b's profiling-coverage
 //!   sensitivity; the paper's headline results profile 72% of execution.
 
-use critic_workloads::{BasicBlock, BlockId, DynInsn, InsnUid, Program, Trace, TraceStream};
+use critic_workloads::{
+    BasicBlock, BlockId, DynInsn, ExecutionPath, InsnUid, Program, Trace, TraceStream,
+};
 
 use crate::error::ProfileError;
 #[allow(unused_imports)]
@@ -172,31 +174,35 @@ impl Profiler {
         &self.config
     }
 
-    /// Runs the full analysis over one (program, trace) pair.
+    /// Runs the full analysis over `trace`, the recorded expansion of
+    /// `path` over `program`.
     ///
     /// # Panics
     ///
-    /// Panics if the trace references blocks or instructions outside the
-    /// program — i.e. the trace was not expanded from this program. Use
-    /// [`Profiler::try_build_profile`] to get a [`ProfileError`] instead.
-    pub fn build_profile(&self, program: &Program, trace: &Trace) -> Profile {
-        match self.try_build_profile(program, trace) {
+    /// Panics if the trace is not that recording — it references blocks or
+    /// instructions outside the program, or its length is not the path's.
+    /// Use [`Profiler::try_build_profile`] to get a [`ProfileError`]
+    /// instead.
+    pub fn build_profile(&self, program: &Program, path: &ExecutionPath, trace: &Trace) -> Profile {
+        match self.try_build_profile(program, path, trace) {
             Ok(profile) => profile,
             Err(e) => panic!("profiling failed: {e}"),
         }
     }
 
     /// Fallible variant of [`Profiler::build_profile`]: validates the
-    /// program structurally and the trace against the program before any
-    /// analysis, so mismatched or corrupted inputs yield a typed
-    /// [`ProfileError`] instead of an out-of-bounds panic mid-analysis.
+    /// program structurally and the trace as `path`'s recording
+    /// ([`Trace::validate_recorded`]) before any analysis, so mismatched or
+    /// corrupted inputs yield a typed [`ProfileError`] instead of an
+    /// out-of-bounds panic mid-analysis or a profile of a corrupted trace.
     pub fn try_build_profile(
         &self,
         program: &Program,
+        path: &ExecutionPath,
         trace: &Trace,
     ) -> Result<Profile, ProfileError> {
         program.validate()?;
-        trace.validate(program)?;
+        trace.validate_recorded(program, path)?;
         let cone = trace.compute_cone_fanout(128);
         let len = self.config.fold_len(trace.len());
         Ok(self.score(program, &ProfileFold::of_trace(program, trace, &cone, len)))
@@ -335,11 +341,12 @@ impl ProfileFold {
     ///
     /// # Panics
     ///
-    /// Panics if `cone` is shorter than the fold.
+    /// Panics if `cone` is shorter than the fold, or if the trace is not an
+    /// execution of `program`.
     pub fn of_trace(program: &Program, trace: &Trace, cone: &[u32], len: usize) -> ProfileFold {
         let len = len.min(trace.len());
         assert!(cone.len() >= len, "cone fanout does not cover the fold");
-        let mut acc = FoldAcc::default();
+        let mut acc = FoldAcc::for_program(program);
         for (entry, &c) in trace.entries[..len].iter().zip(cone) {
             acc.observe(entry, c);
         }
@@ -352,12 +359,12 @@ impl ProfileFold {
     ///
     /// # Panics
     ///
-    /// Panics if the stream has already emitted entries or was opened
-    /// without a cone window.
+    /// Panics if the stream has already emitted entries, was opened
+    /// without a cone window, or is not over `program`.
     pub fn of_stream(program: &Program, stream: &mut TraceStream<'_>, len: usize) -> ProfileFold {
         assert_eq!(stream.emitted(), 0, "profiling requires a fresh stream");
         let len = len.min(stream.total_len());
-        let mut acc = FoldAcc::default();
+        let mut acc = FoldAcc::for_program(program);
         let mut seen = 0usize;
         while seen < len {
             let Some(w) = stream.next_window() else {
@@ -389,31 +396,31 @@ impl ProfileFold {
 }
 
 /// A fold in progress: per-uid `(cone sum, count)` and per-block entry
-/// counts, lazily grown. Entry counts fit in `u32`: dependence indices are
-/// `u32`, so no trace is longer.
-#[derive(Debug, Default)]
+/// counts, sized once by the program. Entry counts fit in `u32`:
+/// dependence indices are `u32`, so no trace is longer.
 struct FoldAcc {
     uid_fanout: Vec<(u64, u64)>,
     block_visits: Vec<u32>,
 }
 
 impl FoldAcc {
+    /// Empty tables for an execution of `program`: one slot per uid below
+    /// [`Program::uid_bound`] and one per block.
+    fn for_program(program: &Program) -> FoldAcc {
+        FoldAcc {
+            uid_fanout: vec![(0, 0); program.uid_bound()],
+            block_visits: vec![0; program.blocks.len()],
+        }
+    }
+
     /// Folds one profiled dynamic instruction and its cone fanout.
     #[inline]
     fn observe(&mut self, entry: &DynInsn, cone: u32) {
-        let slot = entry.uid.0 as usize;
-        if self.uid_fanout.len() <= slot {
-            self.uid_fanout.resize(slot + 1, (0, 0));
-        }
-        let agg = &mut self.uid_fanout[slot];
+        let agg = &mut self.uid_fanout[entry.uid.0 as usize];
         agg.0 += u64::from(cone);
         agg.1 += 1;
         if entry.at.index == 0 {
-            let bslot = entry.at.block.0 as usize;
-            if self.block_visits.len() <= bslot {
-                self.block_visits.resize(bslot + 1, 0);
-            }
-            self.block_visits[bslot] += 1;
+            self.block_visits[entry.at.block.index()] += 1;
         }
     }
 
@@ -422,9 +429,8 @@ impl FoldAcc {
     /// the fold saw lies in an entered block.
     fn finish(self, program: &Program, len: usize) -> ProfileFold {
         let avg_of = |uid: InsnUid| -> f64 {
-            self.uid_fanout
-                .get(uid.0 as usize)
-                .map_or(0.0, |&(sum, count)| sum as f64 / count.max(1) as f64)
+            let (sum, count) = self.uid_fanout[uid.0 as usize];
+            sum as f64 / count.max(1) as f64
         };
         let mut blocks = Vec::new();
         let mut avgs = Vec::new();
@@ -537,19 +543,20 @@ mod tests {
 
     use super::*;
 
-    fn mobile_setup(len: usize) -> (Program, Trace) {
+    fn mobile_setup(len: usize) -> (Program, ExecutionPath, Trace) {
         let mut app = Suite::Mobile.apps()[0].clone();
         app.params.num_functions = 40;
         let program = app.generate_program();
         let path = ExecutionPath::generate(&program, 21, len);
         let trace = Trace::expand(&program, &path);
-        (program, trace)
+        (program, path, trace)
     }
 
     #[test]
     fn profile_selects_chains_with_high_avg_fanout() {
-        let (program, trace) = mobile_setup(40_000);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+        let (program, path, trace) = mobile_setup(40_000);
+        let profile =
+            Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
         assert!(!profile.chains.is_empty());
         for chain in &profile.chains {
             assert!(chain.avg_fanout >= 8.0, "selected chain below threshold");
@@ -569,8 +576,9 @@ mod tests {
 
     #[test]
     fn chain_members_form_a_dependence_path_in_the_block() {
-        let (program, trace) = mobile_setup(30_000);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+        let (program, path, trace) = mobile_setup(30_000);
+        let profile =
+            Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
         assert!(!profile.chains.is_empty());
         for chain in &profile.chains {
             let block = program.block(chain.block);
@@ -599,9 +607,9 @@ mod tests {
 
     #[test]
     fn ideal_mode_keeps_longer_and_unconvertible_chains() {
-        let (program, trace) = mobile_setup(40_000);
-        let real = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
-        let ideal = Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &trace);
+        let (program, path, trace) = mobile_setup(40_000);
+        let real = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
+        let ideal = Profiler::new(ProfilerConfig::ideal()).build_profile(&program, &path, &trace);
         assert!(
             ideal.dynamic_coverage >= real.dynamic_coverage,
             "ideal coverage {:.3} must be >= real {:.3}",
@@ -613,8 +621,9 @@ mod tests {
     #[test]
     fn most_critical_chains_are_thumb_convertible() {
         // Fig. 5b: ~95.5% of unique CritIC sequences convert as-is.
-        let (program, trace) = mobile_setup(40_000);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+        let (program, path, trace) = mobile_setup(40_000);
+        let profile =
+            Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
         assert!(
             profile.stats.convertible_frac > 0.80,
             "convertible fraction {:.3} too low",
@@ -624,17 +633,17 @@ mod tests {
 
     #[test]
     fn smaller_profile_fraction_sees_less() {
-        let (program, trace) = mobile_setup(40_000);
+        let (program, path, trace) = mobile_setup(40_000);
         let full = Profiler::new(ProfilerConfig {
             profile_fraction: 1.0,
             ..Default::default()
         })
-        .build_profile(&program, &trace);
+        .build_profile(&program, &path, &trace);
         let third = Profiler::new(ProfilerConfig {
             profile_fraction: 0.33,
             ..Default::default()
         })
-        .build_profile(&program, &trace);
+        .build_profile(&program, &path, &trace);
         assert!(third.stats.profiled_insns < full.stats.profiled_insns);
         let count = |p: &Profile| p.chains.iter().map(|c| c.dynamic_count).sum::<u64>();
         assert!(count(&third) < count(&full));
@@ -644,12 +653,12 @@ mod tests {
     fn coverage_is_meaningful() {
         // The paper's selected CritICs account for ~30% of the dynamic
         // stream; our synthetic apps should land in the same region.
-        let (program, trace) = mobile_setup(60_000);
+        let (program, path, trace) = mobile_setup(60_000);
         let profile = Profiler::new(ProfilerConfig {
             profile_fraction: 1.0,
             ..Default::default()
         })
-        .build_profile(&program, &trace);
+        .build_profile(&program, &path, &trace);
         assert!(
             profile.dynamic_coverage > 0.08 && profile.dynamic_coverage < 0.8,
             "coverage {:.3} outside plausible band",
@@ -659,7 +668,7 @@ mod tests {
 
     #[test]
     fn static_chain_extraction_is_self_contained() {
-        let (program, trace) = mobile_setup(10_000);
+        let (program, _, trace) = mobile_setup(10_000);
         // Exercise the raw extractor on every block the trace touched.
         let mut visited = std::collections::HashSet::new();
         for e in trace.iter() {
@@ -688,7 +697,7 @@ mod tests {
         let trace = Trace::expand(&program, &path);
         for config in [ProfilerConfig::default(), ProfilerConfig::ideal()] {
             let profiler = Profiler::new(config);
-            let materialized = profiler.build_profile(&program, &trace);
+            let materialized = profiler.build_profile(&program, &path, &trace);
             for window in [1usize, 777, 100_000] {
                 let mut stream = TraceStream::new(
                     &program,
@@ -718,12 +727,12 @@ mod tests {
     fn foreign_trace_is_a_typed_error() {
         // A trace expanded from app A profiled against app B's program:
         // the old code indexed A's block ids into B's arena and panicked.
-        let (program_a, trace_a) = mobile_setup(5_000);
+        let (program_a, path_a, trace_a) = mobile_setup(5_000);
         let mut app_b = Suite::SpecInt.apps()[0].clone();
         app_b.params.num_functions = 4;
         let program_b = app_b.generate_program();
         let err = Profiler::new(ProfilerConfig::default())
-            .try_build_profile(&program_b, &trace_a)
+            .try_build_profile(&program_b, &path_a, &trace_a)
             .expect_err("foreign trace must be rejected");
         assert!(
             matches!(err, crate::ProfileError::InvalidTrace(_)),
@@ -731,33 +740,28 @@ mod tests {
         );
         // The matching pair still profiles.
         assert!(Profiler::new(ProfilerConfig::default())
-            .try_build_profile(&program_a, &trace_a)
+            .try_build_profile(&program_a, &path_a, &trace_a)
             .is_ok());
     }
 
     #[test]
     fn injected_trace_faults_are_typed_errors() {
         use critic_workloads::{inject_trace, Fault, FaultTarget};
-        let (program, pristine) = mobile_setup(5_000);
+        let (program, path, pristine) = mobile_setup(5_000);
         for (i, fault) in Fault::ALL.iter().copied().enumerate() {
             if fault.target() != FaultTarget::Trace {
                 continue;
             }
             let mut trace = pristine.clone();
             inject_trace(&mut trace, fault, 3000 + i as u64).expect("fault has a site");
-            let invalid = trace.validate(&program).is_err();
+            // Every trace fault, a duplicated tail that passes every
+            // per-entry check included, fails the recorded-length check.
             let result =
-                Profiler::new(ProfilerConfig::default()).try_build_profile(&program, &trace);
-            if invalid {
-                assert!(
-                    matches!(result, Err(crate::ProfileError::InvalidTrace(_))),
-                    "fault {fault} not rejected: got Ok profile"
-                );
-            } else {
-                // Validator-clean corruption (e.g. a duplicated tail that
-                // stays under the length cap) must profile without a panic.
-                assert!(result.is_ok(), "fault {fault} should be tolerated");
-            }
+                Profiler::new(ProfilerConfig::default()).try_build_profile(&program, &path, &trace);
+            assert!(
+                matches!(result, Err(crate::ProfileError::InvalidTrace(_))),
+                "fault {fault} not rejected: {result:?}"
+            );
         }
     }
 }

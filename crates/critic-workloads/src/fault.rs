@@ -229,9 +229,11 @@ fn pick<T>(items: &[T], seed: u64) -> Option<usize> {
     }
 }
 
-/// A uid range reserved for injected instructions, far above anything the
-/// generator or the uid allocator hands out.
-const FAULT_UID_BASE: u32 = 0xF000_0000;
+/// The uid an injected instruction takes: the program's next dense one, so
+/// only the fault itself (not its uid) fails validation.
+pub(crate) fn next_uid(program: &Program) -> InsnUid {
+    InsnUid(u32::try_from(program.uid_bound()).unwrap_or(u32::MAX))
+}
 
 /// A corruption site every execution reaches: the entry block when it has
 /// at least two instructions (every path visits it), else a seed-picked
@@ -317,12 +319,10 @@ pub fn inject_program(program: &mut Program, fault: Fault, seed: u64) -> Result<
                 .collect();
             let b = sites[pick(&sites, seed).ok_or_else(no_site)?];
             let pos = (mix(seed ^ 2) % program.blocks[b].insns.len() as u64) as usize;
+            let uid = next_uid(program);
             program.blocks[b].insns.insert(
                 pos,
-                TaggedInsn::new(
-                    Insn::alu(Opcode::Add, Reg::R0, &[Reg::PC, Reg::R1]),
-                    InsnUid(FAULT_UID_BASE + 1),
-                ),
+                TaggedInsn::new(Insn::alu(Opcode::Add, Reg::R0, &[Reg::PC, Reg::R1]), uid),
             );
             Ok(())
         }
@@ -332,10 +332,10 @@ pub fn inject_program(program: &mut Program, fault: Fault, seed: u64) -> Result<
                 .collect();
             let b = sites[pick(&sites, seed).ok_or_else(no_site)?];
             let covered = 10 + (mix(seed ^ 3) % 6) as u8;
-            program.blocks[b].insns.insert(
-                0,
-                TaggedInsn::new(Insn::cdp_raw(covered), InsnUid(FAULT_UID_BASE + 2)),
-            );
+            let uid = next_uid(program);
+            program.blocks[b]
+                .insns
+                .insert(0, TaggedInsn::new(Insn::cdp_raw(covered), uid));
             Ok(())
         }
         Fault::TruncateBlock => {
@@ -731,6 +731,15 @@ mod tests {
                 FaultTarget::Program => {
                     let mut program = clean_program.clone();
                     inject_program(&mut program, fault, seed).expect("site exists");
+                    // An injected instruction takes a dense uid, so the
+                    // fault itself is what fails the checks.
+                    assert!(
+                        !matches!(
+                            program.validate(),
+                            Err(crate::ProgramError::UidOutOfRange { .. })
+                        ),
+                        "{fault} planted an out-of-range uid"
+                    );
                     // Either the static checks or the trace cross-check must
                     // flag the corruption — and nothing may panic.
                     let static_err = program.validate_encoding().is_err();

@@ -165,6 +165,19 @@ impl Program {
         self.blocks.iter().map(BasicBlock::len).sum()
     }
 
+    /// One past the largest uid (0 for a program with no instructions):
+    /// the length of every flat per-uid table. [`Program::validate`]
+    /// keeps it below `2 * static_insn_count() + 64`, so such a table is
+    /// O(static program).
+    pub fn uid_bound(&self) -> usize {
+        self.blocks
+            .iter()
+            .flat_map(|block| &block.insns)
+            .map(|tagged| tagged.uid.0 as usize + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Total code bytes under the current encoding widths.
     pub fn code_bytes(&self) -> u64 {
         self.blocks.iter().map(BasicBlock::byte_size).sum()
@@ -322,6 +335,7 @@ mod tests {
     fn program_accessors() {
         let program = tiny_program();
         assert_eq!(program.static_insn_count(), 3);
+        assert_eq!(program.uid_bound(), 3);
         assert_eq!(program.code_bytes(), 12);
         assert_eq!(program.entry(), BlockId(0));
         let r = InsnRef::new(BlockId(1), 0);

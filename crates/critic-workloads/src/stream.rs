@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use crate::path::ExecutionPath;
 use crate::program::Program;
-use crate::trace::{mem_uid_bound, sets_flags, AddrStream, DynInsn, ExpandCursor, NO_DEP};
+use crate::trace::{sets_flags, AddrStream, DynInsn, ExpandCursor, NO_DEP};
 
 /// Default entries per emitted window (the `--stream-window` default).
 pub const DEFAULT_STREAM_WINDOW: usize = 4096;
@@ -94,10 +94,10 @@ impl StreamConfig {
 /// What a stream over one `(program, path)` pair computes before its first
 /// entry: the program's block start addresses (its code layout, as far as
 /// a sequential walk needs it), the size of its per-uid address tables
-/// (one past its largest memory-instruction uid), and the fanout prepass's
-/// exception list at one look-ahead depth. All three are pure functions of the pair (and the depth), not of
-/// the window or the cone, so one prep, built once, serves every stream
-/// over the pair through [`TraceStream::recycled`].
+/// ([`Program::uid_bound`]), and the fanout prepass's exception list at
+/// one look-ahead depth. All three are pure functions of the pair (and the
+/// depth), not of the window or the cone, so one prep, built once, serves
+/// every stream over the pair through [`TraceStream::recycled`].
 #[derive(Debug)]
 pub struct StreamPrep {
     block_addrs: Vec<u64>,
@@ -117,7 +117,7 @@ impl StreamPrep {
         let lookahead = lookahead.max(1);
         StreamPrep {
             block_addrs: program.layout().into_block_addrs(),
-            uids: mem_uid_bound(program),
+            uids: program.uid_bound(),
             lookahead,
             exceptions: fanout_exceptions(program, path, lookahead),
             total_len: path.dyn_insns(program),

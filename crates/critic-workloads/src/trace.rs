@@ -149,8 +149,7 @@ impl Trace {
         fanout
     }
 
-    /// Allocation-reusing form of [`Trace::compute_fanout`], paired with
-    /// [`Trace::expand_into`] on the per-cell campaign path.
+    /// Allocation-reusing form of [`Trace::compute_fanout`].
     pub fn compute_fanout_into(&self, fanout: &mut Vec<u32>) {
         let n = self.entries.len();
         fanout.clear();
@@ -436,9 +435,9 @@ impl<'a> ExpandCursor<'a> {
 /// touch identical addresses by construction.
 #[derive(Debug, Default)]
 pub(crate) struct AddrStream {
-    // Per-uid visit counters of memory instructions. Uids are dense
-    // program-wide indices, so a flat vector sized once per program
-    // replaces hashing on this hottest expansion path.
+    // Per-uid visit counters of memory instructions. A valid program's
+    // uids are dense, so a flat vector sized once per program by
+    // `Program::uid_bound` replaces hashing on this hottest expansion path.
     visits: Vec<u64>,
     // Per-uid address class (`CLASS_*`), load-hint override applied, filled
     // on the uid's first visit: every later visit skips the hint lookup and
@@ -453,8 +452,8 @@ const CLASS_HOT: u8 = 2;
 const CLASS_RANDOM: u8 = 3;
 
 impl AddrStream {
-    /// Fresh tables for a program whose memory instructions' uids are below
-    /// `uids` (see [`mem_uid_bound`]), recycling `self`'s buffers.
+    /// Fresh tables for a program whose uids are below `uids`
+    /// ([`Program::uid_bound`]), recycling `self`'s buffers.
     pub(crate) fn reset(mut self, uids: usize) -> AddrStream {
         self.visits.clear();
         self.visits.resize(uids, 0);
@@ -465,7 +464,7 @@ impl AddrStream {
 
     /// Fresh tables sized for `program`.
     pub(crate) fn for_program(program: &Program) -> AddrStream {
-        AddrStream::default().reset(mem_uid_bound(program))
+        AddrStream::default().reset(program.uid_bound())
     }
 
     /// The data address this execution of `tagged` touches (`None` for a
@@ -492,21 +491,6 @@ impl AddrStream {
     pub(crate) fn resident_bytes(&self) -> usize {
         self.visits.capacity() * std::mem::size_of::<u64>() + self.classes.capacity()
     }
-}
-
-/// One past the largest uid of a memory instruction in `program`: the size
-/// of its address tables, which no other uid indexes. (Injected faults
-/// plant uids far above the program's, mostly on non-memory instructions;
-/// a bound over every uid would size the tables to them.)
-pub(crate) fn mem_uid_bound(program: &Program) -> usize {
-    program
-        .blocks
-        .iter()
-        .flat_map(|block| &block.insns)
-        .filter(|tagged| tagged.insn.op().is_mem())
-        .map(|tagged| tagged.uid.0 as usize + 1)
-        .max()
-        .unwrap_or(0)
 }
 
 /// One dynamic instruction of an [`ArchWalk`].

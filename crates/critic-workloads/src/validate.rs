@@ -10,7 +10,7 @@
 //! Two levels exist for programs:
 //!
 //! * [`Program::validate`] — **structural**: ids consistent, control flow
-//!   in range, uids unique, CDP covers well-formed. Deliberately does NOT
+//!   in range, uids unique and dense, CDP covers well-formed. Deliberately does NOT
 //!   require every instruction to be encodable, because the `CritIC.Ideal`
 //!   design point force-converts chains into hypothetical 16-bit forms
 //!   (paper Sec. IV-D) that the simulator consumes by width alone.
@@ -19,7 +19,6 @@
 //!   could really be emitted. Real (non-Ideal) toolchain output must pass
 //!   this.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use critic_isa::{encode, EncodeError, Width, MAX_CDP_CHAIN_LEN};
@@ -73,6 +72,15 @@ pub enum ProgramError {
     },
     /// Two instructions share a uid, breaking trace attachment.
     DuplicateUid(InsnUid),
+    /// A uid at or above `2 * static_insn_count() + 64`: uids must stay
+    /// dense, because every per-uid table is sized by
+    /// [`Program::uid_bound`].
+    UidOutOfRange {
+        /// Where the instruction sits.
+        at: InsnRef,
+        /// Its out-of-range uid.
+        uid: InsnUid,
+    },
     /// A CDP's cover count is outside `1..=9`.
     BadCdpCover {
         /// Where the CDP sits.
@@ -126,6 +134,9 @@ impl fmt::Display for ProgramError {
                 write!(f, "call in {from} targets out-of-range function {callee}")
             }
             ProgramError::DuplicateUid(uid) => write!(f, "uid {uid} appears twice"),
+            ProgramError::UidOutOfRange { at, uid } => {
+                write!(f, "instruction at {at} carries out-of-range uid {uid}")
+            }
             ProgramError::BadCdpCover { at, covered } => {
                 write!(
                     f,
@@ -242,39 +253,6 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// The uids a [`Program::validate`] scan has met: a bitset over the dense
-/// range every generated or compiler-allocated uid falls in, and a set for
-/// the few far above it (the marker uids fault injection plants).
-struct SeenUids {
-    /// Bit `u` set ⇔ uid `u` (< `dense.len() * 64`) was met.
-    dense: Vec<u64>,
-    far: BTreeSet<u32>,
-}
-
-impl SeenUids {
-    fn for_program(program: &Program) -> SeenUids {
-        let limit = 2 * program.static_insn_count() + 64;
-        SeenUids {
-            dense: vec![0; limit.div_ceil(64)],
-            far: BTreeSet::new(),
-        }
-    }
-
-    /// Records `uid`; `false` if it was already met.
-    fn insert(&mut self, uid: InsnUid) -> bool {
-        let u = uid.0 as usize;
-        match self.dense.get_mut(u / 64) {
-            Some(word) => {
-                let bit = 1 << (u % 64);
-                let fresh = *word & bit == 0;
-                *word |= bit;
-                fresh
-            }
-            None => self.far.insert(uid.0),
-        }
-    }
-}
-
 impl Program {
     /// Checks the program's structural invariants.
     ///
@@ -299,7 +277,9 @@ impl Program {
                 });
             }
         }
-        let mut seen_uids = SeenUids::for_program(self);
+        // Uids below the limit are dense enough for flat per-uid tables.
+        let uid_limit = 2 * self.static_insn_count() + 64;
+        let mut seen_uids = vec![false; uid_limit];
         for (index, block) in self.blocks.iter().enumerate() {
             if block.id.index() != index {
                 return Err(ProgramError::BlockIdMismatch {
@@ -344,11 +324,17 @@ impl Program {
                 _ => {}
             }
             for (i, tagged) in block.insns.iter().enumerate() {
-                if !seen_uids.insert(tagged.uid) {
+                let at = InsnRef::new(block.id, i as u32);
+                let Some(seen) = seen_uids.get_mut(tagged.uid.0 as usize) else {
+                    return Err(ProgramError::UidOutOfRange {
+                        at,
+                        uid: tagged.uid,
+                    });
+                };
+                if std::mem::replace(seen, true) {
                     return Err(ProgramError::DuplicateUid(tagged.uid));
                 }
                 if let Some(covered) = tagged.insn.cdp_covered_len() {
-                    let at = InsnRef::new(block.id, i as u32);
                     if !(1..=MAX_CDP_CHAIN_LEN).contains(&covered) {
                         return Err(ProgramError::BadCdpCover {
                             at,
@@ -534,6 +520,7 @@ mod tests {
     use critic_isa::{Insn, Opcode, Reg};
 
     use super::*;
+    use crate::fault::next_uid;
     use crate::generate::ProgramGenerator;
     use crate::params::GenParams;
     use crate::program::TaggedInsn;
@@ -666,24 +653,44 @@ mod tests {
         assert_eq!(program.validate(), Err(ProgramError::DuplicateUid(uid)));
     }
 
-    /// A uid far above the dense range, like fault injection's markers.
+    /// A uid far above the dense range.
     const FAR: InsnUid = InsnUid(0xF000_0001);
 
     #[test]
     fn far_duplicate_uid_is_caught() {
         let mut program = generated();
         let last = program.blocks.len() - 1;
+        let first = InsnRef::new(BlockId(0), 0);
+        // The limit is exclusive: one below it is a fresh uid.
+        let limit = 2 * program.static_insn_count() + 64;
+        program.blocks[0].insns[0].uid = InsnUid(limit as u32 - 1);
+        program
+            .validate()
+            .expect("a uid below the limit is in range");
+        program.blocks[0].insns[0].uid = InsnUid(limit as u32);
+        assert_eq!(
+            program.validate(),
+            Err(ProgramError::UidOutOfRange {
+                at: first,
+                uid: InsnUid(limit as u32)
+            })
+        );
         program.blocks[0].insns[0].uid = FAR;
-        program.validate().expect("one far uid is no duplicate");
+        let far = Err(ProgramError::UidOutOfRange {
+            at: first,
+            uid: FAR,
+        });
+        assert_eq!(program.validate(), far);
+        // A repeated far uid is out of range before it is a duplicate.
         let end = program.blocks[last].insns.len() - 1;
         program.blocks[last].insns[end].uid = FAR;
-        assert_eq!(program.validate(), Err(ProgramError::DuplicateUid(FAR)));
+        assert_eq!(program.validate(), far);
     }
 
     #[test]
     fn first_duplicate_in_arena_order_is_reported() {
-        // Two duplicates, one far and one dense, in both arena orders: the
-        // scan must report whichever repeats first, whatever the uids.
+        // Two faults, a far uid and a dense duplicate, in both arena
+        // orders: the scan must report whichever comes first.
         let base = generated();
         let last = base.blocks.len() - 1;
         let dense = base.blocks[last].insns[0].uid;
@@ -695,16 +702,25 @@ mod tests {
             let end = program.blocks[last].insns.len() - 1;
             program.blocks[last - 1].insns[0].uid = second;
             program.blocks[last].insns[end].uid = second;
-            assert_eq!(program.validate(), Err(ProgramError::DuplicateUid(first)));
+            let want = if first == FAR {
+                ProgramError::UidOutOfRange {
+                    at: InsnRef::new(BlockId(0), 0),
+                    uid: FAR,
+                }
+            } else {
+                ProgramError::DuplicateUid(first)
+            };
+            assert_eq!(program.validate(), Err(want));
         }
     }
 
     #[test]
     fn overlong_cdp_cover_is_caught() {
         let mut program = generated();
+        let uid = next_uid(&program);
         program.blocks[0]
             .insns
-            .insert(0, TaggedInsn::new(Insn::cdp_raw(12), InsnUid(9_999_990)));
+            .insert(0, TaggedInsn::new(Insn::cdp_raw(12), uid));
         assert!(matches!(
             program.validate(),
             Err(ProgramError::BadCdpCover { covered: 12, .. })
@@ -714,10 +730,10 @@ mod tests {
     #[test]
     fn cdp_off_the_block_end_is_caught() {
         let mut program = generated();
-        let block = &mut program.blocks[0];
-        block
+        let uid = next_uid(&program);
+        program.blocks[0]
             .insns
-            .push(TaggedInsn::new(Insn::cdp_raw(4), InsnUid(9_999_991)));
+            .push(TaggedInsn::new(Insn::cdp_raw(4), uid));
         assert!(matches!(
             program.validate(),
             Err(ProgramError::CdpCoverRunsOffBlock {
@@ -736,9 +752,10 @@ mod tests {
             .iter()
             .position(|b| !b.insns.is_empty() && b.insns[0].insn.width() == Width::Arm32)
             .expect("some block starts with a 32-bit instruction");
+        let uid = next_uid(&program);
         program.blocks[block]
             .insns
-            .insert(0, TaggedInsn::new(Insn::cdp_raw(1), InsnUid(9_999_992)));
+            .insert(0, TaggedInsn::new(Insn::cdp_raw(1), uid));
         assert!(matches!(
             program.validate(),
             Err(ProgramError::CdpCoversWideInsn { .. })
@@ -748,12 +765,10 @@ mod tests {
     #[test]
     fn strict_check_rejects_unencodable_imm() {
         let mut program = generated();
+        let uid = next_uid(&program);
         program.blocks[0].insns.insert(
             0,
-            TaggedInsn::new(
-                Insn::alu_imm(Opcode::Add, Reg::R0, Reg::R1, 100_000),
-                InsnUid(9_999_993),
-            ),
+            TaggedInsn::new(Insn::alu_imm(Opcode::Add, Reg::R0, Reg::R1, 100_000), uid),
         );
         program.validate().expect("structurally fine");
         assert!(matches!(

@@ -52,7 +52,7 @@ fn main() {
     );
 
     // CritIC selection (Sec. III-A): average fanout per instruction.
-    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
     println!(
         "profile: {} CritICs selected, {:.1}% dynamic coverage, {:.1}% thumb-convertible",
         profile.chains.len(),

@@ -32,7 +32,7 @@ fn main() {
     let program = app.generate_program();
     let path = ExecutionPath::generate(&program, app.path_seed(), 80_000);
     let trace = Trace::expand(&program, &path);
-    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
     let spec = profile.chains.first().expect("profile has chains").clone();
 
     println!("\n== Fig. 9: block {} before the pass ==", spec.block);

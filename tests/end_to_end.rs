@@ -39,7 +39,7 @@ fn profile_compile_simulate_round_trip() {
     let program = app.generate_program();
     let path = ExecutionPath::generate(&program, app.path_seed(), 30_000);
     let trace = Trace::expand(&program, &path);
-    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
     assert!(!profile.chains.is_empty());
 
     let mut optimized = program.clone();
@@ -133,7 +133,7 @@ fn serde_round_trips_through_the_stack() {
 
     let path = ExecutionPath::generate(&program, 3, 5_000);
     let trace = Trace::expand(&program, &path);
-    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+    let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
     let json = serde_json::to_string(&profile).expect("profile serializes");
     let back: critics::profiler::Profile = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(profile.chains.len(), back.chains.len());

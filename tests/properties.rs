@@ -150,7 +150,7 @@ proptest! {
         let program = ProgramGenerator::new(params).generate();
         let path = ExecutionPath::generate(&program, seed ^ 0xAB, 8_000);
         let trace = Trace::expand(&program, &path);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
         for chain in &profile.chains {
             let block = program.block(chain.block);
             let positions: Vec<usize> = chain
@@ -177,7 +177,7 @@ proptest! {
         let program = ProgramGenerator::new(params).generate();
         let path = ExecutionPath::generate(&program, seed ^ 0xCD, 6_000);
         let trace = Trace::expand(&program, &path);
-        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &trace);
+        let profile = Profiler::new(ProfilerConfig::default()).build_profile(&program, &path, &trace);
         let mut optimized = program.clone();
         critics::compiler::apply_critic_pass(
             &mut optimized,

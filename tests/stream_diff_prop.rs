@@ -154,7 +154,7 @@ proptest! {
         };
         let profiler = Profiler::new(config);
         let materialized = profiler
-            .try_build_profile(&program, &trace)
+            .try_build_profile(&program, &path, &trace)
             .expect("materialized profile");
 
         // The profiler's contract: ROB-horizon cone, any window/look-ahead.
