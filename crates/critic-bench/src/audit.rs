@@ -18,17 +18,16 @@
 //! through [`violate`] by the soaks themselves. A violating schedule is
 //! reduced by [`minimize`]. The process plumbing — [`own_binary`],
 //! [`Server`] and [`Scratch`] — cleans up on every return path, and what
-//! stops a drill from reaching a verdict at all is a [`BenchError`].
+//! stops a drill from reaching a verdict at all is a [`BenchError`]. The
+//! drills talk to their children through the wire tier's client,
+//! [`Wire`].
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use critic_core::campaign::{
@@ -45,7 +44,8 @@ use critic_workloads::suite::Suite;
 use serde::{Deserialize, Serialize};
 
 use crate::loadgen::AckedCell;
-use crate::serve::{request_reply, Reply, ServeStats, ShutdownRequest, StatsRequest};
+pub use crate::serve::Wire;
+use crate::serve::{launch, reap, Request};
 
 /// An (app, scheme) grid cell.
 pub type CellKey = (String, String);
@@ -429,31 +429,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawns `binary args` and reads its stdout until the `listening on`
-    /// banner; stdout keeps draining on a thread so the child never
-    /// blocks on a full pipe.
+    /// Spawns `binary args` (stderr discarded) and waits for its
+    /// `listening on` banner.
     pub fn spawn(binary: &Path, args: &[String]) -> Result<Server, BenchError> {
-        let mut child = Command::new(binary)
-            .args(args)
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| BenchError::Io(format!("cannot spawn {}: {e}", binary.display())))?;
-        let mut reader = BufReader::new(child.stdout.take().expect("stdout is piped"));
-        let banner = (&mut reader)
-            .lines()
-            .map_while(Result::ok)
-            .find_map(|line| Some(line.trim().strip_prefix("listening on ")?.to_string()));
-        let Some(addr) = banner else {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(BenchError::Io(format!(
-                "{} exited before its banner",
-                binary.display()
-            )));
-        };
-        thread::spawn(move || std::io::copy(&mut reader, &mut std::io::sink()));
+        let (child, addr) = launch(Command::new(binary).args(args).stderr(Stdio::null()))
+            .map_err(|e| BenchError::Io(format!("cannot start {}: {e}", binary.display())))?;
         Ok(Server {
             child,
             addr,
@@ -476,68 +456,18 @@ impl Server {
         if std::mem::replace(&mut self.reaped, true) {
             return None;
         }
-        send_shutdown(&self.addr);
-        let deadline = Instant::now() + DRAIN_TIMEOUT;
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(status)) => return status.code(),
-                Ok(None) if Instant::now() < deadline => thread::sleep(Duration::from_millis(20)),
-                _ => {
-                    let _ = self.child.kill();
-                    return self.child.wait().ok().and_then(|s| s.code());
-                }
-            }
+        // Best effort: a child that is already draining may never answer,
+        // and the exchange's read timeout bounds that wait.
+        if let Some(mut wire) = Wire::connect(&self.addr) {
+            let _ = wire.request_reply(&Request::Shutdown);
         }
+        reap(&mut self.child, Instant::now() + DRAIN_TIMEOUT)
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Sends a wire `shutdown` on a fresh connection (best effort).
-fn send_shutdown(addr: &str) {
-    if let Some(mut wire) = Wire::connect(addr) {
-        wire.ask(&ShutdownRequest { shutdown: true }, |r| {
-            matches!(r, Reply::Draining)
-        });
-    }
-}
-
-/// A client connection to a `critic serve` child, for the drills' own
-/// control exchanges.
-pub struct Wire {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Wire {
-    /// Connects to `addr`.
-    pub fn connect(addr: &str) -> Option<Wire> {
-        let stream = TcpStream::connect(addr).ok()?;
-        let reader = BufReader::new(stream.try_clone().ok()?);
-        Some(Wire { stream, reader })
-    }
-
-    /// Sends `request` and returns the first reply `want` picks.
-    fn ask<T: Serialize>(
-        &mut self,
-        request: &T,
-        want: impl FnMut(&Reply) -> bool,
-    ) -> Option<Reply> {
-        request_reply(&mut self.stream, &mut self.reader, request, want, |_| {}).ok()
-    }
-
-    /// One `{"stats":true}` exchange.
-    pub fn stats(&mut self) -> Option<ServeStats> {
-        match self.ask(&StatsRequest { stats: true }, |r| {
-            matches!(r, Reply::Stats(_))
-        }) {
-            Some(Reply::Stats(stats)) => Some(stats),
-            _ => None,
-        }
     }
 }
 

@@ -69,16 +69,6 @@ use critic_workloads::{AppSpec, Fault, SysFaultSpec, SysInjector};
 
 const TRACE_LEN: usize = 120_000;
 
-const SCHEME_NAMES: [&str; 7] = [
-    "critic",
-    "hoist",
-    "ideal",
-    "branch-switch",
-    "opp16",
-    "compress",
-    "opp16+critic",
-];
-
 enum CliError {
     Usage(String),
     UnknownApp(String),
@@ -194,7 +184,7 @@ impl fmt::Display for CliError {
                 write!(
                     f,
                     "unknown scheme `{name}`; valid schemes: {}",
-                    SCHEME_NAMES.join(", ")
+                    DesignPoint::NAMED.map(|(known, _)| known).join(", ")
                 )
             }
             CliError::Io(msg) => write!(f, "{msg}"),
@@ -272,11 +262,7 @@ impl From<RunError> for CliError {
 }
 
 fn find_app(name: &str) -> Result<AppSpec, CliError> {
-    Suite::ALL
-        .iter()
-        .flat_map(|s| s.apps())
-        .find(|a| a.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| CliError::UnknownApp(name.to_string()))
+    Suite::find_app(name).ok_or_else(|| CliError::UnknownApp(name.to_string()))
 }
 
 fn scheme_point(scheme: &str) -> Result<DesignPoint, CliError> {

@@ -23,7 +23,7 @@ use serde::Serialize;
 
 use crate::audit::BenchError;
 use crate::lock_clean;
-use crate::serve::{parse_reply, send_line, Reply, SubmitBody, SubmitRequest};
+use crate::serve::{parse_reply, send_line, Reply, Request, SubmitBody};
 
 /// One load-generation run's parameters.
 #[derive(Debug, Clone)]
@@ -217,10 +217,7 @@ fn percentile_ms(sorted_micros: &[u64], fraction: f64) -> f64 {
 
 /// Writes one submission line; false when the stream is gone.
 fn send_submit(writer: &mut TcpStream, body: &SubmitBody) -> bool {
-    let request = SubmitRequest {
-        submit: body.clone(),
-    };
-    send_line(writer, &request).is_ok()
+    send_line(writer, &Request::Submit(body.clone())).is_ok()
 }
 
 /// Re-sends every retry whose delay has elapsed. Returns false when the

@@ -24,15 +24,16 @@
 //!    back, so two clients using id 1 never collide on one shard.
 //!
 //! The router speaks the same line-JSON protocol as `critic serve`
-//! ([`crate::serve`]), so `critic loadgen` points at a router unchanged.
-//! Two extra verbs exist for operators and the sharded soak:
-//! `{"router_stats":true}` answers with per-shard status plus routing
-//! counters, and `{"shutdown":true}` drains the whole fleet (each shard
-//! checkpoints and exits 9, then the router exits 9).
+//! ([`crate::serve`]) over the same accept loop, so `critic loadgen`
+//! points at a router unchanged. It serves `submit`, `ping` and two verbs
+//! of its own: `{"router_stats":true}` (and `{"stats":true}`, with the
+//! same reply) answers with per-shard status plus routing counters, and
+//! `{"shutdown":true}` drains the whole fleet (each shard checkpoints and
+//! exits 9, then the router exits 9).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,29 +46,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::lock_clean;
 use crate::serve::{
-    encode_line, parse_reply, send_line, AcceptedReply, DoneBody, DoneReply, IdBody, PingRequest,
-    PongReply, RejectedBody, RejectedReply, Reply, ShutdownRequest, StatsRequest, SubmitBody,
-    SubmitRequest,
+    accept_lines, launch, parse_reply, print_banner, reap, unparseable, write_line, LineWriter,
+    RejectedBody, Reply, Request, SubmitBody, Wire,
 };
 
-/// `{"router_stats":true}` — ask the router for shard status and routing
-/// counters. Distinct from `{"stats":true}` (which a router also answers,
-/// with the same reply) so scripts can be explicit about which tier they
-/// expect to be talking to.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RouterStatsRequest {
-    /// Always `true`; the key is the request.
-    pub router_stats: bool,
-}
-
-/// `{"router_stats_reply":{...}}` — answer to a [`RouterStatsRequest`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RouterStatsReply {
-    /// The stats body.
-    pub router_stats_reply: RouterStats,
-}
-
-/// Router-side counters and per-shard status.
+/// Router-side counters and per-shard status, the body of a
+/// `router_stats_reply`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RouterStats {
     /// One row per shard.
@@ -160,7 +144,7 @@ pub struct RouterSummary {
 /// One submission the router has forwarded and not yet answered.
 struct RouteEntry {
     /// The client connection to answer on.
-    client: Arc<Mutex<TcpStream>>,
+    client: LineWriter,
     /// The client's own correlation id.
     orig_id: u64,
     /// The submission body (kept for redispatch after a shard death).
@@ -176,7 +160,7 @@ struct ShardState {
     pid: Option<u32>,
     generation: u64,
     /// The router's multiplexed connection to the shard, when up.
-    conn: Option<Arc<Mutex<TcpStream>>>,
+    conn: Option<LineWriter>,
     child: Option<Child>,
     /// Earliest next restart attempt, when down.
     next_attempt: Instant,
@@ -198,16 +182,6 @@ struct Fabric {
     redispatched: AtomicU64,
     rejected_no_shard: AtomicU64,
     restarts: AtomicU64,
-}
-
-/// Serialises `reply` as one line under the stream lock, swallowing write
-/// errors (a hung-up peer is the peer's problem).
-fn write_line<T: Serialize>(stream: &Arc<Mutex<TcpStream>>, reply: &T) -> bool {
-    let Ok(line) = encode_line(reply) else {
-        return false;
-    };
-    let mut guard = lock_clean(stream);
-    guard.write_all(&line).is_ok() && guard.flush().is_ok()
 }
 
 impl Fabric {
@@ -253,7 +227,7 @@ impl Fabric {
     }
 
     /// The live connection to `shard`, or `None` while it is down.
-    fn conn(&self, shard: u32) -> Option<Arc<Mutex<TcpStream>>> {
+    fn conn(&self, shard: u32) -> Option<LineWriter> {
         let state = self.slot(shard);
         if state.up {
             state.conn.clone()
@@ -347,45 +321,10 @@ fn spawn_shard(fabric: &Arc<Fabric>, shard: u32) -> std::io::Result<()> {
     if !peers.is_empty() {
         command.args(["--peers", &peers.join(",")]);
     }
-    command.stdin(Stdio::null());
-    command.stdout(Stdio::piped());
-    command.stderr(Stdio::inherit());
-    let mut child = command.spawn()?;
-    let pid = child.id();
-
     // The shard prints its banner only after peer rebuild and bind, so a
-    // banner means "up and disk-warm". A child that dies first gives EOF.
-    let stdout = child
-        .stdout
-        .take()
-        .ok_or_else(|| std::io::Error::other("shard stdout not piped"))?;
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    let addr = loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                format!("shard {shard} exited before its banner"),
-            ));
-        }
-        if let Some(rest) = line.trim().strip_prefix("listening on ") {
-            break rest.to_string();
-        }
-    };
-    // Keep draining stdout so the child never blocks on a full pipe.
-    thread::spawn(move || {
-        let mut sink = String::new();
-        loop {
-            sink.clear();
-            match reader.read_line(&mut sink) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-        }
-    });
+    // banner means "up and disk-warm".
+    let (child, addr) = launch(command.stderr(Stdio::inherit()))?;
+    let pid = child.id();
 
     let stream = TcpStream::connect(&addr)?;
     let read_half = stream.try_clone()?;
@@ -410,19 +349,17 @@ fn spawn_shard(fabric: &Arc<Fabric>, shard: u32) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The reply-reader for one shard connection: maps `accepted` /
-/// `rejected` / `done` back to the owning client, records heartbeat
-/// answers, and declares the shard dead on EOF.
+/// The reply-reader for one shard connection: forwards `accepted` /
+/// `rejected` / `done` to the owning client under the client's own id,
+/// counts every reply as a sign of life, and declares the shard dead on
+/// EOF.
 fn shard_reader(fabric: &Arc<Fabric>, shard: u32, generation: u64, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    loop {
+    while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+        let reply = parse_reply(&line);
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let Some(reply) = parse_reply(&line) else {
+        let Some(mut reply) = reply else {
             continue;
         };
         {
@@ -432,56 +369,26 @@ fn shard_reader(fabric: &Arc<Fabric>, shard: u32, generation: u64, stream: TcpSt
             }
             state.last_seen = Instant::now();
         }
-        // Every branch copies what it needs out of the routes map before
-        // writing to the client: a slow client must never block the map.
-        match reply {
-            Reply::Accepted(IdBody { id }) => {
-                let target = {
-                    let routes = fabric.routes();
-                    routes
-                        .get(&id)
-                        .map(|entry| (Arc::clone(&entry.client), entry.orig_id))
-                };
-                if let Some((client, orig_id)) = target {
-                    write_line(
-                        &client,
-                        &AcceptedReply {
-                            accepted: IdBody { id: orig_id },
-                        },
-                    );
-                }
+        // Heartbeat / stats / pong answers only refresh `last_seen`.
+        let terminal = !matches!(reply, Reply::Accepted(_));
+        let Some(id) = reply.id_mut() else {
+            continue;
+        };
+        // Copy what the write needs out of the routes map first: a slow
+        // client must never block the map.
+        let target = {
+            let mut routes = fabric.routes();
+            if terminal {
+                routes.remove(id).map(|entry| (entry.client, entry.orig_id))
+            } else {
+                routes
+                    .get(id)
+                    .map(|entry| (Arc::clone(&entry.client), entry.orig_id))
             }
-            Reply::Rejected(body) => {
-                let entry = fabric.routes().remove(&body.id);
-                if let Some(entry) = entry {
-                    write_line(
-                        &entry.client,
-                        &RejectedReply {
-                            rejected: RejectedBody {
-                                id: entry.orig_id,
-                                reason: body.reason,
-                                retry_after_ms: body.retry_after_ms,
-                            },
-                        },
-                    );
-                }
-            }
-            Reply::Done(done) => {
-                let entry = fabric.routes().remove(&done.id);
-                if let Some(entry) = entry {
-                    write_line(
-                        &entry.client,
-                        &DoneReply {
-                            done: DoneBody {
-                                id: entry.orig_id,
-                                record: done.record,
-                            },
-                        },
-                    );
-                }
-            }
-            // Heartbeat / stats / pong answers only refresh `last_seen`.
-            _ => {}
+        };
+        if let Some((client, orig_id)) = target {
+            *id = orig_id;
+            write_line(&client, reply.encode());
         }
     }
     mark_down(fabric, shard, generation);
@@ -503,8 +410,7 @@ fn mark_down(fabric: &Arc<Fabric>, shard: u32, generation: u64) {
         state.next_attempt = Instant::now() + Duration::from_millis(state.backoff_ms);
         state.backoff_ms = (state.backoff_ms * 2).min(fabric.config.backoff_cap_ms);
         if let Some(mut child) = state.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
+            reap(&mut child, Instant::now());
         }
     }
     if !fabric.draining.load(Ordering::SeqCst) {
@@ -534,50 +440,44 @@ fn redispatch_orphans(fabric: &Arc<Fabric>, shard: u32) {
         match target {
             Some((next, conn)) => {
                 entry.shard = next;
-                let request = SubmitRequest {
-                    submit: SubmitBody {
-                        id: gid,
-                        ..entry.body.clone()
-                    },
-                };
+                let request = Request::Submit(SubmitBody {
+                    id: gid,
+                    ..entry.body.clone()
+                });
                 fabric.routes().insert(gid, entry);
-                if write_line(&conn, &request) {
+                if write_line(&conn, request.encode()) {
                     fabric.redispatched.fetch_add(1, Ordering::Relaxed);
                 }
                 // On a failed write the successor is dying too; the route
                 // now points at it, so its own mark_down redispatches
                 // again or rejects.
             }
-            None => {
-                fabric.rejected_no_shard.fetch_add(1, Ordering::Relaxed);
-                write_line(
-                    &entry.client,
-                    &RejectedReply {
-                        rejected: RejectedBody {
-                            id: entry.orig_id,
-                            reason: "no live shard".to_string(),
-                            retry_after_ms: fabric.retry_hint_ms(),
-                        },
-                    },
-                );
-            }
+            None => reject_no_shard(fabric, &entry.client, entry.orig_id),
         }
     }
 }
 
+/// Answers client id `id` with a `rejected`.
+fn reject(client: &LineWriter, id: u64, reason: &str, retry_after_ms: u64) {
+    let reply = Reply::Rejected(RejectedBody {
+        id,
+        reason: reason.to_string(),
+        retry_after_ms,
+    });
+    write_line(client, reply.encode());
+}
+
+/// Rejects client id `id` because no shard is live, with the honest
+/// retry hint.
+fn reject_no_shard(fabric: &Fabric, client: &LineWriter, id: u64) {
+    fabric.rejected_no_shard.fetch_add(1, Ordering::Relaxed);
+    reject(client, id, "no live shard", fabric.retry_hint_ms());
+}
+
 /// Places one client submission: first live shard in successor order.
-fn forward_submit(fabric: &Arc<Fabric>, client: &Arc<Mutex<TcpStream>>, body: SubmitBody) {
+fn forward_submit(fabric: &Arc<Fabric>, client: &LineWriter, body: SubmitBody) {
     if fabric.draining.load(Ordering::SeqCst) {
-        write_line(
-            client,
-            &RejectedReply {
-                rejected: RejectedBody {
-                    id: body.id,
-                    reason: "draining".to_string(),
-                    retry_after_ms: 1_000,
-                },
-            },
-        );
+        reject(client, body.id, "draining", 1_000);
         return;
     }
     let key = placement_key(&body.app, &body.scheme);
@@ -595,13 +495,11 @@ fn forward_submit(fabric: &Arc<Fabric>, client: &Arc<Mutex<TcpStream>>, body: Su
             shard,
         };
         fabric.routes().insert(gid, entry);
-        let request = SubmitRequest {
-            submit: SubmitBody {
-                id: gid,
-                ..body.clone()
-            },
-        };
-        if write_line(&conn, &request) {
+        let request = Request::Submit(SubmitBody {
+            id: gid,
+            ..body.clone()
+        });
+        if write_line(&conn, request.encode()) {
             fabric.forwarded.fetch_add(1, Ordering::Relaxed);
             if owner != Some(shard) {
                 fabric.rerouted.fetch_add(1, Ordering::Relaxed);
@@ -612,62 +510,22 @@ fn forward_submit(fabric: &Arc<Fabric>, client: &Arc<Mutex<TcpStream>>, body: Su
         // or will come for this gid) and try the next successor.
         fabric.routes().remove(&gid);
     }
-    fabric.rejected_no_shard.fetch_add(1, Ordering::Relaxed);
-    write_line(
-        client,
-        &RejectedReply {
-            rejected: RejectedBody {
-                id: body.id,
-                reason: "no live shard".to_string(),
-                retry_after_ms: fabric.retry_hint_ms(),
-            },
-        },
-    );
+    reject_no_shard(fabric, client, body.id);
 }
 
-/// One client connection's request loop on the router.
-fn handle_router_client(fabric: &Arc<Fabric>, stream: TcpStream, shutdown: &Arc<AtomicBool>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let writer = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
-        if let Ok(request) = serde_json::from_str::<SubmitRequest>(text) {
-            forward_submit(fabric, &writer, request.submit);
-        } else if serde_json::from_str::<RouterStatsRequest>(text).is_ok()
-            || serde_json::from_str::<StatsRequest>(text).is_ok()
-        {
-            write_line(
-                &writer,
-                &RouterStatsReply {
-                    router_stats_reply: fabric.stats(),
-                },
-            );
-        } else if serde_json::from_str::<PingRequest>(text).is_ok() {
-            write_line(&writer, &PongReply { pong: true });
-        } else if serde_json::from_str::<ShutdownRequest>(text).is_ok() {
+/// Answers one client request line on the router.
+fn answer(fabric: &Arc<Fabric>, shutdown: &AtomicBool, text: &str, writer: &LineWriter) {
+    let reply = match Request::parse(text) {
+        Some(Request::Submit(body)) => return forward_submit(fabric, writer, body),
+        Some(Request::RouterStats | Request::Stats) => Reply::RouterStats(fabric.stats()),
+        Some(Request::Ping) => Reply::Pong,
+        Some(Request::Shutdown) => {
             shutdown.store(true, Ordering::SeqCst);
-            write_line(&writer, &crate::serve::DrainingReply { draining: true });
-        } else {
-            write_line(
-                &writer,
-                &crate::serve::ErrorReply {
-                    error: format!("unparseable request: {text}"),
-                },
-            );
+            Reply::Draining
         }
-    }
+        _ => unparseable(text),
+    };
+    write_line(writer, reply.encode());
 }
 
 /// The supervisor tick: heartbeat live shards, reap exited children,
@@ -698,7 +556,7 @@ fn supervise(fabric: &Arc<Fabric>) {
                 if exited || stale {
                     mark_down(fabric, shard, generation);
                 } else if let Some(conn) = conn {
-                    if !write_line(&conn, &crate::serve::HeartbeatRequest { heartbeat: true }) {
+                    if !write_line(&conn, Request::Heartbeat.encode()) {
                         mark_down(fabric, shard, generation);
                     }
                 }
@@ -730,7 +588,6 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
     std::fs::create_dir_all(&config.journal_dir)?;
     std::fs::create_dir_all(&config.store_dir)?;
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-    let addr = listener.local_addr()?;
     let fabric = Fabric::new(config);
 
     let mut boot_errors = Vec::new();
@@ -746,8 +603,7 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
         )));
     }
 
-    println!("listening on {addr}");
-    let _ = std::io::stdout().flush();
+    print_banner(&listener)?;
 
     let supervisor = {
         let fabric = Arc::clone(&fabric);
@@ -755,32 +611,14 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
     };
 
     let shutdown = Arc::new(AtomicBool::new(false));
-    let _ = listener.set_nonblocking(true);
-    let mut handles = Vec::new();
-    let mut raw_streams: Vec<TcpStream> = Vec::new();
-    let mut connections = 0u64;
-    loop {
-        if crate::serve::TERM.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) {
-            break;
+    let stop = || crate::serve::TERM.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst);
+    let handle = {
+        let (fabric, shutdown) = (Arc::clone(&fabric), Arc::clone(&shutdown));
+        move |_client: u64, text: &str, writer: &LineWriter| {
+            answer(&fabric, &shutdown, text, writer);
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                connections += 1;
-                if let Ok(raw) = stream.try_clone() {
-                    raw_streams.push(raw);
-                }
-                let fabric = Arc::clone(&fabric);
-                let shutdown = Arc::clone(&shutdown);
-                handles.push(thread::spawn(move || {
-                    handle_router_client(&fabric, stream, &shutdown);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
+    };
+    let connections = accept_lines(&listener, stop, handle);
 
     // Drain: stop supervision, ask every live shard to drain, wait for
     // the in-flight routes to flush (shards finish queued cells before
@@ -789,7 +627,7 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
     let _ = supervisor.join();
     for shard in 0..fabric.config.shards {
         if let Some(conn) = fabric.conn(shard) {
-            write_line(&conn, &ShutdownRequest { shutdown: true });
+            write_line(&conn, Request::Shutdown.encode());
         }
     }
     let flush_deadline = Instant::now() + Duration::from_secs(60);
@@ -799,30 +637,12 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
     for shard in 0..fabric.config.shards {
         let mut state = fabric.slot(shard);
         if let Some(mut child) = state.child.take() {
-            let reap_deadline = Instant::now() + Duration::from_secs(30);
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < reap_deadline => {
-                        thread::sleep(Duration::from_millis(20));
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
-            }
+            reap(&mut child, Instant::now() + Duration::from_secs(30));
         }
         state.up = false;
         state.conn = None;
     }
-    for stream in &raw_streams {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
+    let connections = connections.close();
     let stats = fabric.stats();
     eprintln!(
         "critic router: drained after {connections} connection(s), {} forwarded, {} redispatched, {} restarts",
@@ -835,25 +655,16 @@ pub fn run_router(config: RouterConfig) -> std::io::Result<RouterSummary> {
 ///
 /// # Errors
 ///
-/// Propagates connect/IO errors; an unexpected reply is `InvalidData`.
+/// A failed connect is `ConnectionRefused`; exchange errors propagate,
+/// and an unexpected reply is `InvalidData`.
 pub fn fetch_router_stats(addr: &str) -> std::io::Result<RouterStats> {
-    let stream = TcpStream::connect(addr)?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    send_line(&mut writer, &RouterStatsRequest { router_stats: true })?;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "router hung up before replying",
-            ));
-        }
-        if let Ok(reply) = serde_json::from_str::<RouterStatsReply>(line.trim()) {
-            return Ok(reply.router_stats_reply);
-        }
+    let mut wire = Wire::connect(addr).ok_or(std::io::ErrorKind::ConnectionRefused)?;
+    match wire.request_reply(&Request::RouterStats)? {
+        Reply::RouterStats(stats) => Ok(stats),
+        other => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("expected router stats, got {other:?}"),
+        )),
     }
 }
 
@@ -863,28 +674,28 @@ mod tests {
 
     #[test]
     fn router_stats_round_trip_and_stay_disjoint() {
-        let reply = RouterStatsReply {
-            router_stats_reply: RouterStats {
-                shards: vec![ShardRow {
-                    shard: 0,
-                    addr: Some("127.0.0.1:1".into()),
-                    pid: Some(42),
-                    up: true,
-                    generation: 1,
-                }],
-                forwarded: 7,
-                rerouted: 1,
-                redispatched: 2,
-                rejected_no_shard: 0,
-                restarts: 3,
-            },
+        let reply = Reply::RouterStats(RouterStats {
+            shards: vec![ShardRow {
+                shard: 0,
+                addr: Some("127.0.0.1:1".into()),
+                pid: Some(42),
+                up: true,
+                generation: 1,
+            }],
+            forwarded: 7,
+            rerouted: 1,
+            redispatched: 2,
+            rejected_no_shard: 0,
+            restarts: 3,
+        });
+        let line = String::from_utf8(reply.encode().expect("encode")).expect("utf-8");
+        // It classifies as `Reply::RouterStats` and as nothing else.
+        let Some(Reply::RouterStats(back)) = parse_reply(&line) else {
+            panic!("misclassified: {line}");
         };
-        let line = serde_json::to_string(&reply).expect("serialise");
-        let back: RouterStatsReply = serde_json::from_str(&line).expect("deserialise");
-        assert_eq!(back.router_stats_reply.forwarded, 7);
-        assert_eq!(back.router_stats_reply.shards[0].pid, Some(42));
-        // A router stats reply is not any serve-tier reply.
-        assert!(crate::serve::parse_reply(&line).is_none());
+        assert_eq!(back.forwarded, 7);
+        assert_eq!(back.shards[0].pid, Some(42));
+        assert!(Request::parse(&line).is_none(), "a reply is no request");
     }
 
     #[test]

@@ -1,25 +1,27 @@
-//! The line-delimited-JSON TCP front end behind `critic serve`: a thin,
-//! dependency-free wire layer over [`CampaignService`].
+//! The wire tier: the line-delimited-JSON protocol behind `critic serve`
+//! and `critic router`, the TCP front end over [`CampaignService`], and
+//! the client and child-process plumbing the router and the drills share.
 //!
-//! One request or reply per line. Requests (disjoint top-level keys,
-//! which is how the parser classifies them):
+//! One request or reply per line, each a JSON object whose top-level key
+//! names its kind:
 //!
 //! ```text
 //! {"submit":{"id":7,"app":"Acrobat","scheme":"critic","deadline_ms":2000}}
+//! {"router_stats":true}
 //! {"stats":true}
 //! {"ping":true}
-//! {"shutdown":true}
 //! {"heartbeat":true}
 //! {"fetch_artifact":{"class":"profile","key":1234}}
 //! {"list_artifacts":true}
+//! {"shutdown":true}
 //! ```
 //!
 //! Replies:
 //!
 //! ```text
+//! {"done":{"id":7,"record":{...CellRecord...}}}
 //! {"accepted":{"id":7}}
 //! {"rejected":{"id":7,"reason":"rate limited","retry_after_ms":31}}
-//! {"done":{"id":7,"record":{...CellRecord...}}}
 //! {"stats_reply":{...}}
 //! {"pong":true}
 //! {"draining":true}
@@ -27,14 +29,21 @@
 //! {"artifact":{"class":"profile","key":1234,"found":true,"payload":"...","crc32":987}}
 //! {"artifact_index":[{"class":"profile","key":1234},...]}
 //! {"error":"..."}
+//! {"router_stats_reply":{...}}
 //! ```
 //!
-//! The last three verbs are the shard-fleet surface: `heartbeat` is the
-//! router's liveness probe (answered even while draining, unlike new
-//! submissions), and `fetch_artifact`/`list_artifacts` are the peer-rebuild
-//! path — a restarted shard diffs a live peer's artifact index against its
-//! own disk and pulls what it is missing, CRC-checked on receipt, instead
-//! of re-simulating.
+//! [`Request::parse`] and [`parse_reply`] classify a line with one parse:
+//! a line carrying several known keys is the kind whose key comes first
+//! in the lists above. A shard serves every request but `router_stats`;
+//! the router (see [`crate::router`]) serves `submit`, `router_stats`,
+//! `stats` (with the router's reply), `ping` and `shutdown`. Any other line
+//! is answered with `error`.
+//!
+//! `heartbeat` is the router's liveness probe (answered even while
+//! draining, unlike new submissions), and `fetch_artifact`/`list_artifacts`
+//! are the peer-rebuild path — a restarted shard diffs a live peer's
+//! artifact index against its own disk and pulls what it is missing,
+//! CRC-checked on receipt, instead of re-simulating.
 //!
 //! Ordering: `accepted` is written after the submission is admitted, but
 //! the terminal `done` is written by a worker thread and may overtake it
@@ -44,14 +53,16 @@
 //! been fsynced ([`CampaignService`]'s ack-follows-fsync invariant), so
 //! every `done` a client observed survives a `SIGKILL` of the server.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::lock_clean;
+use crate::router::RouterStats;
 use critic_core::campaign::CellRecord;
 use critic_core::disk::ArtifactClass;
 use critic_core::keys::crc32;
@@ -63,6 +74,10 @@ use serde::{Deserialize, Serialize};
 /// begins a graceful drain when it goes true.
 pub static TERM: AtomicBool = AtomicBool::new(false);
 
+/// How long a client exchange ([`Wire::request_reply`]) waits on any one
+/// read before it gives up with an error.
+pub const EXCHANGE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// `{"submit":{...}}` — submit one campaign cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SubmitRequest {
@@ -70,7 +85,7 @@ pub struct SubmitRequest {
     pub submit: SubmitBody,
 }
 
-/// The body of a [`SubmitRequest`].
+/// The body of a `submit` request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SubmitBody {
     /// Client-chosen correlation id, echoed on every reply to this
@@ -84,52 +99,6 @@ pub struct SubmitBody {
     pub deadline_ms: Option<u64>,
 }
 
-/// `{"stats":true}` — ask for the server-side counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StatsRequest {
-    /// Always `true`; the key is the request.
-    pub stats: bool,
-}
-
-/// `{"ping":true}` — liveness probe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PingRequest {
-    /// Always `true`; the key is the request.
-    pub ping: bool,
-}
-
-/// `{"shutdown":true}` — begin a graceful drain (same path as `SIGTERM`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShutdownRequest {
-    /// Always `true`; the key is the request.
-    pub shutdown: bool,
-}
-
-/// `{"heartbeat":true}` — the router's liveness probe. Unlike `ping`, the
-/// reply carries the shard's identity so a supervisor can detect a port
-/// reused by a stranger.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HeartbeatRequest {
-    /// Always `true`; the key is the request.
-    pub heartbeat: bool,
-}
-
-/// `{"fetch_artifact":{"class":"profile","key":N}}` — ask a peer shard for
-/// one persistent artifact by (class, key).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FetchArtifactRequest {
-    /// Which artifact.
-    pub fetch_artifact: ArtifactRef,
-}
-
-/// `{"list_artifacts":true}` — ask a peer shard for its full artifact
-/// index, so a rebuilding shard can diff it against its own disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ListArtifactsRequest {
-    /// Always `true`; the key is the request.
-    pub list_artifacts: bool,
-}
-
 /// One (class, key) reference into a shard's persistent store.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArtifactRef {
@@ -139,13 +108,6 @@ pub struct ArtifactRef {
     pub key: u64,
 }
 
-/// `{"accepted":{"id":N}}` — the submission passed admission control.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AcceptedReply {
-    /// The echoed correlation id.
-    pub accepted: IdBody,
-}
-
 /// An id-only reply body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IdBody {
@@ -153,15 +115,8 @@ pub struct IdBody {
     pub id: u64,
 }
 
-/// `{"rejected":{...}}` — admission control refused the submission;
-/// nothing was queued and no `done` will follow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RejectedReply {
-    /// The rejection body.
-    pub rejected: RejectedBody,
-}
-
-/// The body of a [`RejectedReply`].
+/// The body of a `rejected` reply: admission control refused the
+/// submission; nothing was queued and no `done` will follow.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RejectedBody {
     /// The echoed correlation id.
@@ -172,15 +127,8 @@ pub struct RejectedBody {
     pub retry_after_ms: u64,
 }
 
-/// `{"done":{...}}` — the terminal result of an accepted submission,
-/// written after its journal fsync.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DoneReply {
-    /// The completion body.
-    pub done: DoneBody,
-}
-
-/// The body of a [`DoneReply`].
+/// The body of a `done` reply: the terminal result of an accepted
+/// submission, written after its journal fsync.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DoneBody {
     /// The echoed correlation id.
@@ -190,14 +138,7 @@ pub struct DoneBody {
     pub record: CellRecord,
 }
 
-/// `{"stats_reply":{...}}` — answer to a [`StatsRequest`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StatsReply {
-    /// The counters body.
-    pub stats_reply: ServeStats,
-}
-
-/// Server-side counters, serialised on demand.
+/// Server-side counters, the body of a `stats_reply`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Cells queued but not yet claimed by a worker.
@@ -228,28 +169,7 @@ pub struct ServeStats {
     pub disk_saves: u64,
 }
 
-/// `{"pong":true}` — answer to a [`PingRequest`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PongReply {
-    /// Always `true`.
-    pub pong: bool,
-}
-
-/// `{"draining":true}` — answer to a [`ShutdownRequest`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DrainingReply {
-    /// Always `true`.
-    pub draining: bool,
-}
-
-/// `{"heartbeat_reply":{...}}` — answer to a [`HeartbeatRequest`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HeartbeatReply {
-    /// The heartbeat body.
-    pub heartbeat_reply: HeartbeatBody,
-}
-
-/// The body of a [`HeartbeatReply`].
+/// The body of a `heartbeat_reply`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HeartbeatBody {
     /// The shard id the server was started with, if any.
@@ -259,14 +179,7 @@ pub struct HeartbeatBody {
     pub draining: bool,
 }
 
-/// `{"artifact":{...}}` — answer to a [`FetchArtifactRequest`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ArtifactReply {
-    /// The artifact body.
-    pub artifact: ArtifactBody,
-}
-
-/// The body of an [`ArtifactReply`]. `payload` is the artifact's JSON
+/// The body of an `artifact` reply. `payload` is the artifact's JSON
 /// text carried as a JSON string; `crc32` is over the payload bytes so the
 /// receiver verifies integrity *before* trusting its own disk write (the
 /// store's on-disk CRC then re-protects it at rest).
@@ -284,19 +197,302 @@ pub struct ArtifactBody {
     pub crc32: u32,
 }
 
-/// `{"artifact_index":[...]}` — answer to a [`ListArtifactsRequest`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ArtifactIndexReply {
-    /// Every (class, key) on the serving shard's disk, in deterministic
-    /// order.
-    pub artifact_index: Vec<ArtifactRef>,
+/// One request line, classified.
+#[derive(Debug, Clone)]
+pub enum Request {
+    /// `{"submit":{...}}` — submit one campaign cell.
+    Submit(SubmitBody),
+    /// `{"router_stats":true}` — the router's shard status and routing
+    /// counters.
+    RouterStats,
+    /// `{"stats":true}` — the server-side counters.
+    Stats,
+    /// `{"ping":true}` — liveness probe.
+    Ping,
+    /// `{"heartbeat":true}` — the router's liveness probe; unlike `ping`,
+    /// the reply carries the shard's identity, so a supervisor can detect
+    /// a port reused by a stranger.
+    Heartbeat,
+    /// `{"fetch_artifact":{...}}` — one persistent artifact from a peer.
+    FetchArtifact(ArtifactRef),
+    /// `{"list_artifacts":true}` — a peer's full artifact index.
+    ListArtifacts,
+    /// `{"shutdown":true}` — begin a graceful drain (same path as
+    /// `SIGTERM`).
+    Shutdown,
 }
 
-/// `{"error":"..."}` — the request line did not parse as any request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ErrorReply {
-    /// What went wrong.
-    pub error: String,
+/// Every request key as an optional field, so one parse reads whichever
+/// keys a line carries.
+#[derive(Deserialize)]
+struct RequestKeys {
+    submit: Option<SubmitBody>,
+    router_stats: Option<bool>,
+    stats: Option<bool>,
+    ping: Option<bool>,
+    heartbeat: Option<bool>,
+    fetch_artifact: Option<ArtifactRef>,
+    list_artifacts: Option<bool>,
+    shutdown: Option<bool>,
+}
+
+impl Request {
+    /// Classifies one request line; `None` when it is no known request.
+    pub fn parse(line: &str) -> Option<Request> {
+        let keys: RequestKeys = serde_json::from_str(line.trim()).ok()?;
+        let flag = |key: Option<bool>, request: Request| key.map(|_| request);
+        keys.submit
+            .map(Request::Submit)
+            .or(flag(keys.router_stats, Request::RouterStats))
+            .or(flag(keys.stats, Request::Stats))
+            .or(flag(keys.ping, Request::Ping))
+            .or(flag(keys.heartbeat, Request::Heartbeat))
+            .or(keys.fetch_artifact.map(Request::FetchArtifact))
+            .or(flag(keys.list_artifacts, Request::ListArtifacts))
+            .or(flag(keys.shutdown, Request::Shutdown))
+    }
+
+    /// The request as one newline-terminated line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a serialisation failure as `InvalidData`.
+    pub fn encode(&self) -> io::Result<Vec<u8>> {
+        match self {
+            Request::Submit(body) => keyed_line("submit", body),
+            Request::RouterStats => keyed_line("router_stats", &true),
+            Request::Stats => keyed_line("stats", &true),
+            Request::Ping => keyed_line("ping", &true),
+            Request::Heartbeat => keyed_line("heartbeat", &true),
+            Request::FetchArtifact(want) => keyed_line("fetch_artifact", want),
+            Request::ListArtifacts => keyed_line("list_artifacts", &true),
+            Request::Shutdown => keyed_line("shutdown", &true),
+        }
+    }
+}
+
+/// One reply line, classified.
+#[derive(Debug, Clone)]
+pub enum Reply {
+    /// `{"accepted":{...}}` — the submission passed admission control.
+    Accepted(IdBody),
+    /// `{"rejected":{...}}`.
+    Rejected(RejectedBody),
+    /// `{"done":{...}}`.
+    Done(Box<DoneBody>),
+    /// `{"stats_reply":{...}}`.
+    Stats(ServeStats),
+    /// `{"pong":true}`.
+    Pong,
+    /// `{"draining":true}` — the answer to `shutdown`.
+    Draining,
+    /// `{"heartbeat_reply":{...}}`.
+    Heartbeat(HeartbeatBody),
+    /// `{"artifact":{...}}`.
+    Artifact(Box<ArtifactBody>),
+    /// `{"artifact_index":[...]}` — every (class, key) on the serving
+    /// shard's disk, in deterministic order.
+    ArtifactIndex(Vec<ArtifactRef>),
+    /// `{"error":"..."}` — the request line was no request this tier
+    /// serves.
+    Error(String),
+    /// `{"router_stats_reply":{...}}`.
+    RouterStats(RouterStats),
+}
+
+/// Every reply key as an optional field (see [`RequestKeys`]).
+#[derive(Deserialize)]
+struct ReplyKeys {
+    done: Option<DoneBody>,
+    accepted: Option<IdBody>,
+    rejected: Option<RejectedBody>,
+    stats_reply: Option<ServeStats>,
+    pong: Option<bool>,
+    draining: Option<bool>,
+    heartbeat_reply: Option<HeartbeatBody>,
+    artifact: Option<ArtifactBody>,
+    artifact_index: Option<Vec<ArtifactRef>>,
+    error: Option<String>,
+    router_stats_reply: Option<RouterStats>,
+}
+
+impl Reply {
+    /// The reply as one newline-terminated line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a serialisation failure as `InvalidData`.
+    pub fn encode(&self) -> io::Result<Vec<u8>> {
+        match self {
+            Reply::Accepted(body) => keyed_line("accepted", body),
+            Reply::Rejected(body) => keyed_line("rejected", body),
+            Reply::Done(body) => keyed_line("done", &**body),
+            Reply::Stats(stats) => keyed_line("stats_reply", stats),
+            Reply::Pong => keyed_line("pong", &true),
+            Reply::Draining => keyed_line("draining", &true),
+            Reply::Heartbeat(body) => keyed_line("heartbeat_reply", body),
+            Reply::Artifact(body) => keyed_line("artifact", &**body),
+            Reply::ArtifactIndex(index) => keyed_line("artifact_index", index),
+            Reply::Error(message) => keyed_line("error", message),
+            Reply::RouterStats(stats) => keyed_line("router_stats_reply", stats),
+        }
+    }
+
+    /// The correlation id of a reply to a submission.
+    pub(crate) fn id_mut(&mut self) -> Option<&mut u64> {
+        match self {
+            Reply::Accepted(IdBody { id }) | Reply::Rejected(RejectedBody { id, .. }) => Some(id),
+            Reply::Done(body) => Some(&mut body.id),
+            _ => None,
+        }
+    }
+}
+
+/// Classifies one reply line; `None` when it is no known reply.
+pub fn parse_reply(line: &str) -> Option<Reply> {
+    let keys: ReplyKeys = serde_json::from_str(line.trim()).ok()?;
+    let flag = |key: Option<bool>, reply: Reply| key.map(|_| reply);
+    keys.done
+        .map(|body| Reply::Done(Box::new(body)))
+        .or(keys.accepted.map(Reply::Accepted))
+        .or(keys.rejected.map(Reply::Rejected))
+        .or(keys.stats_reply.map(Reply::Stats))
+        .or(flag(keys.pong, Reply::Pong))
+        .or(flag(keys.draining, Reply::Draining))
+        .or(keys.heartbeat_reply.map(Reply::Heartbeat))
+        .or(keys.artifact.map(|body| Reply::Artifact(Box::new(body))))
+        .or(keys.artifact_index.map(Reply::ArtifactIndex))
+        .or(keys.error.map(Reply::Error))
+        .or(keys.router_stats_reply.map(Reply::RouterStats))
+}
+
+/// The `error` reply to a line this tier does not serve.
+pub(crate) fn unparseable(text: &str) -> Reply {
+    Reply::Error(format!("unparseable request: {text}"))
+}
+
+fn invalid_data(e: serde_json::Error) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// One wire line: `value`'s JSON and its terminating newline in one
+/// buffer. A line written as two writes (the JSON, then `\n`) leaves the
+/// newline behind Nagle's algorithm until the peer's delayed ACK arrives,
+/// which stalls every request-reply exchange by tens of milliseconds.
+///
+/// # Errors
+///
+/// Propagates a serialisation failure as `InvalidData`.
+pub fn encode_line<T: Serialize>(value: &T) -> io::Result<Vec<u8>> {
+    let mut line = serde_json::to_string(value)
+        .map_err(invalid_data)?
+        .into_bytes();
+    line.push(b'\n');
+    Ok(line)
+}
+
+/// `{"<key>":<body>}` as one line: the shape of every request and reply.
+fn keyed_line<T: Serialize>(key: &str, body: &T) -> io::Result<Vec<u8>> {
+    let body = serde_json::to_string(body).map_err(invalid_data)?;
+    Ok(format!("{{\"{key}\":{body}}}\n").into_bytes())
+}
+
+/// Writes `request` as one line with a single `write_all`, then flushes.
+///
+/// # Errors
+///
+/// Propagates serialisation and write errors.
+pub fn send_line<W: Write>(writer: &mut W, request: &Request) -> io::Result<()> {
+    writer.write_all(&request.encode()?)?;
+    writer.flush()
+}
+
+/// A connection's write half, shared by every thread that answers on it.
+pub(crate) type LineWriter = Arc<Mutex<TcpStream>>;
+
+/// Writes one encoded line under the stream lock; false when encoding or
+/// the write failed. Servers ignore the result: a client that hung up
+/// mid-reply is that client's problem, never the server's.
+pub(crate) fn write_line(stream: &LineWriter, line: io::Result<Vec<u8>>) -> bool {
+    let Ok(line) = line else {
+        return false;
+    };
+    let mut guard = lock_clean(stream);
+    guard.write_all(&line).is_ok() && guard.flush().is_ok()
+}
+
+/// The connections one accept loop took, cut and joined by
+/// [`Connections::close`] once their server has drained.
+#[derive(Default)]
+pub(crate) struct Connections {
+    accepted: u64,
+    /// Each open connection's stream, kept to cut it, and its line loop.
+    open: Vec<(TcpStream, thread::JoinHandle<()>)>,
+}
+
+impl Connections {
+    /// Cuts every open connection, so each line loop sees EOF, and joins
+    /// the loops. Returns how many connections were accepted in all.
+    pub(crate) fn close(self) -> u64 {
+        for (stream, _) in &self.open {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for (_, thread) in self.open {
+            let _ = thread.join();
+        }
+        self.accepted
+    }
+}
+
+/// The accept loop `critic serve` and `critic router` share: until
+/// `stop()` holds, each accepted connection gets a thread that hands
+/// `handle` every non-empty line (trimmed) with the connection's number,
+/// counting from 1, and its shared write half.
+pub(crate) fn accept_lines<H>(
+    listener: &TcpListener,
+    stop: impl Fn() -> bool,
+    handle: H,
+) -> Connections
+where
+    H: Fn(u64, &str, &LineWriter) + Clone + Send + 'static,
+{
+    let _ = listener.set_nonblocking(true);
+    let mut connections = Connections::default();
+    while !stop() {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                // A finished line loop's peer has hung up: drop its stream
+                // (replies still owed go out through the write half), so
+                // a long-lived server holds one descriptor per open
+                // connection, not per connection ever accepted.
+                connections.open.retain(|(_, thread)| !thread.is_finished());
+                let (Ok(raw), Ok(write_half)) = (stream.try_clone(), stream.try_clone()) else {
+                    continue;
+                };
+                connections.accepted += 1;
+                let client = connections.accepted;
+                let handle = handle.clone();
+                let thread = thread::spawn(move || {
+                    let writer = Arc::new(Mutex::new(write_half));
+                    let mut reader = BufReader::new(stream);
+                    let mut line = String::new();
+                    while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+                        let text = line.trim();
+                        if !text.is_empty() {
+                            handle(client, text, &writer);
+                        }
+                        line.clear();
+                    }
+                });
+                connections.open.push((raw, thread));
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                thread::sleep(Duration::from_millis(5));
+            }
+            Err(_) => break,
+        }
+    }
+    connections
 }
 
 /// What one serve session handled, returned by [`serve_on`] after the
@@ -309,44 +505,6 @@ pub struct ServeSummary {
     pub accepted: u64,
     /// Terminal responses delivered.
     pub responded: u64,
-}
-
-/// One wire line: `value`'s JSON and its terminating newline in one
-/// buffer. A line written as two writes (the JSON, then `\n`) leaves the
-/// newline behind Nagle's algorithm until the peer's delayed ACK arrives,
-/// which stalls every request-reply exchange by tens of milliseconds.
-///
-/// # Errors
-///
-/// Propagates a serialisation failure as `InvalidData`.
-pub fn encode_line<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut line = json.into_bytes();
-    line.push(b'\n');
-    Ok(line)
-}
-
-/// Writes `value` as one line with a single `write_all`, then flushes.
-///
-/// # Errors
-///
-/// Propagates serialisation and write errors.
-pub fn send_line<W: Write, T: Serialize>(writer: &mut W, value: &T) -> std::io::Result<()> {
-    writer.write_all(&encode_line(value)?)?;
-    writer.flush()
-}
-
-/// Serialises `reply` and writes it as one line under the stream lock.
-/// Write errors are swallowed: a client that hung up mid-reply is that
-/// client's problem, never the server's.
-fn write_line<T: Serialize>(stream: &Arc<Mutex<TcpStream>>, reply: &T) {
-    let Ok(line) = encode_line(reply) else {
-        return;
-    };
-    let mut guard = lock_clean(stream);
-    let _ = guard.write_all(&line);
-    let _ = guard.flush();
 }
 
 /// What distinguishes one shard's serve loop from a standalone server:
@@ -362,7 +520,7 @@ pub struct ShardContext {
     pub fetched_artifacts: Arc<AtomicU64>,
 }
 
-/// Snapshot of the service counters for a [`StatsReply`].
+/// Snapshot of the service counters for a `stats_reply`.
 fn serve_stats(service: &CampaignService, ctx: &ShardContext) -> ServeStats {
     let store = service.store_stats();
     ServeStats {
@@ -380,158 +538,90 @@ fn serve_stats(service: &CampaignService, ctx: &ShardContext) -> ServeStats {
     }
 }
 
-/// Answers one [`FetchArtifactRequest`] from the service's persistent
-/// store. Absent disk tier, unknown class, and missing key all answer
+/// Answers one `fetch_artifact` from the service's persistent store.
+/// Absent disk tier, unknown class, and missing key all answer
 /// `found:false` — a rebuilding peer treats them identically.
 fn fetch_artifact_body(service: &CampaignService, want: &ArtifactRef) -> ArtifactBody {
-    let missing = ArtifactBody {
+    let loaded = ArtifactClass::parse(&want.class)
+        .zip(service.store().disk())
+        // Not found and quarantined-corrupt both answer `found:false`.
+        .and_then(|(class, disk)| disk.load(class, want.key).ok().flatten())
+        .and_then(|bytes| Some((crc32(&bytes), String::from_utf8(bytes).ok()?)));
+    ArtifactBody {
         class: want.class.clone(),
         key: want.key,
-        found: false,
-        payload: None,
-        crc32: 0,
-    };
-    let Some(class) = ArtifactClass::parse(&want.class) else {
-        return missing;
-    };
-    let Some(disk) = service.store().disk() else {
-        return missing;
-    };
-    match disk.load(class, want.key) {
-        Ok(Some(bytes)) => {
-            let checksum = crc32(&bytes);
-            match String::from_utf8(bytes) {
-                Ok(payload) => ArtifactBody {
-                    class: want.class.clone(),
-                    key: want.key,
-                    found: true,
-                    payload: Some(payload),
-                    crc32: checksum,
-                },
-                Err(_) => missing,
-            }
-        }
-        // Not found and quarantined-corrupt both answer `found:false`.
-        Ok(None) | Err(_) => missing,
+        found: loaded.is_some(),
+        crc32: loaded.as_ref().map_or(0, |(checksum, _)| *checksum),
+        payload: loaded.map(|(_, payload)| payload),
     }
 }
 
-/// One connection's request loop. Returns when the peer hangs up or the
-/// server cuts the stream after draining.
-fn handle_client(
-    stream: TcpStream,
-    service: CampaignService,
-    client: u64,
-    shutdown: Arc<AtomicBool>,
-    ctx: ShardContext,
-) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
+/// Every (class, key) on the service's disk; empty without a disk tier.
+fn artifact_index(service: &CampaignService) -> Vec<ArtifactRef> {
+    let Some(disk) = service.store().disk() else {
+        return Vec::new();
     };
-    let writer = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
-        if let Ok(request) = serde_json::from_str::<SubmitRequest>(text) {
-            let id = request.submit.id;
-            let done_writer = Arc::clone(&writer);
+    disk.entries()
+        .into_iter()
+        .map(|(class, key)| ArtifactRef {
+            class: class.name().to_string(),
+            key,
+        })
+        .collect()
+}
+
+/// Answers one request line from connection `client`.
+fn answer(
+    service: &CampaignService,
+    ctx: &ShardContext,
+    shutdown: &AtomicBool,
+    client: u64,
+    text: &str,
+    writer: &LineWriter,
+) {
+    let reply = match Request::parse(text) {
+        Some(Request::Submit(submit)) => {
+            let id = submit.id;
+            let done_writer = Arc::clone(writer);
             let outcome = service.submit(
                 client,
-                &request.submit.app,
-                &request.submit.scheme,
-                request.submit.deadline_ms,
+                &submit.app,
+                &submit.scheme,
+                submit.deadline_ms,
                 move |record| {
-                    write_line(
-                        &done_writer,
-                        &DoneReply {
-                            done: DoneBody { id, record },
-                        },
-                    );
+                    let done = Reply::Done(Box::new(DoneBody { id, record }));
+                    write_line(&done_writer, done.encode());
                 },
             );
             match outcome {
-                SubmitOutcome::Accepted => write_line(
-                    &writer,
-                    &AcceptedReply {
-                        accepted: IdBody { id },
-                    },
-                ),
+                SubmitOutcome::Accepted => Reply::Accepted(IdBody { id }),
                 SubmitOutcome::Rejected {
                     reason,
                     retry_after_ms,
-                } => write_line(
-                    &writer,
-                    &RejectedReply {
-                        rejected: RejectedBody {
-                            id,
-                            reason,
-                            retry_after_ms,
-                        },
-                    },
-                ),
+                } => Reply::Rejected(RejectedBody {
+                    id,
+                    reason,
+                    retry_after_ms,
+                }),
             }
-        } else if serde_json::from_str::<StatsRequest>(text).is_ok() {
-            write_line(
-                &writer,
-                &StatsReply {
-                    stats_reply: serve_stats(&service, &ctx),
-                },
-            );
-        } else if serde_json::from_str::<PingRequest>(text).is_ok() {
-            write_line(&writer, &PongReply { pong: true });
-        } else if serde_json::from_str::<HeartbeatRequest>(text).is_ok() {
-            write_line(
-                &writer,
-                &HeartbeatReply {
-                    heartbeat_reply: HeartbeatBody {
-                        shard: ctx.shard,
-                        draining: service.is_draining(),
-                    },
-                },
-            );
-        } else if let Ok(request) = serde_json::from_str::<FetchArtifactRequest>(text) {
-            write_line(
-                &writer,
-                &ArtifactReply {
-                    artifact: fetch_artifact_body(&service, &request.fetch_artifact),
-                },
-            );
-        } else if serde_json::from_str::<ListArtifactsRequest>(text).is_ok() {
-            let artifact_index = service
-                .store()
-                .disk()
-                .map(|disk| {
-                    disk.entries()
-                        .into_iter()
-                        .map(|(class, key)| ArtifactRef {
-                            class: class.name().to_string(),
-                            key,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            write_line(&writer, &ArtifactIndexReply { artifact_index });
-        } else if serde_json::from_str::<ShutdownRequest>(text).is_ok() {
-            shutdown.store(true, Ordering::SeqCst);
-            write_line(&writer, &DrainingReply { draining: true });
-        } else {
-            write_line(
-                &writer,
-                &ErrorReply {
-                    error: format!("unparseable request: {text}"),
-                },
-            );
         }
-    }
+        Some(Request::Stats) => Reply::Stats(serve_stats(service, ctx)),
+        Some(Request::Ping) => Reply::Pong,
+        Some(Request::Heartbeat) => Reply::Heartbeat(HeartbeatBody {
+            shard: ctx.shard,
+            draining: service.is_draining(),
+        }),
+        Some(Request::FetchArtifact(want)) => {
+            Reply::Artifact(Box::new(fetch_artifact_body(service, &want)))
+        }
+        Some(Request::ListArtifacts) => Reply::ArtifactIndex(artifact_index(service)),
+        Some(Request::Shutdown) => {
+            shutdown.store(true, Ordering::SeqCst);
+            Reply::Draining
+        }
+        Some(Request::RouterStats) | None => unparseable(text),
+    };
+    write_line(writer, reply.encode());
 }
 
 /// Runs the accept loop over an already-bound listener until `shutdown`,
@@ -547,54 +637,35 @@ pub fn serve_on(
     shutdown: &Arc<AtomicBool>,
     ctx: &ShardContext,
 ) -> ServeSummary {
-    let _ = listener.set_nonblocking(true);
-    let mut handles = Vec::new();
-    let mut raw_streams: Vec<TcpStream> = Vec::new();
-    let mut connections = 0u64;
-    loop {
-        if TERM.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) || service.is_draining() {
-            break;
+    let stop =
+        || TERM.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) || service.is_draining();
+    let handle = {
+        let (service, ctx, shutdown) = (service.clone(), ctx.clone(), Arc::clone(shutdown));
+        move |client: u64, text: &str, writer: &LineWriter| {
+            answer(&service, &ctx, &shutdown, client, text, writer);
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                connections += 1;
-                let client = connections;
-                if let Ok(raw) = stream.try_clone() {
-                    raw_streams.push(raw);
-                }
-                let service = service.clone();
-                let shutdown = Arc::clone(shutdown);
-                let ctx = ctx.clone();
-                handles.push(thread::spawn(move || {
-                    handle_client(stream, service, client, shutdown, ctx);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
+    };
+    let connections = accept_lines(&listener, stop, handle);
     // Finish every queued and in-flight cell (their `done` lines are
     // written by the drain), then cut the streams so client read loops
     // observe EOF instead of hanging.
     service.drain();
-    for stream in &raw_streams {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
     ServeSummary {
-        connections,
+        connections: connections.close(),
         accepted: service.accepted(),
         responded: service.responded(),
     }
 }
 
-/// Binds `127.0.0.1:port` (0 = ephemeral), prints
-/// `listening on 127.0.0.1:PORT` on stdout (the line a supervising parent
-/// reads to discover the port), and serves until shutdown.
+/// Prints `listening on ADDR` on stdout: the line a supervising parent
+/// ([`launch`]) reads to learn that the server is up and where.
+pub(crate) fn print_banner(listener: &TcpListener) -> io::Result<()> {
+    println!("listening on {}", listener.local_addr()?);
+    io::stdout().flush()
+}
+
+/// Binds `127.0.0.1:port` (0 = ephemeral), prints its banner, and serves
+/// until shutdown.
 ///
 /// # Errors
 ///
@@ -604,11 +675,9 @@ pub fn run_serve(
     port: u16,
     service: &CampaignService,
     ctx: &ShardContext,
-) -> std::io::Result<ServeSummary> {
+) -> io::Result<ServeSummary> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
-    let addr = listener.local_addr()?;
-    println!("listening on {addr}");
-    let _ = std::io::stdout().flush();
+    print_banner(&listener)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let summary = serve_on(listener, service, &shutdown, ctx);
     eprintln!(
@@ -650,23 +719,10 @@ pub fn rebuild_from_peers(
         return report;
     };
     for peer in peers {
-        let Ok(stream) = TcpStream::connect(peer.as_str()) else {
+        let Some(mut wire) = Wire::connect(peer) else {
             continue;
         };
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let Ok(mut writer) = stream.try_clone() else {
-            continue;
-        };
-        let mut reader = BufReader::new(stream);
-        let index = match request_reply(
-            &mut writer,
-            &mut reader,
-            &ListArtifactsRequest {
-                list_artifacts: true,
-            },
-            |reply| matches!(reply, Reply::ArtifactIndex(_)),
-            |_| {},
-        ) {
+        let index = match wire.request_reply(&Request::ListArtifacts) {
             Ok(Reply::ArtifactIndex(index)) => index,
             _ => continue,
         };
@@ -678,15 +734,7 @@ pub fn rebuild_from_peers(
             if disk.contains(class, wanted.key) {
                 continue;
             }
-            let body = match request_reply(
-                &mut writer,
-                &mut reader,
-                &FetchArtifactRequest {
-                    fetch_artifact: wanted.clone(),
-                },
-                |reply| matches!(reply, Reply::Artifact(_)),
-                |_| {},
-            ) {
+            let body = match wire.request_reply(&Request::FetchArtifact(wanted.clone())) {
                 Ok(Reply::Artifact(body)) => body,
                 // Peer hung up mid-transfer: move on to the next peer.
                 _ => break,
@@ -711,102 +759,101 @@ pub fn rebuild_from_peers(
     report
 }
 
-/// Reads reply lines off a client-side stream. Thin helper shared by
-/// `critic loadgen` and the soak: classifies one line into whichever reply
-/// type it is.
-#[derive(Debug, Clone)]
-pub enum Reply {
-    /// `{"accepted":{...}}`.
-    Accepted(IdBody),
-    /// `{"rejected":{...}}`.
-    Rejected(RejectedBody),
-    /// `{"done":{...}}`.
-    Done(Box<DoneBody>),
-    /// `{"stats_reply":{...}}`.
-    Stats(ServeStats),
-    /// `{"pong":true}`.
-    Pong,
-    /// `{"draining":true}`.
-    Draining,
-    /// `{"heartbeat_reply":{...}}`.
-    Heartbeat(HeartbeatBody),
-    /// `{"artifact":{...}}`.
-    Artifact(Box<ArtifactBody>),
-    /// `{"artifact_index":[...]}`.
-    ArtifactIndex(Vec<ArtifactRef>),
-    /// `{"error":"..."}`.
-    Error(String),
+/// A client connection for request-reply exchanges, shared by the
+/// router's client helpers, peer rebuild and the drills. Every read on it
+/// waits at most [`EXCHANGE_TIMEOUT`], so a server that accepted the
+/// connection but never answers (one that is draining, say) cannot hang
+/// the caller.
+pub struct Wire {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
-/// Classifies one reply line; `None` when it parses as nothing known.
-pub fn parse_reply(line: &str) -> Option<Reply> {
-    let text = line.trim();
-    if text.is_empty() {
-        return None;
+impl Wire {
+    /// Connects to `addr`.
+    pub fn connect(addr: &str) -> Option<Wire> {
+        let stream = TcpStream::connect(addr).ok()?;
+        stream.set_read_timeout(Some(EXCHANGE_TIMEOUT)).ok()?;
+        let reader = BufReader::new(stream.try_clone().ok()?);
+        Some(Wire { stream, reader })
     }
-    if let Ok(reply) = serde_json::from_str::<DoneReply>(text) {
-        return Some(Reply::Done(Box::new(reply.done)));
+
+    /// Writes `request` and reads reply lines until one answers it: the
+    /// first that is not the `done` of some earlier submission.
+    ///
+    /// # Errors
+    ///
+    /// Propagates stream I/O errors, a read timeout included; EOF before
+    /// an answer is `UnexpectedEof`.
+    pub fn request_reply(&mut self, request: &Request) -> io::Result<Reply> {
+        send_line(&mut self.stream, request)?;
+        let mut line = String::new();
+        loop {
+            line.clear();
+            if self.reader.read_line(&mut line)? == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "server hung up before replying",
+                ));
+            }
+            match parse_reply(&line) {
+                Some(Reply::Done(_)) | None => {}
+                Some(reply) => return Ok(reply),
+            }
+        }
     }
-    if let Ok(reply) = serde_json::from_str::<AcceptedReply>(text) {
-        return Some(Reply::Accepted(reply.accepted));
+
+    /// One `{"stats":true}` exchange.
+    pub fn stats(&mut self) -> Option<ServeStats> {
+        match self.request_reply(&Request::Stats) {
+            Ok(Reply::Stats(stats)) => Some(stats),
+            _ => None,
+        }
     }
-    if let Ok(reply) = serde_json::from_str::<RejectedReply>(text) {
-        return Some(Reply::Rejected(reply.rejected));
-    }
-    if let Ok(reply) = serde_json::from_str::<StatsReply>(text) {
-        return Some(Reply::Stats(reply.stats_reply));
-    }
-    if serde_json::from_str::<PongReply>(text).is_ok() {
-        return Some(Reply::Pong);
-    }
-    if serde_json::from_str::<DrainingReply>(text).is_ok() {
-        return Some(Reply::Draining);
-    }
-    if let Ok(reply) = serde_json::from_str::<HeartbeatReply>(text) {
-        return Some(Reply::Heartbeat(reply.heartbeat_reply));
-    }
-    if let Ok(reply) = serde_json::from_str::<ArtifactReply>(text) {
-        return Some(Reply::Artifact(Box::new(reply.artifact)));
-    }
-    if let Ok(reply) = serde_json::from_str::<ArtifactIndexReply>(text) {
-        return Some(Reply::ArtifactIndex(reply.artifact_index));
-    }
-    if let Ok(reply) = serde_json::from_str::<ErrorReply>(text) {
-        return Some(Reply::Error(reply.error));
-    }
-    None
 }
 
-/// Blocking helper for request/reply exchanges on a client stream: writes
-/// one request line and reads lines until `want` picks a reply (skipping
-/// interleaved `done` lines, which the caller sees via `on_other`).
+/// Spawns `command` with stdout piped and reads that stdout up to the
+/// `listening on ADDR` banner that [`run_serve`] and `critic router` print,
+/// then keeps draining it on a thread so the child never blocks on a full
+/// pipe. Returns the child
+/// and the banner's address; a child that exits before its banner is
+/// reaped and reported as `UnexpectedEof`.
 ///
 /// # Errors
 ///
-/// Propagates stream I/O errors; EOF before a matching reply is
-/// `UnexpectedEof`.
-pub fn request_reply<R: Read, T: Serialize>(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<R>,
-    request: &T,
-    mut want: impl FnMut(&Reply) -> bool,
-    mut on_other: impl FnMut(Reply),
-) -> std::io::Result<Reply> {
-    send_line(writer, request)?;
-    let mut line = String::new();
+/// Propagates the spawn error; see above for a child without a banner.
+pub(crate) fn launch(command: &mut Command) -> io::Result<(Child, String)> {
+    let mut child = command
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .spawn()?;
+    let mut reader = BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let banner = (&mut reader)
+        .lines()
+        .map_while(Result::ok)
+        .find_map(|line| Some(line.trim().strip_prefix("listening on ")?.to_string()));
+    let Some(addr) = banner else {
+        reap(&mut child, Instant::now());
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "exited before its banner",
+        ));
+    };
+    thread::spawn(move || io::copy(&mut reader, &mut io::sink()));
+    Ok((child, addr))
+}
+
+/// Waits for `child` to exit until `deadline`, then kills it, and reaps
+/// it either way. Returns its exit code (`None` when a signal ended it).
+pub(crate) fn reap(child: &mut Child, deadline: Instant) -> Option<i32> {
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server hung up before replying",
-            ));
-        }
-        if let Some(reply) = parse_reply(&line) {
-            if want(&reply) {
-                return Ok(reply);
+        match child.try_wait() {
+            Ok(Some(status)) => return status.code(),
+            Ok(None) if Instant::now() < deadline => thread::sleep(Duration::from_millis(20)),
+            _ => {
+                let _ = child.kill();
+                return child.wait().ok().and_then(|status| status.code());
             }
-            on_other(reply);
         }
     }
 }
@@ -814,43 +861,111 @@ pub fn request_reply<R: Read, T: Serialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::ShardRow;
+
+    fn submit() -> SubmitBody {
+        SubmitBody {
+            id: 7,
+            app: "Acrobat".into(),
+            scheme: "critic".into(),
+            deadline_ms: Some(2_000),
+        }
+    }
+
+    fn line(encoded: io::Result<Vec<u8>>) -> String {
+        String::from_utf8(encoded.expect("encode")).expect("utf-8")
+    }
 
     #[test]
     fn wire_types_round_trip_and_classify_disjointly() {
-        let submit = SubmitRequest {
-            submit: SubmitBody {
-                id: 7,
-                app: "Acrobat".into(),
-                scheme: "critic".into(),
-                deadline_ms: Some(2_000),
-            },
+        let want = ArtifactRef {
+            class: "profile".into(),
+            key: 1234,
         };
-        let line = serde_json::to_string(&submit).expect("serialise");
-        let back: SubmitRequest = serde_json::from_str(&line).expect("deserialise");
-        assert_eq!(back.submit.id, 7);
-        assert_eq!(back.submit.deadline_ms, Some(2_000));
-        // Disjoint top-level keys: a submit line is not any other request.
-        assert!(serde_json::from_str::<StatsRequest>(&line).is_err());
-        assert!(serde_json::from_str::<PingRequest>(&line).is_err());
-        assert!(serde_json::from_str::<ShutdownRequest>(&line).is_err());
-
-        let rejected = RejectedReply {
-            rejected: RejectedBody {
-                id: 9,
-                reason: "rate limited".into(),
-                retry_after_ms: 31,
-            },
-        };
-        let line = serde_json::to_string(&rejected).expect("serialise");
-        match parse_reply(&line) {
-            Some(Reply::Rejected(body)) => {
-                assert_eq!(body.id, 9);
-                assert_eq!(body.retry_after_ms, 31);
-            }
-            other => panic!("misclassified: {other:?}"),
+        let cases = [
+            (
+                Request::Submit(submit()),
+                r#"{"submit":{"id":7,"app":"Acrobat","scheme":"critic","deadline_ms":2000}}"#,
+            ),
+            (Request::RouterStats, r#"{"router_stats":true}"#),
+            (Request::Stats, r#"{"stats":true}"#),
+            (Request::Ping, r#"{"ping":true}"#),
+            (Request::Heartbeat, r#"{"heartbeat":true}"#),
+            (
+                Request::FetchArtifact(want),
+                r#"{"fetch_artifact":{"class":"profile","key":1234}}"#,
+            ),
+            (Request::ListArtifacts, r#"{"list_artifacts":true}"#),
+            (Request::Shutdown, r#"{"shutdown":true}"#),
+        ];
+        for (request, text) in cases {
+            assert_eq!(line(request.encode()), format!("{text}\n"));
+            let back = Request::parse(text).expect("classifies");
+            assert_eq!(line(back.encode()), line(request.encode()));
+            assert!(parse_reply(text).is_none(), "{text} is no reply");
         }
-        assert!(matches!(parse_reply("{\"pong\":true}"), Some(Reply::Pong)));
-        assert!(parse_reply("not json at all").is_none());
+        // The bench's own submit encoding is the same line.
+        let bench = encode_line(&SubmitRequest { submit: submit() });
+        assert_eq!(line(bench), line(Request::Submit(submit()).encode()));
+        assert!(Request::parse("not json at all").is_none());
+        assert!(Request::parse(r#"{"stats":"yes"}"#).is_none());
+    }
+
+    #[test]
+    fn several_known_keys_take_the_first_in_protocol_order() {
+        let cases = [
+            (
+                r#"{"shutdown":true,"submit":{"id":1,"app":"A","scheme":"b"}}"#,
+                "submit",
+            ),
+            (r#"{"stats":true,"router_stats":true}"#, "router_stats"),
+            (r#"{"ping":true,"stats":false}"#, "stats"),
+            (r#"{"list_artifacts":true,"heartbeat":true}"#, "heartbeat"),
+            (
+                r#"{"shutdown":true,"list_artifacts":true}"#,
+                "list_artifacts",
+            ),
+        ];
+        for (text, key) in cases {
+            let request = Request::parse(text).expect("classifies");
+            assert!(
+                line(request.encode()).starts_with(&format!("{{\"{key}\"")),
+                "{text}"
+            );
+        }
+        let reply = parse_reply(r#"{"error":"x","pong":true,"draining":true}"#);
+        assert!(matches!(reply, Some(Reply::Pong)), "{reply:?}");
+        let stats = r#"{"shards":[],"forwarded":0,"rerouted":0,"redispatched":0,"rejected_no_shard":0,"restarts":0}"#;
+        let reply = parse_reply(&format!(r#"{{"router_stats_reply":{stats},"error":"x"}}"#));
+        assert!(matches!(reply, Some(Reply::Error(_))), "{reply:?}");
+    }
+
+    #[test]
+    fn only_replies_to_a_submission_carry_an_id() {
+        let mut replies = [
+            Reply::Accepted(IdBody { id: 1 }),
+            Reply::Rejected(RejectedBody {
+                id: 1,
+                reason: "queue full".into(),
+                retry_after_ms: 5,
+            }),
+            Reply::Pong,
+            Reply::RouterStats(RouterStats {
+                shards: vec![ShardRow {
+                    shard: 0,
+                    addr: None,
+                    pid: None,
+                    up: false,
+                    generation: 0,
+                }],
+                ..RouterStats::default()
+            }),
+        ];
+        for reply in &mut replies[..2] {
+            *reply.id_mut().expect("a submission reply") = 9;
+            assert!(line(reply.encode()).contains(r#""id":9"#));
+        }
+        assert!(replies[2..].iter_mut().all(|r| r.id_mut().is_none()));
     }
 
     /// Counts the writes a line costs.
@@ -861,30 +976,28 @@ mod tests {
     }
 
     impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.writes += 1;
             self.bytes.extend_from_slice(buf);
             Ok(buf.len())
         }
 
-        fn flush(&mut self) -> std::io::Result<()> {
+        fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
     }
 
     #[test]
     fn a_line_is_one_newline_terminated_write() {
-        let ping = PingRequest { ping: true };
-        let line = encode_line(&ping).expect("encode");
+        let line = Request::Ping.encode().expect("encode");
         assert_eq!(line.last(), Some(&b'\n'));
         assert_eq!(line.iter().filter(|&&b| b == b'\n').count(), 1);
         let text = std::str::from_utf8(&line).expect("utf-8");
-        let back: PingRequest = serde_json::from_str(text.trim_end()).expect("parses");
-        assert!(back.ping);
+        assert!(matches!(Request::parse(text), Some(Request::Ping)));
 
         let mut writer = CountingWriter::default();
-        send_line(&mut writer, &ping).expect("send");
-        send_line(&mut writer, &ping).expect("send");
+        send_line(&mut writer, &Request::Ping).expect("send");
+        send_line(&mut writer, &Request::Ping).expect("send");
         assert_eq!(writer.writes, 2, "one write per line");
         assert_eq!(writer.bytes, [line.clone(), line].concat());
     }
@@ -892,7 +1005,63 @@ mod tests {
     #[test]
     fn deadline_is_optional_on_the_wire() {
         let line = "{\"submit\":{\"id\":1,\"app\":\"Maps\",\"scheme\":\"opp16\"}}";
-        let back: SubmitRequest = serde_json::from_str(line).expect("deserialise");
-        assert_eq!(back.submit.deadline_ms, None);
+        let Some(Request::Submit(body)) = Request::parse(line) else {
+            panic!("a submit line is a submit");
+        };
+        assert_eq!(body.deadline_ms, None);
+    }
+
+    #[test]
+    fn the_accept_loop_holds_only_connections_still_open() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let pong = |_: u64, _: &str, writer: &LineWriter| {
+                    write_line(writer, Reply::Pong.encode());
+                };
+                accept_lines(&listener, || stop.load(Ordering::SeqCst), pong)
+            })
+        };
+        // One exchange per connection, each hung up before the next.
+        for _ in 0..20 {
+            let mut wire = Wire::connect(&addr).expect("connect");
+            let reply = wire.request_reply(&Request::Ping);
+            assert!(matches!(reply, Ok(Reply::Pong)), "{reply:?}");
+        }
+        stop.store(true, Ordering::SeqCst);
+        let connections = server.join().expect("accept loop");
+        assert!(connections.open.len() < 20, "closed connections were kept");
+        assert_eq!(connections.close(), 20);
+    }
+
+    #[test]
+    fn an_exchange_with_a_silent_server_errors_instead_of_blocking() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        // Accepts and reads, but never answers: the connection stays open
+        // until the client gives up and hangs up.
+        let silent = thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+                line.clear();
+            }
+        });
+        let mut wire = Wire::connect(&addr).expect("connect");
+        let timeout = wire.stream.read_timeout().expect("timeout readable");
+        assert_eq!(timeout, Some(EXCHANGE_TIMEOUT));
+        wire.stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .expect("short timeout");
+        let started = Instant::now();
+        let outcome = wire.request_reply(&Request::Stats);
+        assert!(outcome.is_err(), "{outcome:?}");
+        assert!(started.elapsed() < Duration::from_secs(5));
+        drop(wire);
+        silent.join().expect("listener thread");
     }
 }

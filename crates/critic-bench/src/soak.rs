@@ -40,10 +40,10 @@ use std::time::{Duration, Instant};
 use critic_workloads::SysFaultSpec;
 use serde::Serialize;
 
-use crate::audit::{self, ensure, violate, BenchError, Metrics, Scratch, Server, Violation, Wire};
+use crate::audit::{self, ensure, violate, BenchError, Metrics, Scratch, Server, Violation};
 use crate::loadgen::{run_loadgen, AckedCell, LoadgenConfig, LoadgenOutcome, LoadgenReport};
 use crate::router::{fetch_router_stats, RouterStats};
-use crate::serve::ServeStats;
+use crate::serve::{ServeStats, Wire};
 
 /// One soak invocation's parameters.
 #[derive(Debug, Clone)]

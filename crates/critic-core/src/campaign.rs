@@ -1257,17 +1257,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The scheme set of the paper's Fig. 13 conversion-scheme comparison —
-/// the default `critic campaign` grid.
+/// the default `critic campaign` grid: every [`DesignPoint::NAMED`] scheme.
 pub fn default_schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::new("hoist", DesignPoint::hoist()),
-        Scheme::new("critic", DesignPoint::critic()),
-        Scheme::new("ideal", DesignPoint::critic_ideal()),
-        Scheme::new("branch-switch", DesignPoint::critic_branch_switch()),
-        Scheme::new("opp16", DesignPoint::opp16()),
-        Scheme::new("compress", DesignPoint::compress()),
-        Scheme::new("opp16+critic", DesignPoint::opp16_plus_critic()),
-    ]
+    DesignPoint::NAMED
+        .iter()
+        .map(|&(name, point)| Scheme::new(name, point()))
+        .collect()
 }
 
 #[cfg(test)]

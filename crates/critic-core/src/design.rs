@@ -95,6 +95,9 @@ pub struct DesignPoint {
     pub perfect_branch: bool,
 }
 
+/// A scheme name and the constructor of its design point.
+pub type NamedScheme = (&'static str, fn() -> DesignPoint);
+
 impl DesignPoint {
     fn plain(software: Software) -> DesignPoint {
         DesignPoint {
@@ -212,20 +215,27 @@ impl DesignPoint {
         DesignPoint::plain(Software::Opp16PlusCritIc)
     }
 
-    /// Resolves a CLI/wire scheme name to its design point. `None` for an
-    /// unknown name — the single naming authority shared by the `critic`
-    /// CLI and the service submission path.
+    /// Every scheme the `critic` CLI and the service resolve by name, in
+    /// the order of the default campaign grid (the paper's Fig. 13
+    /// conversion-scheme comparison).
+    pub const NAMED: [NamedScheme; 7] = [
+        ("hoist", DesignPoint::hoist),
+        ("critic", DesignPoint::critic),
+        ("ideal", DesignPoint::critic_ideal),
+        ("branch-switch", DesignPoint::critic_branch_switch),
+        ("opp16", DesignPoint::opp16),
+        ("compress", DesignPoint::compress),
+        ("opp16+critic", DesignPoint::opp16_plus_critic),
+    ];
+
+    /// Resolves a CLI/wire scheme name through [`DesignPoint::NAMED`].
+    /// `None` for an unknown name — the single naming authority shared by
+    /// the `critic` CLI and the service submission path.
     pub fn named(name: &str) -> Option<DesignPoint> {
-        Some(match name {
-            "critic" => DesignPoint::critic(),
-            "hoist" => DesignPoint::hoist(),
-            "ideal" => DesignPoint::critic_ideal(),
-            "branch-switch" => DesignPoint::critic_branch_switch(),
-            "opp16" => DesignPoint::opp16(),
-            "compress" => DesignPoint::compress(),
-            "opp16+critic" => DesignPoint::opp16_plus_critic(),
-            _ => return None,
-        })
+        let (_, point) = DesignPoint::NAMED
+            .iter()
+            .find(|(known, _)| *known == name)?;
+        Some(point())
     }
 
     /// Adds the CritIC software on top of this (hardware) point — the

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use critic_obs::{EventKind, SpanKind, Telemetry, TelemetrySnapshot};
 use critic_workloads::suite::Suite;
-use critic_workloads::{AppSpec, SysFault, SysInjector, SysOp};
+use critic_workloads::{SysFault, SysInjector, SysOp};
 
 use crate::campaign::{
     execute, Cell, CellPolicy, CellRecord, CellStatus, Scheme, SupervisionPolicy,
@@ -637,7 +637,7 @@ impl CampaignService {
         if inner.draining.load(Ordering::SeqCst) {
             return reject("draining: server is shutting down", 1000);
         }
-        let Some(app) = find_app(app_name) else {
+        let Some(app) = Suite::find_app(app_name) else {
             return reject(&format!("unknown app `{app_name}`"), 0);
         };
         let Some(point) = DesignPoint::named(scheme_name) else {
@@ -853,14 +853,6 @@ fn degrade_level(watermarks: &[usize; 3], depth: usize) -> u8 {
         }
     }
     level
-}
-
-/// Case-insensitive app lookup across every suite.
-fn find_app(name: &str) -> Option<AppSpec> {
-    Suite::ALL
-        .iter()
-        .flat_map(|s| s.apps())
-        .find(|a| a.name.eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]

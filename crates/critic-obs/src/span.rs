@@ -54,17 +54,6 @@ impl SpanKind {
             SpanKind::Request => "request",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            SpanKind::WorldBuild => 0,
-            SpanKind::Profile => 1,
-            SpanKind::Passes => 2,
-            SpanKind::Validate => 3,
-            SpanKind::Sim => 4,
-            SpanKind::Request => 5,
-        }
-    }
 }
 
 /// Counted campaign events.
@@ -144,26 +133,6 @@ impl EventKind {
             EventKind::Reject => "rejects",
             EventKind::Probe => "probes",
             EventKind::Reset => "resets",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            EventKind::Fault => 0,
-            EventKind::Retry => 1,
-            EventKind::Demotion => 2,
-            EventKind::SysFault => 3,
-            EventKind::Degrade => 4,
-            EventKind::Trip => 5,
-            EventKind::Shed => 6,
-            EventKind::Evict => 7,
-            EventKind::Quarantine => 8,
-            EventKind::Checkpoint => 9,
-            EventKind::TornRecovery => 10,
-            EventKind::Admit => 11,
-            EventKind::Reject => 12,
-            EventKind::Probe => 13,
-            EventKind::Reset => 14,
         }
     }
 }
@@ -303,10 +272,10 @@ impl SpanStats {
 /// (exact once the workers have joined, which is when campaigns read it).
 #[derive(Debug, Default)]
 pub struct Recorder {
-    span_count: [AtomicU64; 6],
-    span_total: [AtomicU64; 6],
-    span_max: [AtomicU64; 6],
-    events: [AtomicU64; 15],
+    span_count: [AtomicU64; SpanKind::ALL.len()],
+    span_total: [AtomicU64; SpanKind::ALL.len()],
+    span_max: [AtomicU64; SpanKind::ALL.len()],
+    events: [AtomicU64; EventKind::ALL.len()],
     peak_queue_depth: AtomicU64,
 }
 
@@ -318,7 +287,7 @@ impl Recorder {
 
     /// Records one completed span of `kind`.
     pub fn record_span(&self, kind: SpanKind, nanos: u64) {
-        let i = kind.index();
+        let i = kind as usize;
         self.span_count[i].fetch_add(1, Ordering::Relaxed);
         self.span_total[i].fetch_add(nanos, Ordering::Relaxed);
         self.span_max[i].fetch_max(nanos, Ordering::Relaxed);
@@ -326,7 +295,7 @@ impl Recorder {
 
     /// Counts `n` occurrences of `kind`.
     pub fn count_events(&self, kind: EventKind, n: u64) {
-        self.events[kind.index()].fetch_add(n, Ordering::Relaxed);
+        self.events[kind as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Updates the queue-depth high-water mark (a `fetch_max` gauge).
@@ -337,41 +306,41 @@ impl Recorder {
     /// Reads every counter into a serializable snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let span = |kind: SpanKind| {
-            let i = kind.index();
+            let i = kind as usize;
             SpanStats {
                 count: self.span_count[i].load(Ordering::Relaxed),
                 total_nanos: self.span_total[i].load(Ordering::Relaxed),
                 max_nanos: self.span_max[i].load(Ordering::Relaxed),
             }
         };
+        let event = |kind: EventKind| self.events[kind as usize].load(Ordering::Relaxed);
         TelemetrySnapshot {
             world_build: span(SpanKind::WorldBuild),
             profile: span(SpanKind::Profile),
             passes: span(SpanKind::Passes),
             validate: span(SpanKind::Validate),
             sim: span(SpanKind::Sim),
-            faults: self.events[EventKind::Fault.index()].load(Ordering::Relaxed),
-            retries: self.events[EventKind::Retry.index()].load(Ordering::Relaxed),
-            demotions: self.events[EventKind::Demotion.index()].load(Ordering::Relaxed),
+            faults: event(EventKind::Fault),
+            retries: event(EventKind::Retry),
+            demotions: event(EventKind::Demotion),
             supervision: Some(SupervisionEvents {
-                sys_faults: self.events[EventKind::SysFault.index()].load(Ordering::Relaxed),
-                degrades: self.events[EventKind::Degrade.index()].load(Ordering::Relaxed),
-                trips: self.events[EventKind::Trip.index()].load(Ordering::Relaxed),
-                sheds: self.events[EventKind::Shed.index()].load(Ordering::Relaxed),
+                sys_faults: event(EventKind::SysFault),
+                degrades: event(EventKind::Degrade),
+                trips: event(EventKind::Trip),
+                sheds: event(EventKind::Shed),
             }),
             durability: Some(DurabilityEvents {
-                evictions: self.events[EventKind::Evict.index()].load(Ordering::Relaxed),
-                quarantines: self.events[EventKind::Quarantine.index()].load(Ordering::Relaxed),
-                checkpoints: self.events[EventKind::Checkpoint.index()].load(Ordering::Relaxed),
-                torn_recoveries: self.events[EventKind::TornRecovery.index()]
-                    .load(Ordering::Relaxed),
+                evictions: event(EventKind::Evict),
+                quarantines: event(EventKind::Quarantine),
+                checkpoints: event(EventKind::Checkpoint),
+                torn_recoveries: event(EventKind::TornRecovery),
             }),
             service: Some(ServiceEvents {
                 requests: span(SpanKind::Request),
-                admits: self.events[EventKind::Admit.index()].load(Ordering::Relaxed),
-                rejects: self.events[EventKind::Reject.index()].load(Ordering::Relaxed),
-                probes: self.events[EventKind::Probe.index()].load(Ordering::Relaxed),
-                resets: self.events[EventKind::Reset.index()].load(Ordering::Relaxed),
+                admits: event(EventKind::Admit),
+                rejects: event(EventKind::Reject),
+                probes: event(EventKind::Probe),
+                resets: event(EventKind::Reset),
                 peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
             }),
         }
@@ -642,7 +611,7 @@ impl Telemetry {
             for kind in SpanKind::ALL {
                 let s = snapshot.span(kind);
                 if s.count > 0 {
-                    let i = kind.index();
+                    let i = kind as usize;
                     recorder.span_count[i].fetch_add(s.count, Ordering::Relaxed);
                     recorder.span_total[i].fetch_add(s.total_nanos, Ordering::Relaxed);
                     recorder.span_max[i].fetch_max(s.max_nanos, Ordering::Relaxed);
@@ -667,6 +636,16 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kinds_index_their_arrays_in_declaration_order() {
+        for (i, kind) in SpanKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+    }
 
     #[test]
     fn disabled_handle_records_nothing() {

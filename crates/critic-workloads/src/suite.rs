@@ -44,6 +44,14 @@ impl Suite {
             Suite::SpecFloat => spec_float_apps(),
         }
     }
+
+    /// The app named `name` (case-insensitively) in any suite.
+    pub fn find_app(name: &str) -> Option<AppSpec> {
+        Suite::ALL
+            .iter()
+            .flat_map(|s| s.apps())
+            .find(|a| a.name.eq_ignore_ascii_case(name))
+    }
 }
 
 impl std::fmt::Display for Suite {
